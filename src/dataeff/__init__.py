@@ -29,10 +29,7 @@ from .analysis import (
 from .corpus import (
     CorpusRow,
     CorpusTable,
-    DomainStats,
-    domain_stats,
     load_corpus,
-    partition,
     save_corpus,
 )
 from .curve import (
@@ -44,7 +41,6 @@ from .curve import (
     fit_curve,
     invert,
     load_model,
-    save_model,
 )
 from .errors import DataEffError
 from .frames import (
@@ -92,7 +88,6 @@ __all__ = [
     "CorpusTable",
     "CurveModel",
     "DataEffError",
-    "DomainStats",
     "EfficiencyPoint",
     "Frame",
     "FrameNode",
@@ -112,7 +107,6 @@ __all__ = [
     "average_points",
     "build_manifests",
     "compare_models",
-    "domain_stats",
     "evaluate",
     "exact_match",
     "fit_curve",
@@ -127,7 +121,6 @@ __all__ = [
     "ontology_labels",
     "packaged_annotations",
     "parse_frame",
-    "partition",
     "per_class_curves",
     "per_intent_points",
     "reference_comparison",
@@ -136,7 +129,6 @@ __all__ = [
     "run_protocol",
     "save_corpus",
     "save_ledger",
-    "save_model",
     "serialize_frame",
     "simulated_run",
     "spis_sample",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .corpus import CorpusTable
 from .curve import CurveModel, EfficiencyPoint, fit_curve, invert
-from .errors import AnalysisError, AnnotationError, UnreachableTargetError
+from .errors import AnalysisError, AnnotationError, FrameParseError, UnreachableTargetError
 from .frames import parse_frame, root_intent, serialize_frame
 from .protocol import Ledger
 
@@ -56,9 +56,6 @@ def intent_complexity_from_slots(slot_classes: list[ComplexityClass]) -> Complex
 class ComplexityAnnotations:
     domain: str
     classes: dict  # intent label -> ComplexityClass
-
-    def __getitem__(self, intent: str) -> ComplexityClass:
-        return self.classes[intent]
 
 
 def load_annotations(path: str | Path, domain: str | None = None) -> ComplexityAnnotations:
@@ -143,7 +140,7 @@ def per_intent_points(
                 continue
             try:
                 hit = serialize_frame(parse_frame(predicted)) == serialize_frame(reference)
-            except Exception:
+            except FrameParseError:
                 hit = False  # unparseable prediction is simply a miss
             per_intent.setdefault(label, []).append(hit)
         for label, hits in per_intent.items():

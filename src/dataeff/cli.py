@@ -8,15 +8,15 @@ em. Exit codes are a stable contract: 0 success, 1 data error, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import analysis, report, sampling
 from .corpus import load_corpus
-from .curve import fit_curve, invert, load_model, points_from_csv
+from .curve import EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
 from .errors import DataEffError, UnreachableTargetError
 from .frames import exact_match, parse_frame
+from .jsonio import dumps, from_dict, loads
 from .protocol import (
     CommandRunner,
     Ledger,
@@ -47,26 +47,15 @@ def _load_points_file(path: str):
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return ledger_to_curve(Ledger.from_json(text))
+        return ledger_to_curve(Ledger.from_json(text, path))
     if stripped.startswith("["):
-        from .curve import EfficiencyPoint
-
-        return [
-            EfficiencyPoint(
-                subset_percent=float(obj["subset_percent"]),
-                exact_match=float(obj["exact_match"]),
-                seed=int(obj.get("seed", 0)),
-                model_id=obj.get("model_id", ""),
-                domain=obj.get("domain", ""),
-            )
-            for obj in json.loads(text)
-        ]
+        return from_dict(list[EfficiencyPoint], loads(text, path), path)
     return points_from_csv(text)
 
 
 def cmd_schedule(args) -> int:
     schedule = sampling.make_schedule(args.n)
-    sys.stdout.write(schedule.to_json() + "\n")
+    sys.stdout.write(dumps(schedule) + "\n")
     return EXIT_OK
 
 
@@ -74,7 +63,7 @@ def cmd_sample(args) -> int:
     table = load_corpus(args.corpus, args.format)
     spec = sampling.SubsetSpec(args.domain, args.algorithm, args.size, args.seed)
     subset = sampling.sample(table, spec)
-    _emit(subset.to_json() + "\n", args.out)
+    _emit(dumps(subset) + "\n", args.out)
     size = sampling.subset_size_report(subset, table)
     print(
         f"{subset.spec.algorithm} subset: {size.count} rows "
@@ -100,7 +89,7 @@ def cmd_fit(args) -> int:
             f"(a={model.a:.4g}, c={model.c:.4g})",
             file=sys.stderr,
         )
-    _emit(model.to_json() + "\n", args.out)
+    _emit(dumps(model) + "\n", args.out)
     return EXIT_OK
 
 
@@ -327,13 +316,7 @@ def main(argv=None) -> int:
         parser.error("--curves comparison needs --em targets")
     try:
         return args.func(args)
-    except DataEffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (DataEffError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -8,13 +8,12 @@ number, and row order is preserved because sampling determinism depends on it.
 
 from __future__ import annotations
 
-import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CorpusError, FrameParseError, UnknownDomainError
-from .frames import Frame, parse_frame, root_intent, serialize_frame
+from .errors import CorpusError, FrameParseError, InputError, UnknownDomainError
+from .frames import Frame, parse_frame, serialize_frame
+from .jsonio import from_dict, loads
 
 SPLITS = ("train", "eval", "test")
 
@@ -47,9 +46,6 @@ class CorpusTable:
     def domains(self) -> tuple[str, ...]:
         return tuple(self._index)
 
-    def has_domain(self, domain: str) -> bool:
-        return domain in self._index
-
     def row_ids(self, domain: str, split: str) -> tuple[int, ...]:
         """Positions of a domain's rows in one split, in file order."""
         if domain not in self._index:
@@ -61,19 +57,20 @@ class CorpusTable:
         return self._index[domain][split]
 
 
-@dataclass(frozen=True)
-class DomainStats:
-    domain: str
-    split_counts: dict  # split -> row count
-    intent_histogram: Counter  # root intent label -> count over the train split
-
-
 def _default_split(path: Path) -> str:
     stem = path.stem
     for split in SPLITS:
         if stem.endswith("_" + split):
             return split
     return "train"
+
+
+@dataclass(frozen=True)
+class _JsonlRow:
+    domain: str
+    utterance: str
+    semantic_parse: str
+    split: str | None = None
 
 
 def _check_split(value: str, line: int) -> str:
@@ -137,17 +134,14 @@ def load_corpus(path: str | Path, format: str | None = None) -> CorpusTable:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"bad JSON: {exc}", lineno) from exc
-            missing = [k for k in ("domain", "utterance", "semantic_parse") if k not in obj]
-            if missing:
-                raise CorpusError(f"missing keys: {', '.join(missing)}", lineno)
-            if not obj["domain"]:
+                obj = from_dict(_JsonlRow, loads(line, "JSONL row"), "JSONL row")
+            except InputError as exc:
+                raise CorpusError(str(exc), lineno) from None
+            if not obj.domain:
                 raise CorpusError("empty domain", lineno)
-            split = _check_split(obj["split"], lineno) if "split" in obj else fallback_split
-            frame = _parse_row_frame(obj["semantic_parse"], lineno)
-            rows.append(CorpusRow(obj["domain"], obj["utterance"], frame, split))
+            split = fallback_split if obj.split is None else _check_split(obj.split, lineno)
+            frame = _parse_row_frame(obj.semantic_parse, lineno)
+            rows.append(CorpusRow(obj.domain, obj.utterance, frame, split))
     return CorpusTable(rows)
 
 
@@ -160,34 +154,3 @@ def save_corpus(table: CorpusTable, path: str | Path) -> None:
             "\t".join([row.domain, row.utterance, serialize_frame(row.frame), row.split])
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def domain_stats(table: CorpusTable, domain: str) -> DomainStats:
-    """Split counts plus the root-intent histogram over the domain's train split."""
-    if not table.has_domain(domain):
-        raise UnknownDomainError(f"domain {domain!r} not in corpus")
-    counts = {split: len(table.row_ids(domain, split)) for split in SPLITS}
-    histogram: Counter = Counter()
-    for pos in table.row_ids(domain, "train"):
-        histogram[root_intent(table.rows[pos].frame)] += 1
-    return DomainStats(domain, counts, histogram)
-
-
-def partition(table: CorpusTable, target_domain: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split row positions into (source, target): everything else vs the target domain.
-
-    The two id lists are disjoint and together cover the whole table.
-    """
-    if not table.has_domain(target_domain):
-        raise UnknownDomainError(f"target domain {target_domain!r} not in corpus")
-    if len(table.domains()) < 2:
-        raise UnknownDomainError(
-            f"corpus only contains {target_domain!r}; need at least one source domain"
-        )
-    source = tuple(
-        pos for pos, row in enumerate(table.rows) if row.domain != target_domain
-    )
-    target = tuple(
-        pos for pos, row in enumerate(table.rows) if row.domain == target_domain
-    )
-    return source, target

@@ -12,14 +12,14 @@ the residual because h has a pole there; they still appear in discrete plots.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveDomainError, FitError, UnreachableTargetError
+from .errors import CurveDomainError, FitError, InputError, UnreachableTargetError
+from .jsonio import from_dict, loads
 
 B_MIN, B_MAX = 1e-3, 10.0
 MAX_ITERATIONS = 500
@@ -39,9 +39,9 @@ class EfficiencyPoint:
 
     def __post_init__(self):
         if not 0.0 <= self.subset_percent <= 100.0:
-            raise ValueError(f"subset_percent out of [0, 100]: {self.subset_percent}")
+            raise InputError(f"subset_percent out of [0, 100]: {self.subset_percent}")
         if not 0.0 <= self.exact_match <= 100.0:
-            raise ValueError(f"exact_match out of [0, 100]: {self.exact_match}")
+            raise InputError(f"exact_match out of [0, 100]: {self.exact_match}")
 
 
 @dataclass(frozen=True)
@@ -60,32 +60,6 @@ class CurveModel:
     def well_formed(self) -> bool:
         """True for an increasing, saturating EM curve: a < 0 and c in (0, 200)."""
         return self.a < 0.0 and 0.0 < self.c < 200.0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "b": self.b,
-                "c": self.c,
-                "sse": self.sse,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "fit_domain": list(self.fit_domain),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "CurveModel":
-        obj = json.loads(text)
-        return CurveModel(
-            a=obj["a"],
-            b=obj["b"],
-            c=obj["c"],
-            sse=obj["sse"],
-            iterations=obj["iterations"],
-            converged=obj["converged"],
-            fit_domain=tuple(obj["fit_domain"]),
-        )
 
 
 def points_to_csv(points: list["EfficiencyPoint"]) -> str:
@@ -112,24 +86,20 @@ def points_from_csv(text: str) -> list["EfficiencyPoint"]:
         )
     points = []
     for row in reader:
+        try:
+            x, em = float(row["subset_percent"]), float(row["exact_match"])
+            seed = int(row.get("seed") or 0)
+        except (TypeError, ValueError) as exc:  # a non-numeric or missing cell
+            raise InputError(f"points CSV line {reader.line_num}: {exc}") from exc
         points.append(
-            EfficiencyPoint(
-                subset_percent=float(row["subset_percent"]),
-                exact_match=float(row["exact_match"]),
-                seed=int(row.get("seed") or 0),
-                model_id=row.get("model_id") or "",
-                domain=row.get("domain") or "",
-            )
+            EfficiencyPoint(x, em, seed, row.get("model_id") or "", row.get("domain") or "")
         )
     return points
 
 
-def save_model(model: CurveModel, path: str | Path) -> None:
-    Path(path).write_text(model.to_json() + "\n", encoding="utf-8")
-
-
 def load_model(path: str | Path) -> CurveModel:
-    return CurveModel.from_json(Path(path).read_text(encoding="utf-8"))
+    source = str(path)
+    return from_dict(CurveModel, loads(Path(path).read_text(encoding="utf-8"), source), source)
 
 
 @dataclass(frozen=True)
@@ -138,9 +108,6 @@ class Inversion:
 
     percent: float
     exceeds_full_data: bool
-
-    def __float__(self) -> float:
-        return self.percent
 
 
 def _residual(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ class DataEffError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(DataEffError, ValueError):
+    """Malformed input: bad JSON, a missing or ill-typed key, a bad value or CSV cell."""
+
+
 class FrameParseError(DataEffError):
     """Malformed bracketed frame text. Carries the byte offset of the fault."""
 

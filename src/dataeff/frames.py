@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import FrameParseError
+from .errors import FrameParseError, InputError
 
 INTENT_PREFIX = "IN:"
 SLOT_PREFIX = "SL:"
@@ -161,9 +161,9 @@ def exact_match(system: list[Frame], reference: list[Frame]) -> float:
     Both lists must be non-empty and the same length.
     """
     if not system or not reference:
-        raise ValueError("exact_match requires non-empty frame lists")
+        raise InputError("exact_match requires non-empty frame lists")
     if len(system) != len(reference):
-        raise ValueError(
+        raise InputError(
             f"length mismatch: {len(system)} system vs {len(reference)} reference frames"
         )
     hits = sum(
@@ -187,34 +187,3 @@ def ontology_labels(frame: Frame) -> Counter:
 def root_intent(frame: Frame) -> str:
     """Label of the root intent node."""
     return frame.root.text
-
-
-# Frame invariants are enforced again here so hand-built trees can be checked
-# before serialization; parse_frame output always passes.
-def validate_frame(frame: Frame) -> None:
-    def visit(node: FrameNode, depth: int) -> None:
-        if node.is_token():
-            if node.children:
-                raise ValueError(f"token {node.text!r} has children")
-            if not node.text or any(ch.isspace() or ch in "[]" for ch in node.text):
-                # whitespace/brackets in a token would not survive reparsing
-                raise ValueError(f"token text {node.text!r} is not serializable")
-            return
-        if node.kind not in ("intent", "slot"):
-            raise ValueError(f"unknown node kind {node.kind!r}")
-        prefix = INTENT_PREFIX if node.kind == "intent" else SLOT_PREFIX
-        if not node.text.startswith(prefix) or not _valid_label(node.text):
-            raise ValueError(f"bad {node.kind} label {node.text!r}")
-        for child in node.children:
-            if child.is_token():
-                continue
-            if node.kind == "intent" and child.kind != "slot":
-                raise ValueError("intent nodes may only nest slots")
-            if node.kind == "slot" and child.kind != "intent":
-                raise ValueError("slot nodes may only nest intents")
-        for child in node.children:
-            visit(child, depth + 1)
-
-    if frame.root.kind != "intent":
-        raise ValueError("root node must be an intent")
-    visit(frame.root, 0)

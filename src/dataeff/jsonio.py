@@ -1,0 +1,138 @@
+"""The one JSON codec behind every file dataeff reads or writes.
+
+dumps() writes dataclasses as objects of their fields in declaration order,
+leaving out a field whose value and default are both None. from_dict() checks
+decoded JSON against the type hints: a missing or ill-typed key raises
+InputError naming the source and key path, e.g. ``ledger.json:
+entries[3].manifest.seed: expected int, got str``. Unknown keys are ignored,
+float fields accept integers, and a bool is never a number.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import itertools
+import json
+import types
+import typing
+
+from .errors import DataEffError, InputError
+
+_JSON_NAMES = {dict: "object", list: "array", type(None): "null"}
+
+
+class _Mismatch(Exception):
+    """A value that does not fit its type; path collects keys innermost first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list[str] = []
+
+
+def _expected(what: str, value) -> _Mismatch:
+    return _Mismatch(f"expected {what}, got {_JSON_NAMES.get(type(value), type(value).__name__)}")
+
+
+def _fields(obj) -> dict:
+    if not dataclasses.is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    pairs = ((f, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return {f.name: value for f, value in pairs if value is not None or f.default is not None}
+
+
+def dumps(obj) -> str:
+    """JSON text of obj, with every dataclass written as an object of its fields."""
+    return json.dumps(obj, default=_fields)
+
+
+def loads(text: str, source: str):
+    """json.loads that reports malformed text as InputError naming the source."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source}: invalid JSON: {exc}") from exc
+
+
+def from_dict(tp, obj, source: str):
+    """Decoded JSON obj converted to type tp; InputError names source and key path."""
+    try:
+        return _converter(tp)(obj)
+    except _Mismatch as exc:
+        path = "".join(p if p[0] == "[" else "." + p for p in reversed(exc.path)).lstrip(".")
+        raise InputError(f"{source}: {path + ': ' if path else ''}{exc}") from None
+
+
+def _scalar(tp):
+    def convert(value):
+        if type(value) is tp:
+            return value
+        if tp is float and type(value) is int:
+            return float(value)
+        raise _expected(tp.__name__, value)
+
+    return convert
+
+
+def _array(container, items, length=None):
+    """Array converter: items is one converter per position, or repeat() of one."""
+
+    def convert(value):
+        if type(value) is not list:
+            raise _expected("array", value)
+        if length is not None and len(value) != length:
+            raise _Mismatch(f"expected {length} items, got {len(value)}")
+        out = []
+        try:
+            for item, element in zip(items, value):
+                out.append(item(element))
+        except _Mismatch as exc:
+            exc.path.append(f"[{len(out)}]")
+            raise
+        return out if container is list else tuple(out)
+
+    return convert
+
+
+def _record(cls):
+    hints = typing.get_type_hints(cls)
+    # A key may be left out only when its field has a plain default value.
+    fields = [(f.name, _converter(hints[f.name]), f.default is dataclasses.MISSING)
+              for f in dataclasses.fields(cls)]
+
+    def convert(value):
+        if type(value) is not dict:
+            raise _expected("object", value)
+        kwargs = {}
+        for name, field_converter, required in fields:
+            try:
+                if name in value:
+                    kwargs[name] = field_converter(value[name])
+                elif required:
+                    raise _Mismatch("missing")
+            except _Mismatch as exc:
+                exc.path.append(name)
+                raise
+        try:
+            return cls(**kwargs)
+        except DataEffError as exc:  # the class's own value checks
+            raise _Mismatch(str(exc)) from exc
+
+    return convert
+
+
+@functools.cache
+def _converter(tp):
+    if dataclasses.is_dataclass(tp):
+        return _record(tp)
+    if tp in (int, float, str, bool):
+        return _scalar(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
+        inner = _converter(next(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else inner(value)
+    if origin is list or (origin is tuple and args[-1] is Ellipsis):
+        return _array(origin, itertools.repeat(_converter(args[0])))
+    if origin is not tuple:
+        raise TypeError(f"no JSON converter for {tp!r}")
+    return _array(tuple, [_converter(a) for a in args], len(args))

@@ -13,13 +13,12 @@ Failed runs are recorded in the ledger and do not abort the protocol.
 
 from __future__ import annotations
 
-import json
 import shlex
 import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,6 +26,7 @@ from .corpus import CorpusTable
 from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
 from .frames import FrameNode, Frame, serialize_frame
+from .jsonio import dumps, from_dict, loads
 from .rng import SplitMix64, combine, float_key
 from .sampling import Schedule, SubsetSpec, sample
 
@@ -41,56 +41,21 @@ class Manifest:
     run_id: str
     model_id: str
     target_domain: str
-    subset_spec: SubsetSpec
+    subset: SubsetSpec
     subset_rows: tuple[int, ...]
     subset_percent: float  # nominal percent for uniform, realized percent for spis
     train_rows: tuple[int, ...]
     eval_rows: tuple[int, ...]
     test_rows: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "model_id": self.model_id,
-            "target_domain": self.target_domain,
-            "subset": {
-                "target_domain": self.subset_spec.target_domain,
-                "algorithm": self.subset_spec.algorithm,
-                "size_param": self.subset_spec.size_param,
-                "seed": self.subset_spec.seed,
-            },
-            "subset_rows": list(self.subset_rows),
-            "subset_percent": self.subset_percent,
-            "train_rows": list(self.train_rows),
-            "eval_rows": list(self.eval_rows),
-            "test_rows": list(self.test_rows),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_dict(obj: dict) -> "Manifest":
-        return Manifest(
-            run_id=obj["run_id"],
-            model_id=obj["model_id"],
-            target_domain=obj["target_domain"],
-            subset_spec=SubsetSpec(**obj["subset"]),
-            subset_rows=tuple(obj["subset_rows"]),
-            subset_percent=obj["subset_percent"],
-            train_rows=tuple(obj["train_rows"]),
-            eval_rows=tuple(obj["eval_rows"]),
-            test_rows=tuple(obj["test_rows"]),
-        )
-
     def summary(self) -> "ManifestSummary":
         return ManifestSummary(
             run_id=self.run_id,
             model_id=self.model_id,
             target_domain=self.target_domain,
-            algorithm=self.subset_spec.algorithm,
-            size_param=self.subset_spec.size_param,
-            seed=self.subset_spec.seed,
+            algorithm=self.subset.algorithm,
+            size_param=self.subset.size_param,
+            seed=self.subset.seed,
             subset_percent=self.subset_percent,
             subset_size=len(self.subset_rows),
             n_train=len(self.train_rows),
@@ -131,6 +96,11 @@ class RunResult:
             raise ProtocolError(f"exact_match out of [0, 100]: {self.exact_match}")
 
 
+def _check_run_id(result: RunResult | None, run_id: str) -> None:
+    if result is not None and result.run_id != run_id:
+        raise ProtocolError(f"result for {result.run_id!r} does not match manifest {run_id!r}")
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     manifest: ManifestSummary
@@ -142,22 +112,24 @@ class LedgerEntry:
         return self.result is not None
 
 
+@dataclass
 class Ledger:
     """Append-only run record keyed by run_id; results must match their manifest."""
 
-    def __init__(self):
-        self.entries: list[LedgerEntry] = []
-        self._run_ids: set[str] = set()
+    entries: list[LedgerEntry] = field(default_factory=list)
+
+    def __post_init__(self):
+        # Entries passed in, as the JSON decoder does, get the same checks as append.
+        entries, self.entries, self._run_ids = self.entries, [], set()
+        for e in entries:
+            self.append(e.manifest, e.result, e.error)
 
     def append(self, manifest: Manifest | ManifestSummary,
                result: RunResult | None, error: str | None = None) -> None:
         summary = manifest.summary() if isinstance(manifest, Manifest) else manifest
         if summary.run_id in self._run_ids:
             raise ProtocolError(f"duplicate run_id {summary.run_id!r} in ledger")
-        if result is not None and result.run_id != summary.run_id:
-            raise ProtocolError(
-                f"result for {result.run_id!r} does not match manifest {summary.run_id!r}"
-            )
+        _check_run_id(result, summary.run_id)
         if result is None and error is None:
             raise ProtocolError("a failed entry needs an error message")
         self._run_ids.add(summary.run_id)
@@ -171,63 +143,18 @@ class Ledger:
     def failed_entries(self) -> list[LedgerEntry]:
         return [e for e in self.entries if not e.ok]
 
-    def to_json(self) -> str:
-        entries = []
-        for e in self.entries:
-            result = None
-            if e.result is not None:
-                result = {
-                    "run_id": e.result.run_id,
-                    "exact_match": e.result.exact_match,
-                    "seed": e.result.seed,
-                    "wall_time": e.result.wall_time,
-                }
-                if e.result.predictions is not None:
-                    result["predictions"] = [list(p) for p in e.result.predictions]
-            entries.append(
-                {
-                    "manifest": {
-                        "run_id": e.manifest.run_id,
-                        "model_id": e.manifest.model_id,
-                        "target_domain": e.manifest.target_domain,
-                        "algorithm": e.manifest.algorithm,
-                        "size_param": e.manifest.size_param,
-                        "seed": e.manifest.seed,
-                        "subset_percent": e.manifest.subset_percent,
-                        "subset_size": e.manifest.subset_size,
-                        "n_train": e.manifest.n_train,
-                        "n_eval": e.manifest.n_eval,
-                        "n_test": e.manifest.n_test,
-                    },
-                    "result": result,
-                    "error": e.error,
-                }
-            )
-        return json.dumps({"entries": entries})
-
     @staticmethod
-    def from_json(text: str) -> "Ledger":
-        obj = json.loads(text)
-        ledger = Ledger()
-        for entry in obj["entries"]:
-            summary = ManifestSummary(**entry["manifest"])
-            result = None
-            if entry["result"] is not None:
-                raw = dict(entry["result"])
-                predictions = raw.pop("predictions", None)
-                if predictions is not None:
-                    predictions = tuple((int(r), str(t)) for r, t in predictions)
-                result = RunResult(predictions=predictions, **raw)
-            ledger.append(summary, result, entry["error"])
-        return ledger
+    def from_json(text: str, source: str) -> "Ledger":
+        """Decode ledger JSON text; errors name source, e.g. the file it came from."""
+        return from_dict(Ledger, loads(text, source), source)
 
 
 def save_ledger(ledger: Ledger, path: str | Path) -> None:
-    Path(path).write_text(ledger.to_json() + "\n", encoding="utf-8")
+    Path(path).write_text(dumps(ledger) + "\n", encoding="utf-8")
 
 
 def load_ledger(path: str | Path) -> Ledger:
-    return Ledger.from_json(Path(path).read_text(encoding="utf-8"))
+    return Ledger.from_json(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def build_manifests(
@@ -280,7 +207,7 @@ def build_manifests(
                     run_id=run_id,
                     model_id=model_id,
                     target_domain=target_domain,
-                    subset_spec=spec,
+                    subset=spec,
                     subset_rows=subset.row_ids,
                     subset_percent=percent,
                     train_rows=source_train + subset.row_ids,
@@ -337,7 +264,7 @@ def simulated_run(
     """
     k = manifest.subset_percent
     a, b, c = config.truth
-    run_seed = manifest.subset_spec.seed
+    run_seed = manifest.subset.seed
     noise_stream = SplitMix64(combine(config.seed, run_seed, float_key(k), _EM_STREAM))
     eps = noise_stream.gauss(config.noise_sigma) if config.noise_sigma > 0 else 0.0
     em = _clamp_em((config.em_at_zero if k == 0 else a / k ** b + c) + eps)
@@ -382,11 +309,15 @@ class CommandRunner:
     The command is invoked with the manifest JSON path appended as its single
     extra argument. It must exit 0 and print a RunResult JSON object
     ({"run_id", "exact_match", "seed", "wall_time", optional "predictions"})
-    on stdout; anything else is recorded as a run failure.
+    on stdout; run_id and seed default to the manifest's, wall_time to the
+    elapsed time. Anything else is recorded as a run failure.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float | None = None):
-        self.argv = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            self.argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:  # unbalanced quotes
+            raise RunnerError(f"cannot split runner command {command!r}: {exc}") from exc
         if not self.argv:
             raise RunnerError("empty runner command")
         self.timeout = timeout
@@ -394,7 +325,7 @@ class CommandRunner:
     def __call__(self, manifest: Manifest) -> RunResult:
         with tempfile.TemporaryDirectory(prefix="dataeff-run-") as tmp:
             manifest_path = Path(tmp) / f"{manifest.run_id}.manifest.json"
-            manifest_path.write_text(manifest.to_json() + "\n", encoding="utf-8")
+            manifest_path.write_text(dumps(manifest) + "\n", encoding="utf-8")
             started = time.monotonic()
             try:
                 proc = subprocess.run(
@@ -410,22 +341,13 @@ class CommandRunner:
                 f"runner exited {proc.returncode}"
                 + (f": {detail[-1]}" if detail else "")
             )
-        try:
-            obj = json.loads(proc.stdout)
-        except json.JSONDecodeError as exc:
-            raise RunnerError(f"runner stdout is not RunResult JSON: {exc}") from exc
-        if "exact_match" not in obj:
-            raise RunnerError("runner output missing 'exact_match'")
-        predictions = obj.get("predictions")
-        if predictions is not None:
-            predictions = tuple((int(r), str(t)) for r, t in predictions)
-        return RunResult(
-            run_id=obj.get("run_id", manifest.run_id),
-            exact_match=float(obj["exact_match"]),
-            seed=int(obj.get("seed", manifest.subset_spec.seed)),
-            wall_time=float(obj.get("wall_time", elapsed)),
-            predictions=predictions,
-        )
+        source = f"{manifest.run_id} runner output"
+        obj = loads(proc.stdout, source)
+        if isinstance(obj, dict):
+            defaults = {"run_id": manifest.run_id, "seed": manifest.subset.seed,
+                        "wall_time": elapsed}
+            obj = defaults | obj
+        return from_dict(RunResult, obj, source)
 
 
 Runner = Callable[[Manifest], RunResult]
@@ -443,7 +365,9 @@ def run_protocol(manifests: Sequence[Manifest], runner: Runner, jobs: int = 1) -
 
     def attempt(manifest: Manifest):
         try:
-            return runner(manifest), None
+            result = runner(manifest)
+            _check_run_id(result, manifest.run_id)
+            return result, None
         except Exception as exc:  # fault isolation: one bad run must not abort the rest
             return None, f"{type(exc).__name__}: {exc}"
 

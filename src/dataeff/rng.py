@@ -27,11 +27,6 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix(value: int) -> int:
-    """One SplitMix64 step applied to a bare value (stateless hash)."""
-    return _finalize((value + _GOLDEN) & _MASK)
-
-
 def combine(*keys: int) -> int:
     """Fold several integer keys into one 64-bit stream seed.
 

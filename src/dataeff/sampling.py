@@ -19,11 +19,9 @@ to contain the 7% subset drawn with the same seed.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import CorpusTable
 from .errors import SamplingError
@@ -38,12 +36,8 @@ class Schedule:
     """Subset-size schedule: raw curve values and their ceiled integer sizes."""
 
     n: int
-    base: float
     raw: tuple[float, ...]
     sizes: tuple[int, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "raw": list(self.raw), "sizes": list(self.sizes)})
 
 
 def make_schedule(n: int = 10) -> Schedule:
@@ -56,7 +50,7 @@ def make_schedule(n: int = 10) -> Schedule:
         raise SamplingError("schedule endpoints drifted from 0 and 100")
     raw[0], raw[-1] = 0.0, 100.0  # snap float residue at the exact endpoints
     sizes = [math.ceil(v - 1e-9) for v in raw]
-    return Schedule(n, base, tuple(raw), tuple(sizes))
+    return Schedule(n, tuple(raw), tuple(sizes))
 
 
 @dataclass(frozen=True)
@@ -91,32 +85,6 @@ class Subset:
 
     spec: SubsetSpec
     row_ids: tuple[int, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "spec": {
-                    "target_domain": self.spec.target_domain,
-                    "algorithm": self.spec.algorithm,
-                    "size_param": self.spec.size_param,
-                    "seed": self.spec.seed,
-                },
-                "row_ids": list(self.row_ids),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Subset":
-        obj = json.loads(text)
-        return Subset(SubsetSpec(**obj["spec"]), tuple(obj["row_ids"]))
-
-
-def save_subset(subset: Subset, path: str | Path) -> None:
-    Path(path).write_text(subset.to_json() + "\n", encoding="utf-8")
-
-
-def load_subset(path: str | Path) -> Subset:
-    return Subset.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _stream(spec: SubsetSpec) -> SplitMix64:

@@ -5,10 +5,6 @@ import pytest
 from dataeff.corpus import CorpusRow, CorpusTable
 from dataeff.frames import Frame, FrameNode, parse_frame
 
-TOPV2_DOMAINS = (
-    "alarm", "event", "messaging", "music", "navigation", "reminder", "timer", "weather",
-)
-
 _INTENTS = ("IN:GET_WEATHER", "IN:GET_SUNRISE", "IN:GET_SUNSET", "IN:CREATE_ALARM",
             "IN:SEND_MESSAGE", "IN:PLAY_MUSIC")
 _SLOTS = ("SL:LOCATION", "SL:DATE_TIME", "SL:WEATHER_ATTRIBUTE", "SL:MUSIC_TYPE")
@@ -62,19 +58,6 @@ def weather_table():
     rows += make_rows("alarm", 200, intent="IN:CREATE_ALARM", token="alarm")
     rows += make_rows("alarm", 10, split="eval", intent="IN:CREATE_ALARM", token="alarm")
     rows += make_rows("alarm", 20, split="test", intent="IN:CREATE_ALARM", token="alarm")
-    return CorpusTable(rows)
-
-
-@pytest.fixture
-def topv2_shaped_table():
-    """Eight domains shaped like the public corpus, a few rows each."""
-    rows = []
-    for i, domain in enumerate(TOPV2_DOMAINS):
-        intent = f"IN:{domain.upper()}_ACTION"
-        for j in range(3 + i):
-            rows.append(
-                CorpusRow(domain, f"{domain} utterance {j}", parse_frame(f"[{intent} go ]"))
-            )
     return CorpusTable(rows)
 
 

@@ -22,6 +22,7 @@ from dataeff.analysis import (
 from dataeff.corpus import CorpusRow, CorpusTable
 from dataeff.curve import CurveModel, EfficiencyPoint, evaluate, fit_curve, invert
 from dataeff.frames import exact_match, ontology_labels, parse_frame, serialize_frame
+from dataeff.jsonio import dumps
 from dataeff.rng import SplitMix64
 from dataeff.sampling import (
     SubsetSpec,
@@ -148,7 +149,7 @@ def test_criterion_06_uniform_sampler_contract(tmp_path):
     subset = uniform_sample(table, spec)
     assert len(subset.row_ids) == math.ceil(0.12 * 997)
     assert len(set(subset.row_ids)) == len(subset.row_ids)
-    assert uniform_sample(table, spec).to_json() == subset.to_json()
+    assert dumps(uniform_sample(table, spec)) == dumps(subset)
 
     # Process-restart determinism: two fresh CLI invocations, identical bytes.
     args = [sys.executable, "-m", "dataeff", "sample", "--corpus", str(table_path),

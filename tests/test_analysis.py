@@ -132,8 +132,8 @@ def _summary(run_id, percent, seed=0):
     )
 
 
-def _prediction_ledger(table, wrong_play=0):
-    """One run at k=4: STOP/LIKE rows all correct, wrong_play PLAY rows corrupted."""
+def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally wrong ]"):
+    """One run at k=4: STOP/LIKE rows all correct, wrong_play PLAY rows replaced by wrong_text."""
     predictions = []
     wrong_left = wrong_play
     for pos, row in enumerate(table.rows):
@@ -141,7 +141,7 @@ def _prediction_ledger(table, wrong_play=0):
             continue
         text = serialize_frame(row.frame)
         if row.frame.root.text == "IN:PLAY_MUSIC" and wrong_left > 0:
-            text = "[IN:PLAY_MUSIC totally wrong ]"
+            text = wrong_text
             wrong_left -= 1
         predictions.append((pos, text))
     ledger = Ledger()
@@ -166,6 +166,13 @@ def test_per_intent_half_correct_hand_count():
     points = per_intent_points(_prediction_ledger(table, wrong_play=6), table)
     assert [p.exact_match for p in points["IN:PLAY_MUSIC"]] == [50.0]
     assert [p.exact_match for p in points["IN:STOP_MUSIC"]] == [100.0]
+
+
+def test_per_intent_unparseable_prediction_is_a_miss():
+    table = _music_test_table()
+    ledger = _prediction_ledger(table, wrong_play=3, wrong_text="[IN:PLAY_MUSIC unbalanced")
+    points = per_intent_points(ledger, table)
+    assert [p.exact_match for p in points["IN:PLAY_MUSIC"]] == [75.0]
 
 
 def test_per_intent_requires_predictions():

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from dataeff.curve import CurveModel
+from dataeff.jsonio import dumps
 
 from conftest import simple_corpus_rows, write_tsv
 
@@ -29,7 +30,7 @@ def corpus(tmp_path):
 def canonical_model_file(tmp_path):
     model = CurveModel(*CANONICAL, sse=0.0, iterations=0, converged=True, fit_domain=(1.0, 100.0))
     path = tmp_path / "model.json"
-    path.write_text(model.to_json() + "\n", encoding="utf-8")
+    path.write_text(dumps(model) + "\n", encoding="utf-8")
     return path
 
 
@@ -275,8 +276,8 @@ def test_compare_command_curves(tmp_path):
     fast = CurveModel(-27.26, 0.5, 97.79, 0.0, 0, True, (1.0, 100.0))
     slow = CurveModel(-27.26, 0.3, 97.79, 0.0, 0, True, (1.0, 100.0))
     fast_path, slow_path = tmp_path / "fast.json", tmp_path / "slow.json"
-    fast_path.write_text(fast.to_json(), encoding="utf-8")
-    slow_path.write_text(slow.to_json(), encoding="utf-8")
+    fast_path.write_text(dumps(fast), encoding="utf-8")
+    slow_path.write_text(dumps(slow), encoding="utf-8")
     proc = run_cli(
         "compare", "--curves", f"fast={fast_path}", f"slow={slow_path}", "--em", 90,
     )
@@ -312,3 +313,88 @@ def test_em_length_mismatch(tmp_path):
     system.write_text("[IN:GET_WEATHER x ]\n", encoding="utf-8")
     reference.write_text("[IN:GET_WEATHER x ]\n[IN:GET_SUNRISE y ]\n", encoding="utf-8")
     assert run_cli("em", "--system", system, "--reference", reference).returncode == 1
+
+
+def test_run_exec_runner_wrong_run_id_fails_one_run(corpus, tmp_path):
+    runner = tmp_path / "runner.py"
+    runner.write_text(
+        "import json, sys\n"
+        "manifest = json.load(open(sys.argv[1]))\n"
+        "k = manifest['subset_percent']\n"
+        "run_id = 'other' if k == 12 else manifest['run_id']\n"
+        "em = -27.26 / k**0.35 + 97.79 if k > 0 else 5.0\n"
+        "print(json.dumps({'run_id': run_id, 'exact_match': em, 'seed': 0}))\n",
+        encoding="utf-8",
+    )
+    ledger_path = tmp_path / "ledger.json"
+    proc = run_cli(
+        "run", "--corpus", corpus, "--target", "weather",
+        "--runner", f"exec:{sys.executable} {runner}", "--out", ledger_path,
+    )
+    assert proc.returncode == 3, proc.stderr
+    entries = json.loads(ledger_path.read_text())["entries"]
+    failed = [e for e in entries if e["result"] is None]
+    assert len(entries) == 10 and len(failed) == 1
+    assert failed[0]["manifest"]["subset_percent"] == 12
+    assert "'other'" in failed[0]["error"]
+
+
+def test_model_missing_key_names_file_and_key(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"a": -27.26, "c": 97.79, "sse": 0.0, "iterations": 0, '
+                    '"converged": true, "fit_domain": [1.0, 100.0]}\n', encoding="utf-8")
+    proc = run_cli("query", "--model", path, "--em", 80)
+    assert proc.returncode == 1
+    assert f"{path}: b: missing" in proc.stderr
+
+
+def test_ledger_ill_typed_seed_names_file_and_key(corpus, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    assert run_cli("run", "--corpus", corpus, "--target", "weather", "--out", ledger).returncode == 0
+    payload = json.loads(ledger.read_text())
+    payload["entries"][2]["manifest"]["seed"] = "0"
+    ledger.write_text(json.dumps(payload), encoding="utf-8")
+    proc = run_cli("fit", "--points", ledger)
+    assert proc.returncode == 1
+    assert f"{ledger}: entries[2].manifest.seed: expected int, got str" in proc.stderr
+
+
+def test_points_json_array_errors_name_file_and_key(tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text('[{"subset_percent": 1, "exact_match": 70}, {"subset_percent": 2}]',
+                    encoding="utf-8")
+    proc = run_cli("fit", "--points", path)
+    assert proc.returncode == 1
+    assert f"{path}: [1].exact_match: missing" in proc.stderr
+    path.write_text('[{"subset_percent": 1, "exact_match": 70', encoding="utf-8")
+    proc = run_cli("fit", "--points", path)
+    assert proc.returncode == 1
+    assert f"{path}: invalid JSON" in proc.stderr
+
+
+def test_program_errors_propagate_out_of_main(monkeypatch):
+    from dataeff import cli
+
+    def broken(args):
+        raise TypeError("a bug, not bad data")
+
+    monkeypatch.setattr(cli, "cmd_schedule", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["schedule"])
+
+
+def test_run_unsplittable_runner_command_is_data_error(corpus, tmp_path):
+    proc = run_cli("run", "--corpus", corpus, "--target", "weather",
+                   "--runner", "exec:train 'unbalanced", "--out", tmp_path / "l.json")
+    assert proc.returncode == 1
+    assert "cannot split runner command" in proc.stderr
+
+
+def test_malformed_jsonl_rows_are_data_errors(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    for bad in ("5", '{"domain": "weather", "utterance": "x", "semantic_parse": 5}'):
+        path.write_text(bad + "\n", encoding="utf-8")
+        proc = run_cli("sample", "--corpus", path, "--domain", "weather", "--size", 10,
+                       "--out", tmp_path / "s.json")
+        assert proc.returncode == 1, proc.stderr
+        assert "line 1" in proc.stderr and "Traceback" not in proc.stderr

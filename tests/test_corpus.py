@@ -1,9 +1,9 @@
 import pytest
 
-from dataeff.corpus import domain_stats, load_corpus, partition, save_corpus
-from dataeff.errors import CorpusError, UnknownDomainError
+from dataeff.corpus import load_corpus, save_corpus
+from dataeff.errors import CorpusError
 
-from conftest import TOPV2_DOMAINS, simple_corpus_rows, write_tsv
+from conftest import write_tsv
 
 
 def test_three_row_tsv(tmp_path):
@@ -98,6 +98,24 @@ def test_jsonl_missing_key(tmp_path):
     assert "semantic_parse" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("5", "expected object, got int"),
+    ("null", "expected object, got null"),
+    ('{"domain": "weather", "utterance": "x", "semantic_parse": 5}',
+     "semantic_parse: expected str, got int"),
+    ('{"domain": "weather", "utterance": null, "semantic_parse": "[IN:A x ]"}',
+     "utterance: expected str, got null"),
+])
+def test_jsonl_malformed_row_names_line_and_key(tmp_path, bad, message):
+    path = tmp_path / "corpus.jsonl"
+    good = '{"domain": "weather", "utterance": "hi", "semantic_parse": "[IN:GET_WEATHER hi ]"}'
+    path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: JSONL row: {message}"
+
+
 def test_load_save_reload_fixpoint(tmp_path):
     path = write_tsv(
         tmp_path / "corpus.tsv",
@@ -112,74 +130,6 @@ def test_load_save_reload_fixpoint(tmp_path):
     out2 = tmp_path / "round2.tsv"
     save_corpus(load_corpus(out1), out2)
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_domain_stats_histogram(tmp_path):
-    rows = [
-        ("weather", f"u{i}", "[IN:GET_WEATHER x ]", "train") for i in range(3)
-    ] + [
-        ("weather", "sunset", "[IN:GET_SUNSET x ]", "train"),
-        ("weather", "held out", "[IN:GET_WEATHER x ]", "test"),
-    ]
-    table = load_corpus(write_tsv(tmp_path / "c.tsv", rows))
-    stats = domain_stats(table, "weather")
-    assert stats.intent_histogram == {"IN:GET_WEATHER": 3, "IN:GET_SUNSET": 1}
-    assert stats.split_counts == {"train": 4, "eval": 0, "test": 1}
-    assert sum(stats.split_counts.values()) == 5
-
-
-def test_domain_stats_single_row(tmp_path):
-    table = load_corpus(
-        write_tsv(tmp_path / "c.tsv", [("alarm", "hi", "[IN:CREATE_ALARM hi ]", "train")])
-    )
-    stats = domain_stats(table, "alarm")
-    assert stats.split_counts["train"] == 1
-    assert stats.intent_histogram == {"IN:CREATE_ALARM": 1}
-
-
-def test_domain_stats_unknown_domain(tmp_path):
-    table = load_corpus(
-        write_tsv(tmp_path / "c.tsv", [("alarm", "hi", "[IN:CREATE_ALARM hi ]", "train")])
-    )
-    with pytest.raises(UnknownDomainError):
-        domain_stats(table, "weather")
-
-
-def test_partition_topv2_shape(topv2_shaped_table):
-    source, target = partition(topv2_shaped_table, "weather")
-    source_domains = {topv2_shaped_table.rows[i].domain for i in source}
-    assert source_domains == set(TOPV2_DOMAINS) - {"weather"}
-    assert all(topv2_shaped_table.rows[i].domain == "weather" for i in target)
-    assert len(source) + len(target) == len(topv2_shaped_table)
-    assert not set(source) & set(target)
-
-
-def test_partition_every_choice_covers_table(topv2_shaped_table):
-    for domain in TOPV2_DOMAINS:
-        source, target = partition(topv2_shaped_table, domain)
-        assert len(source) + len(target) == len(topv2_shaped_table)
-
-
-def test_partition_two_domains(tmp_path):
-    rows = simple_corpus_rows("a", 2, 0, 0, intent="IN:A_THING")
-    rows += simple_corpus_rows("b", 3, 0, 0, intent="IN:B_THING")
-    table = load_corpus(write_tsv(tmp_path / "c.tsv", rows))
-    source, target = partition(table, "a")
-    assert all(table.rows[i].domain == "b" for i in source)
-    assert len(target) == 2
-
-
-def test_partition_single_domain_rejected(tmp_path):
-    table = load_corpus(
-        write_tsv(tmp_path / "c.tsv", [("alarm", "hi", "[IN:CREATE_ALARM hi ]", "train")])
-    )
-    with pytest.raises(UnknownDomainError):
-        partition(table, "alarm")
-
-
-def test_partition_unknown_target(topv2_shaped_table):
-    with pytest.raises(UnknownDomainError):
-        partition(topv2_shaped_table, "nope")
 
 
 def test_unicode_corpus_round_trip(tmp_path):

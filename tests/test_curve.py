@@ -16,7 +16,8 @@ from dataeff.curve import (
     points_from_csv,
     points_to_csv,
 )
-from dataeff.errors import CurveDomainError, FitError, UnreachableTargetError
+from dataeff.errors import CurveDomainError, FitError, InputError, UnreachableTargetError
+from dataeff.jsonio import dumps, from_dict
 
 # Canonical fixture curve used throughout: a=-27.26, b=0.35, c=97.79.
 CANONICAL = CurveModel(-27.26, 0.35, 97.79, 0.0, 0, True, (1.0, 100.0))
@@ -174,7 +175,6 @@ def test_invert_flags_beyond_full_data():
     answer = invert(CANONICAL, 97.0)
     assert answer.exceeds_full_data
     assert answer.percent == pytest.approx(24774.01850968851, rel=1e-9)
-    assert float(answer) == answer.percent
 
 
 def test_invert_rejects_degenerate_models():
@@ -222,9 +222,10 @@ def test_average_points_pools_seeds():
 
 def test_model_json_round_trip_full_precision():
     model = fit_curve(noiseless_points())
-    again = CurveModel.from_json(model.to_json())
+    text = dumps(model)
+    again = from_dict(CurveModel, json.loads(text), "model.json")
     assert again == model
-    payload = json.loads(model.to_json())
+    payload = json.loads(text)
     assert payload["a"] == model.a  # no rounding in serialized parameters
 
 
@@ -242,6 +243,15 @@ def test_points_csv_minimal_columns():
     assert points == [EfficiencyPoint(1, 70), EfficiencyPoint(12, 88)]
     with pytest.raises(FitError):
         points_from_csv("x,y\n1,70\n")
+
+
+def test_points_csv_bad_cell_names_line():
+    with pytest.raises(InputError, match="line 3"):
+        points_from_csv("subset_percent,exact_match\n1,70\ntwelve,88\n")
+    with pytest.raises(InputError, match="line 2"):
+        points_from_csv("subset_percent,exact_match,seed\n1,70,x\n")
+    with pytest.raises(InputError, match="line 2"):
+        points_from_csv("subset_percent,exact_match\n1\n")  # short row: missing cell
 
 
 def test_point_validation():

@@ -10,7 +10,6 @@ from dataeff.frames import (
     ontology_labels,
     parse_frame,
     serialize_frame,
-    validate_frame,
 )
 from conftest import random_frame
 
@@ -146,26 +145,7 @@ def test_label_total_matches_bracket_count():
         assert total == serialize_frame(frame).count("[")
 
 
-def test_validate_frame_rejects_bad_trees():
-    with pytest.raises(ValueError):
-        validate_frame(Frame(FrameNode("slot", "SL:LOCATION", ())))
-    with pytest.raises(ValueError):
-        validate_frame(Frame(FrameNode("intent", "IN:OK", (FrameNode("token", "x", (FrameNode("token", "y"),)),))))
-    with pytest.raises(ValueError):
-        validate_frame(
-            Frame(FrameNode("intent", "IN:OK", (FrameNode("intent", "IN:NESTED", ()),)))
-        )
-    validate_frame(parse_frame(WEATHER_TEXT))  # and a good one passes
-
-
-def test_validate_frame_rejects_unserializable_tokens():
-    for text in ("two words", "bra[cket", "", "clo]se"):
-        with pytest.raises(ValueError):
-            validate_frame(Frame(FrameNode("intent", "IN:OK", (FrameNode("token", text),))))
-
-
 def test_unicode_tokens_round_trip():
     text = "[IN:GET_WEATHER prévisions [SL:LOCATION zürich_東京 ] ]"
     frame = parse_frame(text)
     assert serialize_frame(frame) == text
-    validate_frame(frame)

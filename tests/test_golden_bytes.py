@@ -1,0 +1,97 @@
+"""Byte-for-byte guard on every file the CLI writes.
+
+Each output of the workflow on a small fixed corpus is hashed and compared
+with a digest recorded from the original hand-written serializers, so any
+change to a JSON, CSV or SVG writer that alters one byte fails here.
+"""
+
+import hashlib
+import sys
+
+from dataeff import cli
+
+from conftest import simple_corpus_rows, write_tsv
+
+# A stand-in fine-tuning command: it fails the 12% run, copies the 7%
+# manifest to the path given as its first argument, and otherwise reports
+# the canonical curve.
+RUNNER = """\
+import json, shutil, sys
+copy_to, manifest_path = sys.argv[1], sys.argv[2]
+manifest = json.load(open(manifest_path))
+k = manifest["subset_percent"]
+if k == 7:
+    shutil.copyfile(manifest_path, copy_to)
+if k == 12:
+    sys.stderr.write("synthetic failure\\n")
+    sys.exit(3)
+em = -27.26 / k**0.35 + 97.79 if k > 0 else 5.0
+print(json.dumps({"run_id": manifest["run_id"], "exact_match": em,
+                  "seed": manifest["subset"]["seed"], "wall_time": 0.0}))
+"""
+
+GOLDEN = {
+    "schedule": "e69c567d7a39bc4853bc3f38a76c929fa9470117e8edb4786fc39c81eb602f7d",
+    "uniform.json": "ac0fe2aceb5a1e05e68ebb56e317efaa94e7c750d36a8194f5a7c3861ebb9e60",
+    "spis.json": "0186bb88464222034a2eee0f652b6ce8981fffca86c741de85811f26c3dbc979",
+    "sim.json": "29fcd0f070bad206603ed05d7aca87171676c1cc18b3e2039c807a46f470cfba",
+    "exec.json": "d35e09d7c6510e3f28e715b258a66c0e091df6a49f061491fcd6dafd3fa0700a",
+    "model.json": "84a5b797a2d4362e69e3759fbf94adfc4956935ccacb8111e81ed916bea2843c",
+    "plot.svg": "83c402213d168ba5ff1532737de21a97e72664786e66f81c32cdce2b6057aa45",
+    "plot.csv": "21b2513a4d39c8c2d2cac06682c7c08b62e52f3e935f03463a2fb3d43e6812c2",
+    "complexity.csv": "5246df8ba7a8be71ccff52a8a61c15560ceed88c98bca889e8f66f9d98a87723",
+    "manifest.json": "297056afb68cfb68a6395bf02a45c32c1b782ac1fae44358311df0167acd67cc",
+}
+
+
+def _corpus(tmp_path):
+    rows = simple_corpus_rows("weather", 1000, 20, 30)
+    rows += simple_corpus_rows("alarm", 100, 10, 15, intent="IN:CREATE_ALARM")
+    for intent, count in (("IN:PLAY_MUSIC", 12), ("IN:STOP_MUSIC", 10)):
+        for i in range(30):
+            rows.append(("music", f"{intent} train {i}",
+                         f"[{intent} x{i} [SL:MUSIC_TYPE jazz ] ]", "train"))
+        for i in range(count):
+            rows.append(("music", f"{intent} test {i}", f"[{intent} y{i} ]", "test"))
+    return write_tsv(tmp_path / "corpus.tsv", rows)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_outputs_match_recorded_digests(tmp_path, capsys):
+    corpus = _corpus(tmp_path)
+    out = {}
+
+    def main(*args):
+        return cli.main([str(a) for a in args])
+
+    assert main("schedule") == 0
+    out["schedule"] = capsys.readouterr().out.encode("utf-8")
+
+    assert main("sample", "--corpus", corpus, "--domain", "weather", "--size", 12,
+                "--seed", 7, "--out", tmp_path / "uniform.json") == 0
+    assert main("sample", "--corpus", corpus, "--domain", "music", "--algorithm", "spis",
+                "--size", 3, "--seed", 1, "--out", tmp_path / "spis.json") == 0
+
+    assert main("run", "--corpus", corpus, "--target", "music", "--seeds", 0, 1,
+                "--noise", 0.5, "--emit-predictions", "--out", tmp_path / "sim.json") == 0
+
+    runner = tmp_path / "runner.py"
+    runner.write_text(RUNNER, encoding="utf-8")
+    command = f"exec:{sys.executable} {runner} {tmp_path / 'manifest.json'}"
+    assert main("run", "--corpus", corpus, "--target", "weather", "--runner", command,
+                "--out", tmp_path / "exec.json") == 3
+
+    assert main("fit", "--points", tmp_path / "exec.json", "--out", tmp_path / "model.json") == 0
+    assert main("report", "--points", tmp_path / "exec.json", "--model", tmp_path / "model.json",
+                "--queries", 80, 90, "--out", tmp_path / "plot") == 0
+    assert main("complexity", "--ledger", tmp_path / "sim.json", "--corpus", corpus,
+                "--domain", "music", "--out", tmp_path / "complexity.csv") == 0
+    capsys.readouterr()
+
+    for name in ("uniform.json", "spis.json", "sim.json", "exec.json", "model.json",
+                 "plot.svg", "plot.csv", "complexity.csv", "manifest.json"):
+        out[name] = (tmp_path / name).read_bytes()
+    assert {name: _digest(data) for name, data in out.items()} == GOLDEN

@@ -1,0 +1,126 @@
+import json
+
+import pytest
+
+from dataeff.curve import CurveModel, EfficiencyPoint
+from dataeff.errors import DataEffError, InputError
+from dataeff.jsonio import dumps, from_dict, loads
+from dataeff.protocol import (
+    Ledger,
+    RunResult,
+    SimulatedRunner,
+    SimulatedRunnerConfig,
+    build_manifests,
+    run_protocol,
+)
+from dataeff.sampling import Schedule, make_schedule
+
+
+def _ledger(weather_table):
+    manifests = build_manifests(weather_table, "weather", make_schedule(4), seeds=(0, 1))
+    config = SimulatedRunnerConfig(noise_sigma=0.5, emit_predictions=True)
+    inner = SimulatedRunner(config, weather_table)
+
+    def runner(manifest):
+        if manifest.subset_percent == 4:
+            raise RuntimeError("gpu fell over")
+        return inner(manifest)
+
+    return run_protocol(manifests, runner)
+
+
+def _decode_error(tp, obj, source="f.json") -> str:
+    with pytest.raises(InputError) as exc:
+        from_dict(tp, obj, source)
+    return str(exc.value)
+
+
+def test_round_trip(weather_table):
+    # Subsets, manifests and models have their own round-trip tests.
+    values = [
+        (Schedule, make_schedule(10)),
+        (Ledger, _ledger(weather_table)),
+        (list[EfficiencyPoint], [EfficiencyPoint(1.0, 70.5, 2, "m", "weather")]),
+    ]
+    for tp, value in values:
+        text = dumps(value)
+        again = from_dict(tp, json.loads(text), "file.json")
+        assert again == value
+        assert dumps(again) == text
+
+
+def test_dumps_field_order_and_none_defaults(weather_table):
+    ledger = _ledger(weather_table)
+    entries = json.loads(dumps(ledger))["entries"]
+    failed = [e for e in entries if e["result"] is None]
+    assert len(failed) == 2 and all(e["error"].startswith("RuntimeError") for e in failed)
+    ok = next(e for e in entries if e["result"] is not None)
+    assert list(ok) == ["manifest", "result", "error"] and ok["error"] is None
+    assert list(ok["result"]) == ["run_id", "exact_match", "seed", "wall_time", "predictions"]
+    bare = RunResult(run_id="r", exact_match=50.0, seed=0)
+    assert dumps(bare) == '{"run_id": "r", "exact_match": 50.0, "seed": 0, "wall_time": 0.0}'
+    assert list(json.loads(dumps(make_schedule(3)))) == ["n", "raw", "sizes"]
+
+
+def test_numbers_are_checked():
+    point = from_dict(EfficiencyPoint, {"subset_percent": 12, "exact_match": 80}, "p.json")
+    assert type(point.subset_percent) is float and point.subset_percent == 12.0
+    assert "seed: expected int, got float" in _decode_error(
+        EfficiencyPoint, {"subset_percent": 1, "exact_match": 2, "seed": 1.0})
+    assert "exact_match: expected float, got bool" in _decode_error(
+        EfficiencyPoint, {"subset_percent": 1, "exact_match": True})
+    assert "seed: expected int, got bool" in _decode_error(
+        EfficiencyPoint, {"subset_percent": 1, "exact_match": 2, "seed": False})
+    assert "converged: expected bool, got int" in _decode_error(
+        CurveModel, {"a": -1, "b": 1, "c": 90, "sse": 0, "iterations": 1, "converged": 1,
+                     "fit_domain": [1, 100]})
+
+
+def test_errors_name_source_and_key_path(weather_table):
+    payload = json.loads(dumps(_ledger(weather_table)))
+    payload["entries"][3]["manifest"]["seed"] = "1"
+    message = _decode_error(Ledger, payload, "ledger.json")
+    assert message == "ledger.json: entries[3].manifest.seed: expected int, got str"
+
+    payload = json.loads(dumps(_ledger(weather_table)))
+    payload["entries"][1]["result"]["predictions"][0][1] = 7
+    assert "entries[1].result.predictions[0][1]: expected str, got int" in _decode_error(
+        Ledger, payload)
+    payload["entries"][1]["result"]["predictions"][0] = [1, "a", "b"]
+    assert "predictions[0]: expected 2 items, got 3" in _decode_error(Ledger, payload)
+
+    model = {"a": -1, "c": 90, "sse": 0, "iterations": 1, "converged": True,
+             "fit_domain": [1, 100]}
+    assert _decode_error(CurveModel, model, "model.json") == "model.json: b: missing"
+    assert _decode_error(Ledger, [], "x") == "x: expected object, got array"
+    assert _decode_error(Ledger, {"entrys": []}, "x") == "x: entries: missing"
+    assert "[1].exact_match: missing" in _decode_error(
+        list[EfficiencyPoint], [{"subset_percent": 1, "exact_match": 2}, {"subset_percent": 3}])
+
+
+def test_constructor_checks_report_their_location(weather_table):
+    payload = json.loads(dumps(_ledger(weather_table)))
+    payload["entries"][1]["result"]["exact_match"] = 150
+    message = _decode_error(Ledger, payload, "ledger.json")
+    assert message.startswith("ledger.json: entries[1].result: exact_match out of [0, 100]")
+    payload["entries"][2] = payload["entries"][1] = payload["entries"][0]
+    assert "duplicate run_id" in _decode_error(Ledger, payload, "ledger.json")
+
+
+def test_unknown_keys_are_ignored():
+    obj = {"run_id": "r", "exact_match": 1, "seed": 0, "gpu": "a100", "notes": [1, 2]}
+    assert from_dict(RunResult, obj, "out") == RunResult("r", 1.0, 0)
+
+
+def test_invalid_json_names_source():
+    with pytest.raises(InputError) as exc:
+        loads('{"a": ', "model.json")
+    assert str(exc.value).startswith("model.json: invalid JSON")
+    assert isinstance(exc.value, DataEffError) and isinstance(exc.value, ValueError)
+
+
+def test_unsupported_values_are_program_errors():
+    with pytest.raises(TypeError):
+        dumps(object())
+    with pytest.raises(TypeError):
+        from_dict(dict, {}, "x")

@@ -6,6 +6,7 @@ import pytest
 from dataeff.curve import fit_curve
 from dataeff.errors import ProtocolError
 from dataeff.frames import parse_frame, serialize_frame
+from dataeff.jsonio import dumps, from_dict
 from dataeff.protocol import (
     CommandRunner,
     Ledger,
@@ -78,13 +79,13 @@ def test_build_manifests_spis_skips_zero(weather_table):
         weather_table, "weather", make_schedule(10), algorithm="spis", seeds=(0,)
     )
     assert len(manifests) == 9
-    assert all(m.subset_spec.algorithm == "spis" for m in manifests)
+    assert all(m.subset.algorithm == "spis" for m in manifests)
     assert all(m.subset_percent > 0 for m in manifests)
 
 
 def test_manifest_json_round_trip(manifests):
     m = manifests[5]
-    again = Manifest.from_dict(json.loads(m.to_json()))
+    again = from_dict(Manifest, json.loads(dumps(m)), "manifest.json")
     assert again == m
 
 
@@ -146,14 +147,14 @@ def test_run_protocol_deterministic_and_order_independent(weather_table, manifes
     sequential = run_protocol(manifests, runner, jobs=1)
     parallel = run_protocol(manifests, runner, jobs=4)
     again = run_protocol(manifests, runner, jobs=1)
-    assert sequential.to_json() == parallel.to_json() == again.to_json()
+    assert dumps(sequential) == dumps(parallel) == dumps(again)
 
 
 def test_ledger_round_trip_bytes(weather_table, manifests):
     runner = SimulatedRunner(SimulatedRunnerConfig(truth=TRUTH, noise_sigma=0.3))
     ledger = run_protocol(manifests, runner)
-    text = ledger.to_json()
-    assert Ledger.from_json(text).to_json() == text
+    text = dumps(ledger)
+    assert dumps(Ledger.from_json(text, "ledger.json")) == text
 
 
 def test_ledger_rejects_duplicates_and_mismatches(manifests):
@@ -252,3 +253,26 @@ def test_command_runner_failure_recorded(tmp_path, weather_table, manifests):
     assert len(ledger.ok_entries) == 9
     assert len(ledger.failed_entries) == 1
     assert "synthetic failure" in ledger.failed_entries[0].error
+
+
+def _printing_runner(tmp_path, body):
+    path = tmp_path / "printer.py"
+    path.write_text(f"print({body!r})\n", encoding="utf-8")
+    return CommandRunner([sys.executable, str(path)])
+
+
+def test_command_runner_defaults_from_manifest(tmp_path, manifests):
+    result = _printing_runner(tmp_path, '{"exact_match": 50, "extra": "ignored"}')(manifests[3])
+    assert result.run_id == manifests[3].run_id
+    assert result.seed == manifests[3].subset.seed
+    assert result.exact_match == 50.0 and type(result.exact_match) is float
+    assert result.wall_time > 0.0
+
+
+def test_command_runner_bad_output_names_run_and_key(tmp_path, manifests):
+    runner = _printing_runner(tmp_path, '{"exact_match": 50, "seed": "0"}')
+    ledger = run_protocol(manifests[:2], runner)
+    assert len(ledger.failed_entries) == 2
+    error = ledger.failed_entries[1].error
+    assert error.startswith("InputError: ")
+    assert f"{manifests[1].run_id} runner output: seed: expected int, got str" in error

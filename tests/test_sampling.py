@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 from dataeff.corpus import CorpusRow, CorpusTable
 from dataeff.errors import SamplingError, UnknownDomainError
 from dataeff.frames import ontology_labels, parse_frame
+from dataeff.jsonio import dumps, from_dict
 from dataeff.sampling import (
     Subset,
     SubsetSpec,
@@ -103,7 +105,7 @@ def test_uniform_deterministic(weather_table):
     a = uniform_sample(weather_table, spec)
     b = uniform_sample(weather_table, spec)
     assert a.row_ids == b.row_ids
-    assert a.to_json() == b.to_json()
+    assert dumps(a) == dumps(b)
 
 
 def test_uniform_seeds_differ(weather_table):
@@ -127,7 +129,7 @@ def test_uniform_empty_train_split():
 
 def test_subset_json_round_trip(weather_table):
     subset = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 7, 9))
-    again = Subset.from_json(subset.to_json())
+    again = from_dict(Subset, json.loads(dumps(subset)), "subset.json")
     assert again == subset
 
 
