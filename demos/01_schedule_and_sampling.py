@@ -10,7 +10,6 @@ from dataeff import (
     CorpusTable,
     SubsetSpec,
     make_schedule,
-    parse_frame,
     spis_sample,
     subset_size_report,
     uniform_sample,
@@ -28,13 +27,13 @@ print()
 rows = []
 for i in range(480):
     rows.append(CorpusRow("weather", f"forecast {i}",
-                          parse_frame("[IN:GET_WEATHER forecast [SL:LOCATION here ] ]")))
+                          "[IN:GET_WEATHER forecast [SL:LOCATION here ] ]"))
 for i in range(100):
     rows.append(CorpusRow("weather", f"sunrise {i}",
-                          parse_frame("[IN:GET_SUNRISE when [SL:DATE_TIME tomorrow ] ]")))
+                          "[IN:GET_SUNRISE when [SL:DATE_TIME tomorrow ] ]"))
 for i in range(20):
     rows.append(CorpusRow("weather", f"sunset {i}",
-                          parse_frame("[IN:GET_SUNSET when ]")))
+                          "[IN:GET_SUNSET when ]"))
 table = CorpusTable(rows)
 
 # Uniform sampling: size is a fixed percent of the domain, known in advance.

@@ -19,7 +19,6 @@ from dataeff import (
     invert,
     ledger_to_curve,
     make_schedule,
-    parse_frame,
     run_protocol,
     write_report,
 )
@@ -28,15 +27,15 @@ from dataeff import (
 rows = []
 for i in range(800):
     rows.append(CorpusRow("weather", f"forecast {i}",
-                          parse_frame("[IN:GET_WEATHER forecast [SL:LOCATION here ] ]")))
+                          "[IN:GET_WEATHER forecast [SL:LOCATION here ] ]"))
 for i in range(60):
     rows.append(CorpusRow("weather", f"eval {i}",
-                          parse_frame("[IN:GET_WEATHER check ]"), "eval"))
+                          "[IN:GET_WEATHER check ]", "eval"))
 for i in range(120):
     rows.append(CorpusRow("weather", f"test {i}",
-                          parse_frame("[IN:GET_WEATHER test ]"), "test"))
+                          "[IN:GET_WEATHER test ]", "test"))
 for i in range(2000):
-    rows.append(CorpusRow("alarm", f"wake {i}", parse_frame("[IN:CREATE_ALARM wake ]")))
+    rows.append(CorpusRow("alarm", f"wake {i}", "[IN:CREATE_ALARM wake ]"))
 table = CorpusTable(rows)
 
 # Stage 1: one manifest per (schedule size, seed).

@@ -17,16 +17,15 @@ from dataeff import (
     fit_curve,
     ledger_to_curve,
     make_schedule,
-    parse_frame,
     reference_comparison,
     run_protocol,
 )
 
 rows = [
-    CorpusRow("reminder", f"remind {i}", parse_frame("[IN:CREATE_REMINDER note ]"))
+    CorpusRow("reminder", f"remind {i}", "[IN:CREATE_REMINDER note ]")
     for i in range(600)
 ]
-rows += [CorpusRow("alarm", f"wake {i}", parse_frame("[IN:CREATE_ALARM wake ]"))
+rows += [CorpusRow("alarm", f"wake {i}", "[IN:CREATE_ALARM wake ]")
          for i in range(1500)]
 table = CorpusTable(rows)
 schedule = make_schedule(10)

@@ -17,7 +17,6 @@ from dataeff import (
     ledger_to_curve,
     make_schedule,
     packaged_annotations,
-    parse_frame,
     per_class_curves,
     per_intent_points,
     run_protocol,
@@ -40,12 +39,12 @@ print()
 rows = []
 for intent in ("IN:PLAY_MUSIC", "IN:STOP_MUSIC", "IN:CREATE_PLAYLIST_MUSIC"):
     for i in range(120):
-        rows.append(CorpusRow("music", f"{intent} {i}", parse_frame(f"[{intent} x{i} ]")))
+        rows.append(CorpusRow("music", f"{intent} {i}", f"[{intent} x{i} ]"))
     for i in range(25):
         rows.append(
-            CorpusRow("music", f"{intent} test {i}", parse_frame(f"[{intent} y{i} ]"), "test")
+            CorpusRow("music", f"{intent} test {i}", f"[{intent} y{i} ]", "test")
         )
-rows += [CorpusRow("event", f"event {i}", parse_frame("[IN:GET_EVENT go ]"))
+rows += [CorpusRow("event", f"event {i}", "[IN:GET_EVENT go ]")
          for i in range(400)]
 table = CorpusTable(rows)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from .corpus import CorpusTable
 from .curve import CurveModel, EfficiencyPoint, fit_curve, invert
 from .errors import AnalysisError, AnnotationError, FrameParseError, UnreachableTargetError
-from .frames import parse_frame, root_intent, serialize_frame
+from .frames import canonical_frame
 from .protocol import Ledger
 
 PACKAGED_ANNOTATION_DOMAINS = ("messaging", "music", "reminder", "timer", "weather")
@@ -116,7 +116,7 @@ def per_intent_points(
 
     test_counts: dict[str, int] = {}
     for pos in table.row_ids(domain, "test"):
-        label = root_intent(table.rows[pos].frame)
+        label = table.rows[pos].labels[0]
         test_counts[label] = test_counts.get(label, 0) + 1
     kept = {label for label, n in test_counts.items() if n >= min_test_occurrences}
 
@@ -134,12 +134,12 @@ def per_intent_points(
                     f"run {entry.manifest.run_id!r} predicts for row {row_id}, "
                     f"but the corpus has {len(table.rows)} rows"
                 )
-            reference = table.rows[row_id].frame
-            label = root_intent(reference)
+            reference = table.rows[row_id]
+            label = reference.labels[0]
             if label not in kept:
                 continue
             try:
-                hit = serialize_frame(parse_frame(predicted)) == serialize_frame(reference)
+                hit = canonical_frame(predicted)[0] == reference.parse
             except FrameParseError:
                 hit = False  # unparseable prediction is simply a miss
             per_intent.setdefault(label, []).append(hit)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, report, sampling
-from .corpus import load_corpus
+from .corpus import load_corpus, split_lines
 from .curve import EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
 from .errors import DataEffError, UnreachableTargetError
 from .frames import exact_match, parse_frame
@@ -191,7 +191,7 @@ def cmd_compare(args) -> int:
 
 def _read_frames(path: str):
     frames = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(split_lines(Path(path).read_text(encoding="utf-8")), 1):
         if not line.strip():
             continue
         try:

@@ -1,29 +1,45 @@
 """Corpus ingestion and per-domain bookkeeping.
 
 Corpora arrive as TSV (header ``domain<TAB>utterance<TAB>semantic_parse`` with
-an optional ``split`` column) or JSONL (one object per line, same keys).
-Frames are parsed eagerly so corruption surfaces at load time with a line
-number, and row order is preserved because sampling determinism depends on it.
+an optional ``split`` column) or JSONL (one object per line, same keys). Rows
+end at ``\n`` or ``\r\n`` only. Each row's frame is validated and
+canonicalized eagerly, so corruption surfaces at load time with a line number;
+a row keeps the canonical frame text and its labels, not a tree
+(``frames.parse_frame`` builds one on demand). Row order is preserved because
+sampling determinism depends on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CorpusError, FrameParseError, InputError, UnknownDomainError
-from .frames import Frame, parse_frame, serialize_frame
+from .frames import canonical_frame
 from .jsonio import from_dict, loads
 
 SPLITS = ("train", "eval", "test")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusRow:
+    """One corpus row; raises FrameParseError if ``parse`` is not a valid frame.
+
+    ``parse`` is stored as canonical frame text, so exact match against it is
+    string equality. ``labels`` holds the frame's intent and slot labels in
+    pre-order: ``labels[0]`` is the root intent.
+    """
+
     domain: str
     utterance: str
-    frame: Frame
+    parse: str
     split: str = "train"
+    labels: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        parse, labels = canonical_frame(self.parse)
+        object.__setattr__(self, "parse", parse)
+        object.__setattr__(self, "labels", labels)
 
 
 class CorpusTable:
@@ -79,11 +95,23 @@ def _check_split(value: str, line: int) -> str:
     return value
 
 
-def _parse_row_frame(text: str, line: int) -> Frame:
+def _row(domain: str, utterance: str, parse: str, split: str, line: int) -> CorpusRow:
     try:
-        return parse_frame(text)
+        return CorpusRow(domain, utterance, parse, split)
     except FrameParseError as exc:
         raise CorpusError(f"bad frame: {exc}", line) from exc
+
+
+def split_lines(text: str) -> list[str]:
+    """Lines ended by ``\n`` or ``\r\n``; other line breaks stay inside a line.
+
+    ``str.splitlines`` would also split at U+2028, U+0085, ``\v``, ``\f`` and
+    more, which may appear inside an utterance or a JSON string.
+    """
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def load_corpus(path: str | Path, format: str | None = None) -> CorpusTable:
@@ -99,7 +127,7 @@ def load_corpus(path: str | Path, format: str | None = None) -> CorpusTable:
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"format must be 'tsv' or 'jsonl', got {format!r}")
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = split_lines(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
 
@@ -127,8 +155,7 @@ def load_corpus(path: str | Path, format: str | None = None) -> CorpusTable:
             if not domain:
                 raise CorpusError("empty domain", lineno)
             split = _check_split(fields[3], lineno) if has_split else fallback_split
-            frame = _parse_row_frame(parse_text, lineno)
-            rows.append(CorpusRow(domain, utterance, frame, split))
+            rows.append(_row(domain, utterance, parse_text, split, lineno))
     else:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -140,8 +167,7 @@ def load_corpus(path: str | Path, format: str | None = None) -> CorpusTable:
             if not obj.domain:
                 raise CorpusError("empty domain", lineno)
             split = fallback_split if obj.split is None else _check_split(obj.split, lineno)
-            frame = _parse_row_frame(obj.semantic_parse, lineno)
-            rows.append(CorpusRow(obj.domain, obj.utterance, frame, split))
+            rows.append(_row(obj.domain, obj.utterance, obj.semantic_parse, split, lineno))
     return CorpusTable(rows)
 
 
@@ -150,7 +176,5 @@ def save_corpus(table: CorpusTable, path: str | Path) -> None:
     path = Path(path)
     lines = ["domain\tutterance\tsemantic_parse\tsplit"]
     for row in table.rows:
-        lines.append(
-            "\t".join([row.domain, row.utterance, serialize_frame(row.frame), row.split])
-        )
+        lines.append("\t".join([row.domain, row.utterance, row.parse, row.split]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

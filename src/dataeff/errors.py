@@ -14,7 +14,7 @@ class InputError(DataEffError, ValueError):
 
 
 class FrameParseError(DataEffError):
-    """Malformed bracketed frame text. Carries the byte offset of the fault."""
+    """Malformed bracketed frame text. Carries the character offset of the fault."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

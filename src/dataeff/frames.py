@@ -6,18 +6,23 @@ labels start with ``IN:``, slot labels with ``SL:``; everything else is an
 utterance token. Intents may contain tokens and slots; slots may contain
 tokens and nested intents. Exact match is plain string equality of the
 canonical single-space serialization.
+
+One regex tokenizer and one stack check define the grammar. canonical_frame
+returns a checked frame's canonical text and labels without building a tree;
+parse_frame builds the tree from the same checked tokens.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import FrameParseError, InputError
 
 INTENT_PREFIX = "IN:"
 SLOT_PREFIX = "SL:"
-_LABEL_BODY = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 
 
 @dataclass(frozen=True)
@@ -42,100 +47,106 @@ class Frame:
         return serialize_frame(self)
 
 
-def _valid_label(text: str) -> bool:
-    body = text[3:]
-    return bool(body) and all(ch in _LABEL_BODY for ch in body)
+# One token: "[" with the label glued to it, "]", or a word, which is a maximal
+# run of characters that are neither whitespace nor brackets. ``\s`` matches
+# exactly the characters for which str.isspace() is true.
+_TOKEN = re.compile(r"\[[^\s\[\]]*|\]|[^\s\[\]]+")
+_LABEL = re.compile(r"(?:IN|SL):[A-Z_:]+")
 
 
-class _Parser:
-    """Single-pass recursive descent over the bracketed grammar; fails fast."""
+def _offset(text: str, index: int) -> int:
+    """Position in text of token number index."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start()
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def error(self, message: str, offset: int | None = None) -> FrameParseError:
-        return FrameParseError(message, self.pos if offset is None else offset)
+def _label_error(text: str, index: int, label: str, root: bool) -> FrameParseError:
+    at = _offset(text, index) + 1
+    if not label.startswith((INTENT_PREFIX, SLOT_PREFIX)):
+        if root and label:
+            return FrameParseError(f"root label {label!r} is not an intent", at)
+        return FrameParseError(
+            f"label must start with {INTENT_PREFIX!r} or {SLOT_PREFIX!r}", at
+        )
+    if not _LABEL.fullmatch(label):
+        return FrameParseError(f"empty or malformed label {label!r}", at)
+    return FrameParseError(f"root label {label!r} is not an intent", at)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def read_word(self) -> str:
-        """Maximal run of non-whitespace, non-bracket characters."""
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace() or ch in "[]":
-                break
-            self.pos += 1
-        return self.text[start:self.pos]
+def _checked_tokens(text: str) -> tuple[list[str], list[str]]:
+    """The tokens and the pre-order labels of a well-formed frame.
 
-    def parse_node(self, depth: int) -> FrameNode:
-        open_at = self.pos
-        assert self.text[self.pos] == "["
-        self.pos += 1
-        label_at = self.pos
-        label = self.read_word()
-        if label.startswith(INTENT_PREFIX):
-            kind = "intent"
-        elif label.startswith(SLOT_PREFIX):
-            kind = "slot"
-        else:
-            if depth == 0 and label:
-                raise self.error(f"root label {label!r} is not an intent", label_at)
-            raise self.error(
-                f"label must start with {INTENT_PREFIX!r} or {SLOT_PREFIX!r}", label_at
-            )
-        if not _valid_label(label):
-            raise self.error(f"empty or malformed label {label!r}", label_at)
-        if depth == 0 and kind != "intent":
-            raise self.error(f"root label {label!r} is not an intent", label_at)
+    One pass over the tokens with a stack of the open nodes. Raises
+    FrameParseError on the first fault met reading left to right: a nesting
+    fault is reported when the inner node closes, at the outer node's '['.
+    """
+    tokens = _TOKEN.findall(text)
+    if not tokens:
+        raise FrameParseError("empty input", len(text))
+    if tokens[0][0] != "[":
+        raise FrameParseError("frame must start with '['", _offset(text, 0))
+    labels: list[str] = []
+    open_nodes: list[tuple[str, int]] = []  # (label's first letter, token index)
+    last = len(tokens) - 1
+    for index, token in enumerate(tokens):
+        head = token[0]
+        if head == "[":
+            label = token[1:]
+            if not _LABEL.fullmatch(label) or not (open_nodes or label[0] == "I"):
+                raise _label_error(text, index, label, not open_nodes)
+            labels.append(label)
+            open_nodes.append((label[0], index))
+        elif head == "]":
+            kind = open_nodes.pop()[0]
+            if open_nodes:
+                outer, outer_index = open_nodes[-1]
+                if outer == kind:
+                    raise FrameParseError(
+                        "intent nodes may only nest slots" if kind == "I"
+                        else "slot nodes may only nest intents",
+                        _offset(text, outer_index),
+                    )
+            elif index < last:
+                at = _offset(text, index + 1)
+                raise FrameParseError(
+                    f"trailing garbage after frame: {text[at:][:20]!r}", at
+                )
+    if open_nodes:
+        raise FrameParseError("unbalanced brackets: missing ']'",
+                              _offset(text, open_nodes[-1][1]))
+    return tokens, labels
 
-        children: list[FrameNode] = []
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                raise self.error("unbalanced brackets: missing ']'", open_at)
-            ch = self.text[self.pos]
-            if ch == "]":
-                self.pos += 1
-                return FrameNode(kind, label, tuple(children))
-            if ch == "[":
-                child = self.parse_node(depth + 1)
-                if kind == "intent" and child.kind != "slot":
-                    raise self.error("intent nodes may only nest slots", open_at)
-                if kind == "slot" and child.kind != "intent":
-                    raise self.error("slot nodes may only nest intents", open_at)
-                children.append(child)
-            else:
-                word_at = self.pos
-                word = self.read_word()
-                if not word:  # defensive: cannot happen given the checks above
-                    raise self.error("unexpected character", word_at)
-                children.append(FrameNode("token", word))
 
-    def parse(self) -> Frame:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise self.error("empty input")
-        if self.text[self.pos] != "[":
-            raise self.error("frame must start with '['")
-        root = self.parse_node(0)
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise self.error(f"trailing garbage after frame: {self.text[self.pos:][:20]!r}")
-        return Frame(root)
+def canonical_frame(text: str) -> tuple[str, tuple[str, ...]]:
+    """Check frame text; return its canonical text and its labels in pre-order.
+
+    The canonical text is what serialize_frame(parse_frame(text)) gives, and
+    the first label is the root intent, so no tree is built. Raises
+    FrameParseError as parse_frame does.
+    """
+    tokens, labels = _checked_tokens(text)
+    return " ".join(tokens), tuple(labels)
 
 
 def parse_frame(text: str) -> Frame:
     """Parse bracketed frame text into a Frame.
 
     Tokens are whitespace-separated maximal non-bracket runs. Raises
-    FrameParseError (with byte offset) on unbalanced brackets, a non-intent
-    root, empty labels, or trailing garbage.
+    FrameParseError (with character offset) on unbalanced brackets, a
+    non-intent root, empty or malformed labels, an intent nested directly in an
+    intent or a slot in a slot, or trailing garbage.
     """
-    return _Parser(text).parse()
+    tokens, _ = _checked_tokens(text)
+    open_nodes: list[tuple[str, list[FrameNode]]] = [("", [])]
+    for token in tokens:
+        if token[0] == "[":
+            open_nodes.append((token[1:], []))
+        elif token == "]":
+            label, children = open_nodes.pop()
+            kind = "intent" if label.startswith(INTENT_PREFIX) else "slot"
+            open_nodes[-1][1].append(FrameNode(kind, label, tuple(children)))
+        else:
+            open_nodes[-1][1].append(FrameNode("token", token))
+    return Frame(open_nodes[0][1][0])
 
 
 def _serialize_node(node: FrameNode, parts: list[str]) -> None:

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import CorpusTable
+from .corpus import CorpusRow, CorpusTable
 from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
-from .frames import FrameNode, Frame, serialize_frame
 from .jsonio import dumps, from_dict, loads
 from .rng import SplitMix64, combine, float_key
 from .sampling import Schedule, SubsetSpec, sample
@@ -245,10 +244,10 @@ def _clamp_em(value: float) -> float:
     return min(max(value, 0.0), 100.0)
 
 
-def _corrupt(frame: Frame) -> str:
+def _corrupt(row: CorpusRow) -> str:
     """A prediction guaranteed to differ: the root intent label is rewritten."""
-    root = frame.root
-    return serialize_frame(Frame(FrameNode(root.kind, root.text + "_WRONG", root.children)))
+    root = row.labels[0]
+    return f"[{root}_WRONG{row.parse[len(root) + 1:]}"
 
 
 def simulated_run(
@@ -277,12 +276,12 @@ def simulated_run(
         rows = []
         hits = 0
         for row_id in manifest.test_rows:
-            frame = table.rows[row_id].frame
+            row = table.rows[row_id]
             if stream.unit() < em / 100.0:
                 hits += 1
-                rows.append((row_id, serialize_frame(frame)))
+                rows.append((row_id, row.parse))
             else:
-                rows.append((row_id, _corrupt(frame)))
+                rows.append((row_id, _corrupt(row)))
         predictions = tuple(rows)
         if rows:
             em = 100.0 * hits / len(rows)

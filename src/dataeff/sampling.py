@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .corpus import CorpusTable
 from .errors import SamplingError
-from .frames import ontology_labels
 from .rng import SplitMix64, combine, float_key, string_key
 
 ALGORITHMS = ("uniform", "spis")
@@ -132,7 +131,7 @@ def spis_sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
     seen: Counter = Counter()
     chosen = []
     for pos in order:
-        labels = ontology_labels(table.rows[pos].frame)
+        labels = table.rows[pos].labels
         if any(seen[label] < k for label in labels):
             chosen.append(pos)
             seen.update(labels)
@@ -165,7 +164,7 @@ def subset_size_report(subset: Subset, table: CorpusTable) -> SizeReport:
             raise SamplingError(
                 f"row {pos} is not a train row of {subset.spec.target_domain!r}"
             )
-        counts.update(ontology_labels(row.frame))
+        counts.update(row.labels)
     count = len(subset.row_ids)
     percent = 100.0 * count / domain_total if domain_total else 0.0
     return SizeReport(count, percent, counts)

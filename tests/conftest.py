@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dataeff.corpus import CorpusRow, CorpusTable
-from dataeff.frames import Frame, FrameNode, parse_frame
+from dataeff.frames import Frame, FrameNode
 
 _INTENTS = ("IN:GET_WEATHER", "IN:GET_SUNRISE", "IN:GET_SUNSET", "IN:CREATE_ALARM",
             "IN:SEND_MESSAGE", "IN:PLAY_MUSIC")
@@ -42,7 +42,7 @@ def make_rows(domain, n, split="train", intent="IN:GET_WEATHER", token="forecast
         CorpusRow(
             domain,
             f"{token} {i}",
-            parse_frame(f"[{intent} {token} [SL:LOCATION spot ] ]"),
+            f"[{intent} {token} [SL:LOCATION spot ] ]",
             split,
         )
         for i in range(n)

@@ -121,14 +121,16 @@ def test_criterion_04_noisy_fit_robustness():
 def test_criterion_05_spis_coverage():
     rng = random.Random(550)
     for corpus_id in range(100):
+        frames = [random_frame(rng, max_depth=3, max_branch=3)
+                  for _ in range(rng.randint(4, 30))]
         rows = [
-            CorpusRow("synth", f"u{i}", random_frame(rng, max_depth=3, max_branch=3), "train")
-            for i in range(rng.randint(4, 30))
+            CorpusRow("synth", f"u{i}", serialize_frame(frame), "train")
+            for i, frame in enumerate(frames)
         ]
         table = CorpusTable(rows)
         totals = Counter()
-        for row in rows:
-            totals.update(ontology_labels(row.frame))
+        for frame in frames:
+            totals.update(ontology_labels(frame))
         for k in (1, 2, 5):
             subset = spis_sample(table, SubsetSpec("synth", "spis", k, corpus_id))
             achieved = subset_size_report(subset, table).label_counts

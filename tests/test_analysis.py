@@ -14,7 +14,6 @@ from dataeff.analysis import (
 from dataeff.corpus import CorpusRow, CorpusTable
 from dataeff.curve import CurveModel, EfficiencyPoint
 from dataeff.errors import AnalysisError, AnnotationError
-from dataeff.frames import parse_frame, serialize_frame
 from dataeff.protocol import (
     Ledger,
     ManifestSummary,
@@ -118,9 +117,9 @@ def _music_test_table():
     for intent, count in (("IN:PLAY_MUSIC", 12), ("IN:STOP_MUSIC", 10), ("IN:LIKE_MUSIC", 9)):
         for i in range(count):
             rows.append(
-                CorpusRow("music", f"{intent} {i}", parse_frame(f"[{intent} song{i} ]"), "test")
+                CorpusRow("music", f"{intent} {i}", f"[{intent} song{i} ]", "test")
             )
-    rows.append(CorpusRow("music", "train row", parse_frame("[IN:PLAY_MUSIC x ]"), "train"))
+    rows.append(CorpusRow("music", "train row", "[IN:PLAY_MUSIC x ]", "train"))
     return CorpusTable(rows)
 
 
@@ -132,17 +131,18 @@ def _summary(run_id, percent, seed=0):
     )
 
 
-def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally wrong ]"):
-    """One run at k=4: STOP/LIKE rows all correct, wrong_play PLAY rows replaced by wrong_text."""
+def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally wrong ]",
+                       rewrites=()):
+    """One run at k=4: STOP/LIKE rows all correct, wrong_play PLAY rows replaced by
+    wrong_text; each function in rewrites then rewrites the next PLAY row's text."""
     predictions = []
-    wrong_left = wrong_play
+    edits = [lambda text: wrong_text] * wrong_play + list(rewrites)
     for pos, row in enumerate(table.rows):
         if row.split != "test":
             continue
-        text = serialize_frame(row.frame)
-        if row.frame.root.text == "IN:PLAY_MUSIC" and wrong_left > 0:
-            text = wrong_text
-            wrong_left -= 1
+        text = row.parse
+        if row.labels[0] == "IN:PLAY_MUSIC" and edits:
+            text = edits.pop(0)(text)
         predictions.append((pos, text))
     ledger = Ledger()
     ledger.append(
@@ -173,6 +173,20 @@ def test_per_intent_unparseable_prediction_is_a_miss():
     ledger = _prediction_ledger(table, wrong_play=3, wrong_text="[IN:PLAY_MUSIC unbalanced")
     points = per_intent_points(ledger, table)
     assert [p.exact_match for p in points["IN:PLAY_MUSIC"]] == [75.0]
+
+
+def test_per_intent_compares_canonical_forms():
+    table = _music_test_table()
+    rewrites = [
+        lambda text: "\t " + text.replace(" ", "  \n") + " ",  # other whitespace: hit
+        lambda text: text.replace(" ]", "]"),  # glued closing bracket: hit
+        lambda text: text + " ]",  # trailing garbage: miss
+        lambda text: text.replace("IN:PLAY_MUSIC", "IN:play_music"),  # bad label: miss
+        lambda text: text.replace(" ]", " [IN:STOP_MUSIC ] ]"),  # intent in intent: miss
+    ]
+    points = per_intent_points(_prediction_ledger(table, rewrites=rewrites), table)
+    assert [p.exact_match for p in points["IN:PLAY_MUSIC"]] == [100.0 * 9 / 12]
+    assert [p.exact_match for p in points["IN:STOP_MUSIC"]] == [100.0]
 
 
 def test_per_intent_requires_predictions():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dataeff import cli
 from dataeff.curve import CurveModel
 from dataeff.jsonio import dumps
 
@@ -305,6 +306,20 @@ def test_em_command(tmp_path):
     proc = run_cli("em", "--system", system, "--reference", reference)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "50.0000"
+
+
+def test_em_files_split_rows_at_newlines_only(tmp_path, capsys):
+    system = tmp_path / "system.txt"
+    reference = tmp_path / "reference.txt"
+    breaks = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+    system.write_bytes(f"[IN:GET_WEATHER{breaks}x ]\r\n[IN:GET_SUNSET y{breaks}]\r\n"
+                       .encode("utf-8"))
+    reference.write_text("[IN:GET_WEATHER x ]\n[IN:GET_SUNSET y ]\n", encoding="utf-8")
+    assert cli.main(["em", "--system", str(system), "--reference", str(reference)]) == 0
+    assert capsys.readouterr().out.strip() == "100.0000"
+    system.write_bytes(system.read_bytes() + b"[IN:GET_SUNSET\r\n")
+    assert cli.main(["em", "--system", str(system), "--reference", str(reference)]) == 1
+    assert f"{system}:3: unbalanced brackets" in capsys.readouterr().err
 
 
 def test_em_length_mismatch(tmp_path):

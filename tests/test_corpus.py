@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dataeff.corpus import load_corpus, save_corpus
@@ -142,3 +144,62 @@ def test_unicode_corpus_round_trip(tmp_path):
     out = tmp_path / "uni_out.tsv"
     save_corpus(table, out)
     assert load_corpus(out).rows == table.rows
+
+
+# Characters str.splitlines() treats as line ends; a corpus row ends only at
+# "\n" (or "\r\n"), so these stay inside the row.
+OTHER_LINE_BREAKS = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+
+
+def test_tsv_row_keeps_other_line_breaks(tmp_path):
+    utterance = f"rain{OTHER_LINE_BREAKS}today"
+    rows = [
+        ("weather", utterance, f"[IN:GET_WEATHER rain{OTHER_LINE_BREAKS}today ]", "train"),
+        ("weather", "sun", "[IN:GET_WEATHER sun ]", "test"),
+    ]
+    table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
+    assert len(table) == 2
+    assert table.rows[0].utterance == utterance
+    assert table.rows[0].parse == "[IN:GET_WEATHER rain today ]"
+    assert table.rows[1].split == "test"
+    path = write_tsv(tmp_path / "bad.tsv", rows + [("weather", "x", "[SL:X y ]", "train")])
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert exc.value.line == 4
+
+
+def test_jsonl_row_keeps_other_line_breaks(tmp_path):
+    utterance = f"play{OTHER_LINE_BREAKS}jazz"
+    rows = [
+        {"domain": "music", "utterance": utterance,
+         "semantic_parse": f"[IN:PLAY_MUSIC{OTHER_LINE_BREAKS}jazz ]"},
+        {"domain": "music", "utterance": "stop", "semantic_parse": "[IN:STOP_MUSIC ]"},
+        {"domain": "music", "utterance": "bad", "semantic_parse": "[IN:STOP_MUSIC"},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert exc.value.line == 3
+    path.write_text(text.rsplit("{", 1)[0], encoding="utf-8")
+    table = load_corpus(path)
+    assert [row.utterance for row in table.rows] == [utterance, "stop"]
+    assert table.rows[0].parse == "[IN:PLAY_MUSIC jazz ]"
+
+
+def test_crlf_corpus_loads(tmp_path):
+    tsv = tmp_path / "corpus.tsv"
+    tsv.write_bytes(b"domain\tutterance\tsemantic_parse\tsplit\r\n"
+                    b"weather\thi\t[IN:GET_WEATHER hi ]\ttest\r\n"
+                    b"weather\tbad\t[IN:GET_WEATHER\ttrain\r\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(tsv)
+    assert exc.value.line == 3
+    tsv.write_bytes(tsv.read_bytes().rsplit(b"weather", 1)[0])
+    row = load_corpus(tsv).rows[0]
+    assert (row.utterance, row.parse, row.split) == ("hi", "[IN:GET_WEATHER hi ]", "test")
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_bytes(b'{"domain": "weather", "utterance": "hi", '
+                      b'"semantic_parse": "[IN:GET_WEATHER hi ]"}\r\n\r\n')
+    assert load_corpus(jsonl).rows[0].parse == "[IN:GET_WEATHER hi ]"

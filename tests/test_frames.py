@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,12 +7,15 @@ from dataeff.errors import FrameParseError
 from dataeff.frames import (
     Frame,
     FrameNode,
+    canonical_frame,
     exact_match,
     ontology_labels,
     parse_frame,
+    root_intent,
     serialize_frame,
 )
 from conftest import random_frame
+from reference_frames import reference_parse
 
 WEATHER_TEXT = "[IN:GET_WEATHER what s the [SL:LOCATION boston ] forecast ]"
 
@@ -149,3 +153,85 @@ def test_unicode_tokens_round_trip():
     text = "[IN:GET_WEATHER prévisions [SL:LOCATION zürich_東京 ] ]"
     frame = parse_frame(text)
     assert serialize_frame(frame) == text
+
+
+_SPACES = (" ", "\t", "\n", "\u00a0", "\u2028")
+
+
+def _gap(rng, least=1):
+    return "".join(rng.choice(_SPACES) for _ in range(rng.randint(least, 3)))
+
+
+def _respace(rng, text):
+    """Canonical text's tokens rejoined by random whitespace runs; where the
+    grammar allows it, a bracket is sometimes glued to its neighbour."""
+    tokens = text.split(" ")
+    out = [_gap(rng, 0), tokens[0]]
+    for prev, token in zip(tokens, tokens[1:]):
+        gluable = token == "]" or token.startswith("[") or prev == "]"
+        out.append("" if gluable and rng.random() < 0.3 else _gap(rng))
+        out.append(token)
+    out.append(_gap(rng, 0))
+    return "".join(out)
+
+
+def test_canonical_frame_agrees_with_reference_parser():
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        frame = random_frame(rng)
+        text = _respace(rng, serialize_frame(frame))
+        tree = reference_parse(text)
+        assert tree == frame
+        canonical, labels = canonical_frame(text)
+        assert canonical == serialize_frame(tree)
+        assert Counter(labels) == ontology_labels(tree)
+        assert labels[0] == root_intent(tree)
+        assert parse_frame(text) == tree
+
+
+def _mutate(rng, text):
+    """One of: drop a bracket, lowercase a label, add a stray token at the
+    root level, nest an intent directly in an intent, insert a character."""
+    tokens = text.split(" ")
+    openers = [i for i, token in enumerate(tokens) if token.startswith("[")]
+    choice = rng.randrange(5)
+    if choice == 0:
+        i = rng.choice([i for i, token in enumerate(tokens) if token[0] in "[]"])
+        tokens[i] = tokens[i][1:]
+    elif choice == 1:
+        i = rng.choice(openers)
+        cut = rng.choice((1, 4))
+        tokens[i] = tokens[i][:cut] + tokens[i][cut:].lower()
+    elif choice == 2:
+        stray = rng.choice(("x", "]", "[IN:GET_SUNSET ]", "[SL:LOCATION x ]"))
+        tokens.insert(rng.choice((0, len(tokens))), stray)
+    elif choice == 3:
+        i = rng.choice([i for i in openers if tokens[i].startswith("[IN:")])
+        tokens.insert(i + 1, "[IN:GET_SUNSET x ]")
+    else:
+        i = rng.randrange(len(tokens))
+        at = rng.randrange(len(tokens[i]) + 1)
+        tokens[i] = tokens[i][:at] + rng.choice("[] :INSL_a") + tokens[i][at:]
+    return " ".join(token for token in tokens if token)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FrameParseError as exc:
+        return f"error: {exc}"
+
+
+def test_mutated_frames_fail_as_in_reference_parser():
+    rng = random.Random(1018)
+    rejected = 0
+    for _ in range(1500):
+        text = _respace(rng, _mutate(rng, serialize_frame(random_frame(rng))))
+        expected = _outcome(reference_parse, text)
+        assert _outcome(parse_frame, text) == expected, text
+        if isinstance(expected, str):
+            rejected += 1
+            assert _outcome(canonical_frame, text) == expected, text
+        else:
+            assert canonical_frame(text)[0] == serialize_frame(expected)
+    assert 1000 <= rejected < 1500

@@ -6,9 +6,11 @@ change to a JSON, CSV or SVG writer that alters one byte fails here.
 """
 
 import hashlib
+import json
 import sys
 
 from dataeff import cli
+from dataeff.corpus import load_corpus, save_corpus
 
 from conftest import simple_corpus_rows, write_tsv
 
@@ -43,6 +45,15 @@ GOLDEN = {
     "manifest.json": "297056afb68cfb68a6395bf02a45c32c1b782ac1fae44358311df0167acd67cc",
 }
 
+# Recorded from the tree-building corpus loader, before rows kept only
+# canonical text and labels.
+NESTED_GOLDEN = {
+    "spis.json": "b0aac95ef071601abc85a186923394e83e05d144e29f1deda8efba9d3b1d6cc0",
+    "sim.json": "1488ab23516657b99f9373bca2ba8bd310147814f8bfd0897a868d9cec1bdfb1",
+    "complexity.csv": "9214dc19a0fa044d9bcf9f6666670da44e06998dc73a19a94b44f942d748a197",
+    "saved.tsv": "8d6dfaa35e693b09473f13c58841d7b8eb97a73f8ad498b3d0ec261f261a879c",
+}
+
 
 def _corpus(tmp_path):
     rows = simple_corpus_rows("weather", 1000, 20, 30)
@@ -54,6 +65,33 @@ def _corpus(tmp_path):
         for i in range(count):
             rows.append(("music", f"{intent} test {i}", f"[{intent} y{i} ]", "test"))
     return write_tsv(tmp_path / "corpus.tsv", rows)
+
+
+def _nested_corpus(tmp_path):
+    """Music rows with intents inside slots, repeated slots, and tabs and
+    double spaces inside ``semantic_parse``, written as JSONL."""
+    frames = {
+        "IN:PLAY_MUSIC": "[IN:PLAY_MUSIC  play [SL:MUSIC_TYPE\tjazz{i} ]  [SL:MUSIC_TYPE rock ] ]",
+        "IN:ADD_TO_PLAYLIST_MUSIC": (
+            "[IN:ADD_TO_PLAYLIST_MUSIC add\t[SL:MUSIC_PLAYLIST_TITLE [IN:GET_PLAYLIST_MUSIC"
+            "  my  list{i} [SL:MUSIC_TYPE pop ] ] ]  [SL:MUSIC_PLAYLIST_TITLE x ] ]"),
+        "IN:STOP_MUSIC": "  [IN:STOP_MUSIC stop{i}\t]\t",
+    }
+    rows = []
+    for split, count in (("train", 40), ("eval", 3), ("test", 12)):
+        for i in range(count):
+            for j, (intent, template) in enumerate(frames.items()):
+                if split == "test" and intent == "IN:STOP_MUSIC" and i >= 6:
+                    continue
+                rows.append({"domain": "music", "utterance": f"{intent} {split} {i}",
+                             "semantic_parse": template.format(i=i % (5 + 3 * j)),
+                             "split": split})
+    for i in range(20):
+        rows.append({"domain": "weather", "utterance": f"weather {i}",
+                     "semantic_parse": "[IN:GET_WEATHER  [SL:LOCATION [IN:GET_LOCATION here ] ] ]"})
+    path = tmp_path / "nested.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return path
 
 
 def _digest(data: bytes) -> str:
@@ -95,3 +133,24 @@ def test_outputs_match_recorded_digests(tmp_path, capsys):
                  "plot.svg", "plot.csv", "complexity.csv", "manifest.json"):
         out[name] = (tmp_path / name).read_bytes()
     assert {name: _digest(data) for name, data in out.items()} == GOLDEN
+
+
+def test_nested_corpus_outputs_match_recorded_digests(tmp_path, capsys):
+    corpus = _nested_corpus(tmp_path)
+
+    def main(*args):
+        return cli.main([str(a) for a in args])
+
+    assert main("sample", "--corpus", corpus, "--domain", "music", "--algorithm", "spis",
+                "--size", 4, "--seed", 5, "--out", tmp_path / "spis.json") == 0
+    assert main("run", "--corpus", corpus, "--target", "music", "--seeds", 0, 1,
+                "--noise", 0.5, "--emit-predictions", "--out", tmp_path / "sim.json") == 0
+    assert main("complexity", "--ledger", tmp_path / "sim.json", "--corpus", corpus,
+                "--domain", "music", "--min-count", 6,
+                "--out", tmp_path / "complexity.csv") == 0
+    capsys.readouterr()
+    save_corpus(load_corpus(corpus), tmp_path / "saved.tsv")
+
+    names = ("spis.json", "sim.json", "complexity.csv", "saved.tsv")
+    digests = {name: _digest((tmp_path / name).read_bytes()) for name in names}
+    assert digests == NESTED_GOLDEN

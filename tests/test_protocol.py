@@ -206,7 +206,7 @@ def test_predictions_mode_reports_realized_em(weather_table, manifests):
     assert len(result.predictions) == len(manifests[9].test_rows)
     hits = 0
     for row_id, predicted in result.predictions:
-        reference = serialize_frame(weather_table.rows[row_id].frame)
+        reference = weather_table.rows[row_id].parse
         frame = parse_frame(predicted)  # corrupted frames still parse
         if serialize_frame(frame) == reference:
             hits += 1

@@ -7,7 +7,7 @@ import pytest
 
 from dataeff.corpus import CorpusRow, CorpusTable
 from dataeff.errors import SamplingError, UnknownDomainError
-from dataeff.frames import ontology_labels, parse_frame
+from dataeff.frames import ontology_labels, parse_frame, serialize_frame
 from dataeff.jsonio import dumps, from_dict
 from dataeff.sampling import (
     Subset,
@@ -121,7 +121,7 @@ def test_uniform_unknown_domain(weather_table):
 
 def test_uniform_empty_train_split():
     table = CorpusTable(
-        [CorpusRow("weather", "hi", parse_frame("[IN:GET_WEATHER hi ]"), "test")]
+        [CorpusRow("weather", "hi", "[IN:GET_WEATHER hi ]", "test")]
     )
     with pytest.raises(SamplingError):
         uniform_sample(table, SubsetSpec("weather", "uniform", 10, 1))
@@ -135,7 +135,7 @@ def test_subset_json_round_trip(weather_table):
 
 def _single_intent_table(labels):
     rows = [
-        CorpusRow("toy", f"utt {i}", parse_frame(f"[IN:{label} x ]"), "train")
+        CorpusRow("toy", f"utt {i}", f"[IN:{label} x ]", "train")
         for i, label in enumerate(labels)
     ]
     return CorpusTable(rows)
@@ -170,7 +170,7 @@ def test_spis_six_row_fixture_against_all_orderings():
     # early instead of taking the whole domain.
     labels = ["AAA", "AAA", "AAA", "AAA", "BBB", "BBB"]
     table = _single_intent_table(labels)
-    frames = [row.frame for row in table.rows]
+    frames = [parse_frame(row.parse) for row in table.rows]
     totals = Counter()
     for frame in frames:
         totals.update(ontology_labels(frame))
@@ -195,14 +195,16 @@ def test_spis_six_row_fixture_against_all_orderings():
 def test_spis_coverage_property(k):
     rng = random.Random(1000 + k)
     for trial in range(25):
+        frames = [random_frame(rng, max_depth=3, max_branch=3)
+                  for _ in range(rng.randint(5, 40))]
         rows = [
-            CorpusRow("rand", f"u{i}", random_frame(rng, max_depth=3, max_branch=3), "train")
-            for i in range(rng.randint(5, 40))
+            CorpusRow("rand", f"u{i}", serialize_frame(frame), "train")
+            for i, frame in enumerate(frames)
         ]
         table = CorpusTable(rows)
         totals = Counter()
-        for row in rows:
-            totals.update(ontology_labels(row.frame))
+        for frame in frames:
+            totals.update(ontology_labels(frame))
         subset = spis_sample(table, SubsetSpec("rand", "spis", k, trial))
         achieved = subset_size_report(subset, table).label_counts
         for label, total in totals.items():
