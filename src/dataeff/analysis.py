@@ -138,8 +138,10 @@ def per_intent_points(
             label = reference.labels[0]
             if label not in kept:
                 continue
+            # reference.parse is canonical, so a byte-equal prediction needs no parse.
             try:
-                hit = canonical_frame(predicted)[0] == reference.parse
+                hit = (predicted == reference.parse
+                       or canonical_frame(predicted)[0] == reference.parse)
             except FrameParseError:
                 hit = False  # unparseable prediction is simply a miss
             per_intent.setdefault(label, []).append(hit)

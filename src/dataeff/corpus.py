@@ -11,6 +11,7 @@ sampling determinism depends on it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,11 +24,14 @@ SPLITS = ("train", "eval", "test")
 
 @dataclass(frozen=True, slots=True)
 class CorpusRow:
-    """One corpus row; raises FrameParseError if ``parse`` is not a valid frame.
+    """One corpus row; raises CorpusError for a split not in SPLITS and
+    FrameParseError if ``parse`` is not a valid frame.
 
     ``parse`` is stored as canonical frame text, so exact match against it is
     string equality. ``labels`` holds the frame's intent and slot labels in
-    pre-order: ``labels[0]`` is the root intent.
+    pre-order: ``labels[0]`` is the root intent. A corpus has few distinct
+    domains, splits and labels but many rows, so rows share one string object
+    for each: the interned domain and labels, and the SPLITS entry.
     """
 
     domain: str
@@ -37,9 +41,13 @@ class CorpusRow:
     labels: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
+        if self.split not in SPLITS:
+            raise CorpusError(f"unknown split {self.split!r} (expected one of {SPLITS})")
         parse, labels = canonical_frame(self.parse)
+        object.__setattr__(self, "domain", sys.intern(self.domain))
+        object.__setattr__(self, "split", SPLITS[SPLITS.index(self.split)])
         object.__setattr__(self, "parse", parse)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(map(sys.intern, labels)))
 
 
 class CorpusTable:
@@ -89,17 +97,13 @@ class _JsonlRow:
     split: str | None = None
 
 
-def _check_split(value: str, line: int) -> str:
-    if value not in SPLITS:
-        raise CorpusError(f"unknown split {value!r} (expected one of {SPLITS})", line)
-    return value
-
-
 def _row(domain: str, utterance: str, parse: str, split: str, line: int) -> CorpusRow:
     try:
         return CorpusRow(domain, utterance, parse, split)
     except FrameParseError as exc:
         raise CorpusError(f"bad frame: {exc}", line) from exc
+    except CorpusError as exc:  # an unknown split
+        raise CorpusError(str(exc), line) from None
 
 
 def split_lines(text: str) -> list[str]:
@@ -154,7 +158,7 @@ def load_corpus(path: str | Path, format: str | None = None) -> CorpusTable:
             domain, utterance, parse_text = fields[0], fields[1], fields[2]
             if not domain:
                 raise CorpusError("empty domain", lineno)
-            split = _check_split(fields[3], lineno) if has_split else fallback_split
+            split = fields[3] if has_split else fallback_split
             rows.append(_row(domain, utterance, parse_text, split, lineno))
     else:
         for lineno, line in enumerate(lines, start=1):
@@ -166,7 +170,7 @@ def load_corpus(path: str | Path, format: str | None = None) -> CorpusTable:
                 raise CorpusError(str(exc), lineno) from None
             if not obj.domain:
                 raise CorpusError("empty domain", lineno)
-            split = fallback_split if obj.split is None else _check_split(obj.split, lineno)
+            split = fallback_split if obj.split is None else obj.split
             rows.append(_row(obj.domain, obj.utterance, obj.semantic_parse, split, lineno))
     return CorpusTable(rows)
 

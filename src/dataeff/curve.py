@@ -8,6 +8,10 @@ inverse h^-1(y) = ((y - c) / a) ** (-1 / b) answers "how much data for y% EM".
 
 Points at x = 0 (the 0% subset is a legitimate observation) are excluded from
 the residual because h has a pole there; they still appear in discrete plots.
+
+Only the solver needs numpy, and it imports numpy when it runs: loading,
+evaluating and inverting a fitted model stays pure Python, so the commands
+that do not fit start without the cost of importing numpy.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CurveDomainError, FitError, InputError, UnreachableTargetError
 from .jsonio import from_dict, loads
+
+if TYPE_CHECKING:
+    import numpy as np
 
 B_MIN, B_MAX = 1e-3, 10.0
 MAX_ITERATIONS = 500
@@ -116,6 +122,8 @@ def _residual(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _jacobian(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     a, b, _ = theta
     xb = x ** (-b)
     return np.column_stack([xb, -a * np.log(x) * xb, np.ones_like(x)])
@@ -133,6 +141,8 @@ def _levenberg_marquardt(theta0, x, y):
     Damping starts at 1e-3, /10 on an accepted step, *10 on a rejected one;
     b is projected into [B_MIN, B_MAX] after every step.
     """
+    import numpy as np
+
     theta = _clip_b(np.asarray(theta0, dtype=float))
     r = _residual(theta, x, y)
     sse = float(r @ r)
@@ -173,6 +183,8 @@ def _levenberg_marquardt(theta0, x, y):
 
 def _loglog_start(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Linear regression of log(y_max + 1 - y) on log(x) seeds (a, b, c)."""
+    import numpy as np
+
     c0 = float(y.max()) + 1.0
     lz = np.log(c0 - y)
     lx = np.log(x)
@@ -204,6 +216,8 @@ def fit_curve(points: list[EfficiencyPoint], average_first: bool = False) -> Cur
     points are silently excluded from the residual. All seeds contribute
     residuals jointly unless average_first collapses them to per-x means.
     """
+    import numpy as np
+
     if average_first:
         points = average_points(points)
     positive = [p for p in points if p.subset_percent > 0.0]

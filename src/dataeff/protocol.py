@@ -9,15 +9,15 @@ fine-tuning (command gets the manifest JSON path as its single argument and
 must print RunResult JSON on stdout, exiting 0).
 
 Failed runs are recorded in the ledger and do not abort the protocol.
+The modules only CommandRunner and a multi-job protocol need (subprocess,
+shlex, concurrent.futures) are imported where those run, so a simulated
+protocol and the commands that only read a ledger do not load them.
 """
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -313,6 +313,8 @@ class CommandRunner:
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float | None = None):
+        import shlex
+
         try:
             self.argv = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:  # unbalanced quotes
@@ -322,6 +324,8 @@ class CommandRunner:
         self.timeout = timeout
 
     def __call__(self, manifest: Manifest) -> RunResult:
+        import subprocess
+
         with tempfile.TemporaryDirectory(prefix="dataeff-run-") as tmp:
             manifest_path = Path(tmp) / f"{manifest.run_id}.manifest.json"
             manifest_path.write_text(dumps(manifest) + "\n", encoding="utf-8")
@@ -373,6 +377,8 @@ def run_protocol(manifests: Sequence[Manifest], runner: Runner, jobs: int = 1) -
     if jobs == 1 or len(manifests) <= 1:
         outcomes = [attempt(m) for m in manifests]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(attempt, manifests))
 

@@ -163,15 +163,19 @@ def render_csv(spec: ReportSpec) -> str:
 
 
 def write_report(spec: ReportSpec, out_prefix: str | Path) -> list[Path]:
-    """Write <prefix>.svg and/or <prefix>.csv; returns the paths written."""
+    """Write <prefix>.svg and/or <prefix>.csv; returns the paths written.
+
+    The extension is appended to the prefix as given, so a prefix with a dot
+    in its last part (``curve_v1.5``) keeps it.
+    """
     out_prefix = Path(out_prefix)
     written = []
     if spec.fmt in ("svg", "both"):
-        path = out_prefix.with_suffix(".svg")
+        path = Path(f"{out_prefix}.svg")
         path.write_text(render_svg(spec), encoding="utf-8")
         written.append(path)
     if spec.fmt in ("csv", "both"):
-        path = out_prefix.with_suffix(".csv")
+        path = Path(f"{out_prefix}.csv")
         path.write_text(render_csv(spec), encoding="utf-8")
         written.append(path)
     return written

@@ -214,6 +214,19 @@ def test_report_command(corpus, tmp_path, canonical_model_file):
     assert (tmp_path / "plot.csv").exists()
 
 
+def test_report_out_prefix_keeps_its_dots(tmp_path, canonical_model_file, capsys):
+    points = points_csv(tmp_path)
+    for prefix in ("curve_v1.5", "seed0.5"):
+        out = tmp_path / prefix
+        assert cli.main(["report", "--points", str(points), "--model",
+                         str(canonical_model_file), "--out", str(out)]) == 0
+        assert f"wrote {out}.svg\nwrote {out}.csv\n" == capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "curve_v1.5.csv", "curve_v1.5.svg", "model.json", "points.csv",
+        "seed0.5.csv", "seed0.5.svg",
+    ]
+
+
 def test_report_empty_points_is_data_error(tmp_path, canonical_model_file):
     empty = tmp_path / "empty.csv"
     empty.write_text("subset_percent,exact_match\n", encoding="utf-8")

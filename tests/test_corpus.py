@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from dataeff.corpus import load_corpus, save_corpus
-from dataeff.errors import CorpusError
+from dataeff.corpus import SPLITS, CorpusRow, load_corpus, save_corpus
+from dataeff.errors import CorpusError, DataEffError
 
 from conftest import write_tsv
 
@@ -90,6 +90,44 @@ def test_jsonl_load(tmp_path):
     table = load_corpus(path)
     assert table.rows[0].split == "eval"
     assert table.rows[1].split == "train"
+
+
+UNKNOWN_SPLIT = "unknown split 'dev' (expected one of ('train', 'eval', 'test'))"
+
+
+def test_row_rejects_unknown_split():
+    with pytest.raises(CorpusError) as exc:
+        CorpusRow("weather", "u", "[IN:GET_WEATHER u ]", "dev")
+    assert isinstance(exc.value, DataEffError)
+    assert str(exc.value) == UNKNOWN_SPLIT
+
+
+def test_unknown_split_names_line(tmp_path):
+    tsv = write_tsv(tmp_path / "corpus.tsv", [
+        ("weather", "hi", "[IN:GET_WEATHER hi ]", "train"),
+        ("weather", "u", "[IN:GET_WEATHER u ]", "dev"),
+    ])
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_text(
+        '{"domain": "weather", "utterance": "u", "semantic_parse": "[IN:GET_WEATHER u ]",'
+        ' "split": "dev"}\n', encoding="utf-8")
+    for path, line in ((tsv, 3), (jsonl, 1)):
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(path)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {UNKNOWN_SPLIT}"
+
+
+def test_rows_share_one_object_per_domain_split_and_label(tmp_path):
+    rows = []
+    for i in range(30):
+        domain, split = ("weather", "alarm")[i % 2], SPLITS[i % 3]
+        rows.append((domain, f"u{i}", f"[IN:GET_{domain.upper()} x [SL:DATE_TIME y ] ]", split))
+    table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
+    labels = [label for row in table.rows for label in row.labels]
+    for values in ([row.domain for row in table.rows], [row.split for row in table.rows], labels):
+        assert len({id(value) for value in values}) == len(set(values))
+    assert all(row.split is SPLITS[SPLITS.index(row.split)] for row in table.rows)
 
 
 def test_jsonl_missing_key(tmp_path):
