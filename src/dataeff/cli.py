@@ -8,6 +8,7 @@ em. Exit codes are a stable contract: 0 success, 1 data error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -209,6 +210,17 @@ def cmd_em(args) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    """argparse type of the float options: a NaN or infinity is a usage error."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dataeff",
@@ -226,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["tsv", "jsonl"], default=None)
     p.add_argument("--domain", required=True)
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
-    p.add_argument("--size", type=float, required=True,
+    p.add_argument("--size", type=_finite, required=True,
                    help="percent for uniform, per-label minimum for spis")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="subset JSON path (default: stdout)")
@@ -242,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="invert a fitted curve at EM targets")
     p.add_argument("--model", required=True, help="curve model JSON path")
-    p.add_argument("--em", type=float, nargs="+", required=True)
+    p.add_argument("--em", type=_finite, nargs="+", required=True)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("run", help="run the full protocol and write a ledger")
@@ -256,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
     p.add_argument("--model-id", default="parser")
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
-    p.add_argument("--truth", type=float, nargs=3, default=[-27.26, 0.35, 97.79],
+    p.add_argument("--truth", type=_finite, nargs=3, default=[-27.26, 0.35, 97.79],
                    metavar=("A", "B", "C"), help="simulator truth curve")
-    p.add_argument("--noise", type=float, default=0.0, help="simulator EM noise sigma")
-    p.add_argument("--em-at-zero", type=float, default=0.0,
+    p.add_argument("--noise", type=_finite, default=0.0, help="simulator EM noise sigma")
+    p.add_argument("--em-at-zero", type=_finite, default=0.0,
                    help="simulator EM for the 0%% subset")
     p.add_argument("--sim-seed", type=int, default=0)
     p.add_argument("--emit-predictions", action="store_true",
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit SVG and CSV plots of points + curve")
     p.add_argument("--points", required=True)
     p.add_argument("--model", default=None, help="curve model JSON path")
-    p.add_argument("--queries", type=float, nargs="*", default=[],
+    p.add_argument("--queries", type=_finite, nargs="*", default=[],
                    help="EM targets to draw guide lines for")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--fmt", choices=["svg", "csv", "both"], default="both")
@@ -289,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="rank models by data required per EM target")
     p.add_argument("--curves", nargs="+", default=[], metavar="NAME=FILE")
-    p.add_argument("--em", type=float, nargs="*", default=[])
+    p.add_argument("--em", type=_finite, nargs="*", default=[])
     p.add_argument("--reference", default=None,
                    help="print the packaged full-scale reference table for a domain")
     p.add_argument("--fmt", choices=["text", "csv"], default="text")

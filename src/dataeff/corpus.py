@@ -31,7 +31,8 @@ class CorpusRow:
     string equality. ``labels`` holds the frame's intent and slot labels in
     pre-order: ``labels[0]`` is the root intent. A corpus has few distinct
     domains, splits and labels but many rows, so rows share one string object
-    for each: the interned domain and labels, and the SPLITS entry.
+    for each: the interned domain and labels, and the SPLITS entry. Rows with
+    the same bracket structure share one ``labels`` tuple.
     """
 
     domain: str
@@ -47,7 +48,7 @@ class CorpusRow:
         object.__setattr__(self, "domain", sys.intern(self.domain))
         object.__setattr__(self, "split", SPLITS[SPLITS.index(self.split)])
         object.__setattr__(self, "parse", parse)
-        object.__setattr__(self, "labels", tuple(map(sys.intern, labels)))
+        object.__setattr__(self, "labels", labels)
 
 
 class CorpusTable:
@@ -57,7 +58,9 @@ class CorpusTable:
         self.rows: tuple[CorpusRow, ...] = tuple(rows)
         index: dict[str, dict[str, list[int]]] = {}
         for pos, row in enumerate(self.rows):
-            per_split = index.setdefault(row.domain, {s: [] for s in SPLITS})
+            per_split = index.get(row.domain)
+            if per_split is None:
+                per_split = index[row.domain] = {s: [] for s in SPLITS}
             per_split[row.split].append(pos)
         self._index = {
             domain: {split: tuple(ids) for split, ids in per_split.items()}

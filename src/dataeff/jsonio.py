@@ -42,15 +42,25 @@ def _fields(obj) -> dict:
 
 
 def dumps(obj) -> str:
-    """JSON text of obj, with every dataclass written as an object of its fields."""
-    return json.dumps(obj, default=_fields)
+    """JSON text of obj, with every dataclass written as an object of its fields.
+
+    A NaN or infinite float raises ValueError: JSON has no such numbers.
+    """
+    return json.dumps(obj, default=_fields, allow_nan=False)
+
+
+def _not_json(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def loads(text: str, source: str):
-    """json.loads that reports malformed text as InputError naming the source."""
+    """json.loads that reports malformed text as InputError naming the source.
+
+    The NaN, Infinity and -Infinity that json.loads accepts are malformed too.
+    """
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_not_json)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise InputError(f"{source}: invalid JSON: {exc}") from exc
 
 

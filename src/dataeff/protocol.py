@@ -19,6 +19,7 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -174,14 +175,14 @@ def build_manifests(
     if len(set(seeds)) != len(tuple(seeds)):
         raise ProtocolError(f"seeds must be unique, got {tuple(seeds)}")
     target_train = set(table.row_ids(target_domain, "train"))
-    source_train = tuple(
-        pos for pos, row in enumerate(table.rows)
-        if row.domain != target_domain and row.split == "train"
-    )
-    source_eval = tuple(
-        pos for pos, row in enumerate(table.rows)
-        if row.domain != target_domain and row.split == "eval"
-    )
+    sources = [domain for domain in table.domains() if domain != target_domain]
+
+    def source_rows(split: str) -> tuple[int, ...]:
+        # each domain's positions ascend, so sorting their concatenation is a merge
+        return tuple(sorted(chain.from_iterable(table.row_ids(d, split) for d in sources)))
+
+    source_train = source_rows("train")
+    source_eval = source_rows("eval")
     eval_rows = source_eval + table.row_ids(target_domain, "eval")
     test_rows = table.row_ids(target_domain, "test")
 

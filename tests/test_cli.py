@@ -426,3 +426,41 @@ def test_malformed_jsonl_rows_are_data_errors(tmp_path):
                        "--out", tmp_path / "s.json")
         assert proc.returncode == 1, proc.stderr
         assert "line 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "--model", "m.json", "--em", "80", "nan"),
+    ("compare", "--curves", "a=m.json", "--em", "inf"),
+    ("report", "--points", "p.csv", "--out", "plot", "--queries=-inf"),
+    ("run", "--corpus", "c.tsv", "--target", "w", "--out", "l.json", "--noise", "nan"),
+    ("run", "--corpus", "c.tsv", "--target", "w", "--out", "l.json",
+     "--truth", "-27", "infinity", "97"),
+    ("run", "--corpus", "c.tsv", "--target", "w", "--out", "l.json", "--em-at-zero", "NaN"),
+])
+def test_float_options_reject_non_finite_values(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, constant", [("a", "NaN"), ("b", "Infinity"), ("c", "-Infinity")])
+def test_model_with_non_json_number_is_data_error(canonical_model_file, key, constant):
+    payload = json.loads(canonical_model_file.read_text())
+    payload[key] = "CONSTANT"
+    canonical_model_file.write_text(json.dumps(payload).replace('"CONSTANT"', constant))
+    proc = run_cli("query", "--model", canonical_model_file, "--em", 90)
+    assert proc.returncode == 1, proc.stdout
+    assert f"{canonical_model_file}: invalid JSON: {constant} is not a JSON number" in proc.stderr
+
+
+def test_ledger_with_non_json_number_is_data_error(corpus, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    assert run_cli("run", "--corpus", corpus, "--target", "weather", "--out", ledger).returncode == 0
+    text = ledger.read_text()
+    ledger.write_text(text.replace('"wall_time": ', '"wall_time": NaN, "x": ', 1))
+    for argv in (("fit", "--points", ledger),
+                 ("report", "--points", ledger, "--out", tmp_path / "plot")):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert f"{ledger}: invalid JSON: NaN is not a JSON number" in proc.stderr

@@ -241,3 +241,12 @@ def test_crlf_corpus_loads(tmp_path):
     jsonl.write_bytes(b'{"domain": "weather", "utterance": "hi", '
                       b'"semantic_parse": "[IN:GET_WEATHER hi ]"}\r\n\r\n')
     assert load_corpus(jsonl).rows[0].parse == "[IN:GET_WEATHER hi ]"
+
+
+def test_rows_with_one_bracket_structure_share_labels(tmp_path):
+    rows = [("weather", "a", "[IN:GET_WEATHER a [SL:LOCATION b ] ]", "train"),
+            ("weather", "c", "[IN:GET_WEATHER [SL:LOCATION c d ] e ]", "test"),
+            ("weather", "f", "[IN:GET_WEATHER [SL:DATE_TIME f ] ]", "train")]
+    table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
+    assert table.rows[0].labels is table.rows[1].labels
+    assert table.rows[2].labels == ("IN:GET_WEATHER", "SL:DATE_TIME")

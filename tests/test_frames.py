@@ -1,10 +1,12 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from dataeff.errors import FrameParseError
 from dataeff.frames import (
+    _TOKEN,
     Frame,
     FrameNode,
     canonical_frame,
@@ -13,6 +15,8 @@ from dataeff.frames import (
     parse_frame,
     root_intent,
     serialize_frame,
+    _skeletons,
+    _tokens,
 )
 from conftest import random_frame
 from reference_frames import reference_parse
@@ -235,3 +239,30 @@ def test_mutated_frames_fail_as_in_reference_parser():
         else:
             assert canonical_frame(text)[0] == serialize_frame(expected)
     assert 1000 <= rejected < 1500
+
+
+def test_tokens_equal_the_token_regex_on_every_code_point():
+    step = 1 << 12
+    for start in range(0, sys.maxunicode + 1, step):
+        chars = map(chr, range(start, min(start + step, sys.maxunicode + 1)))
+        text = "".join(f"[x{ch}y]{ch}w{ch}[{ch}" for ch in chars)
+        assert _tokens(text) == _TOKEN.findall(text), hex(start)
+
+
+@pytest.mark.parametrize("text", ["x [IN:A y ]", "[IN:A y ] z", "x [IN:A [SL:B y ] ]"])
+def test_memoized_skeleton_with_stray_word_fails_as_reference(text):
+    canonical_frame("[IN:A w ]")
+    canonical_frame("[IN:A [SL:B w ] ]")
+    assert {("[IN:A", "]"), ("[IN:A", "[SL:B", "]", "]")} <= _skeletons.keys()
+    expected = _outcome(reference_parse, text)
+    assert expected.startswith("error: ")
+    assert _outcome(canonical_frame, text) == expected
+    assert _outcome(parse_frame, text) == expected
+
+
+def test_frames_with_one_skeleton_share_labels():
+    first = canonical_frame("[IN:GET_WEATHER what s the [SL:LOCATION boston ] ]")
+    second = canonical_frame("[IN:GET_WEATHER  [SL:LOCATION\tparis france ] today ]")
+    assert first[1] == ("IN:GET_WEATHER", "SL:LOCATION")
+    assert second[1] is first[1]
+    assert canonical_frame("[IN:GET_WEATHER [SL:DATE_TIME x ] ]")[1] is not first[1]

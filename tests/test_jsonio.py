@@ -124,3 +124,16 @@ def test_unsupported_values_are_program_errors():
         dumps(object())
     with pytest.raises(TypeError):
         from_dict(dict, {}, "x")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_numbers_are_rejected(constant):
+    with pytest.raises(InputError) as exc:
+        loads(f'{{"a": [1, {constant}]}}', "model.json")
+    assert str(exc.value) == f"model.json: invalid JSON: {constant} is not a JSON number"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_writes_no_non_json_number(value):
+    with pytest.raises(ValueError):
+        dumps(RunResult("r", 50.0, 0, wall_time=value))
