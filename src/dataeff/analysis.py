@@ -14,6 +14,7 @@ import csv
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -114,10 +115,7 @@ def per_intent_points(
         raise AnalysisError(f"ledger mixes target domains {sorted(domains)}")
     domain = domains.pop()
 
-    test_counts: dict[str, int] = {}
-    for pos in table.row_ids(domain, "test"):
-        label = table.rows[pos].labels[0]
-        test_counts[label] = test_counts.get(label, 0) + 1
+    test_counts = Counter(table.labels[pos][0] for pos in table.row_ids(domain, "test"))
     kept = {label for label, n in test_counts.items() if n >= min_test_occurrences}
 
     out: dict[str, list[EfficiencyPoint]] = {label: [] for label in sorted(kept)}
@@ -129,19 +127,18 @@ def per_intent_points(
             )
         per_intent: dict[str, list[bool]] = {}
         for row_id, predicted in entry.result.predictions:
-            if not 0 <= row_id < len(table.rows):
+            if not 0 <= row_id < len(table):
                 raise AnalysisError(
                     f"run {entry.manifest.run_id!r} predicts for row {row_id}, "
-                    f"but the corpus has {len(table.rows)} rows"
+                    f"but the corpus has {len(table)} rows"
                 )
-            reference = table.rows[row_id]
-            label = reference.labels[0]
+            label = table.labels[row_id][0]
             if label not in kept:
                 continue
-            # reference.parse is canonical, so a byte-equal prediction needs no parse.
+            # reference is canonical, so a byte-equal prediction needs no parse.
+            reference = table.parse[row_id]
             try:
-                hit = (predicted == reference.parse
-                       or canonical_frame(predicted)[0] == reference.parse)
+                hit = predicted == reference or canonical_frame(predicted)[0] == reference
             except FrameParseError:
                 hit = False  # unparseable prediction is simply a miss
             per_intent.setdefault(label, []).append(hit)

@@ -61,7 +61,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    table = load_corpus(args.corpus, args.format)
+    table = load_corpus(args.corpus)
     spec = sampling.SubsetSpec(args.domain, args.algorithm, args.size, args.seed)
     subset = sampling.sample(table, spec)
     _emit(dumps(subset) + "\n", args.out)
@@ -127,7 +127,7 @@ def _make_runner(args, table):
 
 
 def cmd_run(args) -> int:
-    table = load_corpus(args.corpus, args.format)
+    table = load_corpus(args.corpus)
     schedule = sampling.make_schedule(args.n)
     manifests = build_manifests(
         table, args.target, schedule,
@@ -160,7 +160,7 @@ def cmd_report(args) -> int:
 
 def cmd_complexity(args) -> int:
     ledger = load_ledger(args.ledger)
-    table = load_corpus(args.corpus, args.format)
+    table = load_corpus(args.corpus)
     if args.annotations:
         annotations = analysis.load_annotations(args.annotations)
     else:
@@ -221,6 +221,13 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
 
 
+def _points(text: str) -> int:
+    """argparse type of --n: a schedule needs at least 2 points."""
+    if not text.strip().isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"not an integer >= 2: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dataeff",
@@ -230,12 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="print the logarithmic subset-size schedule")
-    p.add_argument("--n", type=int, default=10, help="number of schedule points (>= 2)")
+    p.add_argument("--n", type=_points, default=10, help="number of schedule points (>= 2)")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("sample", help="draw a subset of a target domain's train rows")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["tsv", "jsonl"], default=None)
     p.add_argument("--domain", required=True)
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
     p.add_argument("--size", type=_finite, required=True,
@@ -259,12 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full protocol and write a ledger")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["tsv", "jsonl"], default=None)
     p.add_argument("--target", required=True, help="target domain")
     p.add_argument("--runner", default="simulate", help="'simulate' or 'exec:COMMAND'")
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--out", required=True, help="ledger JSON path")
-    p.add_argument("--n", type=int, default=10, help="schedule points")
+    p.add_argument("--n", type=_points, default=10, help="schedule points (>= 2)")
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
     p.add_argument("--model-id", default="parser")
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
@@ -290,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complexity", help="per-complexity-class discrete curves")
     p.add_argument("--ledger", required=True, help="ledger JSON with predictions")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["tsv", "jsonl"], default=None)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--annotations", help="intent,class CSV path")
     group.add_argument("--domain", help="use packaged annotations for this domain")
@@ -318,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "schedule" and args.n < 2:
-        parser.error("--n must be >= 2")
     if args.command == "run" and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.command == "compare" and not args.reference and not args.curves:

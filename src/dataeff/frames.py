@@ -239,8 +239,3 @@ def ontology_labels(frame: Frame) -> Counter:
             counts[node.text] += 1
             stack.extend(node.children)
     return counts
-
-
-def root_intent(frame: Frame) -> str:
-    """Label of the root intent node."""
-    return frame.root.text

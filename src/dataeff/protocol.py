@@ -23,7 +23,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import CorpusRow, CorpusTable
+from .corpus import CorpusTable
 from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
 from .jsonio import dumps, from_dict, loads
@@ -245,12 +245,6 @@ def _clamp_em(value: float) -> float:
     return min(max(value, 0.0), 100.0)
 
 
-def _corrupt(row: CorpusRow) -> str:
-    """A prediction guaranteed to differ: the root intent label is rewritten."""
-    root = row.labels[0]
-    return f"[{root}_WRONG{row.parse[len(root) + 1:]}"
-
-
 def simulated_run(
     manifest: Manifest,
     config: SimulatedRunnerConfig,
@@ -277,12 +271,13 @@ def simulated_run(
         rows = []
         hits = 0
         for row_id in manifest.test_rows:
-            row = table.rows[row_id]
+            parse = table.parse[row_id]
             if stream.unit() < em / 100.0:
                 hits += 1
-                rows.append((row_id, row.parse))
-            else:
-                rows.append((row_id, _corrupt(row)))
+                rows.append((row_id, parse))
+            else:  # a rewritten root intent label guarantees a miss
+                root = table.labels[row_id][0]
+                rows.append((row_id, f"[{root}_WRONG{parse[len(root) + 1:]}"))
         predictions = tuple(rows)
         if rows:
             em = 100.0 * hits / len(rows)

@@ -131,7 +131,7 @@ def spis_sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
     seen: Counter = Counter()
     chosen = []
     for pos in order:
-        labels = table.rows[pos].labels
+        labels = table.labels[pos]
         if any(seen[label] < k for label in labels):
             chosen.append(pos)
             seen.update(labels)
@@ -159,12 +159,11 @@ def subset_size_report(subset: Subset, table: CorpusTable) -> SizeReport:
     domain_total = len(table.row_ids(subset.spec.target_domain, "train"))
     counts: Counter = Counter()
     for pos in subset.row_ids:
-        row = table.rows[pos]
-        if row.domain != subset.spec.target_domain or row.split != "train":
+        if table.domain[pos] != subset.spec.target_domain or table.split[pos] != "train":
             raise SamplingError(
                 f"row {pos} is not a train row of {subset.spec.target_domain!r}"
             )
-        counts.update(row.labels)
+        counts.update(table.labels[pos])
     count = len(subset.row_ids)
     percent = 100.0 * count / domain_total if domain_total else 0.0
     return SizeReport(count, percent, counts)

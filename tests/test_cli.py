@@ -63,6 +63,14 @@ def test_schedule_usage_error():
     assert proc.returncode == 2
 
 
+def test_run_with_one_schedule_point_is_usage_error(corpus, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    proc = run_cli("run", "--corpus", corpus, "--target", "weather", "--n", 1, "--out", ledger)
+    assert proc.returncode == 2
+    assert "argument --n: not an integer >= 2: '1'" in proc.stderr
+    assert not ledger.exists()
+
+
 def test_sample_uniform_size(corpus, tmp_path):
     out = tmp_path / "subset.json"
     proc = run_cli(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dataeff.corpus import SPLITS, CorpusRow, load_corpus, save_corpus
+from dataeff.corpus import SPLITS, CorpusRow, CorpusTable, load_corpus, save_corpus
 from dataeff.errors import CorpusError, DataEffError
 
 from conftest import write_tsv
@@ -250,3 +250,74 @@ def test_rows_with_one_bracket_structure_share_labels(tmp_path):
     table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
     assert table.rows[0].labels is table.rows[1].labels
     assert table.rows[2].labels == ("IN:GET_WEATHER", "SL:DATE_TIME")
+
+
+TSV_HEADER = "domain\tutterance\tsemantic_parse\tsplit\n"
+GOOD_TSV_ROW = "weather\thi\t[IN:GET_WEATHER hi ]\ttrain\n"
+GOOD_JSONL_ROW = '{"domain": "weather", "utterance": "hi", "semantic_parse": "[IN:GET_WEATHER hi ]"}\n'
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("none.tsv", "", "line 1: TSV corpus has no header row"),
+    ("header.tsv", "domain\ttext\tparse\nweather\thi\t[IN:X ]\n",
+     "line 1: TSV header must be ['domain', 'utterance', 'semantic_parse'] "
+     "(optional trailing 'split'), got ['domain', 'text', 'parse']"),
+    ("fields.tsv", TSV_HEADER + GOOD_TSV_ROW + "weather\tonly two\n",
+     "line 3: expected 4 tab-separated fields, got 2"),
+    ("domain.tsv", TSV_HEADER + GOOD_TSV_ROW + "\thi\t[IN:GET_WEATHER hi ]\ttrain\n",
+     "line 3: empty domain"),
+    ("domain.jsonl", GOOD_JSONL_ROW + GOOD_JSONL_ROW.replace('"weather"', '""'),
+     "line 2: empty domain"),
+    ("order.tsv", TSV_HEADER + "\tx\t[SL:X y ]\tdev\n", "line 2: empty domain"),
+    ("split.tsv", TSV_HEADER + "weather\tx\t[SL:X y ]\tdev\n", f"line 2: {UNKNOWN_SPLIT}"),
+    ("frame.tsv", TSV_HEADER + GOOD_TSV_ROW + "weather\tx\t[IN:A x [SL:B y ] ] z\ttrain\n",
+     "line 3: bad frame: trailing garbage after frame: 'z' (offset 20)"),
+    ("open.jsonl", GOOD_JSONL_ROW + '{"domain": "w", "utterance": "x", "semantic_parse": "[IN:A x"}\n',
+     "line 2: bad frame: unbalanced brackets: missing ']' (offset 0)"),
+    ("json.jsonl", GOOD_JSONL_ROW + "\n" + '{"domain": "weather",\n',
+     "line 3: JSONL row: invalid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 22 (char 21)"),
+    ("key.jsonl", '{"domain": "weather", "utterance": "hi"}\n',
+     "line 1: JSONL row: semantic_parse: missing"),
+])
+def test_load_errors_keep_their_text(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split(":")[0].removeprefix("line "))
+
+
+def test_load_fills_columns_without_building_rows(tmp_path, monkeypatch):
+    rows = [("weather", "a", "[IN:GET_WEATHER a  [SL:LOCATION b ] ]", "train"),
+            ("alarm", "c", "[IN:CREATE_ALARM c ]", "test"),
+            ("weather", "d", "[IN:GET_WEATHER [SL:LOCATION d ] e ]", "eval"),
+            ("weather", "f", "[IN:GET_WEATHER [SL:DATE_TIME f ] ]", "train")]
+    from_rows = CorpusTable([CorpusRow(*row) for row in rows])
+    path = write_tsv(tmp_path / "corpus.tsv", rows)
+
+    def refuse(row):
+        raise AssertionError("load_corpus built a CorpusRow")
+
+    monkeypatch.setattr(CorpusRow, "__post_init__", refuse)
+    table = load_corpus(path)
+    assert table.domain == ("weather", "alarm", "weather", "weather")
+    assert table.utterance == ("a", "c", "d", "f")
+    assert table.parse[0] == "[IN:GET_WEATHER a [SL:LOCATION b ] ]"
+    assert table.split == ("train", "test", "eval", "train")
+    assert table.labels[1] == ("IN:CREATE_ALARM",)
+    assert table.row_ids("weather", "train") == (0, 3)
+    for column in ("domain", "utterance", "parse", "split", "labels"):
+        assert getattr(table, column) == getattr(from_rows, column)
+    for loaded in (table, from_rows):
+        assert loaded.labels[0] is loaded.labels[2]
+        assert loaded.labels[0] is not loaded.labels[3]
+    monkeypatch.undo()
+    assert table.rows is table.rows
+    assert table.rows == tuple(CorpusRow(*row) for row in rows)
+
+
+def test_table_of_rows_checks_rows_as_load_does():
+    with pytest.raises(CorpusError, match="^empty domain$"):
+        CorpusTable([CorpusRow("", "u", "[IN:GET_WEATHER u ]")])

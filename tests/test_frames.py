@@ -13,7 +13,6 @@ from dataeff.frames import (
     exact_match,
     ontology_labels,
     parse_frame,
-    root_intent,
     serialize_frame,
     _skeletons,
     _tokens,
@@ -189,7 +188,7 @@ def test_canonical_frame_agrees_with_reference_parser():
         canonical, labels = canonical_frame(text)
         assert canonical == serialize_frame(tree)
         assert Counter(labels) == ontology_labels(tree)
-        assert labels[0] == root_intent(tree)
+        assert labels[0] == tree.root.text
         assert parse_frame(text) == tree
 
 
