@@ -6,7 +6,6 @@ domain and inspect their realized sizes and label coverage.
 """
 
 from dataeff import (
-    CorpusRow,
     CorpusTable,
     SubsetSpec,
     make_schedule,
@@ -23,17 +22,17 @@ print("schedule raw :", [round(v, 2) for v in schedule.raw])
 print("schedule size:", list(schedule.sizes))
 print()
 
-# A toy target domain: 600 weather rows, three intents with skewed frequency.
+# A toy target domain: 600 weather train rows, three intents with skewed
+# frequency. A row is a (domain, utterance, semantic parse, split) tuple.
 rows = []
 for i in range(480):
-    rows.append(CorpusRow("weather", f"forecast {i}",
-                          "[IN:GET_WEATHER forecast [SL:LOCATION here ] ]"))
+    rows.append(("weather", f"forecast {i}",
+                 "[IN:GET_WEATHER forecast [SL:LOCATION here ] ]", "train"))
 for i in range(100):
-    rows.append(CorpusRow("weather", f"sunrise {i}",
-                          "[IN:GET_SUNRISE when [SL:DATE_TIME tomorrow ] ]"))
+    rows.append(("weather", f"sunrise {i}",
+                 "[IN:GET_SUNRISE when [SL:DATE_TIME tomorrow ] ]", "train"))
 for i in range(20):
-    rows.append(CorpusRow("weather", f"sunset {i}",
-                          "[IN:GET_SUNSET when ]"))
+    rows.append(("weather", f"sunset {i}", "[IN:GET_SUNSET when ]", "train"))
 table = CorpusTable(rows)
 
 # Uniform sampling: size is a fixed percent of the domain, known in advance.

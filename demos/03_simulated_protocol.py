@@ -9,7 +9,6 @@ demo_out/.
 from pathlib import Path
 
 from dataeff import (
-    CorpusRow,
     CorpusTable,
     ReportSpec,
     SimulatedRunner,
@@ -26,16 +25,14 @@ from dataeff import (
 # Target domain "weather" plus a high-resource source domain "alarm".
 rows = []
 for i in range(800):
-    rows.append(CorpusRow("weather", f"forecast {i}",
-                          "[IN:GET_WEATHER forecast [SL:LOCATION here ] ]"))
+    rows.append(("weather", f"forecast {i}",
+                 "[IN:GET_WEATHER forecast [SL:LOCATION here ] ]", "train"))
 for i in range(60):
-    rows.append(CorpusRow("weather", f"eval {i}",
-                          "[IN:GET_WEATHER check ]", "eval"))
+    rows.append(("weather", f"eval {i}", "[IN:GET_WEATHER check ]", "eval"))
 for i in range(120):
-    rows.append(CorpusRow("weather", f"test {i}",
-                          "[IN:GET_WEATHER test ]", "test"))
+    rows.append(("weather", f"test {i}", "[IN:GET_WEATHER test ]", "test"))
 for i in range(2000):
-    rows.append(CorpusRow("alarm", f"wake {i}", "[IN:CREATE_ALARM wake ]"))
+    rows.append(("alarm", f"wake {i}", "[IN:CREATE_ALARM wake ]", "train"))
 table = CorpusTable(rows)
 
 # Stage 1: one manifest per (schedule size, seed).

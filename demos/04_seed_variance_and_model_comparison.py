@@ -7,7 +7,6 @@ measured on production parsers at full scale.
 """
 
 from dataeff import (
-    CorpusRow,
     CorpusTable,
     SimulatedRunner,
     SimulatedRunnerConfig,
@@ -21,11 +20,9 @@ from dataeff import (
     run_protocol,
 )
 
-rows = [
-    CorpusRow("reminder", f"remind {i}", "[IN:CREATE_REMINDER note ]")
-    for i in range(600)
-]
-rows += [CorpusRow("alarm", f"wake {i}", "[IN:CREATE_ALARM wake ]")
+rows = [("reminder", f"remind {i}", "[IN:CREATE_REMINDER note ]", "train")
+        for i in range(600)]
+rows += [("alarm", f"wake {i}", "[IN:CREATE_ALARM wake ]", "train")
          for i in range(1500)]
 table = CorpusTable(rows)
 schedule = make_schedule(10)

@@ -8,7 +8,6 @@ within each class: harder classes should sit lower at small subset sizes.
 
 from dataeff import (
     ComplexityClass,
-    CorpusRow,
     CorpusTable,
     SimulatedRunner,
     SimulatedRunnerConfig,
@@ -39,12 +38,10 @@ print()
 rows = []
 for intent in ("IN:PLAY_MUSIC", "IN:STOP_MUSIC", "IN:CREATE_PLAYLIST_MUSIC"):
     for i in range(120):
-        rows.append(CorpusRow("music", f"{intent} {i}", f"[{intent} x{i} ]"))
+        rows.append(("music", f"{intent} {i}", f"[{intent} x{i} ]", "train"))
     for i in range(25):
-        rows.append(
-            CorpusRow("music", f"{intent} test {i}", f"[{intent} y{i} ]", "test")
-        )
-rows += [CorpusRow("event", f"event {i}", "[IN:GET_EVENT go ]")
+        rows.append(("music", f"{intent} test {i}", f"[{intent} y{i} ]", "test"))
+rows += [("event", f"event {i}", "[IN:GET_EVENT go ]", "train")
          for i in range(400)]
 table = CorpusTable(rows)
 

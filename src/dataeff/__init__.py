@@ -26,12 +26,7 @@ from .analysis import (
     per_intent_points,
     reference_comparison,
 )
-from .corpus import (
-    CorpusRow,
-    CorpusTable,
-    load_corpus,
-    save_corpus,
-)
+from .corpus import CorpusTable, load_corpus, save_corpus
 from .curve import (
     CurveModel,
     EfficiencyPoint,
@@ -84,7 +79,6 @@ __all__ = [
     "ComparisonTable",
     "ComplexityAnnotations",
     "ComplexityClass",
-    "CorpusRow",
     "CorpusTable",
     "CurveModel",
     "DataEffError",

@@ -65,7 +65,7 @@ def load_annotations(path: str | Path, domain: str | None = None) -> ComplexityA
     if domain is None:
         domain = path.stem
     classes: dict[str, ComplexityClass] = {}
-    with path.open(encoding="utf-8", newline="") as handle:
+    with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["intent", "class"]:

@@ -45,7 +45,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_points_file(path: str):
     """Points from a CSV, a JSON array of point objects, or a ledger JSON."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return ledger_to_curve(Ledger.from_json(text, path))
@@ -121,9 +121,7 @@ def _make_runner(args, table):
             emit_predictions=args.emit_predictions,
         )
         return SimulatedRunner(config, table)
-    if args.runner.startswith("exec:"):
-        return CommandRunner(args.runner[len("exec:"):])
-    raise DataEffError(f"runner must be 'simulate' or 'exec:COMMAND', got {args.runner!r}")
+    return CommandRunner(args.runner[len("exec:"):])
 
 
 def cmd_run(args) -> int:
@@ -192,7 +190,7 @@ def cmd_compare(args) -> int:
 
 def _read_frames(path: str):
     frames = []
-    for lineno, line in enumerate(split_lines(Path(path).read_text(encoding="utf-8")), 1):
+    for lineno, line in enumerate(split_lines(Path(path).read_text(encoding="utf-8-sig")), 1):
         if not line.strip():
             continue
         try:
@@ -221,11 +219,22 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
 
 
-def _points(text: str) -> int:
-    """argparse type of --n: a schedule needs at least 2 points."""
-    if not text.strip().isdecimal() or int(text) < 2:
-        raise argparse.ArgumentTypeError(f"not an integer >= 2: {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """argparse type of an integer option with a lower bound."""
+
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"not an integer >= {low}: {text!r}")
+        return int(text)
+
+    return parse
+
+
+def _runner(text: str) -> str:
+    """argparse type of --runner: 'simulate', or 'exec:' and a command."""
+    if text != "simulate" and not (text.startswith("exec:") and text[len("exec:"):].strip()):
+        raise argparse.ArgumentTypeError(f"not 'simulate' or 'exec:COMMAND': {text!r}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="print the logarithmic subset-size schedule")
-    p.add_argument("--n", type=_points, default=10, help="number of schedule points (>= 2)")
+    p.add_argument("--n", type=_at_least(2), default=10, help="number of schedule points (>= 2)")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("sample", help="draw a subset of a target domain's train rows")
@@ -266,13 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full protocol and write a ledger")
     p.add_argument("--corpus", required=True)
     p.add_argument("--target", required=True, help="target domain")
-    p.add_argument("--runner", default="simulate", help="'simulate' or 'exec:COMMAND'")
+    p.add_argument("--runner", type=_runner, default="simulate",
+                   help="'simulate' or 'exec:COMMAND'")
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--out", required=True, help="ledger JSON path")
-    p.add_argument("--n", type=_points, default=10, help="schedule points (>= 2)")
+    p.add_argument("--n", type=_at_least(2), default=10, help="schedule points (>= 2)")
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
     p.add_argument("--model-id", default="parser")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel runs (>= 1)")
     p.add_argument("--truth", type=_finite, nargs=3, default=[-27.26, 0.35, 97.79],
                    metavar=("A", "B", "C"), help="simulator truth curve")
     p.add_argument("--noise", type=_finite, default=0.0, help="simulator EM noise sigma")
@@ -322,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.command == "compare" and not args.reference and not args.curves:
         parser.error("compare needs --curves NAME=FILE ... --em Y ... or --reference DOMAIN")
     if args.command == "compare" and args.curves and not args.em:

@@ -1,9 +1,10 @@
 """Corpus ingestion and per-domain bookkeeping.
 
 Corpora arrive as TSV (header ``domain<TAB>utterance<TAB>semantic_parse`` with
-an optional ``split`` column) or JSONL (one object per line, same keys). Rows
-end at ``\n`` or ``\r\n`` only. Each row's frame is validated and
-canonicalized eagerly, so corruption surfaces at load time with a line number.
+an optional ``split`` column) or JSONL (one object per line, same keys). A
+leading UTF-8 byte-order mark is skipped. Rows end at ``\n`` or ``\r\n`` only.
+Each row's frame is validated and canonicalized eagerly, so corruption
+surfaces at load time with a line number.
 A table keeps columns of canonical frame text and labels, not row objects or
 trees. Row order is preserved because sampling determinism depends on it.
 """
@@ -12,8 +13,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorpusError, FrameParseError, InputError, UnknownDomainError
@@ -23,46 +23,20 @@ from .jsonio import from_dict, loads
 SPLITS = ("train", "eval", "test")
 
 
-def _split(name: str, line: int | None = None) -> str:
-    """The SPLITS entry equal to name; CorpusError for any other name."""
-    if name not in SPLITS:
-        raise CorpusError(f"unknown split {name!r} (expected one of {SPLITS})", line)
-    return SPLITS[SPLITS.index(name)]
-
-
-@dataclass(frozen=True, slots=True)
-class CorpusRow:
-    """One corpus row; raises CorpusError for a split not in SPLITS and
-    FrameParseError if ``parse`` is not a valid frame.
-
-    ``parse`` is stored as canonical frame text, so exact match against it is
-    string equality. ``labels`` holds the frame's interned intent and slot
-    labels in pre-order: ``labels[0]`` is the root intent. Rows with the same
-    bracket structure share one ``labels`` tuple.
-    """
-
-    domain: str
-    utterance: str
-    parse: str
-    split: str = "train"
-    labels: tuple[str, ...] = field(init=False)
-
-    def __post_init__(self):
-        _split(self.split)
-        parse, labels = canonical_frame(self.parse)
-        object.__setattr__(self, "parse", parse)
-        object.__setattr__(self, "labels", labels)
-
-
 class CorpusTable:
     """Immutable, order-preserving corpus columns indexed by domain and split.
 
-    Row ``i`` is ``domain[i]``, ``utterance[i]``, ``parse[i]``, ``split[i]`` and
-    ``labels[i]``, as in CorpusRow; rows share each distinct domain, split and label.
+    Built from ``(domain, utterance, parse, split)`` tuples, checked as
+    ``load_corpus`` checks a file's rows. Row ``i`` is ``domain[i]``,
+    ``utterance[i]``, ``parse[i]`` (canonical frame text, so exact match is
+    string equality), ``split[i]`` (the ``SPLITS`` entry) and ``labels[i]`` (the
+    frame's interned intent and slot labels in pre-order, root intent first).
+    Rows share each distinct domain and split, and rows with the same bracket
+    structure share one ``labels`` tuple.
     """
 
-    def __init__(self, rows: Iterable[CorpusRow] = ()):
-        self._fill((None, row.domain, row.utterance, row.parse, row.split) for row in rows)
+    def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
+        self._fill((None, *row) for row in rows)
 
     def _fill(self, rows: Iterable[tuple]) -> None:
         """Check (line number, domain, utterance, frame, split) rows into the columns."""
@@ -71,7 +45,10 @@ class CorpusTable:
         for lineno, name, text, frame, split_name in rows:
             if not name:
                 raise CorpusError("empty domain", lineno)
-            split_name = _split(split_name, lineno)
+            if split_name not in SPLITS:
+                raise CorpusError(
+                    f"unknown split {split_name!r} (expected one of {SPLITS})", lineno)
+            split_name = SPLITS[SPLITS.index(split_name)]
             try:
                 frame, frame_labels = canonical_frame(frame)
             except FrameParseError as exc:
@@ -91,11 +68,6 @@ class CorpusTable:
             name: {s: tuple(ids) for s, ids in per_split.items()}
             for name, (_, per_split) in index.items()
         }
-
-    @cached_property
-    def rows(self) -> tuple[CorpusRow, ...]:
-        """The rows as CorpusRow objects, built on first access."""
-        return tuple(map(CorpusRow, self.domain, self.utterance, self.parse, self.split))
 
     def __len__(self) -> int:
         return len(self.parse)
@@ -182,7 +154,7 @@ def load_corpus(path: str | Path) -> CorpusTable:
     """
     path = Path(path)
     try:
-        lines = split_lines(path.read_text(encoding="utf-8"))
+        lines = split_lines(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     fields = _jsonl_fields if path.suffix.lower() in (".jsonl", ".json") else _tsv_fields
@@ -192,7 +164,15 @@ def load_corpus(path: str | Path) -> CorpusTable:
 
 
 def save_corpus(table: CorpusTable, path: str | Path) -> None:
-    """Write a table back out as TSV with an explicit split column."""
+    """Write a table back out as TSV with an explicit split column.
+
+    A domain or utterance holding a tab or a newline raises CorpusError before
+    anything is written: the TSV would not load back.
+    """
+    for i, (domain, utterance) in enumerate(zip(table.domain, table.utterance)):
+        if any(c in domain or c in utterance for c in "\t\n"):
+            raise CorpusError(f"row {i} ({domain!r}, {utterance!r}) holds a tab or newline; "
+                              "a TSV corpus cannot carry it")
     lines = ["domain\tutterance\tsemantic_parse\tsplit"]
     lines += map("\t".join, zip(table.domain, table.utterance, table.parse, table.split))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -68,16 +68,6 @@ class CurveModel:
         return self.a < 0.0 and 0.0 < self.c < 200.0
 
 
-def points_to_csv(points: list["EfficiencyPoint"]) -> str:
-    """CSV with header subset_percent,exact_match,seed,model_id,domain."""
-    lines = ["subset_percent,exact_match,seed,model_id,domain"]
-    for p in points:
-        lines.append(
-            f"{p.subset_percent:.10g},{p.exact_match:.10g},{p.seed},{p.model_id},{p.domain}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def points_from_csv(text: str) -> list["EfficiencyPoint"]:
     """Parse a points CSV; seed/model_id/domain columns are optional."""
     import csv

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dataeff.corpus import CorpusRow, CorpusTable
+from dataeff.corpus import CorpusTable
 from dataeff.frames import Frame, FrameNode
 
 _INTENTS = ("IN:GET_WEATHER", "IN:GET_SUNRISE", "IN:GET_SUNSET", "IN:CREATE_ALARM",
@@ -37,16 +37,9 @@ def random_frame(rng: random.Random, max_depth: int = 4, max_branch: int = 4) ->
 
 
 def make_rows(domain, n, split="train", intent="IN:GET_WEATHER", token="forecast"):
-    """n simple one-slot rows for one domain/split."""
-    return [
-        CorpusRow(
-            domain,
-            f"{token} {i}",
-            f"[{intent} {token} [SL:LOCATION spot ] ]",
-            split,
-        )
-        for i in range(n)
-    ]
+    """n simple one-slot (domain, utterance, parse, split) rows for one domain/split."""
+    return [(domain, f"{token} {i}", f"[{intent} {token} [SL:LOCATION spot ] ]", split)
+            for i in range(n)]
 
 
 @pytest.fixture
@@ -61,8 +54,13 @@ def weather_table():
     return CorpusTable(rows)
 
 
+def columns(table):
+    """A CorpusTable's columns, for comparing whole tables."""
+    return table.domain, table.utterance, table.parse, table.split, table.labels
+
+
 def write_tsv(path, rows, with_split=True):
-    """Write CorpusRow-like tuples (domain, utterance, parse[, split]) as corpus TSV."""
+    """Write (domain, utterance, parse[, split]) tuples as corpus TSV."""
     header = "domain\tutterance\tsemantic_parse" + ("\tsplit" if with_split else "")
     lines = [header]
     for row in rows:

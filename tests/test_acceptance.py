@@ -19,7 +19,7 @@ from dataeff.analysis import (
     per_class_curves,
     reference_comparison,
 )
-from dataeff.corpus import CorpusRow, CorpusTable
+from dataeff.corpus import CorpusTable
 from dataeff.curve import CurveModel, EfficiencyPoint, evaluate, fit_curve, invert
 from dataeff.frames import exact_match, ontology_labels, parse_frame, serialize_frame
 from dataeff.jsonio import dumps
@@ -124,7 +124,7 @@ def test_criterion_05_spis_coverage():
         frames = [random_frame(rng, max_depth=3, max_branch=3)
                   for _ in range(rng.randint(4, 30))]
         rows = [
-            CorpusRow("synth", f"u{i}", serialize_frame(frame), "train")
+            ("synth", f"u{i}", serialize_frame(frame), "train")
             for i, frame in enumerate(frames)
         ]
         table = CorpusTable(rows)

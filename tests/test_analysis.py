@@ -11,7 +11,7 @@ from dataeff.analysis import (
     per_intent_points,
     reference_comparison,
 )
-from dataeff.corpus import CorpusRow, CorpusTable
+from dataeff.corpus import CorpusTable
 from dataeff.curve import CurveModel, EfficiencyPoint
 from dataeff.errors import AnalysisError, AnnotationError
 from dataeff.protocol import (
@@ -116,10 +116,8 @@ def _music_test_table():
     rows = []
     for intent, count in (("IN:PLAY_MUSIC", 12), ("IN:STOP_MUSIC", 10), ("IN:LIKE_MUSIC", 9)):
         for i in range(count):
-            rows.append(
-                CorpusRow("music", f"{intent} {i}", f"[{intent} song{i} ]", "test")
-            )
-    rows.append(CorpusRow("music", "train row", "[IN:PLAY_MUSIC x ]", "train"))
+            rows.append(("music", f"{intent} {i}", f"[{intent} song{i} ]", "test"))
+    rows.append(("music", "train row", "[IN:PLAY_MUSIC x ]", "train"))
     return CorpusTable(rows)
 
 
@@ -137,11 +135,10 @@ def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally w
     wrong_text; each function in rewrites then rewrites the next PLAY row's text."""
     predictions = []
     edits = [lambda text: wrong_text] * wrong_play + list(rewrites)
-    for pos, row in enumerate(table.rows):
-        if row.split != "test":
+    for pos, (split, text, labels) in enumerate(zip(table.split, table.parse, table.labels)):
+        if split != "test":
             continue
-        text = row.parse
-        if row.labels[0] == "IN:PLAY_MUSIC" and edits:
+        if labels[0] == "IN:PLAY_MUSIC" and edits:
             text = edits.pop(0)(text)
         predictions.append((pos, text))
     ledger = Ledger()

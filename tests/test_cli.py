@@ -5,10 +5,12 @@ import sys
 import pytest
 
 from dataeff import cli
+from dataeff.analysis import load_annotations
+from dataeff.corpus import load_corpus
 from dataeff.curve import CurveModel
 from dataeff.jsonio import dumps
 
-from conftest import simple_corpus_rows, write_tsv
+from conftest import columns, simple_corpus_rows, write_tsv
 
 CANONICAL = (-27.26, 0.35, 97.79)
 
@@ -472,3 +474,43 @@ def test_ledger_with_non_json_number_is_data_error(corpus, tmp_path):
         proc = run_cli(*argv)
         assert proc.returncode == 1
         assert f"{ledger}: invalid JSON: NaN is not a JSON number" in proc.stderr
+
+
+def _load_columns(path):
+    return columns(load_corpus(path))
+
+
+BOM_CASES = {  # file name: (text, reader)
+    "corpus.tsv": ("domain\tutterance\tsemantic_parse\tsplit\n"
+                   "weather\thi\t[IN:GET_WEATHER hi ]\ttest\n", _load_columns),
+    "corpus.jsonl": ('{"domain": "weather", "utterance": "hi", '
+                     '"semantic_parse": "[IN:GET_WEATHER hi ]"}\n', _load_columns),
+    "music.csv": ("intent,class\nIN:PLAY_MUSIC,open\n", load_annotations),
+    "points.csv": ("subset_percent,exact_match\n1,70\n12,88\n", cli._load_points_file),
+    "frames.txt": ("[IN:GET_WEATHER hi ]\n[IN:STOP_MUSIC ]\n", cli._read_frames),
+}
+
+
+@pytest.mark.parametrize("name", BOM_CASES)
+def test_text_files_accept_a_byte_order_mark(tmp_path, name):
+    text, read = BOM_CASES[name]
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    plain, bom = tmp_path / "plain" / name, tmp_path / "bom" / name
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(str(bom)) == read(str(plain))
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--runner", "foo"), ("--runner", "exec:"), ("--runner", "exec:  "),
+    ("--jobs", "0"), ("--jobs", "-1"),
+])
+def test_run_usage_errors_exit_before_reading_the_corpus(tmp_path, option, value):
+    ledger = tmp_path / "ledger.json"
+    proc = run_cli("run", "--corpus", tmp_path / "missing.tsv", "--target", "weather",
+                   option, value, "--out", ledger)
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument {option}: " in proc.stderr
+    assert not ledger.exists()

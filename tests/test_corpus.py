@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from dataeff.corpus import SPLITS, CorpusRow, CorpusTable, load_corpus, save_corpus
+from dataeff.corpus import SPLITS, CorpusTable, load_corpus, save_corpus
 from dataeff.errors import CorpusError, DataEffError
 
-from conftest import write_tsv
+from conftest import columns, write_tsv
 
 
 def test_three_row_tsv(tmp_path):
@@ -70,14 +70,14 @@ def test_split_from_filename_suffix(tmp_path):
         with_split=False,
     )
     table = load_corpus(path)
-    assert table.rows[0].split == "test"
+    assert table.split[0] == "test"
 
 
 def test_split_defaults_to_train(tmp_path):
     path = write_tsv(
         tmp_path / "corpus.tsv", [("weather", "hi", "[IN:GET_WEATHER hi ]")], with_split=False
     )
-    assert load_corpus(path).rows[0].split == "train"
+    assert load_corpus(path).split[0] == "train"
 
 
 def test_jsonl_load(tmp_path):
@@ -88,8 +88,7 @@ def test_jsonl_load(tmp_path):
         encoding="utf-8",
     )
     table = load_corpus(path)
-    assert table.rows[0].split == "eval"
-    assert table.rows[1].split == "train"
+    assert table.split == ("eval", "train")
 
 
 UNKNOWN_SPLIT = "unknown split 'dev' (expected one of ('train', 'eval', 'test'))"
@@ -97,7 +96,7 @@ UNKNOWN_SPLIT = "unknown split 'dev' (expected one of ('train', 'eval', 'test'))
 
 def test_row_rejects_unknown_split():
     with pytest.raises(CorpusError) as exc:
-        CorpusRow("weather", "u", "[IN:GET_WEATHER u ]", "dev")
+        CorpusTable([("weather", "u", "[IN:GET_WEATHER u ]", "dev")])
     assert isinstance(exc.value, DataEffError)
     assert str(exc.value) == UNKNOWN_SPLIT
 
@@ -124,10 +123,10 @@ def test_rows_share_one_object_per_domain_split_and_label(tmp_path):
         domain, split = ("weather", "alarm")[i % 2], SPLITS[i % 3]
         rows.append((domain, f"u{i}", f"[IN:GET_{domain.upper()} x [SL:DATE_TIME y ] ]", split))
     table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
-    labels = [label for row in table.rows for label in row.labels]
-    for values in ([row.domain for row in table.rows], [row.split for row in table.rows], labels):
+    labels = [label for row_labels in table.labels for label in row_labels]
+    for values in (table.domain, table.split, labels):
         assert len({id(value) for value in values}) == len(set(values))
-    assert all(row.split is SPLITS[SPLITS.index(row.split)] for row in table.rows)
+    assert all(split is SPLITS[SPLITS.index(split)] for split in table.split)
 
 
 def test_jsonl_missing_key(tmp_path):
@@ -181,7 +180,7 @@ def test_unicode_corpus_round_trip(tmp_path):
     table = load_corpus(path)
     out = tmp_path / "uni_out.tsv"
     save_corpus(table, out)
-    assert load_corpus(out).rows == table.rows
+    assert columns(load_corpus(out)) == columns(table)
 
 
 # Characters str.splitlines() treats as line ends; a corpus row ends only at
@@ -197,9 +196,9 @@ def test_tsv_row_keeps_other_line_breaks(tmp_path):
     ]
     table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
     assert len(table) == 2
-    assert table.rows[0].utterance == utterance
-    assert table.rows[0].parse == "[IN:GET_WEATHER rain today ]"
-    assert table.rows[1].split == "test"
+    assert table.utterance[0] == utterance
+    assert table.parse[0] == "[IN:GET_WEATHER rain today ]"
+    assert table.split[1] == "test"
     path = write_tsv(tmp_path / "bad.tsv", rows + [("weather", "x", "[SL:X y ]", "train")])
     with pytest.raises(CorpusError) as exc:
         load_corpus(path)
@@ -222,8 +221,8 @@ def test_jsonl_row_keeps_other_line_breaks(tmp_path):
     assert exc.value.line == 3
     path.write_text(text.rsplit("{", 1)[0], encoding="utf-8")
     table = load_corpus(path)
-    assert [row.utterance for row in table.rows] == [utterance, "stop"]
-    assert table.rows[0].parse == "[IN:PLAY_MUSIC jazz ]"
+    assert table.utterance == (utterance, "stop")
+    assert table.parse[0] == "[IN:PLAY_MUSIC jazz ]"
 
 
 def test_crlf_corpus_loads(tmp_path):
@@ -235,12 +234,12 @@ def test_crlf_corpus_loads(tmp_path):
         load_corpus(tsv)
     assert exc.value.line == 3
     tsv.write_bytes(tsv.read_bytes().rsplit(b"weather", 1)[0])
-    row = load_corpus(tsv).rows[0]
-    assert (row.utterance, row.parse, row.split) == ("hi", "[IN:GET_WEATHER hi ]", "test")
+    table = load_corpus(tsv)
+    assert columns(table)[1:4] == (("hi",), ("[IN:GET_WEATHER hi ]",), ("test",))
     jsonl = tmp_path / "corpus.jsonl"
     jsonl.write_bytes(b'{"domain": "weather", "utterance": "hi", '
                       b'"semantic_parse": "[IN:GET_WEATHER hi ]"}\r\n\r\n')
-    assert load_corpus(jsonl).rows[0].parse == "[IN:GET_WEATHER hi ]"
+    assert load_corpus(jsonl).parse == ("[IN:GET_WEATHER hi ]",)
 
 
 def test_rows_with_one_bracket_structure_share_labels(tmp_path):
@@ -248,8 +247,8 @@ def test_rows_with_one_bracket_structure_share_labels(tmp_path):
             ("weather", "c", "[IN:GET_WEATHER [SL:LOCATION c d ] e ]", "test"),
             ("weather", "f", "[IN:GET_WEATHER [SL:DATE_TIME f ] ]", "train")]
     table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
-    assert table.rows[0].labels is table.rows[1].labels
-    assert table.rows[2].labels == ("IN:GET_WEATHER", "SL:DATE_TIME")
+    assert table.labels[0] is table.labels[1]
+    assert table.labels[2] == ("IN:GET_WEATHER", "SL:DATE_TIME")
 
 
 TSV_HEADER = "domain\tutterance\tsemantic_parse\tsplit\n"
@@ -289,35 +288,49 @@ def test_load_errors_keep_their_text(tmp_path, name, text, message):
     assert exc.value.line == int(message.split(":")[0].removeprefix("line "))
 
 
-def test_load_fills_columns_without_building_rows(tmp_path, monkeypatch):
+def test_load_fills_columns_without_building_rows(tmp_path):
     rows = [("weather", "a", "[IN:GET_WEATHER a  [SL:LOCATION b ] ]", "train"),
             ("alarm", "c", "[IN:CREATE_ALARM c ]", "test"),
             ("weather", "d", "[IN:GET_WEATHER [SL:LOCATION d ] e ]", "eval"),
             ("weather", "f", "[IN:GET_WEATHER [SL:DATE_TIME f ] ]", "train")]
-    from_rows = CorpusTable([CorpusRow(*row) for row in rows])
-    path = write_tsv(tmp_path / "corpus.tsv", rows)
-
-    def refuse(row):
-        raise AssertionError("load_corpus built a CorpusRow")
-
-    monkeypatch.setattr(CorpusRow, "__post_init__", refuse)
-    table = load_corpus(path)
+    from_rows = CorpusTable(rows)
+    table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
     assert table.domain == ("weather", "alarm", "weather", "weather")
     assert table.utterance == ("a", "c", "d", "f")
     assert table.parse[0] == "[IN:GET_WEATHER a [SL:LOCATION b ] ]"
     assert table.split == ("train", "test", "eval", "train")
     assert table.labels[1] == ("IN:CREATE_ALARM",)
-    assert table.row_ids("weather", "train") == (0, 3)
-    for column in ("domain", "utterance", "parse", "split", "labels"):
-        assert getattr(table, column) == getattr(from_rows, column)
     for loaded in (table, from_rows):
+        assert loaded.row_ids("weather", "train") == (0, 3)
         assert loaded.labels[0] is loaded.labels[2]
         assert loaded.labels[0] is not loaded.labels[3]
-    monkeypatch.undo()
-    assert table.rows is table.rows
-    assert table.rows == tuple(CorpusRow(*row) for row in rows)
+        assert not hasattr(loaded, "rows")
+    assert columns(table) == columns(from_rows)
 
 
-def test_table_of_rows_checks_rows_as_load_does():
-    with pytest.raises(CorpusError, match="^empty domain$"):
-        CorpusTable([CorpusRow("", "u", "[IN:GET_WEATHER u ]")])
+def test_table_of_rows_checks_rows_as_load_does(tmp_path):
+    bad_rows = [("", "u", "[IN:GET_WEATHER u ]", "train"),
+                ("weather", "u", "[IN:GET_WEATHER u ]", "dev"),
+                ("weather", "x", "[IN:A x [SL:B y ] ] z", "train")]
+    for row in bad_rows:
+        with pytest.raises(CorpusError) as loaded:
+            load_corpus(write_tsv(tmp_path / "corpus.tsv", [row]))
+        with pytest.raises(CorpusError) as built:
+            CorpusTable([row])
+        assert built.value.line is None
+        assert f"line 2: {built.value}" == str(loaded.value)
+    assert str(built.value) == "bad frame: trailing garbage after frame: 'z' (offset 20)"
+
+
+def test_save_refuses_rows_a_tsv_cannot_carry(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    for domain, utterance in (("weather", "rain\ttoday"), ("wea\nther", "rain")):
+        row = {"domain": domain, "utterance": utterance, "semantic_parse": "[IN:GET_WEATHER x ]"}
+        good = {**row, "domain": "weather", "utterance": "sun"}
+        path.write_text("".join(json.dumps(r) + "\n" for r in (good, row)), encoding="utf-8")
+        table = load_corpus(path)
+        out = tmp_path / "out.tsv"
+        with pytest.raises(CorpusError) as exc:
+            save_corpus(table, out)
+        assert str(exc.value).startswith(f"row 1 ({domain!r}, {utterance!r}) holds a tab")
+        assert not out.exists()

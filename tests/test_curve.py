@@ -14,7 +14,6 @@ from dataeff.curve import (
     fit_curve,
     invert,
     points_from_csv,
-    points_to_csv,
 )
 from dataeff.errors import CurveDomainError, FitError, InputError, UnreachableTargetError
 from dataeff.jsonio import dumps, from_dict
@@ -234,8 +233,9 @@ def test_points_csv_round_trip():
         EfficiencyPoint(1, 70.5, seed=2, model_id="m", domain="weather"),
         EfficiencyPoint(12, 88.25, seed=3, model_id="m", domain="weather"),
     ]
-    again = points_from_csv(points_to_csv(points))
-    assert again == points
+    text = ("subset_percent,exact_match,seed,model_id,domain\n"
+            "1,70.5,2,m,weather\n12,88.25,3,m,weather\n")
+    assert points_from_csv(text) == points
 
 
 def test_points_csv_minimal_columns():

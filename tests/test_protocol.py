@@ -54,7 +54,7 @@ def test_build_manifests_duplicate_seeds_rejected(weather_table):
 def test_zero_percent_manifest_is_source_only(weather_table, manifests):
     zero = manifests[0]
     assert zero.subset_rows == ()
-    assert all(weather_table.rows[i].domain != "weather" for i in zero.train_rows)
+    assert all(weather_table.domain[i] != "weather" for i in zero.train_rows)
 
 
 def test_manifest_disjointness_invariants(weather_table, manifests):
@@ -63,15 +63,15 @@ def test_manifest_disjointness_invariants(weather_table, manifests):
         assert not set(m.train_rows) & set(m.test_rows)
         assert set(m.subset_rows) <= target_train
         source_part = set(m.train_rows) - set(m.subset_rows)
-        assert all(weather_table.rows[i].domain != "weather" for i in source_part)
-        assert all(weather_table.rows[i].split == "test" for i in m.test_rows)
-        assert all(weather_table.rows[i].domain == "weather" for i in m.test_rows)
+        assert all(weather_table.domain[i] != "weather" for i in source_part)
+        assert all(weather_table.split[i] == "test" for i in m.test_rows)
+        assert all(weather_table.domain[i] == "weather" for i in m.test_rows)
 
 
 def test_manifest_eval_rows_cover_both_sides(weather_table, manifests):
-    eval_domains = {weather_table.rows[i].domain for i in manifests[3].eval_rows}
+    eval_domains = {weather_table.domain[i] for i in manifests[3].eval_rows}
     assert eval_domains == {"weather", "alarm"}
-    assert all(weather_table.rows[i].split == "eval" for i in manifests[3].eval_rows)
+    assert all(weather_table.split[i] == "eval" for i in manifests[3].eval_rows)
 
 
 def test_build_manifests_spis_skips_zero(weather_table):
@@ -206,7 +206,7 @@ def test_predictions_mode_reports_realized_em(weather_table, manifests):
     assert len(result.predictions) == len(manifests[9].test_rows)
     hits = 0
     for row_id, predicted in result.predictions:
-        reference = weather_table.rows[row_id].parse
+        reference = weather_table.parse[row_id]
         frame = parse_frame(predicted)  # corrupted frames still parse
         if serialize_frame(frame) == reference:
             hits += 1

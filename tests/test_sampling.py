@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from dataeff.corpus import CorpusRow, CorpusTable
+from dataeff.corpus import CorpusTable
 from dataeff.errors import SamplingError, UnknownDomainError
 from dataeff.frames import ontology_labels, parse_frame, serialize_frame
 from dataeff.jsonio import dumps, from_dict
@@ -120,9 +120,7 @@ def test_uniform_unknown_domain(weather_table):
 
 
 def test_uniform_empty_train_split():
-    table = CorpusTable(
-        [CorpusRow("weather", "hi", "[IN:GET_WEATHER hi ]", "test")]
-    )
+    table = CorpusTable([("weather", "hi", "[IN:GET_WEATHER hi ]", "test")])
     with pytest.raises(SamplingError):
         uniform_sample(table, SubsetSpec("weather", "uniform", 10, 1))
 
@@ -135,7 +133,7 @@ def test_subset_json_round_trip(weather_table):
 
 def _single_intent_table(labels):
     rows = [
-        CorpusRow("toy", f"utt {i}", f"[IN:{label} x ]", "train")
+        ("toy", f"utt {i}", f"[IN:{label} x ]", "train")
         for i, label in enumerate(labels)
     ]
     return CorpusTable(rows)
@@ -170,7 +168,7 @@ def test_spis_six_row_fixture_against_all_orderings():
     # early instead of taking the whole domain.
     labels = ["AAA", "AAA", "AAA", "AAA", "BBB", "BBB"]
     table = _single_intent_table(labels)
-    frames = [parse_frame(row.parse) for row in table.rows]
+    frames = [parse_frame(parse) for parse in table.parse]
     totals = Counter()
     for frame in frames:
         totals.update(ontology_labels(frame))
@@ -184,7 +182,7 @@ def test_spis_six_row_fixture_against_all_orderings():
             assert seen[label] >= min(k, total)
 
     subset = spis_sample(table, SubsetSpec("toy", "spis", k, 3))
-    assert len(subset.row_ids) < len(table.rows)  # stopped early
+    assert len(subset.row_ids) < len(table)  # stopped early
     assert len(subset.row_ids) in sizes
     report = subset_size_report(subset, table)
     for label, total in totals.items():
@@ -198,7 +196,7 @@ def test_spis_coverage_property(k):
         frames = [random_frame(rng, max_depth=3, max_branch=3)
                   for _ in range(rng.randint(5, 40))]
         rows = [
-            CorpusRow("rand", f"u{i}", serialize_frame(frame), "train")
+            ("rand", f"u{i}", serialize_frame(frame), "train")
             for i, frame in enumerate(frames)
         ]
         table = CorpusTable(rows)
