@@ -12,121 +12,52 @@ invert the curve to answer "how much data do I need for y% exact match".
 3.39
 """
 
-from .analysis import (
-    ComparisonTable,
-    ComplexityAnnotations,
-    ComplexityClass,
-    SeedAggregate,
-    aggregate_seeds,
-    compare_models,
-    intent_complexity_from_slots,
-    load_annotations,
-    packaged_annotations,
-    per_class_curves,
-    per_intent_points,
-    reference_comparison,
-)
-from .corpus import CorpusTable, load_corpus, save_corpus
-from .curve import (
-    CurveModel,
-    EfficiencyPoint,
-    Inversion,
-    average_points,
-    evaluate,
-    fit_curve,
-    invert,
-    load_model,
-)
-from .errors import DataEffError
-from .frames import (
-    Frame,
-    FrameNode,
-    exact_match,
-    ontology_labels,
-    parse_frame,
-    serialize_frame,
-)
-from .protocol import (
-    CommandRunner,
-    Ledger,
-    Manifest,
-    RunResult,
-    SimulatedRunner,
-    SimulatedRunnerConfig,
-    build_manifests,
-    ledger_to_curve,
-    load_ledger,
-    run_protocol,
-    save_ledger,
-    simulated_run,
-)
-from .report import ReportSpec, render_csv, render_svg, write_report
-from .sampling import (
-    Schedule,
-    SizeReport,
-    Subset,
-    SubsetSpec,
-    make_schedule,
-    spis_sample,
-    subset_size_report,
-    uniform_sample,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CommandRunner",
-    "ComparisonTable",
-    "ComplexityAnnotations",
-    "ComplexityClass",
-    "CorpusTable",
-    "CurveModel",
-    "DataEffError",
-    "EfficiencyPoint",
-    "Frame",
-    "FrameNode",
-    "Inversion",
-    "Ledger",
-    "Manifest",
-    "ReportSpec",
-    "RunResult",
-    "Schedule",
-    "SeedAggregate",
-    "SimulatedRunner",
-    "SimulatedRunnerConfig",
-    "SizeReport",
-    "Subset",
-    "SubsetSpec",
-    "aggregate_seeds",
-    "average_points",
-    "build_manifests",
-    "compare_models",
-    "evaluate",
-    "exact_match",
-    "fit_curve",
-    "intent_complexity_from_slots",
-    "invert",
-    "ledger_to_curve",
-    "load_annotations",
-    "load_corpus",
-    "load_ledger",
-    "load_model",
-    "make_schedule",
-    "ontology_labels",
-    "packaged_annotations",
-    "parse_frame",
-    "per_class_curves",
-    "per_intent_points",
-    "reference_comparison",
-    "render_csv",
-    "render_svg",
-    "run_protocol",
-    "save_corpus",
-    "save_ledger",
-    "serialize_frame",
-    "simulated_run",
-    "spis_sample",
-    "subset_size_report",
-    "uniform_sample",
-    "write_report",
-]
+# Each public name and the module that defines it. A name is loaded from its
+# module on first access, so `import dataeff` loads no submodule and each
+# command pays only for the modules it runs.
+_SOURCE = {
+    **dict.fromkeys((
+        "ComparisonTable", "ComplexityAnnotations", "ComplexityClass", "SeedAggregate",
+        "aggregate_seeds", "compare_models", "intent_complexity_from_slots",
+        "load_annotations", "packaged_annotations", "per_class_curves", "per_intent_points",
+        "reference_comparison",
+    ), "analysis"),
+    **dict.fromkeys(("CorpusTable", "load_corpus", "save_corpus"), "corpus"),
+    **dict.fromkeys((
+        "CurveModel", "EfficiencyPoint", "Inversion", "average_points", "evaluate",
+        "fit_curve", "invert", "load_model",
+    ), "curve"),
+    "DataEffError": "errors",
+    **dict.fromkeys((
+        "Frame", "FrameNode", "exact_match", "ontology_labels", "parse_frame",
+        "serialize_frame",
+    ), "frames"),
+    **dict.fromkeys((
+        "CommandRunner", "Ledger", "Manifest", "RunResult", "SimulatedRunner",
+        "SimulatedRunnerConfig", "build_manifests", "ledger_to_curve", "load_ledger",
+        "run_protocol", "save_ledger", "simulated_run",
+    ), "protocol"),
+    **dict.fromkeys(("ReportSpec", "render_csv", "render_svg", "write_report"), "report"),
+    **dict.fromkeys((
+        "Schedule", "SizeReport", "Subset", "SubsetSpec", "make_schedule", "spis_sample",
+        "subset_size_report", "uniform_sample",
+    ), "sampling"),
+}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

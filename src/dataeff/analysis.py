@@ -18,12 +18,14 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .corpus import CorpusTable
 from .curve import CurveModel, EfficiencyPoint, fit_curve, invert
 from .errors import AnalysisError, AnnotationError, FrameParseError, UnreachableTargetError
-from .frames import canonical_frame
-from .protocol import Ledger
+
+if TYPE_CHECKING:
+    from .corpus import CorpusTable
+    from .protocol import Ledger
 
 PACKAGED_ANNOTATION_DOMAINS = ("messaging", "music", "reminder", "timer", "weather")
 
@@ -107,6 +109,8 @@ def per_intent_points(
     fewer than min_test_occurrences rows in the target domain's test split are
     excluded. Returns {intent label: [EfficiencyPoint, ...]}.
     """
+    from .frames import canonical_frame
+
     entries = ledger.ok_entries
     if not entries:
         raise AnalysisError("ledger has no successful runs")

@@ -12,28 +12,22 @@ import math
 import sys
 from pathlib import Path
 
-from . import analysis, report, sampling
-from .corpus import load_corpus, split_lines
 from .curve import EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
 from .errors import DataEffError, UnreachableTargetError
-from .frames import exact_match, parse_frame
 from .jsonio import dumps, from_dict, loads
-from .protocol import (
-    CommandRunner,
-    Ledger,
-    SimulatedRunner,
-    SimulatedRunnerConfig,
-    build_manifests,
-    ledger_to_curve,
-    load_ledger,
-    run_protocol,
-    save_ledger,
-)
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
+
+
+def __getattr__(name: str):
+    # Tracer seam: bench/tracer.py looks load_corpus, build_manifests, run_protocol and
+    # save_ledger up here. Delete it once the package records its own spans.
+    from . import __getattr__ as exported
+
+    return exported(name)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -48,6 +42,8 @@ def _load_points_file(path: str):
     text = Path(path).read_text(encoding="utf-8-sig")
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        from .protocol import Ledger, ledger_to_curve
+
         return ledger_to_curve(Ledger.from_json(text, path))
     if stripped.startswith("["):
         return from_dict(list[EfficiencyPoint], loads(text, path), path)
@@ -55,13 +51,17 @@ def _load_points_file(path: str):
 
 
 def cmd_schedule(args) -> int:
-    schedule = sampling.make_schedule(args.n)
+    from .sampling import make_schedule
+
+    schedule = make_schedule(args.n)
     sys.stdout.write(dumps(schedule) + "\n")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    table = load_corpus(args.corpus)
+    from . import corpus, sampling
+
+    table = corpus.load_corpus(args.corpus)
     spec = sampling.SubsetSpec(args.domain, args.algorithm, args.size, args.seed)
     subset = sampling.sample(table, spec)
     _emit(dumps(subset) + "\n", args.out)
@@ -112,6 +112,8 @@ def cmd_query(args) -> int:
 
 
 def _make_runner(args, table):
+    from .protocol import CommandRunner, SimulatedRunner, SimulatedRunnerConfig
+
     if args.runner == "simulate":
         config = SimulatedRunnerConfig(
             truth=tuple(args.truth),
@@ -125,15 +127,17 @@ def _make_runner(args, table):
 
 
 def cmd_run(args) -> int:
-    table = load_corpus(args.corpus)
+    from . import corpus, protocol, sampling
+
+    table = corpus.load_corpus(args.corpus)
     schedule = sampling.make_schedule(args.n)
-    manifests = build_manifests(
+    manifests = protocol.build_manifests(
         table, args.target, schedule,
         algorithm=args.algorithm, seeds=args.seeds, model_id=args.model_id,
     )
     runner = _make_runner(args, table)
-    ledger = run_protocol(manifests, runner, jobs=args.jobs)
-    save_ledger(ledger, args.out)
+    ledger = protocol.run_protocol(manifests, runner, jobs=args.jobs)
+    protocol.save_ledger(ledger, args.out)
     failed = ledger.failed_entries
     print(
         f"{len(ledger.entries)} runs: {len(ledger.ok_entries)} ok, {len(failed)} failed "
@@ -142,10 +146,19 @@ def cmd_run(args) -> int:
     )
     for entry in failed:
         print(f"  failed {entry.manifest.run_id}: {entry.error}", file=sys.stderr)
+    percents = {e.manifest.subset_percent for e in ledger.ok_entries} - {0.0}
+    if len(percents) < 3:
+        print(
+            "warning: fit needs at least 3 distinct subset percents > 0 among the ok runs; "
+            f"this ledger has {len(percents)}",
+            file=sys.stderr,
+        )
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_report(args) -> int:
+    from . import report
+
     points = _load_points_file(args.points)
     model = load_model(args.model) if args.model else None
     spec = report.ReportSpec(
@@ -157,8 +170,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    ledger = load_ledger(args.ledger)
-    table = load_corpus(args.corpus)
+    from . import analysis, corpus, protocol
+
+    ledger = protocol.load_ledger(args.ledger)
+    table = corpus.load_corpus(args.corpus)
     if args.annotations:
         annotations = analysis.load_annotations(args.annotations)
     else:
@@ -174,21 +189,21 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import analysis
+
     if args.reference:
         table = analysis.reference_comparison(args.reference)
     else:
-        curves = {}
-        for item in args.curves:
-            name, _, path = item.partition("=")
-            if not path:
-                raise DataEffError(f"--curves entries look like NAME=FILE, got {item!r}")
-            curves[name] = load_model(path)
+        curves = {name: load_model(path) for name, path in args.curves}
         table = analysis.compare_models(curves, args.em)
     sys.stdout.write(table.to_csv() if args.fmt == "csv" else table.to_text())
     return EXIT_OK
 
 
 def _read_frames(path: str):
+    from .corpus import split_lines
+    from .frames import parse_frame
+
     frames = []
     for lineno, line in enumerate(split_lines(Path(path).read_text(encoding="utf-8-sig")), 1):
         if not line.strip():
@@ -201,6 +216,8 @@ def _read_frames(path: str):
 
 
 def cmd_em(args) -> int:
+    from .frames import exact_match
+
     system = _read_frames(args.system)
     reference = _read_frames(args.reference)
     value = exact_match(system, reference)
@@ -230,6 +247,21 @@ def _at_least(low: int):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type of a sampling seed: an unsigned 64-bit integer."""
+    if not text.strip().isdecimal() or int(text) >= 2 ** 64:
+        raise argparse.ArgumentTypeError(f"not an integer in [0, 2**64): {text!r}")
+    return int(text)
+
+
+def _named_file(text: str) -> tuple[str, str]:
+    """argparse type of a --curves entry: NAME=FILE, both non-empty."""
+    name, _, path = text.partition("=")
+    if not name or not path:
+        raise argparse.ArgumentTypeError(f"not NAME=FILE: {text!r}")
+    return name, path
+
+
 def _runner(text: str) -> str:
     """argparse type of --runner: 'simulate', or 'exec:' and a command."""
     if text != "simulate" and not (text.startswith("exec:") and text[len("exec:"):].strip()):
@@ -255,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
     p.add_argument("--size", type=_finite, required=True,
                    help="percent for uniform, per-label minimum for spis")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="subset JSON path (default: stdout)")
     p.set_defaults(func=cmd_sample)
 
@@ -277,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target domain")
     p.add_argument("--runner", type=_runner, default="simulate",
                    help="'simulate' or 'exec:COMMAND'")
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    p.add_argument("--seeds", type=_seed, nargs="+", default=[0])
     p.add_argument("--out", required=True, help="ledger JSON path")
     p.add_argument("--n", type=_at_least(2), default=10, help="schedule points (>= 2)")
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
@@ -314,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("compare", help="rank models by data required per EM target")
-    p.add_argument("--curves", nargs="+", default=[], metavar="NAME=FILE")
+    p.add_argument("--curves", type=_named_file, nargs="+", default=[], metavar="NAME=FILE")
     p.add_argument("--em", type=_finite, nargs="*", default=[])
     p.add_argument("--reference", default=None,
                    help="print the packaged full-scale reference table for a domain")

@@ -95,7 +95,7 @@ def points_from_csv(text: str) -> list["EfficiencyPoint"]:
 
 def load_model(path: str | Path) -> CurveModel:
     source = str(path)
-    return from_dict(CurveModel, loads(Path(path).read_text(encoding="utf-8"), source), source)
+    return from_dict(CurveModel, loads(Path(path).read_text(encoding="utf-8-sig"), source), source)
 
 
 @dataclass(frozen=True)

@@ -10,25 +10,26 @@ must print RunResult JSON on stdout, exiting 0).
 
 Failed runs are recorded in the ledger and do not abort the protocol.
 The modules only CommandRunner and a multi-job protocol need (subprocess,
-shlex, concurrent.futures) are imported where those run, so a simulated
-protocol and the commands that only read a ledger do not load them.
+shlex, tempfile, concurrent.futures) are imported where those run, so a
+simulated protocol and the commands that only read a ledger do not load them.
 """
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .corpus import CorpusTable
 from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
 from .jsonio import dumps, from_dict, loads
 from .rng import SplitMix64, combine, float_key
 from .sampling import Schedule, SubsetSpec, sample
+
+if TYPE_CHECKING:
+    from .corpus import CorpusTable
 
 _EM_STREAM = 0x45
 _PREDICTION_STREAM = 0x50
@@ -154,7 +155,7 @@ def save_ledger(ledger: Ledger, path: str | Path) -> None:
 
 
 def load_ledger(path: str | Path) -> Ledger:
-    return Ledger.from_json(Path(path).read_text(encoding="utf-8"), str(path))
+    return Ledger.from_json(Path(path).read_text(encoding="utf-8-sig"), str(path))
 
 
 def build_manifests(
@@ -321,6 +322,7 @@ class CommandRunner:
 
     def __call__(self, manifest: Manifest) -> RunResult:
         import subprocess
+        import tempfile
 
         with tempfile.TemporaryDirectory(prefix="dataeff-run-") as tmp:
             manifest_path = Path(tmp) / f"{manifest.run_id}.manifest.json"

@@ -22,10 +22,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .corpus import CorpusTable
 from .errors import SamplingError
 from .rng import SplitMix64, combine, float_key, string_key
+
+if TYPE_CHECKING:
+    from .corpus import CorpusTable
 
 ALGORITHMS = ("uniform", "spis")
 

@@ -7,8 +7,9 @@ import pytest
 from dataeff import cli
 from dataeff.analysis import load_annotations
 from dataeff.corpus import load_corpus
-from dataeff.curve import CurveModel
+from dataeff.curve import CurveModel, load_model
 from dataeff.jsonio import dumps
+from dataeff.protocol import load_ledger
 
 from conftest import columns, simple_corpus_rows, write_tsv
 
@@ -173,6 +174,20 @@ def test_run_simulate_deterministic(corpus, tmp_path):
     assert len(payload["entries"]) == 10
 
 
+def test_run_warns_when_its_ledger_cannot_be_fitted(corpus, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    args = ("run", "--corpus", corpus, "--target", "weather", "--out", ledger)
+    proc = run_cli(*args, "--n", 3)  # sizes 0, 10, 100: two of them positive
+    assert proc.returncode == 0, proc.stderr
+    assert ("warning: fit needs at least 3 distinct subset percents > 0 among the ok runs; "
+            "this ledger has 2") in proc.stderr
+    assert run_cli("fit", "--points", ledger).returncode == 1
+    proc = run_cli(*args, "--n", 4)  # sizes 0, 4, 21, 100
+    assert proc.returncode == 0, proc.stderr
+    assert "warning" not in proc.stderr
+    assert run_cli("fit", "--points", ledger).returncode == 0
+
+
 def test_run_pipeline_fit_query(corpus, tmp_path):
     ledger = tmp_path / "ledger.json"
     model = tmp_path / "model.json"
@@ -319,6 +334,13 @@ def test_compare_command_reference():
 def test_compare_usage_errors():
     assert run_cli("compare").returncode == 2
     assert run_cli("compare", "--curves", "a=b.json").returncode == 2  # no --em
+
+
+@pytest.mark.parametrize("entry", ["foo", "=b.json", "a="])
+def test_compare_curves_entry_without_name_and_file_is_usage_error(entry):
+    proc = run_cli("compare", "--curves", "a=b.json", entry, "--em", 90)
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument --curves: not NAME=FILE: {entry!r}" in proc.stderr
 
 
 def test_em_command(tmp_path):
@@ -488,6 +510,13 @@ BOM_CASES = {  # file name: (text, reader)
     "music.csv": ("intent,class\nIN:PLAY_MUSIC,open\n", load_annotations),
     "points.csv": ("subset_percent,exact_match\n1,70\n12,88\n", cli._load_points_file),
     "frames.txt": ("[IN:GET_WEATHER hi ]\n[IN:STOP_MUSIC ]\n", cli._read_frames),
+    "model.json": ('{"a": -27.26, "b": 0.35, "c": 97.79, "sse": 0.0, "iterations": 0, '
+                   '"converged": true, "fit_domain": [1.0, 100.0]}\n', load_model),
+    "ledger.json": ('{"entries": [{"manifest": {"run_id": "p.w.uniform1.s0", "model_id": "p", '
+                    '"target_domain": "w", "algorithm": "uniform", "size_param": 1.0, '
+                    '"seed": 0, "subset_percent": 1.0, "subset_size": 1, "n_train": 5, '
+                    '"n_eval": 2, "n_test": 2}, "result": {"run_id": "p.w.uniform1.s0", '
+                    '"exact_match": 70.0, "seed": 0}, "error": null}]}\n', load_ledger),
 }
 
 
@@ -505,7 +534,7 @@ def test_text_files_accept_a_byte_order_mark(tmp_path, name):
 
 @pytest.mark.parametrize("option, value", [
     ("--runner", "foo"), ("--runner", "exec:"), ("--runner", "exec:  "),
-    ("--jobs", "0"), ("--jobs", "-1"),
+    ("--jobs", "0"), ("--jobs", "-1"), ("--seeds", "-1"), ("--seeds", str(2 ** 64)),
 ])
 def test_run_usage_errors_exit_before_reading_the_corpus(tmp_path, option, value):
     ledger = tmp_path / "ledger.json"
@@ -514,3 +543,19 @@ def test_run_usage_errors_exit_before_reading_the_corpus(tmp_path, option, value
     assert proc.returncode == 2, proc.stderr
     assert f"argument {option}: " in proc.stderr
     assert not ledger.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_sample_seed_out_of_range_is_usage_error(tmp_path, seed):
+    out = tmp_path / "subset.json"
+    proc = run_cli("sample", "--corpus", tmp_path / "missing.tsv", "--domain", "weather",
+                   "--size", 12, "--seed", seed, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument --seed: not an integer in [0, 2**64): {seed!r}" in proc.stderr
+    assert not out.exists()
+
+
+def test_sample_accepts_the_largest_seed(corpus, tmp_path):
+    proc = run_cli("sample", "--corpus", corpus, "--domain", "weather", "--size", 12,
+                   "--seed", 2 ** 64 - 1, "--out", tmp_path / "subset.json")
+    assert proc.returncode == 0, proc.stderr

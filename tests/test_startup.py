@@ -1,8 +1,10 @@
-"""Start-up cost guard: only `fit` imports numpy, and only runners start processes.
+"""Start-up cost guard: each command loads only its own modules.
 
 Every command is one short process, so what the package imports is paid on
-every call. Each command runs in turn in one fresh interpreter; after each,
-the child records which of the heavy modules it has loaded.
+every call. `import dataeff` loads no submodule; only `fit` imports numpy, and
+only runners start processes. Each command runs in turn in one fresh
+interpreter; after each, the child records which heavy modules and which
+`dataeff` modules it has loaded so far.
 """
 
 import json
@@ -11,6 +13,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import dataeff
+from dataeff import cli
 from dataeff.curve import CurveModel
 from dataeff.jsonio import dumps
 
@@ -22,17 +28,26 @@ WATCHED = ("numpy", "subprocess", "concurrent.futures")
 CHILD = """
 import json, sys
 bare = [m for m in {watched!r} if m in sys.modules]
+def package():
+    return sorted(m[len("dataeff."):] for m in sys.modules if m.startswith("dataeff."))
+import dataeff
+imported = package()
 from dataeff import cli
-loaded = []
+loaded, modules = [], []
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     loaded.append([argv[0], code, [m for m in {watched!r} if m in sys.modules]])
+    modules.append([argv[0], package()])
 with open(sys.argv[2], "w") as handle:
-    json.dump({{"bare": bare, "loaded": loaded}}, handle)
+    json.dump({{"bare": bare, "loaded": loaded, "imported": imported, "modules": modules}},
+              handle)
 """
 
 
-def test_only_fit_imports_numpy_and_no_command_loads_process_modules(tmp_path):
+@pytest.fixture(scope="module")
+def child(tmp_path_factory):
+    """What a fresh interpreter loads, command by command; query, compare and report first."""
+    tmp_path = tmp_path_factory.mktemp("startup")
     rows = simple_corpus_rows("weather", 200, 10, 20)
     rows += simple_corpus_rows("alarm", 50, 5, 5, intent="IN:CREATE_ALARM")
     corpus = str(write_tsv(tmp_path / "corpus.tsv", rows))
@@ -44,16 +59,18 @@ def test_only_fit_imports_numpy_and_no_command_loads_process_modules(tmp_path):
     frames = tmp_path / "frames.txt"
     frames.write_text("[IN:GET_WEATHER x ]\n", encoding="utf-8")
     ledger, out = str(tmp_path / "ledger.json"), str(tmp_path / "out")
+    run = ["run", "--corpus", corpus, "--target", "weather", "--runner", "simulate",
+           "--jobs", "1", "--emit-predictions", "--out", ledger]
+    assert cli.main(run) == 0  # report reads the ledger before the child's own run
     commands = [
+        ["query", "--model", str(model), "--em", "80", "98"],
+        ["compare", "--curves", f"a={model}", f"b={model}", "--em", "80"],
+        ["report", "--points", ledger, "--model", str(model), "--queries", "80",
+         "--out", out],
         ["schedule"],
         ["sample", "--corpus", corpus, "--domain", "weather", "--size", "12",
          "--out", out + ".subset.json"],
-        ["run", "--corpus", corpus, "--target", "weather", "--runner", "simulate",
-         "--jobs", "1", "--emit-predictions", "--out", ledger],
-        ["query", "--model", str(model), "--em", "80", "98"],
-        ["report", "--points", ledger, "--model", str(model), "--queries", "80",
-         "--out", out],
-        ["compare", "--curves", f"a={model}", f"b={model}", "--em", "80"],
+        run,
         ["complexity", "--ledger", ledger, "--corpus", corpus,
          "--annotations", str(annotations), "--out", out + ".complexity.csv"],
         ["em", "--system", str(frames), "--reference", str(frames)],
@@ -66,11 +83,42 @@ def test_only_fit_imports_numpy_and_no_command_loads_process_modules(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(result.read_text(encoding="utf-8"))
+    return json.loads(result.read_text(encoding="utf-8")), proc.stderr
+
+
+def test_only_fit_imports_numpy_and_no_command_loads_process_modules(child):
+    report, stderr = child
     assert "numpy" not in report["bare"]
     *before_fit, (_, fit_code, after_fit) = report["loaded"]
     for command, code, loaded in before_fit:
-        assert code == 0, (command, proc.stderr)
+        assert code == 0, (command, stderr)
         assert sorted(loaded) == sorted(report["bare"]), command
-    assert fit_code == 0, proc.stderr
+    assert fit_code == 0, stderr
     assert "numpy" in after_fit
+
+
+def test_each_command_loads_only_its_own_modules(child):
+    report, _ = child
+    assert report["imported"] == []
+    # the modules loaded so far, after each command in turn
+    so_far = dict(report["modules"])
+    assert so_far["query"] == ["cli", "curve", "errors", "jsonio"]
+    assert not {"corpus", "frames", "protocol"} & set(so_far["compare"])
+    assert not {"corpus", "frames"} & set(so_far["report"])
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(dataeff)
+    for name in dataeff.__all__:
+        value = getattr(dataeff, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert value.__module__.startswith("dataeff."), name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        dataeff.nope
+
+
+def test_cli_still_exposes_the_functions_the_benchmark_tracer_wraps():
+    for name in ("load_corpus", "build_manifests", "run_protocol", "save_ledger",
+                 "fit_curve", "invert"):
+        assert getattr(cli, name) is getattr(dataeff, name), name
