@@ -6,7 +6,6 @@ data is needed for y% exact match".
 """
 
 from dataeff import EfficiencyPoint, evaluate, fit_curve, invert
-from dataeff.errors import UnreachableTargetError
 
 # Discrete observations, shaped like a real fine-tuning sweep.
 observed = [
@@ -27,14 +26,12 @@ for x in (1, 3, 10, 50, 100):
     print(f"h({x:>3}) = {evaluate(model, x):.2f} EM")
 print()
 
-# Inverse queries: the whole point of the exercise.
-for target in (80, 85, 90):
+# Inverse queries: the whole point of the exercise. A target at or above the
+# fitted ceiling c is never reached, no matter the data: its answer has no percent.
+for target in (80, 85, 90, 99):
     answer = invert(model, target)
+    if answer.percent is None:
+        print(f"{target}% EM is never reached: the fitted ceiling is c = {model.c:.2f}")
+        continue
     flag = "  (needs more than 100% of the domain)" if answer.exceeds_full_data else ""
     print(f"{target}% EM needs {answer.percent:.2f}% of target data{flag}")
-
-# Targets above the fitted ceiling c are never reachable, no matter the data.
-try:
-    invert(model, 99.0)
-except UnreachableTargetError as exc:
-    print(f"99% EM: {exc}")

@@ -20,8 +20,8 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .curve import CurveModel, EfficiencyPoint, fit_curve, invert
-from .errors import AnalysisError, AnnotationError, FrameParseError, UnreachableTargetError
+from .curve import CurveModel, EfficiencyPoint, Inversion, fit_curve, invert
+from .errors import AnalysisError, AnnotationError, FrameParseError
 
 if TYPE_CHECKING:
     from .corpus import CorpusTable
@@ -254,35 +254,21 @@ def aggregate_seeds(points: list[EfficiencyPoint], em_targets: tuple = ()) -> Se
         for seed in seeds:
             per_seed_models[seed] = fit_curve([p for p in points if p.seed == seed])
         for y in em_targets:
-            per_seed: dict[int, float | None] = {}
-            for seed in seeds:
-                try:
-                    per_seed[seed] = invert(per_seed_models[seed], y).percent
-                except UnreachableTargetError:
-                    per_seed[seed] = None
+            per_seed = {seed: invert(per_seed_models[seed], y).percent for seed in seeds}
             reached = [v for v in per_seed.values() if v is not None]
             spread = (max(reached) - min(reached)) if reached else None
             inversion_spread[y] = InversionSpread(per_seed, spread)
     return SeedAggregate(per_percent, per_seed_models, inversion_spread)
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """One comparison-table cell: a subset percent, or a marker explaining why not."""
-
-    percent: float | None
-    marker: str = ""  # "", "exceeds_full_data", "unreachable", "n/a"
-
-    def render(self) -> str:
-        if self.marker == "unreachable":
-            return "unreachable"
-        if self.marker == "n/a":
-            return "-"
-        text = f"{self.percent:.2f}"
-        return f"{text} (exceeds_full_data)" if self.marker else text
-
-    def sort_key(self) -> float:
-        return self.percent if self.percent is not None else float("inf")
+def _render(cell: Inversion | None) -> str:
+    """A comparison-table cell as text; None is a reference cell with no data."""
+    if cell is None:
+        return "-"
+    if cell.percent is None:
+        return "unreachable"
+    text = f"{cell.percent:.2f}"
+    return f"{text} (exceeds_full_data)" if cell.exceeds_full_data else text
 
 
 @dataclass(frozen=True)
@@ -290,19 +276,19 @@ class ComparisonTable:
     """Required subset percent per (model, EM target), most data-efficient first."""
 
     em_targets: tuple
-    rows: tuple  # ((model_id, (QueryOutcome, ...)), ...)
+    rows: tuple  # ((model_id, (Inversion | None, ...)), ...)
 
     def to_csv(self) -> str:
         header = ["model"] + [f"em_{y:g}" for y in self.em_targets]
         lines = [",".join(header)]
         for model_id, cells in self.rows:
-            lines.append(",".join([model_id] + [cell.render() for cell in cells]))
+            lines.append(",".join([model_id] + [_render(cell) for cell in cells]))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         header = ["model"] + [f"em={y:g}%" for y in self.em_targets]
         table = [header] + [
-            [model_id] + [cell.render() for cell in cells] for model_id, cells in self.rows
+            [model_id] + [_render(cell) for cell in cells] for model_id, cells in self.rows
         ]
         widths = [max(len(row[i]) for row in table) for i in range(len(header))]
         lines = []
@@ -314,7 +300,14 @@ class ComparisonTable:
 
 
 def _sorted_rows(rows: list) -> tuple:
-    return tuple(sorted(rows, key=lambda row: (row[1][0].sort_key(), row[0])))
+    """Least data required at the first target first; a cell without a percent sorts last."""
+
+    def key(row):
+        first = row[1][0]
+        percent = None if first is None else first.percent
+        return (math.inf if percent is None else percent, row[0])
+
+    return tuple(sorted(rows, key=key))
 
 
 def compare_models(curves: dict, em_targets: list) -> ComparisonTable:
@@ -331,18 +324,8 @@ def compare_models(curves: dict, em_targets: list) -> ComparisonTable:
     bad = [mid for mid, m in curves.items() if not m.well_formed]
     if bad:
         raise AnalysisError(f"models are not well-formed saturating curves: {', '.join(sorted(bad))}")
-    rows = []
-    for model_id, model in curves.items():
-        cells = []
-        for y in em_targets:
-            try:
-                answer = invert(model, y)
-                cells.append(
-                    QueryOutcome(answer.percent, "exceeds_full_data" if answer.exceeds_full_data else "")
-                )
-            except UnreachableTargetError:
-                cells.append(QueryOutcome(None, "unreachable"))
-        rows.append((model_id, tuple(cells)))
+    rows = [(model_id, tuple(invert(model, y) for y in em_targets))
+            for model_id, model in curves.items()]
     return ComparisonTable(tuple(em_targets), _sorted_rows(rows))
 
 
@@ -363,12 +346,6 @@ def reference_comparison(domain: str) -> ComparisonTable:
     targets = tuple(float(y) for y in block["em_targets"])
     rows = []
     for model_id, answers in block["models"].items():
-        cells = []
-        for y in targets:
-            value = answers.get(f"{y:g}")
-            if value is None:
-                cells.append(QueryOutcome(None, "n/a"))
-            else:
-                cells.append(QueryOutcome(float(value), "exceeds_full_data" if value > 100 else ""))
-        rows.append((model_id, tuple(cells)))
+        values = (answers.get(f"{y:g}") for y in targets)
+        rows.append((model_id, tuple(None if v is None else Inversion(float(v)) for v in values)))
     return ComparisonTable(targets, _sorted_rows(rows))

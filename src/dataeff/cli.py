@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .curve import EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
-from .errors import DataEffError, UnreachableTargetError
+from .errors import DataEffError
 from .jsonio import dumps, from_dict, loads
 
 EXIT_OK = 0
@@ -98,14 +98,14 @@ def cmd_query(args) -> int:
     model = load_model(args.model)
     rows = []
     for y in args.em:
-        try:
-            answer = invert(model, y)
+        answer = invert(model, y)
+        if answer.percent is None:
+            rows.append((f"{y:g}", "-", f"unreachable (asymptote {model.c:.2f})"))
+        else:
             note = "exceeds_full_data" if answer.exceeds_full_data else ""
             rows.append((f"{y:g}", f"{answer.percent:.3f}", note))
-        except UnreachableTargetError:
-            rows.append((f"{y:g}", "-", f"unreachable (asymptote {model.c:.2f})"))
-    widths = [max(len(r[i]) for r in rows + [("em", "required_subset_%", "note")]) for i in range(3)]
     header = ("em", "required_subset_%", "note")
+    widths = [max(len(r[i]) for r in [header] + rows) for i in range(3)]
     for row in [header] + rows:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
     return EXIT_OK
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=_finite, default=0.0, help="simulator EM noise sigma")
     p.add_argument("--em-at-zero", type=_finite, default=0.0,
                    help="simulator EM for the 0%% subset")
-    p.add_argument("--sim-seed", type=int, default=0)
+    p.add_argument("--sim-seed", type=_seed, default=0)
     p.add_argument("--emit-predictions", action="store_true",
                    help="simulator also emits per-test-row predictions")
     p.set_defaults(func=cmd_run)
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--annotations", help="intent,class CSV path")
     group.add_argument("--domain", help="use packaged annotations for this domain")
-    p.add_argument("--min-count", type=int, default=10,
+    p.add_argument("--min-count", type=_at_least(0), default=10,
                    help="drop intents with fewer test rows than this")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_complexity)
@@ -364,10 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compare" and not args.reference and not args.curves:
-        parser.error("compare needs --curves NAME=FILE ... --em Y ... or --reference DOMAIN")
-    if args.command == "compare" and args.curves and not args.em:
-        parser.error("--curves comparison needs --em targets")
+    if args.command == "compare":
+        if not args.reference and not args.curves:
+            parser.error("compare needs --curves NAME=FILE ... --em Y ... or --reference DOMAIN")
+        if args.curves and not args.em:
+            parser.error("--curves comparison needs --em targets")
+        names = [name for name, _ in args.curves]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            parser.error(f"--curves names must be unique; repeated: {', '.join(repeated)}")
     try:
         return args.func(args)
     except (DataEffError, OSError, UnicodeDecodeError) as exc:

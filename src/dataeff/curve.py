@@ -5,6 +5,9 @@ saturating exact-match curve a < 0, b > 0 and c is the asymptotic EM ceiling.
 Fitting minimizes the sum of squared residuals with a damped Gauss-Newton
 (Levenberg-Marquardt) iteration run from three fixed starts; the closed-form
 inverse h^-1(y) = ((y - c) / a) ** (-1 / b) answers "how much data for y% EM".
+Every inverse query gets one answer type, an Inversion: the target is reached
+within the data (percent <= 100), needs more than all of it (percent > 100),
+or is never reached because it lies at or above the ceiling c (percent None).
 
 Points at x = 0 (the 0% subset is a legitimate observation) are excluded from
 the residual because h has a pole there; they still appear in discrete plots.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import CurveDomainError, FitError, InputError, UnreachableTargetError
+from .errors import CurveDomainError, FitError, InputError
 from .jsonio import from_dict, loads
 
 if TYPE_CHECKING:
@@ -100,10 +103,13 @@ def load_model(path: str | Path) -> CurveModel:
 
 @dataclass(frozen=True)
 class Inversion:
-    """Result of an inverse query; percent may exceed 100 (flagged, not clamped)."""
+    """Answer to an inverse query: the subset percent needed (may exceed 100), None if never."""
 
-    percent: float
-    exceeds_full_data: bool
+    percent: float | None
+
+    @property
+    def exceeds_full_data(self) -> bool:
+        return self.percent is not None and self.percent > 100.0
 
 
 def _residual(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -257,9 +263,9 @@ def evaluate(model: CurveModel, x: float, clamp: bool = False) -> float:
 def invert(model: CurveModel, y: float) -> Inversion:
     """Subset percent x with h(x) = y, via the closed form ((y - c) / a) ** (-1 / b).
 
-    Requires (y - c) / a > 0; for a < 0 that means y below the asymptote c.
-    Results above 100% are returned flagged exceeds_full_data: the target is
-    not achievable within the full target-domain data.
+    For a < 0 a target at or above the asymptote c is never reached: the answer
+    is Inversion(None). Answers above 100% of the data are flagged exceeds_full_data.
+    Raises CurveDomainError for b <= 0, a = 0, or a target out of range when a > 0.
     """
     if model.b <= 0.0:
         raise CurveDomainError(f"cannot invert a curve with b = {model.b:g} <= 0")
@@ -268,9 +274,8 @@ def invert(model: CurveModel, y: float) -> Inversion:
     ratio = (y - model.c) / model.a
     if ratio <= 0.0:
         if model.a < 0.0:
-            raise UnreachableTargetError(y, model.c)
+            return Inversion(None)
         raise CurveDomainError(
             f"exact match {y:g} is outside the range of this curve (c = {model.c:g})"
         )
-    percent = ratio ** (-1.0 / model.b)
-    return Inversion(percent, percent > 100.0)
+    return Inversion(ratio ** (-1.0 / model.b))

@@ -47,18 +47,6 @@ class CurveDomainError(DataEffError):
     """Curve evaluated or inverted outside its mathematical domain."""
 
 
-class UnreachableTargetError(CurveDomainError):
-    """Inverse query above the curve's asymptote: the target EM is never reached."""
-
-    def __init__(self, target: float, ceiling: float):
-        super().__init__(
-            f"exact match {target:g} is at or above the fitted ceiling c={ceiling:g}; "
-            "no amount of target data reaches it"
-        )
-        self.target = target
-        self.ceiling = ceiling
-
-
 class ProtocolError(DataEffError):
     """Inconsistent manifests, ledgers, or runner output."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .curve import CurveModel, evaluate, invert
-from .errors import DataEffError, UnreachableTargetError
+from .errors import DataEffError
 
 WIDTH, HEIGHT = 720, 520
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62, 22, 30, 56
@@ -57,14 +57,8 @@ def _curve_xs(model: CurveModel) -> list[float]:
 
 def _resolve_queries(model: CurveModel, queries: tuple) -> list[tuple[float, float | None]]:
     """(target EM, required percent or None when it cannot be drawn)."""
-    resolved = []
-    for y in queries:
-        try:
-            answer = invert(model, y)
-            resolved.append((y, None if answer.exceeds_full_data else answer.percent))
-        except UnreachableTargetError:
-            resolved.append((y, None))
-    return resolved
+    answers = ((y, invert(model, y)) for y in queries)
+    return [(y, None if answer.exceeds_full_data else answer.percent) for y, answer in answers]
 
 
 def render_svg(spec: ReportSpec) -> str:

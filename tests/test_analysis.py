@@ -316,6 +316,24 @@ def test_aggregate_seeds_per_seed_fits_deterministic(weather_table):
     assert agg.inversion_spread[80.0].spread == pytest.approx(0.0, abs=1e-9)
 
 
+def test_aggregate_seeds_unreachable_target_counts_reached_seeds_only():
+    # Three seeds of the same shape with ceilings 97.79, 95 and 93: EM 94 is
+    # above seed 2's fitted ceiling, so seed 2 has no answer and the spread
+    # covers seeds 0 and 1 alone.
+    ceilings = {0: 97.79, 1: 95.0, 2: 93.0}
+    points = [
+        EfficiencyPoint(x, -27.26 / x**0.35 + c, seed=seed)
+        for seed, c in ceilings.items() for x in (1, 2, 4, 7, 12, 21, 36, 60, 100)
+    ]
+    agg = aggregate_seeds(points, em_targets=(94.0,))
+    per_seed = agg.inversion_spread[94.0].per_seed
+    assert per_seed[2] is None
+    closed_form = [((94.0 - ceilings[seed]) / -27.26) ** (-1 / 0.35) for seed in (0, 1)]
+    assert [per_seed[0], per_seed[1]] == pytest.approx(closed_form, rel=1e-6)
+    spread = agg.inversion_spread[94.0].spread
+    assert spread == pytest.approx(closed_form[1] - closed_form[0], rel=1e-6)
+
+
 def _model(a, b, c):
     return CurveModel(a, b, c, 0.0, 0, True, (1.0, 100.0))
 
@@ -333,8 +351,8 @@ def test_compare_models_unreachable_marker():
     curves = {"m1": _model(-27.26, 0.3, 97.79), "m2": _model(-20.0, 0.5, 95.0)}
     table = compare_models(curves, [99.0])
     for _, cells in table.rows:
-        assert cells[0].marker == "unreachable"
-        assert "unreachable" in cells[0].render()
+        assert cells[0].percent is None
+    assert table.to_csv().splitlines()[1:] == ["m1,unreachable", "m2,unreachable"]
 
 
 def test_compare_models_insertion_order_irrelevant():
@@ -372,7 +390,8 @@ def test_reference_comparison_reminder_missing_cells():
     assert rows["BART AR"][0].percent == pytest.approx(8.46)
     assert rows["RoBERTa NAR"][0].percent == pytest.approx(13.24)
     assert rows["RoBERTa Span Pointer"][1].percent == pytest.approx(33.47)
-    assert rows["RoBERTa Span Pointer"][0].render() == "-"
+    assert rows["RoBERTa Span Pointer"][0] is None
+    assert "RoBERTa Span Pointer,-,33.47" in table.to_csv().splitlines()
 
 
 def test_reference_comparison_unknown_domain():

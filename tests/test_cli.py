@@ -343,6 +343,24 @@ def test_compare_curves_entry_without_name_and_file_is_usage_error(entry):
     assert f"argument --curves: not NAME=FILE: {entry!r}" in proc.stderr
 
 
+@pytest.mark.parametrize("curves", [("a=m.json", "a=m.json", "b=m.json"),
+                                    ("a=m.json", "a=m2.json")])
+def test_compare_curves_repeated_name_is_usage_error(curves):
+    proc = run_cli("compare", "--curves", *curves, "--em", 90)
+    assert proc.returncode == 2, proc.stderr
+    assert "--curves names must be unique; repeated: a" in proc.stderr
+
+
+def test_complexity_negative_min_count_is_usage_error(tmp_path):
+    out = tmp_path / "complexity.csv"
+    proc = run_cli("complexity", "--ledger", tmp_path / "missing.json", "--corpus",
+                   tmp_path / "missing.tsv", "--domain", "music", "--min-count", "-4",
+                   "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --min-count: not an integer >= 0: '-4'" in proc.stderr
+    assert not out.exists()
+
+
 def test_em_command(tmp_path):
     system = tmp_path / "system.txt"
     reference = tmp_path / "reference.txt"
@@ -535,6 +553,7 @@ def test_text_files_accept_a_byte_order_mark(tmp_path, name):
 @pytest.mark.parametrize("option, value", [
     ("--runner", "foo"), ("--runner", "exec:"), ("--runner", "exec:  "),
     ("--jobs", "0"), ("--jobs", "-1"), ("--seeds", "-1"), ("--seeds", str(2 ** 64)),
+    ("--sim-seed", "-1"), ("--sim-seed", str(2 ** 64)),
 ])
 def test_run_usage_errors_exit_before_reading_the_corpus(tmp_path, option, value):
     ledger = tmp_path / "ledger.json"

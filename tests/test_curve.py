@@ -7,6 +7,7 @@ import pytest
 from dataeff.curve import (
     CurveModel,
     EfficiencyPoint,
+    Inversion,
     _jacobian,
     _residual,
     average_points,
@@ -15,7 +16,7 @@ from dataeff.curve import (
     invert,
     points_from_csv,
 )
-from dataeff.errors import CurveDomainError, FitError, InputError, UnreachableTargetError
+from dataeff.errors import CurveDomainError, FitError, InputError
 from dataeff.jsonio import dumps, from_dict
 
 # Canonical fixture curve used throughout: a=-27.26, b=0.35, c=97.79.
@@ -163,17 +164,24 @@ def test_invert_round_trip():
 
 
 def test_invert_above_asymptote():
-    with pytest.raises(UnreachableTargetError) as exc:
-        invert(CANONICAL, 98.0)
-    assert "97.79" in str(exc.value)
-    with pytest.raises(UnreachableTargetError):
-        invert(CANONICAL, 97.79)  # the ceiling itself is never reached
+    # Never reached is an answer, not an error: no percent, and not flagged as
+    # needing more than the full data.
+    for y in (98.0, 97.79):  # the ceiling itself is never reached
+        answer = invert(CANONICAL, y)
+        assert answer == Inversion(None)
+        assert answer.percent is None
+        assert not answer.exceeds_full_data
 
 
 def test_invert_flags_beyond_full_data():
     answer = invert(CANONICAL, 97.0)
     assert answer.exceeds_full_data
     assert answer.percent == pytest.approx(24774.01850968851, rel=1e-9)
+    # The flag is derived from the percent, never stored beside it.
+    assert Inversion(100.0).exceeds_full_data is False
+    assert Inversion(100.5).exceeds_full_data is True
+    with pytest.raises(TypeError):
+        Inversion(50.0, True)
 
 
 def test_invert_rejects_degenerate_models():
@@ -181,6 +189,8 @@ def test_invert_rejects_degenerate_models():
         invert(CurveModel(-10.0, 0.0, 90.0, 0.0, 0, True, (1.0, 100.0)), 80.0)
     with pytest.raises(CurveDomainError):
         invert(CurveModel(0.0, 1.0, 90.0, 0.0, 0, True, (1.0, 100.0)), 80.0)
+    with pytest.raises(CurveDomainError):  # a > 0: a falling curve never drops to 85
+        invert(CurveModel(10.0, 0.5, 90.0, 0.0, 0, True, (1.0, 100.0)), 85.0)
 
 
 def test_round_trip_property_over_random_models():

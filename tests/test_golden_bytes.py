@@ -154,3 +154,49 @@ def test_nested_corpus_outputs_match_recorded_digests(tmp_path, capsys):
     names = ("spis.json", "sim.json", "complexity.csv", "saved.tsv")
     digests = {name: _digest((tmp_path / name).read_bytes()) for name in names}
     assert digests == NESTED_GOLDEN
+
+
+# Recorded before `invert` returned the unreachable case as a value. On the
+# canonical curve the targets 80, 97 and 99 cover the three answers: reached,
+# beyond 100% of the data, and never reached.
+ANSWER_GOLDEN = {
+    "query": "4e38380bcaefe43c28895b865f8e798625fa13c8276af1d03f013db34a3a838f",
+    "compare.txt": "de2261f3481b9dd36b5ecff2006e93e1c6b3da5d698f3f9b11e44982b6aae8d9",
+    "compare.csv": "51b5722c809e4b8fb7ba6549cc50501686d2af44fbf7410e5b3a2adf20046942",
+    "reference.txt": "5d977cbf5712338a1c19d1ed1459598b4469f2b70d0abb4ff9a1b8cdc0108f15",
+    "reference.csv": "eabeb86fd3a977887f60d83b30c9ba313604eb63761ad32d76c6ca32bfcdbf64",
+    "answers.svg": "80264e6b8415a7225046fe41d0c329dcd7d3fc8f1702bc3ad519245cfda26211",
+    "answers.csv": "5f2803c61975c6f9e42768d88293114bb8787981b7172591a24bf61d756480a9",
+}
+
+
+def test_answer_renderers_match_recorded_digests(tmp_path, capsys):
+    def main(*args):
+        return cli.main([str(a) for a in args])
+
+    def stdout(*args):
+        assert main(*args) == 0
+        return capsys.readouterr().out.encode("utf-8")
+
+    a, c = -27.26, 97.79
+    for name, b in (("canonical", 0.35), ("steep", 0.5)):
+        model = {"a": a, "b": b, "c": c, "sse": 0.0, "iterations": 0, "converged": True,
+                 "fit_domain": [1.0, 100.0]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(model) + "\n", encoding="utf-8")
+    points = tmp_path / "points.csv"
+    points.write_text("subset_percent,exact_match\n" + "".join(
+        f"{x},{a / x ** 0.35 + c:.6f}\n" for x in (1, 2, 4, 7, 12, 21, 36, 60, 100)),
+        encoding="utf-8")
+    model, targets = tmp_path / "canonical.json", (80, 97, 99)
+
+    out = {"query": stdout("query", "--model", model, "--em", *targets)}
+    curves = ("--curves", f"canonical={model}", f"steep={tmp_path / 'steep.json'}")
+    for fmt, suffix in (("text", "txt"), ("csv", "csv")):
+        out[f"compare.{suffix}"] = stdout("compare", *curves, "--em", *targets, "--fmt", fmt)
+        out[f"reference.{suffix}"] = stdout("compare", "--reference", "reminder", "--fmt", fmt)
+    assert main("report", "--points", points, "--model", model, "--queries", *targets,
+                "--out", tmp_path / "answers") == 0
+    capsys.readouterr()
+    for name in ("answers.svg", "answers.csv"):
+        out[name] = (tmp_path / name).read_bytes()
+    assert {name: _digest(data) for name, data in out.items()} == ANSWER_GOLDEN
