@@ -82,7 +82,10 @@ def load_annotations(path: str | Path, domain: str | None = None) -> ComplexityA
                 raise AnnotationError(f"{path}:{lineno}: intent {intent!r} must be IN:-prefixed")
             if intent in classes:
                 raise AnnotationError(f"{path}:{lineno}: duplicate intent {intent!r}")
-            classes[intent] = ComplexityClass.from_string(cls)
+            try:
+                classes[intent] = ComplexityClass.from_string(cls)
+            except AnnotationError as exc:
+                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
     return ComplexityAnnotations(domain, classes)
 
 
@@ -119,7 +122,8 @@ def per_intent_points(
         raise AnalysisError(f"ledger mixes target domains {sorted(domains)}")
     domain = domains.pop()
 
-    test_counts = Counter(table.labels[pos][0] for pos in table.row_ids(domain, "test"))
+    test_rows = set(table.row_ids(domain, "test"))
+    test_counts = Counter(table.labels[pos][0] for pos in test_rows)
     kept = {label for label, n in test_counts.items() if n >= min_test_occurrences}
 
     out: dict[str, list[EfficiencyPoint]] = {label: [] for label in sorted(kept)}
@@ -131,11 +135,9 @@ def per_intent_points(
             )
         per_intent: dict[str, list[bool]] = {}
         for row_id, predicted in entry.result.predictions:
-            if not 0 <= row_id < len(table):
-                raise AnalysisError(
-                    f"run {entry.manifest.run_id!r} predicts for row {row_id}, "
-                    f"but the corpus has {len(table)} rows"
-                )
+            if row_id not in test_rows:
+                raise AnalysisError(f"run {entry.manifest.run_id!r} predicts for row {row_id}, "
+                                    f"which is not in the {domain} test split")
             label = table.labels[row_id][0]
             if label not in kept:
                 continue

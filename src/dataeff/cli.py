@@ -47,7 +47,7 @@ def _load_points_file(path: str):
         return ledger_to_curve(Ledger.from_json(text, path))
     if stripped.startswith("["):
         return from_dict(list[EfficiencyPoint], loads(text, path), path)
-    return points_from_csv(text)
+    return points_from_csv(text, path)
 
 
 def cmd_schedule(args) -> int:
@@ -225,15 +225,21 @@ def cmd_em(args) -> int:
     return EXIT_OK
 
 
-def _finite(text: str) -> float:
-    """argparse type of the float options: a NaN or infinity is a usage error."""
-    try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+def _finite(low: float = -math.inf, high: float = math.inf):
+    """argparse type of a float option: a finite number in [low, high]."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan  # reported as not finite below
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"not a number in [{low:g}, {high:g}]: {text!r}")
+        return value
+
+    return parse
 
 
 def _at_least(low: int):
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--domain", required=True)
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
-    p.add_argument("--size", type=_finite, required=True,
+    p.add_argument("--size", type=_finite(), required=True,
                    help="percent for uniform, per-label minimum for spis")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="subset JSON path (default: stdout)")
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="invert a fitted curve at EM targets")
     p.add_argument("--model", required=True, help="curve model JSON path")
-    p.add_argument("--em", type=_finite, nargs="+", required=True)
+    p.add_argument("--em", type=_finite(), nargs="+", required=True)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("run", help="run the full protocol and write a ledger")
@@ -315,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
     p.add_argument("--model-id", default="parser")
     p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel runs (>= 1)")
-    p.add_argument("--truth", type=_finite, nargs=3, default=[-27.26, 0.35, 97.79],
+    p.add_argument("--truth", type=_finite(), nargs=3, default=[-27.26, 0.35, 97.79],
                    metavar=("A", "B", "C"), help="simulator truth curve")
-    p.add_argument("--noise", type=_finite, default=0.0, help="simulator EM noise sigma")
-    p.add_argument("--em-at-zero", type=_finite, default=0.0,
+    p.add_argument("--noise", type=_finite(0), default=0.0, help="simulator EM noise sigma")
+    p.add_argument("--em-at-zero", type=_finite(0, 100), default=0.0,
                    help="simulator EM for the 0%% subset")
     p.add_argument("--sim-seed", type=_seed, default=0)
     p.add_argument("--emit-predictions", action="store_true",
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit SVG and CSV plots of points + curve")
     p.add_argument("--points", required=True)
     p.add_argument("--model", default=None, help="curve model JSON path")
-    p.add_argument("--queries", type=_finite, nargs="*", default=[],
+    p.add_argument("--queries", type=_finite(), nargs="*", default=[],
                    help="EM targets to draw guide lines for")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--fmt", choices=["svg", "csv", "both"], default="both")
@@ -347,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="rank models by data required per EM target")
     p.add_argument("--curves", type=_named_file, nargs="+", default=[], metavar="NAME=FILE")
-    p.add_argument("--em", type=_finite, nargs="*", default=[])
+    p.add_argument("--em", type=_finite(), nargs="*", default=[])
     p.add_argument("--reference", default=None,
                    help="print the packaged full-scale reference table for a domain")
     p.add_argument("--fmt", choices=["text", "csv"], default="text")
@@ -373,6 +379,8 @@ def main(argv=None) -> int:
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             parser.error(f"--curves names must be unique; repeated: {', '.join(repeated)}")
+    if args.command == "run" and len(set(args.seeds)) != len(args.seeds):
+        parser.error(f"argument --seeds: seeds must be unique, got {args.seeds}")
     try:
         return args.func(args)
     except (DataEffError, OSError, UnicodeDecodeError) as exc:

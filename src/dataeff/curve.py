@@ -71,8 +71,8 @@ class CurveModel:
         return self.a < 0.0 and 0.0 < self.c < 200.0
 
 
-def points_from_csv(text: str) -> list["EfficiencyPoint"]:
-    """Parse a points CSV; seed/model_id/domain columns are optional."""
+def points_from_csv(text: str, source: str) -> list["EfficiencyPoint"]:
+    """Parse a points CSV; errors name source and line. seed/model_id/domain are optional."""
     import csv
     import io
 
@@ -80,7 +80,7 @@ def points_from_csv(text: str) -> list["EfficiencyPoint"]:
     required = {"subset_percent", "exact_match"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise FitError(
-            "points CSV needs at least the columns subset_percent,exact_match; "
+            f"{source}: points CSV needs at least the columns subset_percent,exact_match; "
             f"got header {reader.fieldnames}"
         )
     points = []
@@ -88,11 +88,11 @@ def points_from_csv(text: str) -> list["EfficiencyPoint"]:
         try:
             x, em = float(row["subset_percent"]), float(row["exact_match"])
             seed = int(row.get("seed") or 0)
-        except (TypeError, ValueError) as exc:  # a non-numeric or missing cell
-            raise InputError(f"points CSV line {reader.line_num}: {exc}") from exc
-        points.append(
-            EfficiencyPoint(x, em, seed, row.get("model_id") or "", row.get("domain") or "")
-        )
+            points.append(
+                EfficiencyPoint(x, em, seed, row.get("model_id") or "", row.get("domain") or "")
+            )
+        except (TypeError, ValueError) as exc:  # a non-numeric or missing cell, or a bad value
+            raise InputError(f"{source}:{reader.line_num}: {exc}") from exc
     return points
 
 

@@ -8,7 +8,9 @@ testable without GPUs, and CommandRunner shells out to a user command for real
 fine-tuning (command gets the manifest JSON path as its single argument and
 must print RunResult JSON on stdout, exiting 0).
 
-Failed runs are recorded in the ledger and do not abort the protocol.
+A ledger is an immutable record of self-checked entries, one per run_id; its
+decode errors name the entry, as in ``entries[4]``. A runner that raises, or
+returns no RunResult for its manifest, fails only that run.
 The modules only CommandRunner and a multi-job protocol need (subprocess,
 shlex, tempfile, concurrent.futures) are imported where those run, so a
 simulated protocol and the commands that only read a ledger do not load them.
@@ -17,7 +19,7 @@ simulated protocol and the commands that only read a ledger do not load them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -97,44 +99,36 @@ class RunResult:
             raise ProtocolError(f"exact_match out of [0, 100]: {self.exact_match}")
 
 
-def _check_run_id(result: RunResult | None, run_id: str) -> None:
-    if result is not None and result.run_id != run_id:
-        raise ProtocolError(f"result for {result.run_id!r} does not match manifest {run_id!r}")
-
-
 @dataclass(frozen=True)
 class LedgerEntry:
     manifest: ManifestSummary
     result: RunResult | None
     error: str | None
 
+    def __post_init__(self):
+        if self.result is None and self.error is None:
+            raise ProtocolError("a failed entry needs an error message")
+        if self.result is not None and self.result.run_id != self.manifest.run_id:
+            raise ProtocolError(f"result for {self.result.run_id!r} does not match "
+                                f"manifest {self.manifest.run_id!r}")
+
     @property
     def ok(self) -> bool:
         return self.result is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ledger:
-    """Append-only run record keyed by run_id; results must match their manifest."""
+    """Immutable run record: self-checked entries, no run_id twice."""
 
-    entries: list[LedgerEntry] = field(default_factory=list)
+    entries: tuple[LedgerEntry, ...]
 
     def __post_init__(self):
-        # Entries passed in, as the JSON decoder does, get the same checks as append.
-        entries, self.entries, self._run_ids = self.entries, [], set()
-        for e in entries:
-            self.append(e.manifest, e.result, e.error)
-
-    def append(self, manifest: Manifest | ManifestSummary,
-               result: RunResult | None, error: str | None = None) -> None:
-        summary = manifest.summary() if isinstance(manifest, Manifest) else manifest
-        if summary.run_id in self._run_ids:
-            raise ProtocolError(f"duplicate run_id {summary.run_id!r} in ledger")
-        _check_run_id(result, summary.run_id)
-        if result is None and error is None:
-            raise ProtocolError("a failed entry needs an error message")
-        self._run_ids.add(summary.run_id)
-        self.entries.append(LedgerEntry(summary, result, error))
+        first: dict[str, int] = {}
+        for i, entry in enumerate(self.entries):
+            if (j := first.setdefault(entry.manifest.run_id, i)) != i:
+                raise ProtocolError(f"duplicate run_id {entry.manifest.run_id!r} "
+                                    f"in entries[{j}] and entries[{i}]")
 
     @property
     def ok_entries(self) -> list[LedgerEntry]:
@@ -358,32 +352,28 @@ def run_protocol(manifests: Sequence[Manifest], runner: Runner, jobs: int = 1) -
     """Execute every manifest exactly once and collect results into a ledger.
 
     Runs are independent; jobs > 1 executes them in a thread pool. A runner
-    exception marks that run failed and the protocol continues. Ledger order
-    always follows manifest order, regardless of completion order.
+    that raises or returns no matching RunResult fails only that run. Ledger
+    order always follows manifest order, regardless of completion order.
     """
     if jobs < 1:
         raise ProtocolError(f"jobs must be >= 1, got {jobs}")
 
-    def attempt(manifest: Manifest):
+    def attempt(manifest: Manifest) -> LedgerEntry:
+        summary = manifest.summary()
         try:
             result = runner(manifest)
-            _check_run_id(result, manifest.run_id)
-            return result, None
+            if not isinstance(result, RunResult):
+                raise ProtocolError(f"runner returned {type(result).__name__}, not RunResult")
+            return LedgerEntry(summary, result, None)
         except Exception as exc:  # fault isolation: one bad run must not abort the rest
-            return None, f"{type(exc).__name__}: {exc}"
+            return LedgerEntry(summary, None, f"{type(exc).__name__}: {exc}")
 
     if jobs == 1 or len(manifests) <= 1:
-        outcomes = [attempt(m) for m in manifests]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return Ledger(tuple(map(attempt, manifests)))
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(attempt, manifests))
-
-    ledger = Ledger()
-    for manifest, (result, error) in zip(manifests, outcomes):
-        ledger.append(manifest, result, error)
-    return ledger
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return Ledger(tuple(pool.map(attempt, manifests)))
 
 
 def ledger_to_curve(ledger: Ledger) -> list[EfficiencyPoint]:

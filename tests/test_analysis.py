@@ -16,6 +16,7 @@ from dataeff.curve import CurveModel, EfficiencyPoint
 from dataeff.errors import AnalysisError, AnnotationError
 from dataeff.protocol import (
     Ledger,
+    LedgerEntry,
     ManifestSummary,
     RunResult,
     SimulatedRunner,
@@ -91,9 +92,10 @@ def test_packaged_annotations_unknown_domain():
 
 def test_load_annotations_errors(tmp_path):
     bad_class = tmp_path / "a.csv"
-    bad_class.write_text("intent,class\nIN:X,weird\n", encoding="utf-8")
-    with pytest.raises(AnnotationError):
+    bad_class.write_text("intent,class\nIN:Y,open\nIN:X,weird\n", encoding="utf-8")
+    with pytest.raises(AnnotationError) as exc:
         load_annotations(bad_class)
+    assert str(exc.value).startswith(f"{bad_class}:3: unknown complexity class 'weird'")
 
     duplicate = tmp_path / "b.csv"
     duplicate.write_text("intent,class\nIN:X,open\nIN:X,closed\n", encoding="utf-8")
@@ -141,12 +143,8 @@ def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally w
         if labels[0] == "IN:PLAY_MUSIC" and edits:
             text = edits.pop(0)(text)
         predictions.append((pos, text))
-    ledger = Ledger()
-    ledger.append(
-        _summary("run-k4", 4),
-        RunResult(run_id="run-k4", exact_match=0.0, seed=0, predictions=tuple(predictions)),
-    )
-    return ledger
+    result = RunResult(run_id="run-k4", exact_match=0.0, seed=0, predictions=tuple(predictions))
+    return Ledger((LedgerEntry(_summary("run-k4", 4), result, None),))
 
 
 def test_per_intent_all_correct():
@@ -188,8 +186,8 @@ def test_per_intent_compares_canonical_forms():
 
 def test_per_intent_requires_predictions():
     table = _music_test_table()
-    ledger = Ledger()
-    ledger.append(_summary("bare", 4), RunResult(run_id="bare", exact_match=90.0, seed=0))
+    result = RunResult(run_id="bare", exact_match=90.0, seed=0)
+    ledger = Ledger((LedgerEntry(_summary("bare", 4), result, None),))
     with pytest.raises(AnalysisError):
         per_intent_points(ledger, table)
 
@@ -202,13 +200,23 @@ def test_per_intent_threshold_is_configurable():
 
 def test_per_intent_rejects_out_of_range_rows():
     table = _music_test_table()
-    ledger = Ledger()
-    ledger.append(
-        _summary("bogus", 4),
-        RunResult(run_id="bogus", exact_match=0.0, seed=0,
-                  predictions=((10_000, "[IN:PLAY_MUSIC x ]"),)),
-    )
-    with pytest.raises(AnalysisError):
+    for row_id in (10_000, -1):
+        result = RunResult(run_id="bogus", exact_match=0.0, seed=0,
+                           predictions=((row_id, "[IN:PLAY_MUSIC x ]"),))
+        ledger = Ledger((LedgerEntry(_summary("bogus", 4), result, None),))
+        with pytest.raises(AnalysisError, match=f"'bogus' predicts for row {row_id},"):
+            per_intent_points(ledger, table)
+
+
+def test_per_intent_rejects_rows_outside_the_test_split():
+    # A correct prediction for a train row would otherwise count as a hit.
+    table = _music_test_table()
+    train_row = table.split.index("train")
+    predictions = ((0, table.parse[0]), (train_row, table.parse[train_row]))
+    result = RunResult(run_id="leak", exact_match=100.0, seed=0, predictions=predictions)
+    ledger = Ledger((LedgerEntry(_summary("leak", 4), result, None),))
+    message = f"run 'leak' predicts for row {train_row}, which is not in the music test split"
+    with pytest.raises(AnalysisError, match=message):
         per_intent_points(ledger, table)
 
 

@@ -450,6 +450,18 @@ def test_points_json_array_errors_name_file_and_key(tmp_path):
     assert f"{path}: invalid JSON" in proc.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("subset_percent,exact_match\n1,70\n12,140\n", ":3: exact_match out of [0, 100]: 140.0"),
+    ("subset_percent,exact_match\n1,70\ntwelve,88\n", ":3: could not convert string"),
+    ("x,y\n1,70\n", ": points CSV needs at least the columns subset_percent,exact_match"),
+])
+def test_points_csv_errors_name_file_and_line(tmp_path, capsys, text, message):
+    path = tmp_path / "points.csv"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["fit", "--points", str(path)]) == 1
+    assert f"error: {path}{message}" in capsys.readouterr().err
+
+
 def test_program_errors_propagate_out_of_main(monkeypatch):
     from dataeff import cli
 
@@ -553,12 +565,14 @@ def test_text_files_accept_a_byte_order_mark(tmp_path, name):
 @pytest.mark.parametrize("option, value", [
     ("--runner", "foo"), ("--runner", "exec:"), ("--runner", "exec:  "),
     ("--jobs", "0"), ("--jobs", "-1"), ("--seeds", "-1"), ("--seeds", str(2 ** 64)),
-    ("--sim-seed", "-1"), ("--sim-seed", str(2 ** 64)),
+    ("--sim-seed", "-1"), ("--sim-seed", str(2 ** 64)), ("--noise", "-1"),
+    ("--em-at-zero", "150"), ("--em-at-zero", "-1"), ("--seeds", ("0", "0")),
 ])
 def test_run_usage_errors_exit_before_reading_the_corpus(tmp_path, option, value):
     ledger = tmp_path / "ledger.json"
+    values = value if isinstance(value, tuple) else (value,)
     proc = run_cli("run", "--corpus", tmp_path / "missing.tsv", "--target", "weather",
-                   option, value, "--out", ledger)
+                   option, *values, "--out", ledger)
     assert proc.returncode == 2, proc.stderr
     assert f"argument {option}: " in proc.stderr
     assert not ledger.exists()

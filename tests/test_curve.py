@@ -245,23 +245,25 @@ def test_points_csv_round_trip():
     ]
     text = ("subset_percent,exact_match,seed,model_id,domain\n"
             "1,70.5,2,m,weather\n12,88.25,3,m,weather\n")
-    assert points_from_csv(text) == points
+    assert points_from_csv(text, "p.csv") == points
 
 
 def test_points_csv_minimal_columns():
-    points = points_from_csv("subset_percent,exact_match\n1,70\n12,88\n")
+    points = points_from_csv("subset_percent,exact_match\n1,70\n12,88\n", "p.csv")
     assert points == [EfficiencyPoint(1, 70), EfficiencyPoint(12, 88)]
-    with pytest.raises(FitError):
-        points_from_csv("x,y\n1,70\n")
+    with pytest.raises(FitError, match="^p.csv: points CSV needs"):
+        points_from_csv("x,y\n1,70\n", "p.csv")
 
 
 def test_points_csv_bad_cell_names_line():
-    with pytest.raises(InputError, match="line 3"):
-        points_from_csv("subset_percent,exact_match\n1,70\ntwelve,88\n")
-    with pytest.raises(InputError, match="line 2"):
-        points_from_csv("subset_percent,exact_match,seed\n1,70,x\n")
-    with pytest.raises(InputError, match="line 2"):
-        points_from_csv("subset_percent,exact_match\n1\n")  # short row: missing cell
+    with pytest.raises(InputError, match="^p.csv:3: "):
+        points_from_csv("subset_percent,exact_match\n1,70\ntwelve,88\n", "p.csv")
+    with pytest.raises(InputError, match="^p.csv:2: "):
+        points_from_csv("subset_percent,exact_match,seed\n1,70,x\n", "p.csv")
+    with pytest.raises(InputError, match="^p.csv:2: "):
+        points_from_csv("subset_percent,exact_match\n1\n", "p.csv")  # short row: missing cell
+    with pytest.raises(InputError, match=r"^p.csv:3: subset_percent out of \[0, 100\]: 101.0"):
+        points_from_csv("subset_percent,exact_match\n1,70\n101,88\n", "p.csv")
 
 
 def test_point_validation():

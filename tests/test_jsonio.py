@@ -89,6 +89,22 @@ def test_errors_name_source_and_key_path(weather_table):
     payload["entries"][1]["result"]["predictions"][0] = [1, "a", "b"]
     assert "predictions[0]: expected 2 items, got 3" in _decode_error(Ledger, payload)
 
+    # The ledger's own checks name the entry, or both entries of a duplicate.
+    payload = json.loads(dumps(_ledger(weather_table)))
+    run_ids = [e["manifest"]["run_id"] for e in payload["entries"]]
+    payload["entries"][4]["result"]["run_id"] = run_ids[5]
+    assert _decode_error(Ledger, payload, "ledger.json") == (
+        f"ledger.json: entries[4]: result for {run_ids[5]!r} does not match manifest "
+        f"{run_ids[4]!r}")
+    payload = json.loads(dumps(_ledger(weather_table)))
+    payload["entries"][6]["result"] = None
+    assert _decode_error(Ledger, payload, "ledger.json") == (
+        "ledger.json: entries[6]: a failed entry needs an error message")
+    payload = json.loads(dumps(_ledger(weather_table)))
+    payload["entries"][5] = payload["entries"][1]
+    assert _decode_error(Ledger, payload, "ledger.json") == (
+        f"ledger.json: duplicate run_id {run_ids[1]!r} in entries[1] and entries[5]")
+
     model = {"a": -1, "c": 90, "sse": 0, "iterations": 1, "converged": True,
              "fit_domain": [1, 100]}
     assert _decode_error(CurveModel, model, "model.json") == "model.json: b: missing"
@@ -105,6 +121,7 @@ def test_constructor_checks_report_their_location(weather_table):
     assert message.startswith("ledger.json: entries[1].result: exact_match out of [0, 100]")
     payload["entries"][2] = payload["entries"][1] = payload["entries"][0]
     assert "duplicate run_id" in _decode_error(Ledger, payload, "ledger.json")
+    assert type(from_dict(Ledger, {"entries": []}, "x").entries) is tuple
 
 
 def test_unknown_keys_are_ignored():

@@ -10,6 +10,7 @@ from dataeff.jsonio import dumps, from_dict
 from dataeff.protocol import (
     CommandRunner,
     Ledger,
+    LedgerEntry,
     Manifest,
     RunResult,
     SimulatedRunner,
@@ -157,36 +158,63 @@ def test_ledger_round_trip_bytes(weather_table, manifests):
     assert dumps(Ledger.from_json(text, "ledger.json")) == text
 
 
+def _ok(manifest):
+    result = RunResult(run_id=manifest.run_id, exact_match=50.0, seed=0)
+    return LedgerEntry(manifest.summary(), result, None)
+
+
 def test_ledger_rejects_duplicates_and_mismatches(manifests):
-    ledger = Ledger()
-    result = RunResult(run_id=manifests[0].run_id, exact_match=50.0, seed=0)
-    ledger.append(manifests[0], result)
-    with pytest.raises(ProtocolError):
-        ledger.append(manifests[0], result)
-    with pytest.raises(ProtocolError):
-        ledger.append(manifests[1], result)  # result names a different manifest
-    with pytest.raises(ProtocolError):
-        ledger.append(manifests[2], None)  # failure without an error message
+    first, second = _ok(manifests[0]), _ok(manifests[1])
+    assert Ledger((first, second)).entries == (first, second)
+    with pytest.raises(ProtocolError, match=r"in entries\[0\] and entries\[2\]"):
+        Ledger((first, second, first))
+    with pytest.raises(ProtocolError, match="does not match manifest"):
+        LedgerEntry(manifests[1].summary(), first.result, None)  # result names another manifest
+    with pytest.raises(ProtocolError, match="needs an error message"):
+        LedgerEntry(manifests[2].summary(), None, None)
+    assert not LedgerEntry(manifests[2].summary(), None, "boom").ok
 
 
 def test_ledger_to_curve_requires_single_group(weather_table):
     schedule = make_schedule(4)
-    ledger = Ledger()
-    for domain, model_id in (("weather", "m1"), ("alarm", "m2")):
-        for m in build_manifests(weather_table, domain, schedule, model_id=model_id):
-            ledger.append(m, RunResult(run_id=m.run_id, exact_match=50.0, seed=0))
-    with pytest.raises(ProtocolError):
+    ledger = Ledger(tuple(
+        _ok(m)
+        for domain, model_id in (("weather", "m1"), ("alarm", "m2"))
+        for m in build_manifests(weather_table, domain, schedule, model_id=model_id)
+    ))
+    with pytest.raises(ProtocolError, match="mixes several"):
         ledger_to_curve(ledger)
 
 
 def test_ledger_to_curve_rejects_empty_and_all_failed(manifests):
-    with pytest.raises(ProtocolError):
-        ledger_to_curve(Ledger())
-    ledger = Ledger()
-    for m in manifests:
-        ledger.append(m, None, "boom")
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="empty ledger"):
+        ledger_to_curve(Ledger(()))
+    ledger = Ledger(tuple(LedgerEntry(m.summary(), None, "boom") for m in manifests))
+    with pytest.raises(ProtocolError, match="all runs failed"):
         ledger_to_curve(ledger)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_protocol_bad_return_fails_only_its_run(manifests, jobs):
+    inner = SimulatedRunner(SimulatedRunnerConfig(truth=TRUTH))
+
+    def misbehaving(manifest):
+        if manifest.subset_percent == 4:
+            return None
+        if manifest.subset_percent == 21:
+            return inner(manifests[1])  # a result for another manifest
+        return inner(manifest)
+
+    ledger = run_protocol(manifests, misbehaving, jobs=jobs)
+    assert [e.manifest.run_id for e in ledger.entries] == [m.run_id for m in manifests]
+    failed = {e.manifest.subset_percent: e.error for e in ledger.failed_entries}
+    assert failed == {
+        4: "ProtocolError: runner returned NoneType, not RunResult",
+        21: f"ProtocolError: result for {manifests[1].run_id!r} does not match manifest "
+            f"{manifests[6].run_id!r}",
+    }
+    assert len(ledger.ok_entries) == 8
+    assert dumps(ledger) == dumps(run_protocol(manifests, misbehaving, jobs=3 - jobs))
 
 
 def test_end_to_end_recovers_truth(weather_table, manifests):
@@ -267,6 +295,24 @@ def test_command_runner_defaults_from_manifest(tmp_path, manifests):
     assert result.seed == manifests[3].subset.seed
     assert result.exact_match == 50.0 and type(result.exact_match) is float
     assert result.wall_time > 0.0
+
+
+@pytest.mark.parametrize("bad, detail", [
+    (CommandRunner(["dataeff-no-such-command"]), "No such file or directory"),
+    (CommandRunner([sys.executable, "-c", "import time; time.sleep(5)"], timeout=0.2),
+     "timed out after 0.2 seconds"),
+])
+def test_command_runner_execute_failure_fails_only_its_run(tmp_path, manifests, bad, detail):
+    good = _write_runner(tmp_path)
+
+    def runner(manifest):
+        return (bad if manifest.subset_percent == 12 else good)(manifest)
+
+    ledger = run_protocol(manifests[3:7], runner)
+    assert [e.ok for e in ledger.entries] == [True, True, False, True]
+    error = ledger.entries[2].error
+    assert error.startswith("RunnerError: runner command failed to execute: ")
+    assert detail in error
 
 
 def test_command_runner_bad_output_names_run_and_key(tmp_path, manifests):
