@@ -12,7 +12,6 @@ from dataeff import (
     CorpusTable,
     ReportSpec,
     SimulatedRunner,
-    SimulatedRunnerConfig,
     build_manifests,
     fit_curve,
     invert,
@@ -46,9 +45,8 @@ print()
 
 # Stage 2: the runner. Here a simulator with a known truth curve stands in
 # for GPU fine-tuning; exchange it for CommandRunner("train.sh") in real use.
-config = SimulatedRunnerConfig(truth=(-27.26, 0.35, 97.79), noise_sigma=0.4,
-                               em_at_zero=8.0, seed=1)
-ledger = run_protocol(manifests, SimulatedRunner(config), jobs=4)
+runner = SimulatedRunner(truth=(-27.26, 0.35, 97.79), noise_sigma=0.4, em_at_zero=8.0, seed=1)
+ledger = run_protocol(manifests, runner, jobs=4)
 print(f"ledger: {len(ledger.ok_entries)} ok, {len(ledger.failed_entries)} failed")
 
 # Stage 3: discrete points -> continuous curve.

@@ -9,7 +9,6 @@ measured on production parsers at full scale.
 from dataeff import (
     CorpusTable,
     SimulatedRunner,
-    SimulatedRunnerConfig,
     aggregate_seeds,
     build_manifests,
     compare_models,
@@ -29,7 +28,7 @@ schedule = make_schedule(10)
 
 # Three independent seeds, noisy runner: discrete points wobble ~ +-1 EM.
 manifests = build_manifests(table, "reminder", schedule, seeds=(0, 1, 2))
-runner = SimulatedRunner(SimulatedRunnerConfig(truth=(-30.0, 0.4, 96.5), noise_sigma=0.5))
+runner = SimulatedRunner(truth=(-30.0, 0.4, 96.5), noise_sigma=0.5)
 points = ledger_to_curve(run_protocol(manifests, runner))
 
 aggregate = aggregate_seeds(points, em_targets=(85.0, 90.0))
@@ -49,7 +48,7 @@ print()
 curves = {}
 for model_id, truth in (("baseline", (-27.0, 0.30, 96.0)), ("span-based", (-27.0, 0.55, 96.0))):
     ms = build_manifests(table, "reminder", schedule, seeds=(0,), model_id=model_id)
-    sim = SimulatedRunner(SimulatedRunnerConfig(truth=truth))
+    sim = SimulatedRunner(truth=truth)
     curves[model_id] = fit_curve(ledger_to_curve(run_protocol(ms, sim)))
 
 print(compare_models(curves, [80.0, 90.0, 95.0]).to_text())

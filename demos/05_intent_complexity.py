@@ -10,7 +10,6 @@ from dataeff import (
     ComplexityClass,
     CorpusTable,
     SimulatedRunner,
-    SimulatedRunnerConfig,
     build_manifests,
     intent_complexity_from_slots,
     ledger_to_curve,
@@ -27,9 +26,9 @@ print("slots {closed, open} ->", intent_complexity_from_slots(slots))
 print("no slots           ->", intent_complexity_from_slots([]))
 print()
 
-annotations = packaged_annotations("music")
+classes = packaged_annotations("music")  # {intent label: ComplexityClass}
 print("packaged music annotations:")
-for intent, cls in sorted(annotations.classes.items()):
+for intent, cls in sorted(classes.items()):
     print(f"  {intent:<32} {cls}")
 print()
 
@@ -46,16 +45,16 @@ rows += [("event", f"event {i}", "[IN:GET_EVENT go ]", "train")
 table = CorpusTable(rows)
 
 manifests = build_manifests(table, "music", make_schedule(8), seeds=(0,))
-config = SimulatedRunnerConfig(truth=(-35.0, 0.45, 95.0), noise_sigma=0.0,
-                               em_at_zero=10.0, emit_predictions=True)
-ledger = run_protocol(manifests, SimulatedRunner(config, table))
+runner = SimulatedRunner(truth=(-35.0, 0.45, 95.0), noise_sigma=0.0, em_at_zero=10.0,
+                         emit_predictions=True, table=table)
+ledger = run_protocol(manifests, runner)
 print(f"{len(ledger.ok_entries)} runs with per-example predictions")
 
 per_intent = per_intent_points(ledger, table)
 print("intents kept for analysis:", ", ".join(sorted(per_intent)))
 print()
 
-curves = per_class_curves(per_intent, annotations)
+curves = per_class_curves(per_intent, classes)
 print("class      subset%   mean EM")
 for cls, series in curves.items():
     if not series:

@@ -21,10 +21,9 @@ __version__ = "0.1.0"
 # command pays only for the modules it runs.
 _SOURCE = {
     **dict.fromkeys((
-        "ComparisonTable", "ComplexityAnnotations", "ComplexityClass", "SeedAggregate",
-        "aggregate_seeds", "compare_models", "intent_complexity_from_slots",
-        "load_annotations", "packaged_annotations", "per_class_curves", "per_intent_points",
-        "reference_comparison",
+        "ComparisonTable", "ComplexityClass", "SeedAggregate", "aggregate_seeds",
+        "compare_models", "intent_complexity_from_slots", "load_annotations",
+        "packaged_annotations", "per_class_curves", "per_intent_points", "reference_comparison",
     ), "analysis"),
     **dict.fromkeys(("CorpusTable", "load_corpus", "save_corpus"), "corpus"),
     **dict.fromkeys((
@@ -38,8 +37,7 @@ _SOURCE = {
     ), "frames"),
     **dict.fromkeys((
         "CommandRunner", "Ledger", "Manifest", "RunResult", "SimulatedRunner",
-        "SimulatedRunnerConfig", "build_manifests", "ledger_to_curve", "load_ledger",
-        "run_protocol", "save_ledger", "simulated_run",
+        "build_manifests", "ledger_to_curve", "load_ledger", "run_protocol", "save_ledger",
     ), "protocol"),
     **dict.fromkeys(("ReportSpec", "render_csv", "render_svg", "write_report"), "report"),
     **dict.fromkeys((

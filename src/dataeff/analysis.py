@@ -55,17 +55,9 @@ def intent_complexity_from_slots(slot_classes: list[ComplexityClass]) -> Complex
     return max(slot_classes, default=ComplexityClass.NONE)
 
 
-@dataclass(frozen=True)
-class ComplexityAnnotations:
-    domain: str
-    classes: dict  # intent label -> ComplexityClass
-
-
-def load_annotations(path: str | Path, domain: str | None = None) -> ComplexityAnnotations:
-    """Read a two-column CSV ``intent,class``; the domain defaults from the filename."""
+def load_annotations(path: str | Path) -> dict[str, ComplexityClass]:
+    """Read a two-column CSV ``intent,class`` into {intent label: ComplexityClass}."""
     path = Path(path)
-    if domain is None:
-        domain = path.stem
     classes: dict[str, ComplexityClass] = {}
     with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
@@ -86,10 +78,10 @@ def load_annotations(path: str | Path, domain: str | None = None) -> ComplexityA
                 classes[intent] = ComplexityClass.from_string(cls)
             except AnnotationError as exc:
                 raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-    return ComplexityAnnotations(domain, classes)
+    return classes
 
 
-def packaged_annotations(domain: str) -> ComplexityAnnotations:
+def packaged_annotations(domain: str) -> dict[str, ComplexityClass]:
     """Annotations shipped with the package for one of the stock domains."""
     if domain not in PACKAGED_ANNOTATION_DOMAINS:
         raise AnnotationError(
@@ -98,7 +90,7 @@ def packaged_annotations(domain: str) -> ComplexityAnnotations:
         )
     ref = resources.files("dataeff").joinpath(f"data/annotations/{domain}.csv")
     with resources.as_file(ref) as path:
-        return load_annotations(path, domain)
+        return load_annotations(path)
 
 
 def per_intent_points(
@@ -108,9 +100,10 @@ def per_intent_points(
 ) -> dict:
     """Break each run's exact match down by the reference frame's root intent.
 
-    Every successful run must carry per-example predictions. Intents with
-    fewer than min_test_occurrences rows in the target domain's test split are
-    excluded. Returns {intent label: [EfficiencyPoint, ...]}.
+    Every successful run must carry per-example predictions, exactly one for
+    each row of the target domain's test split. Intents with fewer than
+    min_test_occurrences rows in that split are excluded. Returns
+    {intent label: [EfficiencyPoint, ...]}.
     """
     from .frames import canonical_frame
 
@@ -122,22 +115,28 @@ def per_intent_points(
         raise AnalysisError(f"ledger mixes target domains {sorted(domains)}")
     domain = domains.pop()
 
-    test_rows = set(table.row_ids(domain, "test"))
-    test_counts = Counter(table.labels[pos][0] for pos in test_rows)
+    test_split = table.row_ids(domain, "test")
+    test_rows = set(test_split)
+    test_counts = Counter(table.labels[pos][0] for pos in test_split)
     kept = {label for label, n in test_counts.items() if n >= min_test_occurrences}
 
     out: dict[str, list[EfficiencyPoint]] = {label: [] for label in sorted(kept)}
     for entry in entries:
+        run_id = entry.manifest.run_id
         if entry.result.predictions is None:
             raise AnalysisError(
-                f"run {entry.manifest.run_id!r} has no per-example predictions; "
+                f"run {run_id!r} has no per-example predictions; "
                 "re-run with a prediction-emitting runner"
             )
         per_intent: dict[str, list[bool]] = {}
+        seen: set[int] = set()
         for row_id, predicted in entry.result.predictions:
             if row_id not in test_rows:
-                raise AnalysisError(f"run {entry.manifest.run_id!r} predicts for row {row_id}, "
+                raise AnalysisError(f"run {run_id!r} predicts for row {row_id}, "
                                     f"which is not in the {domain} test split")
+            if row_id in seen:
+                raise AnalysisError(f"run {run_id!r} predicts for row {row_id} more than once")
+            seen.add(row_id)
             label = table.labels[row_id][0]
             if label not in kept:
                 continue
@@ -148,6 +147,9 @@ def per_intent_points(
             except FrameParseError:
                 hit = False  # unparseable prediction is simply a miss
             per_intent.setdefault(label, []).append(hit)
+        if len(seen) != len(test_rows):
+            missing = next(row_id for row_id in test_split if row_id not in seen)
+            raise AnalysisError(f"run {run_id!r} has no prediction for test row {missing}")
         for label, hits in per_intent.items():
             out[label].append(
                 EfficiencyPoint(
@@ -163,7 +165,7 @@ def per_intent_points(
 
 def per_class_curves(
     per_intent: dict,
-    annotations: ComplexityAnnotations,
+    classes: dict[str, ComplexityClass],
 ) -> dict:
     """Average member-intent EM per subset percent within each complexity class.
 
@@ -171,7 +173,7 @@ def per_class_curves(
     mean first). Classes with no member intents map to an empty list. Returns
     {ComplexityClass: [(subset percent, mean EM), ...]} sorted by percent.
     """
-    missing = [label for label in per_intent if label not in annotations.classes]
+    missing = [label for label in per_intent if label not in classes]
     if missing:
         raise AnalysisError(f"intents without annotations: {', '.join(sorted(missing))}")
 
@@ -184,7 +186,7 @@ def per_class_curves(
 
     out: dict[ComplexityClass, list[tuple[float, float]]] = {}
     for cls in ComplexityClass:
-        members = [label for label in per_intent if annotations.classes[label] == cls]
+        members = [label for label in per_intent if classes[label] == cls]
         ks = sorted({k for label in members for k in intent_means[label]})
         series = []
         for k in ks:

@@ -112,17 +112,13 @@ def cmd_query(args) -> int:
 
 
 def _make_runner(args, table):
-    from .protocol import CommandRunner, SimulatedRunner, SimulatedRunnerConfig
+    from .protocol import CommandRunner, SimulatedRunner
 
     if args.runner == "simulate":
-        config = SimulatedRunnerConfig(
-            truth=tuple(args.truth),
-            noise_sigma=args.noise,
-            em_at_zero=args.em_at_zero,
-            seed=args.sim_seed,
-            emit_predictions=args.emit_predictions,
+        return SimulatedRunner(
+            truth=tuple(args.truth), noise_sigma=args.noise, em_at_zero=args.em_at_zero,
+            seed=args.sim_seed, emit_predictions=args.emit_predictions, table=table,
         )
-        return SimulatedRunner(config, table)
     return CommandRunner(args.runner[len("exec:"):])
 
 
@@ -175,11 +171,11 @@ def cmd_complexity(args) -> int:
     ledger = protocol.load_ledger(args.ledger)
     table = corpus.load_corpus(args.corpus)
     if args.annotations:
-        annotations = analysis.load_annotations(args.annotations)
+        classes = analysis.load_annotations(args.annotations)
     else:
-        annotations = analysis.packaged_annotations(args.domain)
+        classes = analysis.packaged_annotations(args.domain)
     per_intent = analysis.per_intent_points(ledger, table, args.min_count)
-    curves = analysis.per_class_curves(per_intent, annotations)
+    curves = analysis.per_class_curves(per_intent, classes)
     lines = ["class,subset_percent,mean_exact_match"]
     for cls, series in curves.items():
         for k, em in series:

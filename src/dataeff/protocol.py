@@ -3,10 +3,10 @@
 A Manifest freezes one fine-tuning job: all source-domain train rows plus one
 drawn target subset, with the target domain's eval/test rows for scoring. A
 runner is any callable Manifest -> RunResult; two ship here. SimulatedRunner
-scores h(k) + noise against a configured truth curve so the whole pipeline is
-testable without GPUs, and CommandRunner shells out to a user command for real
-fine-tuning (command gets the manifest JSON path as its single argument and
-must print RunResult JSON on stdout, exiting 0).
+scores h(k) + noise against a truth curve, rejecting bad settings when built,
+so the whole pipeline is testable without GPUs; CommandRunner shells out to a
+user command for real fine-tuning (the command gets the manifest JSON path as
+its single argument and must print RunResult JSON on stdout, exiting 0).
 
 A ledger is an immutable record of self-checked entries, one per run_id; its
 decode errors name the entry, as in ``entries[4]``. A runner that raises, or
@@ -18,8 +18,9 @@ simulated protocol and the commands that only read a ledger do not load them.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -214,13 +215,16 @@ def build_manifests(
 
 
 @dataclass(frozen=True)
-class SimulatedRunnerConfig:
-    """Truth curve and noise for the simulator.
+class SimulatedRunner:
+    """Score each manifest against a configured truth curve; safe to call concurrently.
 
     EM for a k% subset is clamp(a / k**b + c + eps, 0, 100) with
     eps ~ Normal(0, noise_sigma^2); the 0% subset reports em_at_zero + eps
     because the curve has a pole at zero. Noise is keyed by
-    (seed, run seed, k), never by execution order.
+    (seed, run seed, k), never by execution order. With emit_predictions a
+    per-test-row prediction list is drawn (each row correct with probability
+    EM/100) and exact_match becomes the realized fraction; the corpus table
+    then supplies the reference frames.
     """
 
     truth: tuple[float, float, float] = (-27.26, 0.35, 97.79)
@@ -228,69 +232,48 @@ class SimulatedRunnerConfig:
     em_at_zero: float = 0.0
     seed: int = 0
     emit_predictions: bool = False
+    table: CorpusTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.truth) != 3 or not all(
+                isinstance(v, (int, float)) and math.isfinite(v) for v in self.truth):
+            raise ProtocolError(f"truth must be three finite numbers (a, b, c), got {self.truth!r}")
         if self.noise_sigma < 0:
             raise ProtocolError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.em_at_zero <= 100.0:
             raise ProtocolError(f"em_at_zero out of [0, 100]: {self.em_at_zero}")
-
-
-def _clamp_em(value: float) -> float:
-    return min(max(value, 0.0), 100.0)
-
-
-def simulated_run(
-    manifest: Manifest,
-    config: SimulatedRunnerConfig,
-    table: CorpusTable | None = None,
-) -> RunResult:
-    """Score one manifest against the configured truth curve.
-
-    With emit_predictions a per-test-row prediction list is drawn (each row
-    correct with probability EM/100) and exact_match becomes the realized
-    fraction; a corpus table is then required for the reference frames.
-    """
-    k = manifest.subset_percent
-    a, b, c = config.truth
-    run_seed = manifest.subset.seed
-    noise_stream = SplitMix64(combine(config.seed, run_seed, float_key(k), _EM_STREAM))
-    eps = noise_stream.gauss(config.noise_sigma) if config.noise_sigma > 0 else 0.0
-    em = _clamp_em((config.em_at_zero if k == 0 else a / k ** b + c) + eps)
-
-    predictions = None
-    if config.emit_predictions:
-        if table is None:
+        if self.emit_predictions and self.table is None:
             raise ProtocolError("emit_predictions requires the corpus table")
-        stream = SplitMix64(combine(config.seed, run_seed, float_key(k), _PREDICTION_STREAM))
-        rows = []
-        hits = 0
-        for row_id in manifest.test_rows:
-            parse = table.parse[row_id]
-            if stream.unit() < em / 100.0:
-                hits += 1
-                rows.append((row_id, parse))
-            else:  # a rewritten root intent label guarantees a miss
-                root = table.labels[row_id][0]
-                rows.append((row_id, f"[{root}_WRONG{parse[len(root) + 1:]}"))
-        predictions = tuple(rows)
-        if rows:
-            em = 100.0 * hits / len(rows)
-    return RunResult(
-        run_id=manifest.run_id, exact_match=em, seed=run_seed,
-        wall_time=0.0, predictions=predictions,
-    )
-
-
-class SimulatedRunner:
-    """Runner wrapper around simulated_run; safe to call concurrently."""
-
-    def __init__(self, config: SimulatedRunnerConfig, table: CorpusTable | None = None):
-        self.config = config
-        self.table = table
 
     def __call__(self, manifest: Manifest) -> RunResult:
-        return simulated_run(manifest, self.config, self.table)
+        k = manifest.subset_percent
+        a, b, c = self.truth
+        run_seed = manifest.subset.seed
+        noise_stream = SplitMix64(combine(self.seed, run_seed, float_key(k), _EM_STREAM))
+        eps = noise_stream.gauss(self.noise_sigma) if self.noise_sigma > 0 else 0.0
+        em = min(max((self.em_at_zero if k == 0 else a / k ** b + c) + eps, 0.0), 100.0)
+
+        predictions = None
+        if self.emit_predictions:
+            table = self.table
+            stream = SplitMix64(combine(self.seed, run_seed, float_key(k), _PREDICTION_STREAM))
+            rows = []
+            hits = 0
+            for row_id in manifest.test_rows:
+                parse = table.parse[row_id]
+                if stream.unit() < em / 100.0:
+                    hits += 1
+                    rows.append((row_id, parse))
+                else:  # a rewritten root intent label guarantees a miss
+                    root = table.labels[row_id][0]
+                    rows.append((row_id, f"[{root}_WRONG{parse[len(root) + 1:]}"))
+            predictions = tuple(rows)
+            if rows:
+                em = 100.0 * hits / len(rows)
+        return RunResult(
+            run_id=manifest.run_id, exact_match=em, seed=run_seed,
+            wall_time=0.0, predictions=predictions,
+        )
 
 
 class CommandRunner:

@@ -3,8 +3,10 @@
 The chart mirrors the discrete/continuous pair: scattered (subset %, EM %)
 observations, the fitted curve as a polyline sampled at 200 x-values, and a
 dashed guide-line pair (horizontal at the EM target, vertical at the required
-subset percent) per inverse query. Axes are fixed to [0,100] x [0,100]. All
-numbers are formatted with fixed precision so output bytes are deterministic.
+subset percent) per inverse query answered within the data; an answer past
+100% or one never reached is an SVG comment in `dataeff query`'s words. Axes
+are fixed to [0,100] x [0,100]. All numbers are formatted with fixed precision
+so output bytes are deterministic.
 """
 
 from __future__ import annotations
@@ -53,12 +55,6 @@ def _curve_xs(model: CurveModel) -> list[float]:
     x_min = model.fit_domain[0]
     step = (100.0 - x_min) / (CURVE_SAMPLES - 1)
     return [x_min + i * step for i in range(CURVE_SAMPLES)]
-
-
-def _resolve_queries(model: CurveModel, queries: tuple) -> list[tuple[float, float | None]]:
-    """(target EM, required percent or None when it cannot be drawn)."""
-    answers = ((y, invert(model, y)) for y in queries)
-    return [(y, None if answer.exceeds_full_data else answer.percent) for y, answer in answers]
 
 
 def render_svg(spec: ReportSpec) -> str:
@@ -115,11 +111,15 @@ def render_svg(spec: ReportSpec) -> str:
             f'<polyline class="curve" points="{coords}" fill="none" '
             'stroke="#1f77b4" stroke-width="2"/>'
         )
-        for y, x_required in _resolve_queries(spec.model, spec.queries):
-            if x_required is None:
-                out.append(f"<!-- query em={y:g}: not reachable within 100% of data -->")
+        for y in spec.queries:
+            answer = invert(spec.model, y)
+            if answer.percent is None:
+                out.append(f"<!-- query em={y:g}: unreachable (asymptote {spec.model.c:.2f}) -->")
                 continue
-            gx, gy = _fx(x_required), _fy(y)
+            if answer.exceeds_full_data:  # no guide line past the 100% axis
+                out.append(f"<!-- query em={y:g}: {answer.percent:.2f}% exceeds_full_data -->")
+                continue
+            gx, gy = _fx(answer.percent), _fy(y)
             out.append(
                 f'<line class="guide" x1="{_fx(0):.2f}" y1="{gy:.2f}" x2="{gx:.2f}" '
                 f'y2="{gy:.2f}" stroke="#d62728" stroke-width="1.5" stroke-dasharray="5 4"/>'
@@ -130,7 +130,7 @@ def render_svg(spec: ReportSpec) -> str:
             )
             out.append(
                 f'<text class="guide-label" x="{gx + 4:.2f}" y="{_fy(0) - 6:.2f}" '
-                f'font-size="12" fill="#d62728">{x_required:.2f}%</text>'
+                f'font-size="12" fill="#d62728">{answer.percent:.2f}%</text>'
             )
 
     for p in spec.points:
@@ -151,7 +151,8 @@ def render_csv(spec: ReportSpec) -> str:
     if spec.model is not None:
         for x in _curve_xs(spec.model):
             lines.append(f"curve,{x:.10g},{evaluate(spec.model, x, clamp=True):.10g}")
-        for y, x_required in _resolve_queries(spec.model, spec.queries):
+        for y in spec.queries:
+            x_required = invert(spec.model, y).percent  # None: never reached
             lines.append(f"query,{'' if x_required is None else format(x_required, '.10g')},{y:.10g}")
     return "\n".join(lines) + "\n"
 

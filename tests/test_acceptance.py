@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dataeff.analysis import (
-    ComplexityAnnotations,
     ComplexityClass,
     packaged_annotations,
     per_class_curves,
@@ -213,17 +212,15 @@ def test_criterion_09_complexity_aggregation():
         "IN:C": [EfficiencyPoint(1, 70.0), EfficiencyPoint(12, 85.0)],
         "IN:D": [EfficiencyPoint(1, 50.0)],
     }
-    annotations = ComplexityAnnotations(
-        "toy", {"IN:A": closed, "IN:B": closed, "IN:C": semi, "IN:D": open_}
-    )
-    curves = per_class_curves(per_intent, annotations)
+    classes = {"IN:A": closed, "IN:B": closed, "IN:C": semi, "IN:D": open_}
+    curves = per_class_curves(per_intent, classes)
     assert curves[closed] == [(1.0, 85.0), (12.0, 90.0)]
     assert curves[semi] == [(1.0, 70.0), (12.0, 85.0)]
     assert curves[open_] == [(1.0, 50.0)]
     assert curves[ComplexityClass.NONE] == []
 
     for domain, expected in PACKAGED.items():
-        assert packaged_annotations(domain).classes == expected
+        assert packaged_annotations(domain) == expected
     note("criterion 9 PASS: hand-computed class means exact; packaged annotations match")
 
 

@@ -20,7 +20,6 @@ from dataeff.protocol import (
     ManifestSummary,
     RunResult,
     SimulatedRunner,
-    SimulatedRunnerConfig,
     build_manifests,
     ledger_to_curve,
     run_protocol,
@@ -80,9 +79,7 @@ def test_intent_complexity_max_of_slots():
 
 @pytest.mark.parametrize("domain", sorted(PACKAGED))
 def test_packaged_annotations_match_reference(domain):
-    annotations = packaged_annotations(domain)
-    assert annotations.domain == domain
-    assert annotations.classes == PACKAGED[domain]
+    assert packaged_annotations(domain) == PACKAGED[domain]
 
 
 def test_packaged_annotations_unknown_domain():
@@ -220,13 +217,24 @@ def test_per_intent_rejects_rows_outside_the_test_split():
         per_intent_points(ledger, table)
 
 
-def _toy_annotations():
-    from dataeff.analysis import ComplexityAnnotations
+def test_per_intent_requires_one_prediction_per_test_row():
+    # Ten correct predictions of one PLAY row would otherwise score PLAY 100.0.
+    table = _music_test_table()
+    (entry,) = _prediction_ledger(table).entries
+    predictions = entry.result.predictions
+    bad = {
+        "run 'run-k4' predicts for row 0 more than once": predictions[:1] + predictions,
+        "run 'run-k4' has no prediction for test row 3": predictions[:3] + predictions[4:],
+    }
+    for message, rows in bad.items():
+        result = RunResult(run_id="run-k4", exact_match=0.0, seed=0, predictions=rows)
+        ledger = Ledger((LedgerEntry(entry.manifest, result, None),))
+        with pytest.raises(AnalysisError, match=message):
+            per_intent_points(ledger, table)
 
-    return ComplexityAnnotations(
-        "toy",
-        {"IN:A": CLOSED, "IN:B": CLOSED, "IN:C": SEMI, "IN:D": OPEN},
-    )
+
+def _toy_annotations():
+    return {"IN:A": CLOSED, "IN:B": CLOSED, "IN:C": SEMI, "IN:D": OPEN}
 
 
 def test_per_class_curves_hand_means():
@@ -245,9 +253,7 @@ def test_per_class_curves_hand_means():
 
 def test_per_class_single_member_equals_intent():
     per_intent = {"IN:C": [EfficiencyPoint(1, 61.0), EfficiencyPoint(7, 72.0)]}
-    from dataeff.analysis import ComplexityAnnotations
-
-    curves = per_class_curves(per_intent, ComplexityAnnotations("toy", {"IN:C": SEMI}))
+    curves = per_class_curves(per_intent, {"IN:C": SEMI})
     assert curves[SEMI] == [(1.0, 61.0), (7.0, 72.0)]
 
 
@@ -256,11 +262,7 @@ def test_per_class_means_stay_within_member_range():
         "IN:A": [EfficiencyPoint(1, 62.0)],
         "IN:B": [EfficiencyPoint(1, 96.0)],
     }
-    from dataeff.analysis import ComplexityAnnotations
-
-    curves = per_class_curves(
-        per_intent, ComplexityAnnotations("toy", {"IN:A": CLOSED, "IN:B": CLOSED})
-    )
+    curves = per_class_curves(per_intent, {"IN:A": CLOSED, "IN:B": CLOSED})
     (k, mean), = curves[CLOSED]
     assert 62.0 <= mean <= 96.0
 
@@ -312,7 +314,7 @@ def test_aggregate_seeds_per_seed_fits_deterministic(weather_table):
     manifests = build_manifests(
         weather_table, "weather", make_schedule(10), seeds=(0, 1, 2)
     )
-    runner = SimulatedRunner(SimulatedRunnerConfig(truth=(-27.26, 0.35, 97.79)))
+    runner = SimulatedRunner(truth=(-27.26, 0.35, 97.79))
     points = ledger_to_curve(run_protocol(manifests, runner))
     agg = aggregate_seeds(points, em_targets=(80.0,))
     models = list(agg.per_seed_models.values())

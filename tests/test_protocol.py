@@ -14,11 +14,9 @@ from dataeff.protocol import (
     Manifest,
     RunResult,
     SimulatedRunner,
-    SimulatedRunnerConfig,
     build_manifests,
     ledger_to_curve,
     run_protocol,
-    simulated_run,
 )
 from dataeff.sampling import make_schedule
 
@@ -91,15 +89,14 @@ def test_manifest_json_round_trip(manifests):
 
 
 def test_simulated_run_canonical_point(manifests):
-    config = SimulatedRunnerConfig(truth=TRUTH, noise_sigma=0.0)
-    result = simulated_run(manifests[1], config)  # k = 1
+    result = SimulatedRunner(truth=TRUTH, noise_sigma=0.0)(manifests[1])  # k = 1
     assert result.exact_match == pytest.approx(70.53, abs=1e-12)
     assert result.wall_time == 0.0
 
 
 def test_simulated_run_zero_subset_uses_floor(manifests):
-    config = SimulatedRunnerConfig(truth=TRUTH, noise_sigma=0.0, em_at_zero=10.0)
-    assert simulated_run(manifests[0], config).exact_match == 10.0
+    runner = SimulatedRunner(truth=TRUTH, noise_sigma=0.0, em_at_zero=10.0)
+    assert runner(manifests[0]).exact_match == 10.0
 
 
 def test_simulated_run_noise_within_five_sigma(manifests):
@@ -108,8 +105,7 @@ def test_simulated_run_noise_within_five_sigma(manifests):
     within = 0
     n = 10_000
     for i in range(n):
-        config = SimulatedRunnerConfig(truth=TRUTH, noise_sigma=0.5, seed=i)
-        em = simulated_run(manifest, config).exact_match
+        em = SimulatedRunner(truth=TRUTH, noise_sigma=0.5, seed=i)(manifest).exact_match
         if abs(em - h(12)) <= 2.5:
             within += 1
     assert within / n >= 0.999
@@ -117,19 +113,23 @@ def test_simulated_run_noise_within_five_sigma(manifests):
 
 def test_simulated_run_config_validation():
     with pytest.raises(ProtocolError):
-        SimulatedRunnerConfig(noise_sigma=-1)
+        SimulatedRunner(noise_sigma=-1)
     with pytest.raises(ProtocolError):
-        SimulatedRunnerConfig(em_at_zero=101)
+        SimulatedRunner(em_at_zero=101)
+    for truth in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (1.0, float("nan"), 3.0),
+                  (1.0, 2.0, float("inf")), (1.0, "b", 3.0)):
+        with pytest.raises(ProtocolError, match="truth must be three finite numbers"):
+            SimulatedRunner(truth=truth)
 
 
 def test_run_protocol_completeness(weather_table, manifests):
-    ledger = run_protocol(manifests, SimulatedRunner(SimulatedRunnerConfig(truth=TRUTH)))
+    ledger = run_protocol(manifests, SimulatedRunner(truth=TRUTH))
     assert len(ledger.entries) == 10
     assert len(ledger.ok_entries) == 10
 
 
 def test_run_protocol_isolates_failures(weather_table, manifests):
-    inner = SimulatedRunner(SimulatedRunnerConfig(truth=TRUTH))
+    inner = SimulatedRunner(truth=TRUTH)
 
     def flaky(manifest):
         if manifest.subset_percent == 12:
@@ -144,7 +144,7 @@ def test_run_protocol_isolates_failures(weather_table, manifests):
 
 
 def test_run_protocol_deterministic_and_order_independent(weather_table, manifests):
-    runner = SimulatedRunner(SimulatedRunnerConfig(truth=TRUTH, noise_sigma=0.5))
+    runner = SimulatedRunner(truth=TRUTH, noise_sigma=0.5)
     sequential = run_protocol(manifests, runner, jobs=1)
     parallel = run_protocol(manifests, runner, jobs=4)
     again = run_protocol(manifests, runner, jobs=1)
@@ -152,7 +152,7 @@ def test_run_protocol_deterministic_and_order_independent(weather_table, manifes
 
 
 def test_ledger_round_trip_bytes(weather_table, manifests):
-    runner = SimulatedRunner(SimulatedRunnerConfig(truth=TRUTH, noise_sigma=0.3))
+    runner = SimulatedRunner(truth=TRUTH, noise_sigma=0.3)
     ledger = run_protocol(manifests, runner)
     text = dumps(ledger)
     assert dumps(Ledger.from_json(text, "ledger.json")) == text
@@ -196,7 +196,7 @@ def test_ledger_to_curve_rejects_empty_and_all_failed(manifests):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_protocol_bad_return_fails_only_its_run(manifests, jobs):
-    inner = SimulatedRunner(SimulatedRunnerConfig(truth=TRUTH))
+    inner = SimulatedRunner(truth=TRUTH)
 
     def misbehaving(manifest):
         if manifest.subset_percent == 4:
@@ -218,8 +218,8 @@ def test_run_protocol_bad_return_fails_only_its_run(manifests, jobs):
 
 
 def test_end_to_end_recovers_truth(weather_table, manifests):
-    config = SimulatedRunnerConfig(truth=TRUTH, noise_sigma=0.0, em_at_zero=5.0)
-    ledger = run_protocol(manifests, SimulatedRunner(config))
+    runner = SimulatedRunner(truth=TRUTH, noise_sigma=0.0, em_at_zero=5.0)
+    ledger = run_protocol(manifests, runner)
     points = ledger_to_curve(ledger)
     assert len(points) == 10
     model = fit_curve(points)
@@ -228,8 +228,8 @@ def test_end_to_end_recovers_truth(weather_table, manifests):
 
 
 def test_predictions_mode_reports_realized_em(weather_table, manifests):
-    config = SimulatedRunnerConfig(truth=TRUTH, emit_predictions=True)
-    result = simulated_run(manifests[9], config, weather_table)  # k = 100
+    runner = SimulatedRunner(truth=TRUTH, emit_predictions=True, table=weather_table)
+    result = runner(manifests[9])  # k = 100
     assert result.predictions is not None
     assert len(result.predictions) == len(manifests[9].test_rows)
     hits = 0
@@ -242,9 +242,9 @@ def test_predictions_mode_reports_realized_em(weather_table, manifests):
 
 
 def test_predictions_mode_needs_table(manifests):
-    config = SimulatedRunnerConfig(truth=TRUTH, emit_predictions=True)
-    with pytest.raises(ProtocolError):
-        simulated_run(manifests[9], config, None)
+    # Raised while the runner is built: run_protocol would return a ledger instead.
+    with pytest.raises(ProtocolError, match="emit_predictions requires the corpus table"):
+        run_protocol(manifests, SimulatedRunner(truth=TRUTH, emit_predictions=True))
 
 
 def _write_runner(tmp_path, fail_at=None):

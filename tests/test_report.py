@@ -37,11 +37,15 @@ def test_svg_deterministic_bytes():
 
 
 def test_svg_skips_undrawable_queries():
-    # 97 is reachable only beyond 100% of data; no guide pair, a comment instead.
-    spec = ReportSpec(points=POINTS, model=CANONICAL, queries=(97.0,))
+    # 97 is reached only beyond 100% of data and 99 never: no guide pair, a
+    # comment in `query`'s words instead; the CSV keeps the beyond-100% answer.
+    spec = ReportSpec(points=POINTS, model=CANONICAL, queries=(97.0, 99.0))
     svg = render_svg(spec)
     assert svg.count('class="guide"') == 0
-    assert "not reachable" in svg
+    assert "<!-- query em=97: 24774.02% exceeds_full_data -->" in svg
+    assert "<!-- query em=99: unreachable (asymptote 97.79) -->" in svg
+    queries = [l for l in render_csv(spec).splitlines() if l.startswith("query,")]
+    assert queries == ["query,24774.01851,97", "query,,99"]
 
 
 def test_csv_series():

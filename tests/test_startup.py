@@ -122,3 +122,20 @@ def test_cli_still_exposes_the_functions_the_benchmark_tracer_wraps():
     for name in ("load_corpus", "build_manifests", "run_protocol", "save_ledger",
                  "fit_curve", "invert"):
         assert getattr(cli, name) is getattr(dataeff, name), name
+    # The tracer also wraps these where they are defined; a rename would
+    # silently drop their spans from `bench/run.py --trace 1`.
+    from dataeff import analysis, frames, protocol, report, sampling
+
+    lookups = {
+        frames: ("parse_frame", "serialize_frame", "ontology_labels"),
+        sampling: ("uniform_sample", "spis_sample"),
+        protocol.Ledger: ("from_json",),
+        analysis: ("per_intent_points", "per_class_curves"),
+        report: ("write_report",),
+    }
+    for owner, names in lookups.items():
+        for name in names:
+            assert callable(getattr(owner, name, None)), (owner, name)
+    # The runner span replaces __call__ on each runner class itself.
+    for runner in (protocol.SimulatedRunner, protocol.CommandRunner):
+        assert "__call__" in vars(runner), runner
