@@ -12,23 +12,21 @@ or is never reached because it lies at or above the ceiling c (percent None).
 Points at x = 0 (the 0% subset is a legitimate observation) are excluded from
 the residual because h has a pole there; they still appear in discrete plots.
 
-Only the solver needs numpy, and it imports numpy when it runs: loading,
-evaluating and inverting a fitted model stays pure Python, so the commands
-that do not fit start without the cost of importing numpy.
+The solver runs over plain floats: a 3-parameter fit to a few dozen points
+is small work, so the module needs nothing beyond the standard library. Every
+sum goes through math.fsum, which makes a fit depend on the set of points,
+not on their order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import CurveDomainError, FitError, InputError
 from .jsonio import from_dict, loads
-
-if TYPE_CHECKING:
-    import numpy as np
 
 B_MIN, B_MAX = 1e-3, 10.0
 MAX_ITERATIONS = 500
@@ -112,60 +110,96 @@ class Inversion:
         return self.percent is not None and self.percent > 100.0
 
 
-def _residual(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _residual(theta, xs: list[float], ys: list[float]) -> list[float]:
+    """h(x) - y at each point; raises OverflowError where x ** -b leaves the float range."""
     a, b, c = theta
-    return a * x ** (-b) + c - y
+    return [a * x ** (-b) + c - y for x, y in zip(xs, ys)]
 
 
-def _jacobian(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    import numpy as np
-
+def _jacobian(theta, xs: list[float]) -> list[list[float]]:
+    """The three columns dh/da, dh/db, dh/dc at each point."""
     a, b, _ = theta
-    xb = x ** (-b)
-    return np.column_stack([xb, -a * np.log(x) * xb, np.ones_like(x)])
+    xb = [x ** (-b) for x in xs]
+    return [xb, [-a * math.log(x) * v for x, v in zip(xs, xb)], [1.0] * len(xs)]
 
 
-def _clip_b(theta: np.ndarray) -> np.ndarray:
-    theta = theta.copy()
-    theta[1] = min(max(theta[1], B_MIN), B_MAX)
-    return theta
+def _clip_b(theta) -> tuple[float, float, float]:
+    a, b, c = theta
+    return a, min(max(b, B_MIN), B_MAX), c
 
 
-def _levenberg_marquardt(theta0, x, y):
+def _dot(u: list[float], v: list[float]) -> float:
+    return math.fsum(map(mul, u, v))
+
+
+def _residual_sse(theta, xs, ys) -> tuple[list[float] | None, float]:
+    """Residuals and their sum of squares, or (None, inf) where either leaves the float range."""
+    try:
+        r = _residual(theta, xs, ys)
+        sse = _dot(r, r)
+    except OverflowError:
+        return None, math.inf
+    return (r, sse) if math.isfinite(sse) else (None, math.inf)
+
+
+def _solve3(lhs: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Solve a 3x3 system by Gaussian elimination with partial pivoting; None if singular."""
+    rows = [row + [v] for row, v in zip(lhs, rhs)]
+    for k in range(3):
+        pivot = max(range(k, 3), key=lambda i: abs(rows[i][k]))
+        if rows[pivot][k] == 0.0:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, 3):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [u - f * v for u, v in zip(rows[i], rows[k])]
+    step = [0.0, 0.0, 0.0]
+    for i in (2, 1, 0):
+        tail = math.fsum(rows[i][j] * step[j] for j in range(i + 1, 3))
+        step[i] = (rows[i][3] - tail) / rows[i][i]
+    return step
+
+
+def _levenberg_marquardt(theta0, xs, ys):
     """Damped Gauss-Newton from one start; returns (theta, sse, iterations, converged).
 
     Damping starts at 1e-3, /10 on an accepted step, *10 on a rejected one;
-    b is projected into [B_MIN, B_MAX] after every step.
+    b is projected into [B_MIN, B_MAX] after every step. A step whose
+    residuals overflow is rejected; the normal equations are built once per
+    accepted point, since a rejected step leaves the Jacobian as it was.
     """
-    import numpy as np
-
-    theta = _clip_b(np.asarray(theta0, dtype=float))
-    r = _residual(theta, x, y)
-    sse = float(r @ r)
+    theta = _clip_b(theta0)
+    r, sse = _residual_sse(theta, xs, ys)
     lam = 1e-3
     converged = False
     iterations = 0
+    normal = None
     for iterations in range(1, MAX_ITERATIONS + 1):
-        if sse == 0.0:
-            converged = True
-            break
-        jac = _jacobian(theta, x)
-        grad = 2.0 * (jac.T @ r)
-        if float(np.linalg.norm(grad)) < GRAD_TOL:
-            converged = True
-            break
-        lhs = jac.T @ jac + lam * np.eye(3)
-        try:
-            step = np.linalg.solve(lhs, -(jac.T @ r))
-        except np.linalg.LinAlgError:
+        if normal is None:
+            if sse == 0.0:
+                converged = True
+                break
+            if r is None:  # the start itself overflows: there is nothing to step from
+                break
+            try:
+                jac = _jacobian(theta, xs)
+                normal = [[_dot(u, v) for v in jac] for u in jac], [-_dot(u, r) for u in jac]
+            except (OverflowError, ValueError):  # a sum over the Jacobian left the float range
+                break
+            if 2.0 * math.hypot(*normal[1]) < GRAD_TOL:
+                converged = True
+                break
+        jtj, rhs = normal
+        lhs = [[v + lam if i == j else v for j, v in enumerate(row)] for i, row in enumerate(jtj)]
+        step = _solve3(lhs, rhs)
+        if step is None:
             lam *= 10.0
             continue
-        candidate = _clip_b(theta + step)
-        r_new = _residual(candidate, x, y)
-        sse_new = float(r_new @ r_new)
+        candidate = _clip_b([t + s for t, s in zip(theta, step)])
+        r_new, sse_new = _residual_sse(candidate, xs, ys)
         if sse_new < sse:
             relative_drop = (sse - sse_new) / sse
-            theta, r, sse = candidate, r_new, sse_new
+            theta, r, sse, normal = candidate, r_new, sse_new, None
             lam = max(lam / 10.0, 1e-15)
             if relative_drop < SSE_RTOL:
                 converged = True
@@ -177,17 +211,25 @@ def _levenberg_marquardt(theta0, x, y):
     return theta, sse, iterations, converged
 
 
-def _loglog_start(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Linear regression of log(y_max + 1 - y) on log(x) seeds (a, b, c)."""
-    import numpy as np
+def _mean(values: list[float]) -> float:
+    return math.fsum(values) / len(values)
 
-    c0 = float(y.max()) + 1.0
-    lz = np.log(c0 - y)
-    lx = np.log(x)
-    var = float(((lx - lx.mean()) ** 2).sum())
-    slope = float(((lx - lx.mean()) * (lz - lz.mean())).sum() / var) if var > 0 else -0.5
-    intercept = float(lz.mean() - slope * lx.mean())
-    return -math.exp(intercept), -slope, c0
+
+def _loglog_start(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+    """Linear regression of log(y_max + 1 - y) on log(x) seeds (a, b, c)."""
+    c0 = max(ys) + 1.0
+    lz = [math.log(c0 - y) for y in ys]
+    lx = [math.log(x) for x in xs]
+    mean_x, mean_z = _mean(lx), _mean(lz)
+    dx = [v - mean_x for v in lx]
+    var = _dot(dx, dx)
+    slope = _dot(dx, [v - mean_z for v in lz]) / var if var > 0 else -0.5
+    intercept = mean_z - slope * mean_x
+    try:
+        a0 = -math.exp(intercept)
+    except OverflowError:  # a start the solver scores as infinite SSE
+        a0 = -math.inf
+    return a0, -slope, c0
 
 
 def average_points(points: list[EfficiencyPoint]) -> list[EfficiencyPoint]:
@@ -198,7 +240,7 @@ def average_points(points: list[EfficiencyPoint]) -> list[EfficiencyPoint]:
     out = []
     for x in sorted(by_x):
         group = by_x[x]
-        mean = sum(p.exact_match for p in group) / len(group)
+        mean = _mean([p.exact_match for p in group])
         out.append(
             EfficiencyPoint(x, mean, seed=0, model_id=group[0].model_id, domain=group[0].domain)
         )
@@ -211,28 +253,25 @@ def fit_curve(points: list[EfficiencyPoint], average_first: bool = False) -> Cur
     Needs at least 3 distinct subset percents strictly above zero; x = 0
     points are silently excluded from the residual. All seeds contribute
     residuals jointly unless average_first collapses them to per-x means.
+    Every sum is exactly rounded, so the fit depends on the set of points,
+    not on their order.
     """
-    import numpy as np
-
     if average_first:
         points = average_points(points)
     positive = [p for p in points if p.subset_percent > 0.0]
-    xs = np.array([p.subset_percent for p in positive], dtype=float)
-    ys = np.array([p.exact_match for p in positive], dtype=float)
-    if len(set(xs.tolist())) < 3:
-        raise FitError(
-            f"need at least 3 distinct subset percents > 0 to fit, got {len(set(xs.tolist()))}"
-        )
-    fit_domain = (float(xs.min()), float(xs.max()))
+    xs = [float(p.subset_percent) for p in positive]
+    ys = [float(p.exact_match) for p in positive]
+    if len(set(xs)) < 3:
+        raise FitError(f"need at least 3 distinct subset percents > 0 to fit, got {len(set(xs))}")
+    fit_domain = (min(xs), max(xs))
+    y_min, y_max = min(ys), max(ys)
 
-    if float(ys.max() - ys.min()) == 0.0:
+    if y_max - y_min == 0.0:
         # Degenerate flat data: pole term vanishes, curve is the constant c.
         return CurveModel(
-            a=0.0, b=1.0, c=float(ys[0]), sse=0.0, iterations=0, converged=True,
-            fit_domain=fit_domain,
+            a=0.0, b=1.0, c=ys[0], sse=0.0, iterations=0, converged=True, fit_domain=fit_domain,
         )
 
-    y_min, y_max = float(ys.min()), float(ys.max())
     starts = [
         (y_min - y_max, 0.5, y_max),
         (-20.0, 0.35, 95.0),
@@ -243,10 +282,9 @@ def fit_curve(points: list[EfficiencyPoint], average_first: bool = False) -> Cur
         theta, sse, iterations, converged = _levenberg_marquardt(start, xs, ys)
         if best is None or sse < best[1]:
             best = (theta, sse, iterations, converged)
-    theta, sse, iterations, converged = best
+    (a, b, c), sse, iterations, converged = best
     return CurveModel(
-        a=float(theta[0]), b=float(theta[1]), c=float(theta[2]),
-        sse=sse, iterations=iterations, converged=converged, fit_domain=fit_domain,
+        a=a, b=b, c=c, sse=sse, iterations=iterations, converged=converged, fit_domain=fit_domain,
     )
 
 

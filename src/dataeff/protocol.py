@@ -236,10 +236,11 @@ class SimulatedRunner:
 
     def __post_init__(self):
         if len(self.truth) != 3 or not all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in self.truth):
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in self.truth):
             raise ProtocolError(f"truth must be three finite numbers (a, b, c), got {self.truth!r}")
-        if self.noise_sigma < 0:
-            raise ProtocolError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ProtocolError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.em_at_zero <= 100.0:
             raise ProtocolError(f"em_at_zero out of [0, 100]: {self.em_at_zero}")
         if self.emit_predictions and self.table is None:

@@ -1,14 +1,19 @@
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
+import numpy_reference_fit
 from dataeff.curve import (
+    B_MAX,
+    B_MIN,
     CurveModel,
     EfficiencyPoint,
     Inversion,
     _jacobian,
+    _levenberg_marquardt,
     _residual,
     average_points,
     evaluate,
@@ -84,13 +89,17 @@ def test_fit_excludes_zero_points():
 
 
 def test_fit_order_invariant():
-    points = noiseless_points()
+    # Every sum in the fit is exactly rounded, so the order of points cannot move a bit.
+    rng = random.Random(5)
+    points = [EfficiencyPoint(p.subset_percent, min(p.exact_match + rng.gauss(0, 2), 100.0),
+                              seed=seed)
+              for seed in range(3) for p in noiseless_points()]
     shuffled = points[:]
-    random.Random(5).shuffle(shuffled)
-    m1, m2 = fit_curve(points), fit_curve(shuffled)
-    assert abs(m1.a - m2.a) < 1e-6
-    assert abs(m1.b - m2.b) < 1e-6
-    assert abs(m1.c - m2.c) < 1e-6
+    rng.shuffle(shuffled)
+    for average_first in (False, True):
+        m1 = fit_curve(points, average_first=average_first)
+        m2 = fit_curve(shuffled, average_first=average_first)
+        assert m1 == m2, average_first
 
 
 def test_fit_duplication_invariant():
@@ -108,27 +117,28 @@ def test_fit_gradient_vanishes_on_noiseless_data():
         a, b, c = rng.uniform(-40, -5), rng.uniform(0.1, 2), rng.uniform(60, 99)
         points = noiseless_points(a, b, c)
         model = fit_curve(points)
-        xs = np.array([p.subset_percent for p in points], float)
-        ys = np.array([p.exact_match for p in points], float)
-        theta = np.array([model.a, model.b, model.c])
-        grad = 2.0 * _jacobian(theta, xs).T @ _residual(theta, xs, ys)
+        xs = [float(p.subset_percent) for p in points]
+        ys = [p.exact_match for p in points]
+        theta = (model.a, model.b, model.c)
+        grad = 2.0 * np.array(_jacobian(theta, xs)) @ np.array(_residual(theta, xs, ys))
         assert float(np.linalg.norm(grad)) < 1e-8
 
 
 def test_jacobian_matches_central_differences():
-    xs = np.array([1.0, 3.0, 12.0, 55.0, 100.0])
+    xs = [1.0, 3.0, 12.0, 55.0, 100.0]
+    zeros = [0.0] * len(xs)
     for theta in ([-27.26, 0.35, 97.79], [-10.0, 1.2, 85.0], [-35.0, 0.12, 66.0]):
-        theta = np.array(theta, dtype=float)
-        jac = _jacobian(theta, xs)
+        jac = np.array(_jacobian(theta, xs))
+        assert jac.shape == (3, len(xs))
         for j in range(3):
             step = np.zeros(3)
             step[j] = 1e-6 * max(1.0, abs(theta[j]))
             numeric = (
-                _residual(theta + step, xs, np.zeros_like(xs))
-                - _residual(theta - step, xs, np.zeros_like(xs))
+                np.array(_residual(theta + step, xs, zeros))
+                - np.array(_residual(theta - step, xs, zeros))
             ) / (2 * step[j])
-            scale = np.maximum(np.abs(jac[:, j]), 1e-12)
-            assert np.max(np.abs(numeric - jac[:, j]) / scale) < 1e-5
+            scale = np.maximum(np.abs(jac[j]), 1e-12)
+            assert np.max(np.abs(numeric - jac[j]) / scale) < 1e-5
 
 
 def test_evaluate_canonical_values():
@@ -286,3 +296,84 @@ def test_fit_nearly_flat_data_converges():
     model = fit_curve(points)
     assert model.converged
     assert model.sse < 1e-18
+
+
+def _noisy_fixture(seed, sigma):
+    """Three seeds over the positive default schedule around a random saturating truth."""
+    rng = random.Random(seed)
+    a, b, c = rng.uniform(-40, -5), rng.uniform(0.1, 1.5), rng.uniform(60, 99)
+    return [EfficiencyPoint(x, min(max(h(x, a, b, c) + rng.gauss(0, sigma), 0.0), 100.0), seed=s)
+            for s in range(3) for x in POSITIVE_SIZES]
+
+
+def _answer(model, y):
+    try:
+        return invert(model, y).percent
+    except CurveDomainError:
+        return "out of range"
+
+
+def test_fit_matches_the_numpy_reference_solver():
+    # iterations and converged are not compared: both depend on rounding at the SSE floor.
+    fits = 0
+    for sigma in (0.0, 0.5, 1.0, 3.0, 8.0):
+        for seed in range(40):
+            points = _noisy_fixture(seed, sigma)
+            for average_first in (False, True):
+                got = fit_curve(points, average_first=average_first)
+                want = numpy_reference_fit.fit_curve(points, average_first=average_first)
+                where = (sigma, seed, average_first)
+                fits += 1
+                assert got.sse <= want.sse * (1 + 1e-9) + 1e-12, where
+                assert got.fit_domain == want.fit_domain
+                if not B_MIN < want.b < B_MAX:
+                    continue
+                for name in ("a", "b", "c"):
+                    assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-5), where
+                for y in (80, 90, 95):
+                    expected = _answer(want, y)
+                    if isinstance(expected, float):
+                        assert _answer(got, y) == pytest.approx(expected, rel=1e-5), (where, y)
+                    else:
+                        assert _answer(got, y) == expected, (where, y)
+    assert fits == 400
+
+
+@pytest.mark.parametrize("points", [
+    [EfficiencyPoint(5e-324, 10.0), EfficiencyPoint(1e-300, 20.0), EfficiencyPoint(1, 70),
+     EfficiencyPoint(10, 85), EfficiencyPoint(100, 95)],
+    [EfficiencyPoint(5e-324, 90.0), EfficiencyPoint(1e-300, 20.0), EfficiencyPoint(1, 70)],
+    [EfficiencyPoint(5e-324, 100.0), EfficiencyPoint(1e-300, 0.0),
+     EfficiencyPoint(1e-100, 100.0), EfficiencyPoint(100, 0.0)],
+    [EfficiencyPoint(x, 100.0 - x) for x in (1, 5, 25, 100)],
+    [EfficiencyPoint(x, 0.0 if x < 50 else 100.0) for x in (1, 5, 25, 60, 100)],
+    [EfficiencyPoint(5e-324, 100.0), EfficiencyPoint(1e-323, 50.0),
+     EfficiencyPoint(1.5e-323, 0.0)],
+    [EfficiencyPoint(x, 0.0) for x in (5e-324, 1e-300, 1)],
+], ids=["subnormal-x", "subnormal-x-falling", "subnormal-x-zigzag", "decreasing", "step",
+        "all-subnormal-x-falling", "flat-at-tiny-x"])
+def test_fit_edge_cases_return_a_model_or_fit_error(points):
+    # Python's ** raises OverflowError where numpy returned inf; the solver must reject
+    # such a step instead of letting the exception out.
+    for average_first in (False, True):
+        try:
+            model = fit_curve(points, average_first=average_first)
+        except FitError:
+            continue
+        assert isinstance(model, CurveModel)
+        assert all(map(math.isfinite, (model.a, model.b, model.c, model.sse)))
+
+
+@pytest.mark.parametrize("start, xs, ys", [
+    # finite residuals, but x ** -b is about 1e154 at two points, so sum(x ** -2b) overflows
+    ((-1e-150, 0.5133, 0.0), [1e-300, 1e-300, 1.0, 100.0], [50.0, 60.0, 70.0, 90.0]),
+    # residuals of about -1e154 at two points, so their sum of squares overflows
+    ((-1.0, 0.4765, 0.0), [5e-324, 5e-324, 1.0, 100.0], [0.0, 10.0, 70.0, 90.0]),
+    # the log-log start where math.exp(intercept) overflows
+    ((-math.inf, 0.5, 90.0), [1.0, 2.0, 3.0], [70.0, 75.0, 80.0]),
+], ids=["normal-equations", "sum-of-squares", "infinite-start"])
+def test_solver_stops_where_a_sum_overflows(start, xs, ys):
+    theta, sse, iterations, converged = _levenberg_marquardt(start, xs, ys)
+    assert tuple(theta) == start
+    assert (iterations, converged) == (1, False)
+    assert not math.isnan(sse)

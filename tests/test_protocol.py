@@ -112,12 +112,14 @@ def test_simulated_run_noise_within_five_sigma(manifests):
 
 
 def test_simulated_run_config_validation():
-    with pytest.raises(ProtocolError):
-        SimulatedRunner(noise_sigma=-1)
+    # nan < 0 and inf < 0 are false, so a sign check alone lets both through
+    for sigma in (-1, float("nan"), float("inf")):
+        with pytest.raises(ProtocolError, match="noise_sigma must be finite and >= 0"):
+            SimulatedRunner(noise_sigma=sigma)
     with pytest.raises(ProtocolError):
         SimulatedRunner(em_at_zero=101)
     for truth in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (1.0, float("nan"), 3.0),
-                  (1.0, 2.0, float("inf")), (1.0, "b", 3.0)):
+                  (1.0, 2.0, float("inf")), (1.0, "b", 3.0), (True, 0.35, 97.79)):
         with pytest.raises(ProtocolError, match="truth must be three finite numbers"):
             SimulatedRunner(truth=truth)
 
