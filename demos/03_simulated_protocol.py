@@ -35,7 +35,7 @@ for i in range(2000):
 table = CorpusTable(rows)
 
 # Stage 1: one manifest per (schedule size, seed).
-manifests = build_manifests(table, "weather", make_schedule(10), seeds=(0,))
+manifests = list(build_manifests(table, "weather", make_schedule(10), seeds=(0,)))
 print(f"built {len(manifests)} manifests; subset percents:",
       [m.subset_percent for m in manifests])
 biggest = manifests[-1]

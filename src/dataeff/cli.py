@@ -197,11 +197,11 @@ def cmd_compare(args) -> int:
 
 
 def _read_frames(path: str):
-    from .corpus import split_lines
+    from .corpus import read_lines
     from .frames import parse_frame
 
     frames = []
-    for lineno, line in enumerate(split_lines(Path(path).read_text(encoding="utf-8-sig")), 1):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:

@@ -1,10 +1,12 @@
 """Corpus ingestion and per-domain bookkeeping.
 
 Corpora arrive as TSV (header ``domain<TAB>utterance<TAB>semantic_parse`` with
-an optional ``split`` column) or JSONL (one object per line, same keys). A
-leading UTF-8 byte-order mark is skipped. Rows end at ``\n`` or ``\r\n`` only.
-Each row's frame is validated and canonicalized eagerly, so corruption
-surfaces at load time with a line number.
+an optional ``split`` column) or JSONL (one object per line, same keys). The
+file is read one line at a time, so neither its text nor its list of lines is
+ever held whole. A leading UTF-8 byte-order mark is skipped. Rows end at
+``\n`` or ``\r\n`` only. Each row's frame is validated and canonicalized
+eagerly, so corruption surfaces at load time as a CorpusError reading
+``PATH:LINE: message``.
 A table keeps columns of canonical frame text and labels, not row objects or
 trees. Row order is preserved because sampling determinism depends on it.
 """
@@ -38,21 +40,24 @@ class CorpusTable:
     def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
         self._fill((None, *row) for row in rows)
 
-    def _fill(self, rows: Iterable[tuple]) -> None:
-        """Check (line number, domain, utterance, frame, split) rows into the columns."""
+    def _fill(self, rows: Iterable[tuple], path: Path | None = None) -> None:
+        """Check (line number, domain, utterance, frame, split) rows into the columns.
+
+        Errors name ``path`` and the row's line number when the rows came from a file.
+        """
         domain, utterance, parse, split, labels = [], [], [], [], []
         index: dict[str, tuple[str, dict[str, list[int]]]] = {}
         for lineno, name, text, frame, split_name in rows:
             if not name:
-                raise CorpusError("empty domain", lineno)
+                raise CorpusError("empty domain", path, lineno)
             if split_name not in SPLITS:
                 raise CorpusError(
-                    f"unknown split {split_name!r} (expected one of {SPLITS})", lineno)
+                    f"unknown split {split_name!r} (expected one of {SPLITS})", path, lineno)
             split_name = SPLITS[SPLITS.index(split_name)]
             try:
                 frame, frame_labels = canonical_frame(frame)
             except FrameParseError as exc:
-                raise CorpusError(f"bad frame: {exc}", lineno) from exc
+                raise CorpusError(f"bad frame: {exc}", path, lineno) from exc
             entry = index.get(name)
             if entry is None:
                 entry = index[name] = (sys.intern(name), {s: [] for s in SPLITS})
@@ -102,64 +107,74 @@ class _JsonlRow:
     split: str | None = None
 
 
-def _tsv_fields(lines: list[str], fallback_split: str) -> Iterator[tuple]:
-    if not lines:
-        raise CorpusError("TSV corpus has no header row", 1)
-    header = lines[0].rstrip("\n").split("\t")
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Number and text of each line of a UTF-8 file, read one line at a time.
+
+    A line ends at ``\n`` or ``\r\n`` only, and its end is stripped.
+    ``str.splitlines`` would also split at U+2028, U+0085, ``\v``, ``\f`` and
+    more, which may appear inside an utterance or a JSON string. A leading
+    byte-order mark is skipped. A line that is not UTF-8 raises CorpusError
+    naming the file and the line.
+    """
+    encoding = "utf-8-sig"  # only line 1 may start with the byte-order mark
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                text = line.decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"not UTF-8: {exc}", path, lineno) from None
+            encoding = "utf-8"
+            yield lineno, text[:-1].removesuffix("\r") if text[-1:] == "\n" else text
+
+
+def _tsv_fields(path: Path, fallback_split: str) -> Iterator[tuple]:
+    lines = read_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise CorpusError("TSV corpus has no header row", path, 1)
+    header = first[1].split("\t")
     expected = ["domain", "utterance", "semantic_parse"]
     if header[:3] != expected or header not in (expected, expected + ["split"]):
         raise CorpusError(
-            f"TSV header must be {expected} (optional trailing 'split'), got {header}", 1
+            f"TSV header must be {expected} (optional trailing 'split'), got {header}", path, 1
         )
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != len(header):
             raise CorpusError(
-                f"expected {len(header)} tab-separated fields, got {len(fields)}", lineno
+                f"expected {len(header)} tab-separated fields, got {len(fields)}", path, lineno
             )
         yield lineno, fields[0], fields[1], fields[2], fields[3] if len(fields) == 4 else fallback_split
 
 
-def _jsonl_fields(lines: list[str], fallback_split: str) -> Iterator[tuple]:
-    for lineno, line in enumerate(lines, start=1):
+def _jsonl_fields(path: Path, fallback_split: str) -> Iterator[tuple]:
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
             obj = from_dict(_JsonlRow, loads(line, "JSONL row"), "JSONL row")
         except InputError as exc:
-            raise CorpusError(str(exc), lineno) from None
+            raise CorpusError(str(exc), path, lineno) from None
         split = fallback_split if obj.split is None else obj.split
         yield lineno, obj.domain, obj.utterance, obj.semantic_parse, split
 
 
-def split_lines(text: str) -> list[str]:
-    """Lines ended by ``\n`` or ``\r\n``; other line breaks stay inside a line.
-
-    ``str.splitlines`` would also split at U+2028, U+0085, ``\v``, ``\f`` and
-    more, which may appear inside an utterance or a JSON string.
-    """
-    lines = text.replace("\r\n", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def load_corpus(path: str | Path) -> CorpusTable:
-    """Load a TSV or JSONL corpus into a CorpusTable.
+    """Load a TSV or JSONL corpus into a CorpusTable, reading one line at a time.
 
     A ``.jsonl`` or ``.json`` extension means JSONL, any other TSV. A row without a
     split takes that of a ``_train``/``_eval``/``_test`` filename suffix, else ``train``.
+    A malformed row raises CorpusError reading ``PATH:LINE: message``.
     """
     path = Path(path)
-    try:
-        lines = split_lines(path.read_text(encoding="utf-8-sig"))
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     fields = _jsonl_fields if path.suffix.lower() in (".jsonl", ".json") else _tsv_fields
     table = CorpusTable()
-    table._fill(fields(lines, _default_split(path)))
+    try:
+        table._fill(fields(path, _default_split(path)), path)
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     return table
 
 

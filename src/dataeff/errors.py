@@ -22,11 +22,14 @@ class FrameParseError(DataEffError):
 
 
 class CorpusError(DataEffError):
-    """Unreadable or malformed corpus file. Carries the 1-based line number."""
+    """Unreadable or malformed corpus or frame file. Carries the 1-based line number.
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
+    With a path and a line, the message reads ``PATH:LINE: message``.
+    """
+
+    def __init__(self, message: str, path=None, line: int | None = None):
+        if path is not None and line is not None:
+            message = f"{path}:{line}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -7,6 +7,9 @@ scores h(k) + noise against a truth curve, rejecting bad settings when built,
 so the whole pipeline is testable without GPUs; CommandRunner shells out to a
 user command for real fine-tuning (the command gets the manifest JSON path as
 its single argument and must print RunResult JSON on stdout, exiting 0).
+build_manifests draws every subset before it returns but builds each Manifest
+only when it is taken, and run_protocol takes manifests as runs start, so a
+protocol holds the train rows of the runs in flight, not of every run.
 
 A ledger is an immutable record of self-checked entries, one per run_id; its
 decode errors name the entry, as in ``entries[4]``. A runner that raises, or
@@ -20,10 +23,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
@@ -160,13 +164,15 @@ def build_manifests(
     algorithm: str = "uniform",
     seeds: Sequence[int] = (0,),
     model_id: str = "parser",
-) -> list[Manifest]:
-    """One manifest per (schedule size, seed).
+) -> Iterator[Manifest]:
+    """One manifest per (schedule size, seed), built as it is taken from the iterator.
 
-    Train rows are every non-target train row plus the drawn subset; eval rows
-    are all non-target eval rows plus the target domain's eval rows; test rows
-    are the target domain's test split. For spis the schedule sizes double as
-    the per-label minimums, skipping entries below 1.
+    Every subset is drawn and checked before this returns, so a bad draw raises
+    here, before any run starts; each Manifest, with its train rows, is built only
+    when taken. Train rows are every non-target train row plus the drawn subset;
+    eval rows are all non-target eval rows plus the target domain's eval rows;
+    test rows are the target domain's test split. For spis the schedule sizes
+    double as the per-label minimums, skipping entries below 1.
     """
     if len(set(seeds)) != len(tuple(seeds)):
         raise ProtocolError(f"seeds must be unique, got {tuple(seeds)}")
@@ -186,7 +192,7 @@ def build_manifests(
     if algorithm == "spis":
         sizes = [k for k in sizes if k >= 1]
 
-    manifests = []
+    drawn = []
     for k in sizes:
         for seed in seeds:
             spec = SubsetSpec(target_domain, algorithm, float(k), seed)
@@ -197,21 +203,21 @@ def build_manifests(
                 percent = float(k)
             else:
                 percent = 100.0 * len(subset.row_ids) / len(target_train) if target_train else 0.0
-            run_id = f"{model_id}.{target_domain}.{algorithm}{k:g}.s{seed}"
-            manifests.append(
-                Manifest(
-                    run_id=run_id,
-                    model_id=model_id,
-                    target_domain=target_domain,
-                    subset=spec,
-                    subset_rows=subset.row_ids,
-                    subset_percent=percent,
-                    train_rows=source_train + subset.row_ids,
-                    eval_rows=eval_rows,
-                    test_rows=test_rows,
-                )
-            )
-    return manifests
+            drawn.append((f"{model_id}.{target_domain}.{algorithm}{k:g}.s{seed}", subset, percent))
+    return (
+        Manifest(
+            run_id=run_id,
+            model_id=model_id,
+            target_domain=target_domain,
+            subset=subset.spec,
+            subset_rows=subset.row_ids,
+            subset_percent=percent,
+            train_rows=source_train + subset.row_ids,
+            eval_rows=eval_rows,
+            test_rows=test_rows,
+        )
+        for run_id, subset, percent in drawn
+    )
 
 
 @dataclass(frozen=True)
@@ -332,12 +338,14 @@ class CommandRunner:
 Runner = Callable[[Manifest], RunResult]
 
 
-def run_protocol(manifests: Sequence[Manifest], runner: Runner, jobs: int = 1) -> Ledger:
+def run_protocol(manifests: Iterable[Manifest], runner: Runner, jobs: int = 1) -> Ledger:
     """Execute every manifest exactly once and collect results into a ledger.
 
-    Runs are independent; jobs > 1 executes them in a thread pool. A runner
-    that raises or returns no matching RunResult fails only that run. Ledger
-    order always follows manifest order, regardless of completion order.
+    Manifests are taken from the iterable as runs start: jobs == 1 runs each
+    as it is taken, and jobs > 1 runs them in a thread pool with at most
+    2 * jobs of them in flight. A runner that raises or returns no matching
+    RunResult fails only that run. Ledger order always follows manifest order,
+    regardless of completion order.
     """
     if jobs < 1:
         raise ProtocolError(f"jobs must be >= 1, got {jobs}")
@@ -352,12 +360,19 @@ def run_protocol(manifests: Sequence[Manifest], runner: Runner, jobs: int = 1) -
         except Exception as exc:  # fault isolation: one bad run must not abort the rest
             return LedgerEntry(summary, None, f"{type(exc).__name__}: {exc}")
 
-    if jobs == 1 or len(manifests) <= 1:
+    if jobs == 1:
         return Ledger(tuple(map(attempt, manifests)))
     from concurrent.futures import ThreadPoolExecutor
 
+    entries = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return Ledger(tuple(pool.map(attempt, manifests)))
+        in_flight = deque()
+        for manifest in manifests:
+            in_flight.append(pool.submit(attempt, manifest))
+            if len(in_flight) == 2 * jobs:  # wait before taking the next manifest
+                entries.append(in_flight.popleft().result())
+        entries.extend(future.result() for future in in_flight)
+    return Ledger(tuple(entries))
 
 
 def ledger_to_curve(ledger: Ledger) -> list[EfficiencyPoint]:

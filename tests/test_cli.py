@@ -383,6 +383,10 @@ def test_em_files_split_rows_at_newlines_only(tmp_path, capsys):
     system.write_bytes(system.read_bytes() + b"[IN:GET_SUNSET\r\n")
     assert cli.main(["em", "--system", str(system), "--reference", str(reference)]) == 1
     assert f"{system}:3: unbalanced brackets" in capsys.readouterr().err
+    system.write_bytes(system.read_bytes().replace(b"[IN:GET_SUNSET\r\n", b"[IN:\xff\r\n"))
+    assert cli.main(["em", "--system", str(system), "--reference", str(reference)]) == 1
+    assert capsys.readouterr().err == (f"error: {system}:3: not UTF-8: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 4: invalid start byte\n")
 
 
 def test_em_length_mismatch(tmp_path):
@@ -480,6 +484,19 @@ def test_run_unsplittable_runner_command_is_data_error(corpus, tmp_path):
     assert "cannot split runner command" in proc.stderr
 
 
+def test_run_on_a_malformed_corpus_names_file_and_line(corpus, tmp_path):
+    good = corpus.read_bytes()
+    for bad, message in ((b"weather\tx\t[SL:X y ]\ttrain\n", "3: bad frame: "),
+                         (b"weather\t\xff\t[IN:X ]\ttrain\n", "3: not UTF-8: ")):
+        lines = good.splitlines(keepends=True)
+        corpus.write_bytes(b"".join(lines[:2] + [bad] + lines[2:]))
+        proc = run_cli("run", "--corpus", corpus, "--target", "weather",
+                       "--out", tmp_path / "l.json")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: {corpus}:{message}"), proc.stderr
+        assert not (tmp_path / "l.json").exists()
+
+
 def test_malformed_jsonl_rows_are_data_errors(tmp_path):
     path = tmp_path / "corpus.jsonl"
     for bad in ("5", '{"domain": "weather", "utterance": "x", "semantic_parse": 5}'):
@@ -487,7 +504,7 @@ def test_malformed_jsonl_rows_are_data_errors(tmp_path):
         proc = run_cli("sample", "--corpus", path, "--domain", "weather", "--size", 10,
                        "--out", tmp_path / "s.json")
         assert proc.returncode == 1, proc.stderr
-        assert "line 1" in proc.stderr and "Traceback" not in proc.stderr
+        assert f"{path}:1: JSONL row: " in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

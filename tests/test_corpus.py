@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -114,7 +115,7 @@ def test_unknown_split_names_line(tmp_path):
         with pytest.raises(CorpusError) as exc:
             load_corpus(path)
         assert exc.value.line == line
-        assert str(exc.value) == f"line {line}: {UNKNOWN_SPLIT}"
+        assert str(exc.value) == f"{path}:{line}: {UNKNOWN_SPLIT}"
 
 
 def test_rows_share_one_object_per_domain_split_and_label(tmp_path):
@@ -152,7 +153,7 @@ def test_jsonl_malformed_row_names_line_and_key(tmp_path, bad, message):
     with pytest.raises(CorpusError) as exc:
         load_corpus(path)
     assert exc.value.line == 2
-    assert str(exc.value) == f"line 2: JSONL row: {message}"
+    assert str(exc.value) == f"{path}:2: JSONL row: {message}"
 
 
 def test_load_save_reload_fixpoint(tmp_path):
@@ -242,6 +243,25 @@ def test_crlf_corpus_loads(tmp_path):
     assert load_corpus(jsonl).parse == ("[IN:GET_WEATHER hi ]",)
 
 
+def test_bom_crlf_lone_cr_blank_lines_and_no_final_newline(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    text = (b"\xef\xbb\xbfdomain\tutterance\tsemantic_parse\tsplit\r\n"
+            b"weather\tri\rn\t[IN:GET_WEATHER ri\rn ]\ttest\r\n"
+            b"\r\n"
+            b"\n"
+            b"alarm\twake\t[IN:CREATE_ALARM wake ]\ttrain")
+    path.write_bytes(text)
+    assert columns(load_corpus(path)) == (
+        ("weather", "alarm"), ("ri\rn", "wake"),
+        ("[IN:GET_WEATHER ri n ]", "[IN:CREATE_ALARM wake ]"), ("test", "train"),
+        (("IN:GET_WEATHER",), ("IN:CREATE_ALARM",)))
+    path.write_bytes(text.replace(b"wake ]", b"wake"))
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert exc.value.line == 5
+    assert str(exc.value).startswith(f"{path}:5: bad frame: ")
+
+
 def test_rows_with_one_bracket_structure_share_labels(tmp_path):
     rows = [("weather", "a", "[IN:GET_WEATHER a [SL:LOCATION b ] ]", "train"),
             ("weather", "c", "[IN:GET_WEATHER [SL:LOCATION c d ] e ]", "test"),
@@ -278,14 +298,21 @@ GOOD_JSONL_ROW = '{"domain": "weather", "utterance": "hi", "semantic_parse": "[I
      "line 1 column 22 (char 21)"),
     ("key.jsonl", '{"domain": "weather", "utterance": "hi"}\n',
      "line 1: JSONL row: semantic_parse: missing"),
+    ("bytes.tsv", (TSV_HEADER + GOOD_TSV_ROW).encode() + b"weather\th\xffi\t[IN:X ]\ttrain\n",
+     "line 3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+    ("bytes.jsonl", b"\xef\xbb\xbf" + GOOD_JSONL_ROW.encode()[:-3] + b"\xe9\n",
+     "line 1: not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 80: "
+     "invalid continuation byte"),
 ])
 def test_load_errors_keep_their_text(tmp_path, name, text, message):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(CorpusError) as exc:
         load_corpus(path)
-    assert str(exc.value) == message
-    assert exc.value.line == int(message.split(":")[0].removeprefix("line "))
+    where, _, message = message.partition(": ")
+    line = int(where.removeprefix("line "))
+    assert str(exc.value) == f"{path}:{line}: {message}"
+    assert exc.value.line == line
 
 
 def test_load_fills_columns_without_building_rows(tmp_path):
@@ -318,7 +345,7 @@ def test_table_of_rows_checks_rows_as_load_does(tmp_path):
         with pytest.raises(CorpusError) as built:
             CorpusTable([row])
         assert built.value.line is None
-        assert f"line 2: {built.value}" == str(loaded.value)
+        assert f"{tmp_path / 'corpus.tsv'}:2: {built.value}" == str(loaded.value)
     assert str(built.value) == "bad frame: trailing garbage after frame: 'z' (offset 20)"
 
 
@@ -334,3 +361,33 @@ def test_save_refuses_rows_a_tsv_cannot_carry(tmp_path):
             save_corpus(table, out)
         assert str(exc.value).startswith(f"row 1 ({domain!r}, {utterance!r}) holds a tab")
         assert not out.exists()
+
+
+def _topv2_like_rows(n):
+    """n TOPv2-shaped (domain, utterance, parse, split) rows, about 170 bytes each as TSV."""
+    rows = []
+    for i in range(n):
+        domain = ("weather", "alarm", "music", "reminder")[i % 4]
+        city = f"city{i % 997}"
+        rows.append((domain, f"what is the forecast for {city} tomorrow morning {i}",
+                     f"[IN:GET_WEATHER what is the forecast for [SL:LOCATION {city} ] "
+                     f"[SL:DATE_TIME tomorrow morning ] {i} ]", ("train", "eval", "test")[i % 3]))
+    return rows
+
+
+def test_load_holds_well_under_one_copy_of_the_file(tmp_path):
+    rows = _topv2_like_rows(20_000)
+    tsv = write_tsv(tmp_path / "corpus.tsv", rows)
+    jsonl = tmp_path / "corpus.jsonl"
+    keys = ("domain", "utterance", "semantic_parse", "split")
+    jsonl.write_text("".join(json.dumps(dict(zip(keys, row))) + "\n" for row in rows[:5000]),
+                     encoding="utf-8")
+    for path in (tsv, jsonl):
+        tracemalloc.start()
+        try:
+            table = load_corpus(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == (20_000 if path is tsv else 5000)
+        assert peak - retained < 0.75 * path.stat().st_size, path.name

@@ -1,10 +1,13 @@
 import json
 import sys
+import threading
+import weakref
 
 import pytest
 
+from dataeff.corpus import CorpusTable
 from dataeff.curve import fit_curve
-from dataeff.errors import ProtocolError
+from dataeff.errors import ProtocolError, SamplingError
 from dataeff.frames import parse_frame, serialize_frame
 from dataeff.jsonio import dumps, from_dict
 from dataeff.protocol import (
@@ -20,6 +23,8 @@ from dataeff.protocol import (
 )
 from dataeff.sampling import make_schedule
 
+from conftest import make_rows
+
 TRUTH = (-27.26, 0.35, 97.79)
 
 
@@ -30,7 +35,7 @@ def h(x, theta=TRUTH):
 
 @pytest.fixture
 def manifests(weather_table):
-    return build_manifests(weather_table, "weather", make_schedule(10), seeds=(0,))
+    return list(build_manifests(weather_table, "weather", make_schedule(10), seeds=(0,)))
 
 
 def test_build_manifests_one_per_size(manifests):
@@ -40,7 +45,7 @@ def test_build_manifests_one_per_size(manifests):
 
 
 def test_build_manifests_seed_product(weather_table):
-    manifests = build_manifests(weather_table, "weather", make_schedule(10), seeds=(0, 1, 2))
+    manifests = list(build_manifests(weather_table, "weather", make_schedule(10), seeds=(0, 1, 2)))
     assert len(manifests) == 30
     assert len({m.run_id for m in manifests}) == 30
 
@@ -74,9 +79,9 @@ def test_manifest_eval_rows_cover_both_sides(weather_table, manifests):
 
 
 def test_build_manifests_spis_skips_zero(weather_table):
-    manifests = build_manifests(
+    manifests = list(build_manifests(
         weather_table, "weather", make_schedule(10), algorithm="spis", seeds=(0,)
-    )
+    ))
     assert len(manifests) == 9
     assert all(m.subset.algorithm == "spis" for m in manifests)
     assert all(m.subset_percent > 0 for m in manifests)
@@ -217,6 +222,37 @@ def test_run_protocol_bad_return_fails_only_its_run(manifests, jobs):
     }
     assert len(ledger.ok_entries) == 8
     assert dumps(ledger) == dumps(run_protocol(manifests, misbehaving, jobs=3 - jobs))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_protocol_holds_only_the_manifests_in_flight(weather_table, jobs):
+    inner = SimulatedRunner(truth=TRUTH)
+    seen, alive = [], []
+    lock = threading.Lock()
+
+    def runner(manifest):
+        with lock:
+            seen.append(weakref.ref(manifest))
+            alive.append(sum(ref() is not None for ref in seen))
+        return inner(manifest)
+
+    manifests = build_manifests(weather_table, "weather", make_schedule(10), seeds=(0, 1, 2))
+    ledger = run_protocol(manifests, runner, jobs=jobs)
+    assert len(ledger.ok_entries) == len(seen) == 30
+    assert max(alive) <= 2 * jobs
+
+
+def test_build_manifests_draws_every_subset_before_any_run():
+    table = CorpusTable(make_rows("weather", 5, split="test") + make_rows("alarm", 50))
+    calls = []
+
+    def runner(manifest):
+        calls.append(manifest.run_id)
+        return SimulatedRunner(truth=TRUTH)(manifest)
+
+    with pytest.raises(SamplingError, match="no train rows"):
+        run_protocol(build_manifests(table, "weather", make_schedule(10)), runner)
+    assert calls == []
 
 
 def test_end_to_end_recovers_truth(weather_table, manifests):
