@@ -4,14 +4,13 @@ Each intent carries a difficulty class (none < closed < semi < open),
 inherited from its hardest slot. Running the protocol with per-example
 predictions lets us break exact match down by intent, then average intents
 within each class: harder classes should sit lower at small subset sizes.
+Both steps return EfficiencyPoints, the same points the curve path fits.
 """
 
 from dataeff import (
-    ComplexityClass,
     CorpusTable,
     SimulatedRunner,
     build_manifests,
-    intent_complexity_from_slots,
     ledger_to_curve,
     make_schedule,
     packaged_annotations,
@@ -19,12 +18,6 @@ from dataeff import (
     per_intent_points,
     run_protocol,
 )
-
-# Class inheritance: an intent is as hard as its hardest slot.
-slots = [ComplexityClass.CLOSED, ComplexityClass.OPEN]
-print("slots {closed, open} ->", intent_complexity_from_slots(slots))
-print("no slots           ->", intent_complexity_from_slots([]))
-print()
 
 classes = packaged_annotations("music")  # {intent label: ComplexityClass}
 print("packaged music annotations:")
@@ -60,8 +53,8 @@ for cls, series in curves.items():
     if not series:
         print(f"{str(cls):<9}  (no intents in this class)")
         continue
-    for k, em in series:
-        print(f"{str(cls):<9}  {k:>6.1f}   {em:6.2f}")
+    for p in series:
+        print(f"{str(cls):<9}  {p.subset_percent:>6.1f}   {p.exact_match:6.2f}")
 
 # Overall curve for reference.
 points = ledger_to_curve(ledger)

@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 _SOURCE = {
     **dict.fromkeys((
         "ComparisonTable", "ComplexityClass", "SeedAggregate", "aggregate_seeds",
-        "compare_models", "intent_complexity_from_slots", "load_annotations",
-        "packaged_annotations", "per_class_curves", "per_intent_points", "reference_comparison",
+        "compare_models", "load_annotations", "packaged_annotations", "per_class_curves",
+        "per_intent_points", "reference_comparison",
     ), "analysis"),
     **dict.fromkeys(("CorpusTable", "load_corpus", "save_corpus"), "corpus"),
     **dict.fromkeys((

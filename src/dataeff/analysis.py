@@ -6,22 +6,27 @@ classes and "open" long free text); an intent inherits the maximum class of
 its slots. Annotation files for five stock domains ship with the package, as
 does a reference model-comparison table whose numbers come from full-scale
 fine-tuning and are not recomputable here.
+
+The complexity study reuses the curve path: per-intent points come from
+ledger_to_curve, and a class curve is average_points of average_points.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .curve import CurveModel, EfficiencyPoint, Inversion, fit_curve, invert
+from .curve import CurveModel, EfficiencyPoint, Inversion, average_points, fit_curve, invert
 from .errors import AnalysisError, AnnotationError, FrameParseError
+from .jsonio import read_text
 
 if TYPE_CHECKING:
     from .corpus import CorpusTable
@@ -50,34 +55,27 @@ class ComplexityClass(enum.IntEnum):
         return self.name.lower()
 
 
-def intent_complexity_from_slots(slot_classes: list[ComplexityClass]) -> ComplexityClass:
-    """Maximum slot class; an intent with no slots is 'none'."""
-    return max(slot_classes, default=ComplexityClass.NONE)
-
-
 def load_annotations(path: str | Path) -> dict[str, ComplexityClass]:
     """Read a two-column CSV ``intent,class`` into {intent label: ComplexityClass}."""
-    path = Path(path)
     classes: dict[str, ComplexityClass] = {}
-    with path.open(encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["intent", "class"]:
-            raise AnnotationError(f"{path}: expected header 'intent,class', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise AnnotationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            intent, cls = row[0].strip(), row[1]
-            if not intent.startswith("IN:"):
-                raise AnnotationError(f"{path}:{lineno}: intent {intent!r} must be IN:-prefixed")
-            if intent in classes:
-                raise AnnotationError(f"{path}:{lineno}: duplicate intent {intent!r}")
-            try:
-                classes[intent] = ComplexityClass.from_string(cls)
-            except AnnotationError as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != ["intent", "class"]:
+        raise AnnotationError(f"{path}: expected header 'intent,class', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise AnnotationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        intent, cls = row[0].strip(), row[1]
+        if not intent.startswith("IN:"):
+            raise AnnotationError(f"{path}:{lineno}: intent {intent!r} must be IN:-prefixed")
+        if intent in classes:
+            raise AnnotationError(f"{path}:{lineno}: duplicate intent {intent!r}")
+        try:
+            classes[intent] = ComplexityClass.from_string(cls)
+        except AnnotationError as exc:
+            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
     return classes
 
 
@@ -100,28 +98,24 @@ def per_intent_points(
 ) -> dict:
     """Break each run's exact match down by the reference frame's root intent.
 
-    Every successful run must carry per-example predictions, exactly one for
-    each row of the target domain's test split. Intents with fewer than
-    min_test_occurrences rows in that split are excluded. Returns
+    The ledger is scoped by ledger_to_curve, whose points are rescored per
+    intent. Every successful run must carry per-example predictions, exactly
+    one for each row of the target domain's test split. Intents with fewer
+    than min_test_occurrences rows in that split are excluded. Returns
     {intent label: [EfficiencyPoint, ...]}.
     """
     from .frames import canonical_frame
+    from .protocol import ledger_to_curve
 
-    entries = ledger.ok_entries
-    if not entries:
-        raise AnalysisError("ledger has no successful runs")
-    domains = {e.manifest.target_domain for e in entries}
-    if len(domains) != 1:
-        raise AnalysisError(f"ledger mixes target domains {sorted(domains)}")
-    domain = domains.pop()
-
+    points = ledger_to_curve(ledger)
+    domain = points[0].domain
     test_split = table.row_ids(domain, "test")
     test_rows = set(test_split)
     test_counts = Counter(table.labels[pos][0] for pos in test_split)
     kept = {label for label, n in test_counts.items() if n >= min_test_occurrences}
 
     out: dict[str, list[EfficiencyPoint]] = {label: [] for label in sorted(kept)}
-    for entry in entries:
+    for entry, point in zip(ledger.ok_entries, points):
         run_id = entry.manifest.run_id
         if entry.result.predictions is None:
             raise AnalysisError(
@@ -151,15 +145,7 @@ def per_intent_points(
             missing = next(row_id for row_id in test_split if row_id not in seen)
             raise AnalysisError(f"run {run_id!r} has no prediction for test row {missing}")
         for label, hits in per_intent.items():
-            out[label].append(
-                EfficiencyPoint(
-                    subset_percent=entry.manifest.subset_percent,
-                    exact_match=100.0 * sum(hits) / len(hits),
-                    seed=entry.result.seed,
-                    model_id=entry.manifest.model_id,
-                    domain=domain,
-                )
-            )
+            out[label].append(replace(point, exact_match=100.0 * sum(hits) / len(hits)))
     return out
 
 
@@ -169,31 +155,18 @@ def per_class_curves(
 ) -> dict:
     """Average member-intent EM per subset percent within each complexity class.
 
-    The average is unweighted across intents (seeds pool into a per-intent
-    mean first). Classes with no member intents map to an empty list. Returns
-    {ComplexityClass: [(subset percent, mean EM), ...]} sorted by percent.
+    Seeds pool into a per-intent mean first (average_points), and a class
+    point is the unweighted mean of its member intents' means (average_points
+    again). Returns {ComplexityClass: [EfficiencyPoint, ...]} sorted by
+    percent, each point with seed 0; a class with no member intents maps to [].
     """
     missing = [label for label in per_intent if label not in classes]
     if missing:
         raise AnalysisError(f"intents without annotations: {', '.join(sorted(missing))}")
-
-    intent_means: dict[str, dict[float, float]] = {}
+    intent_means: dict[ComplexityClass, list[EfficiencyPoint]] = {c: [] for c in ComplexityClass}
     for label, points in per_intent.items():
-        by_k: dict[float, list[float]] = {}
-        for p in points:
-            by_k.setdefault(p.subset_percent, []).append(p.exact_match)
-        intent_means[label] = {k: math.fsum(v) / len(v) for k, v in by_k.items()}
-
-    out: dict[ComplexityClass, list[tuple[float, float]]] = {}
-    for cls in ComplexityClass:
-        members = [label for label in per_intent if classes[label] == cls]
-        ks = sorted({k for label in members for k in intent_means[label]})
-        series = []
-        for k in ks:
-            values = [intent_means[label][k] for label in members if k in intent_means[label]]
-            series.append((k, math.fsum(values) / len(values)))
-        out[cls] = series
-    return out
+        intent_means[classes[label]] += average_points(points)
+    return {cls: average_points(means) for cls, means in intent_means.items()}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .curve import EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
 from .errors import DataEffError
-from .jsonio import dumps, from_dict, loads
+from .jsonio import dumps, from_dict, loads, read_lines, read_text
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -39,7 +39,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_points_file(path: str):
     """Points from a CSV, a JSON array of point objects, or a ledger JSON."""
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         from .protocol import Ledger, ledger_to_curve
@@ -178,8 +178,8 @@ def cmd_complexity(args) -> int:
     curves = analysis.per_class_curves(per_intent, classes)
     lines = ["class,subset_percent,mean_exact_match"]
     for cls, series in curves.items():
-        for k, em in series:
-            lines.append(f"{cls},{k:.10g},{em:.10g}")
+        for p in series:
+            lines.append(f"{cls},{p.subset_percent:.10g},{p.exact_match:.10g}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -187,7 +187,7 @@ def cmd_complexity(args) -> int:
 def cmd_compare(args) -> int:
     from . import analysis
 
-    if args.reference:
+    if args.reference is not None:
         table = analysis.reference_comparison(args.reference)
     else:
         curves = {name: load_model(path) for name, path in args.curves}
@@ -197,7 +197,6 @@ def cmd_compare(args) -> int:
 
 
 def _read_frames(path: str):
-    from .corpus import read_lines
     from .frames import parse_frame
 
     frames = []
@@ -348,10 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("compare", help="rank models by data required per EM target")
-    p.add_argument("--curves", type=_named_file, nargs="+", default=[], metavar="NAME=FILE")
-    p.add_argument("--em", type=_finite(), nargs="*", default=[])
-    p.add_argument("--reference", default=None,
-                   help="print the packaged full-scale reference table for a domain")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--curves", type=_named_file, nargs="+", metavar="NAME=FILE")
+    group.add_argument("--reference",
+                       help="print the packaged full-scale reference table for a domain")
+    p.add_argument("--em", type=_finite(), nargs="*", help="EM targets for --curves")
     p.add_argument("--fmt", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_compare)
 
@@ -367,11 +367,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "compare":
-        if not args.reference and not args.curves:
-            parser.error("compare needs --curves NAME=FILE ... --em Y ... or --reference DOMAIN")
+        if args.reference is not None and args.em is not None:
+            parser.error("argument --em: not allowed with argument --reference")
         if args.curves and not args.em:
             parser.error("--curves comparison needs --em targets")
-        names = [name for name, _ in args.curves]
+        names = [name for name, _ in args.curves or ()]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             parser.error(f"--curves names must be unique; repeated: {', '.join(repeated)}")
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --seeds: seeds must be unique, got {args.seeds}")
     try:
         return args.func(args)
-    except (DataEffError, OSError, UnicodeDecodeError) as exc:
+    except (DataEffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

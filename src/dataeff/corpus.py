@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import CorpusError, FrameParseError, InputError, UnknownDomainError
 from .frames import canonical_frame
-from .jsonio import from_dict, loads
+from .jsonio import from_dict, loads, read_lines
 
 SPLITS = ("train", "eval", "test")
 
@@ -107,28 +107,8 @@ class _JsonlRow:
     split: str | None = None
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Number and text of each line of a UTF-8 file, read one line at a time.
-
-    A line ends at ``\n`` or ``\r\n`` only, and its end is stripped.
-    ``str.splitlines`` would also split at U+2028, U+0085, ``\v``, ``\f`` and
-    more, which may appear inside an utterance or a JSON string. A leading
-    byte-order mark is skipped. A line that is not UTF-8 raises CorpusError
-    naming the file and the line.
-    """
-    encoding = "utf-8-sig"  # only line 1 may start with the byte-order mark
-    with open(path, "rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                text = line.decode(encoding)
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"not UTF-8: {exc}", path, lineno) from None
-            encoding = "utf-8"
-            yield lineno, text[:-1].removesuffix("\r") if text[-1:] == "\n" else text
-
-
 def _tsv_fields(path: Path, fallback_split: str) -> Iterator[tuple]:
-    lines = read_lines(path)
+    lines = read_lines(path, CorpusError)
     first = next(lines, None)
     if first is None:
         raise CorpusError("TSV corpus has no header row", path, 1)
@@ -150,7 +130,7 @@ def _tsv_fields(path: Path, fallback_split: str) -> Iterator[tuple]:
 
 
 def _jsonl_fields(path: Path, fallback_split: str) -> Iterator[tuple]:
-    for lineno, line in read_lines(path):
+    for lineno, line in read_lines(path, CorpusError):
         if not line.strip():
             continue
         try:

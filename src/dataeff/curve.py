@@ -26,7 +26,7 @@ from operator import mul
 from pathlib import Path
 
 from .errors import CurveDomainError, FitError, InputError
-from .jsonio import from_dict, loads
+from .jsonio import from_dict, loads, read_text
 
 B_MIN, B_MAX = 1e-3, 10.0
 MAX_ITERATIONS = 500
@@ -96,7 +96,7 @@ def points_from_csv(text: str, source: str) -> list["EfficiencyPoint"]:
 
 def load_model(path: str | Path) -> CurveModel:
     source = str(path)
-    return from_dict(CurveModel, loads(Path(path).read_text(encoding="utf-8-sig"), source), source)
+    return from_dict(CurveModel, loads(read_text(path), source), source)
 
 
 @dataclass(frozen=True)

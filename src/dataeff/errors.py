@@ -10,7 +10,17 @@ class DataEffError(Exception):
 
 
 class InputError(DataEffError, ValueError):
-    """Malformed input: bad JSON, a missing or ill-typed key, a bad value or CSV cell."""
+    """Malformed input: bad JSON, a missing or ill-typed key, a bad value or CSV cell.
+
+    With a path and a line, the message reads ``PATH:LINE: message``; ``line``
+    keeps the 1-based line number.
+    """
+
+    def __init__(self, message: str, path=None, line: int | None = None):
+        if path is not None and line is not None:
+            message = f"{path}:{line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class FrameParseError(DataEffError):
@@ -21,17 +31,8 @@ class FrameParseError(DataEffError):
         self.offset = offset
 
 
-class CorpusError(DataEffError):
-    """Unreadable or malformed corpus or frame file. Carries the 1-based line number.
-
-    With a path and a line, the message reads ``PATH:LINE: message``.
-    """
-
-    def __init__(self, message: str, path=None, line: int | None = None):
-        if path is not None and line is not None:
-            message = f"{path}:{line}: {message}"
-        super().__init__(message)
-        self.line = line
+class CorpusError(InputError):
+    """Unreadable or malformed corpus file; ``line`` is the 1-based line number."""
 
 
 class UnknownDomainError(DataEffError):

@@ -1,4 +1,4 @@
-"""The one JSON codec behind every file dataeff reads or writes.
+"""The one JSON codec behind every file dataeff reads or writes, and its file reader.
 
 dumps() writes dataclasses as objects of their fields in declaration order,
 leaving out a field whose value and default are both None. from_dict() checks
@@ -6,6 +6,10 @@ decoded JSON against the type hints: a missing or ill-typed key raises
 InputError naming the source and key path, e.g. ``ledger.json:
 entries[3].manifest.seed: expected int, got str``. Unknown keys are ignored,
 float fields accept integers, and a bool is never a number.
+
+Every input file is read under one rule, by read_lines one line at a time or
+by read_text whole: UTF-8, a leading byte-order mark skipped, and a byte that
+is not UTF-8 raises ``PATH:LINE: not UTF-8: ...``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import itertools
 import json
 import types
 import typing
+from collections.abc import Iterator
 
 from .errors import DataEffError, InputError
 
@@ -47,6 +52,40 @@ def dumps(obj) -> str:
     A NaN or infinite float raises ValueError: JSON has no such numbers.
     """
     return json.dumps(obj, default=_fields, allow_nan=False)
+
+
+def read_lines(path, error: type[InputError] = InputError) -> Iterator[tuple[int, str]]:
+    """Number and text of each line of a UTF-8 file, read one line at a time.
+
+    A line ends at ``\n`` or ``\r\n`` only, and its end is stripped.
+    ``str.splitlines`` would also split at U+2028, U+0085, ``\v``, ``\f`` and
+    more, which may appear inside an utterance or a JSON string. A leading
+    byte-order mark is skipped. A line that is not UTF-8 raises error naming
+    the file and the line.
+    """
+    encoding = "utf-8-sig"  # only line 1 may start with the byte-order mark
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                text = line.decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise error(f"not UTF-8: {exc}", path, lineno) from None
+            encoding = "utf-8"
+            yield lineno, text[:-1].removesuffix("\r") if text[-1:] == "\n" else text
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, checked as read_lines checks it, in one read;
+    ``\r\n`` and a lone ``\r`` become ``\n``, as a text-mode open() reads them."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        for _ in read_lines(path):  # raises naming the line that holds the bad byte
+            pass
+        raise
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _not_json(name: str):

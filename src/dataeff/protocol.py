@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
-from .jsonio import dumps, from_dict, loads
+from .jsonio import dumps, from_dict, loads, read_text
 from .rng import SplitMix64, combine, float_key
 from .sampling import Schedule, SubsetSpec, sample
 
@@ -154,7 +154,7 @@ def save_ledger(ledger: Ledger, path: str | Path) -> None:
 
 
 def load_ledger(path: str | Path) -> Ledger:
-    return Ledger.from_json(Path(path).read_text(encoding="utf-8-sig"), str(path))
+    return Ledger.from_json(read_text(path), str(path))
 
 
 def build_manifests(
@@ -289,8 +289,9 @@ class CommandRunner:
     The command is invoked with the manifest JSON path appended as its single
     extra argument. It must exit 0 and print a RunResult JSON object
     ({"run_id", "exact_match", "seed", "wall_time", optional "predictions"})
-    on stdout; run_id and seed default to the manifest's, wall_time to the
-    elapsed time. Anything else is recorded as a run failure.
+    on stdout, in UTF-8; run_id and seed default to the manifest's, wall_time
+    to the elapsed time. Anything else is recorded as a run failure. Stderr
+    only feeds a failure's detail, so no byte on it can fail a run.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float | None = None):
@@ -315,19 +316,23 @@ class CommandRunner:
             try:
                 proc = subprocess.run(
                     self.argv + [str(manifest_path)],
-                    capture_output=True, text=True, timeout=self.timeout,
+                    capture_output=True, timeout=self.timeout,
                 )
             except (OSError, subprocess.TimeoutExpired) as exc:
                 raise RunnerError(f"runner command failed to execute: {exc}") from exc
             elapsed = time.monotonic() - started
         if proc.returncode != 0:
-            detail = proc.stderr.strip().splitlines()
+            detail = proc.stderr.decode("utf-8", errors="replace").strip().splitlines()
             raise RunnerError(
                 f"runner exited {proc.returncode}"
                 + (f": {detail[-1]}" if detail else "")
             )
         source = f"{manifest.run_id} runner output"
-        obj = loads(proc.stdout, source)
+        try:
+            stdout = proc.stdout.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RunnerError(f"{source} is not UTF-8: {exc}") from None
+        obj = loads(stdout, source)
         if isinstance(obj, dict):
             defaults = {"run_id": manifest.run_id, "seed": manifest.subset.seed,
                         "wall_time": elapsed}

@@ -213,7 +213,8 @@ def test_criterion_09_complexity_aggregation():
         "IN:D": [EfficiencyPoint(1, 50.0)],
     }
     classes = {"IN:A": closed, "IN:B": closed, "IN:C": semi, "IN:D": open_}
-    curves = per_class_curves(per_intent, classes)
+    curves = {cls: [(p.subset_percent, p.exact_match) for p in points]
+              for cls, points in per_class_curves(per_intent, classes).items()}
     assert curves[closed] == [(1.0, 85.0), (12.0, 90.0)]
     assert curves[semi] == [(1.0, 70.0), (12.0, 85.0)]
     assert curves[open_] == [(1.0, 50.0)]

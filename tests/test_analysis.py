@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from dataeff.analysis import (
     ComplexityClass,
     aggregate_seeds,
     compare_models,
-    intent_complexity_from_slots,
     load_annotations,
     packaged_annotations,
     per_class_curves,
@@ -68,13 +69,6 @@ def test_class_order():
     assert ComplexityClass.from_string("open") is OPEN
     with pytest.raises(AnnotationError):
         ComplexityClass.from_string("weird")
-
-
-def test_intent_complexity_max_of_slots():
-    assert intent_complexity_from_slots([CLOSED, OPEN]) is OPEN
-    assert intent_complexity_from_slots([]) is NONE
-    assert intent_complexity_from_slots([CLOSED]) is CLOSED
-    assert intent_complexity_from_slots([SEMI, CLOSED, NONE]) is SEMI
 
 
 @pytest.mark.parametrize("domain", sorted(PACKAGED))
@@ -237,6 +231,11 @@ def _toy_annotations():
     return {"IN:A": CLOSED, "IN:B": CLOSED, "IN:C": SEMI, "IN:D": OPEN}
 
 
+def _series(points):
+    assert all(type(p) is EfficiencyPoint and p.seed == 0 for p in points)
+    return [(p.subset_percent, p.exact_match) for p in points]
+
+
 def test_per_class_curves_hand_means():
     per_intent = {
         "IN:A": [EfficiencyPoint(1, 80.0), EfficiencyPoint(12, 90.0)],
@@ -245,16 +244,16 @@ def test_per_class_curves_hand_means():
         "IN:D": [EfficiencyPoint(1, 50.0)],
     }
     curves = per_class_curves(per_intent, _toy_annotations())
-    assert curves[CLOSED] == [(1.0, 85.0), (12.0, 90.0)]
-    assert curves[SEMI] == [(1.0, 70.0), (12.0, 85.0)]
-    assert curves[OPEN] == [(1.0, 50.0)]
+    assert _series(curves[CLOSED]) == [(1.0, 85.0), (12.0, 90.0)]
+    assert _series(curves[SEMI]) == [(1.0, 70.0), (12.0, 85.0)]
+    assert _series(curves[OPEN]) == [(1.0, 50.0)]
     assert curves[NONE] == []  # no members -> empty series
 
 
 def test_per_class_single_member_equals_intent():
     per_intent = {"IN:C": [EfficiencyPoint(1, 61.0), EfficiencyPoint(7, 72.0)]}
     curves = per_class_curves(per_intent, {"IN:C": SEMI})
-    assert curves[SEMI] == [(1.0, 61.0), (7.0, 72.0)]
+    assert _series(curves[SEMI]) == [(1.0, 61.0), (7.0, 72.0)]
 
 
 def test_per_class_means_stay_within_member_range():
@@ -263,8 +262,22 @@ def test_per_class_means_stay_within_member_range():
         "IN:B": [EfficiencyPoint(1, 96.0)],
     }
     curves = per_class_curves(per_intent, {"IN:A": CLOSED, "IN:B": CLOSED})
-    (k, mean), = curves[CLOSED]
-    assert 62.0 <= mean <= 96.0
+    (point,) = curves[CLOSED]
+    assert 62.0 <= point.exact_match <= 96.0
+
+
+def test_per_class_points_carry_the_ledger_model_and_domain():
+    table = _music_test_table()
+    ledgers = [_prediction_ledger(table, wrong_play=n) for n in (0, 6)]
+    entries = [replace(e, manifest=replace(e.manifest, run_id=f"s{i}"),
+                       result=replace(e.result, run_id=f"s{i}", seed=i))
+               for i, ledger in enumerate(ledgers) for e in ledger.entries]
+    per_intent = per_intent_points(Ledger(tuple(entries)), table)
+    curves = per_class_curves(per_intent, packaged_annotations("music"))
+    assert _series(curves[SEMI]) == [(4.0, 75.0)]  # PLAY: seeds at 100 and 50
+    assert _series(curves[CLOSED]) == [(4.0, 100.0)]  # STOP
+    for point in curves[SEMI] + curves[CLOSED]:
+        assert (point.model_id, point.domain) == ("parser", "music")
 
 
 def test_per_class_requires_annotations():

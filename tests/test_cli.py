@@ -280,6 +280,22 @@ def test_complexity_command(tmp_path):
     assert any(line.startswith("closed,") for line in lines)  # IN:STOP_MUSIC
 
 
+def test_complexity_rejects_a_ledger_of_several_models(corpus, tmp_path, capsys):
+    entries = []
+    for model_id in ("a", "b"):
+        ledger = tmp_path / f"{model_id}.json"
+        assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                         "--emit-predictions", "--model-id", model_id, "--out", str(ledger)]) == 0
+        entries += json.loads(ledger.read_text(encoding="utf-8"))["entries"]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["complexity", "--ledger", str(mixed), "--corpus", str(corpus),
+                     "--domain", "weather"]) == 1
+    assert "mixes several (model, domain) pairs: [('a', 'weather'), ('b', 'weather')]" in (
+        capsys.readouterr().err)
+
+
 def test_complexity_command_with_annotation_file(tmp_path):
     rows = simple_corpus_rows("alarm", 40, 4, 6, intent="IN:CREATE_ALARM")
     for i in range(30):
@@ -334,6 +350,21 @@ def test_compare_command_reference():
 def test_compare_usage_errors():
     assert run_cli("compare").returncode == 2
     assert run_cli("compare", "--curves", "a=b.json").returncode == 2  # no --em
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--curves", "a=x.json", "b=y.json", "--em", "90", "--reference", "weather"],
+     "argument --reference: not allowed with argument --curves"),
+    (["--reference", "weather", "--curves", "a=x.json", "b=y.json", "--em", "90"],
+     "argument --curves: not allowed with argument --reference"),
+    (["--reference", "weather", "--em", "90"], "argument --em: not allowed with argument --reference"),
+    (["--reference", "weather", "--em"], "argument --em: not allowed with argument --reference"),
+])
+def test_compare_takes_curves_or_reference_never_both(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", ["foo", "=b.json", "a="])
@@ -466,6 +497,13 @@ def test_points_csv_errors_name_file_and_line(tmp_path, capsys, text, message):
     assert f"error: {path}{message}" in capsys.readouterr().err
 
 
+def test_points_csv_rows_end_at_a_newline_a_return_or_both(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"subset_percent,exact_match\r\n1,70\r2,80\n4,85\n")
+    points = cli._load_points_file(str(path))
+    assert [(p.subset_percent, p.exact_match) for p in points] == [(1, 70), (2, 80), (4, 85)]
+
+
 def test_program_errors_propagate_out_of_main(monkeypatch):
     from dataeff import cli
 
@@ -577,6 +615,56 @@ def test_text_files_accept_a_byte_order_mark(tmp_path, name):
     bom.write_text(text, encoding="utf-8-sig")
     assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
     assert read(str(bom)) == read(str(plain))
+
+
+@pytest.mark.parametrize("name, data, line", [
+    ("model.json", b'{"a": -27.26,\n"b": 0.35, "c": 97.79\xff}\n', 2),
+    ("ledger.json", BOM_CASES["ledger.json"][0].encode().replace(b'"p"', b'"p\xff"'), 1),
+    ("points.csv", b"subset_percent,exact_match\n1,70\n2,7\xff\n4,80\n", 3),
+    ("music.csv", b"\xef\xbb\xbfintent,class\nIN:PLAY_MUSIC,open\nIN:STOP\xe9,closed\n", 3),
+])
+def test_a_bad_byte_in_any_input_names_file_and_line(corpus, tmp_path, capsys, name, data, line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    ledger = tmp_path / "good.json"
+    ledger.write_text(BOM_CASES["ledger.json"][0], encoding="utf-8")
+    argv = {
+        "model.json": ["query", "--model", str(path), "--em", "80"],
+        "ledger.json": ["fit", "--points", str(path)],
+        "points.csv": ["report", "--points", str(path), "--out", str(tmp_path / "plot")],
+        "music.csv": ["complexity", "--ledger", str(ledger), "--corpus", str(corpus),
+                      "--annotations", str(path)],
+    }[name]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: not UTF-8: 'utf-8' codec can't decode byte "), err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_exec_runner_bytes_fail_only_their_own_run(corpus, tmp_path, jobs):
+    runner = tmp_path / "runner.py"
+    runner.write_text(
+        "import json, sys\n"
+        "k = json.load(open(sys.argv[1], encoding='utf-8'))['subset_percent']\n"
+        "sys.stderr.buffer.write(b'log \\xff\\n')\n"
+        "if k == 7:\n"
+        "    sys.exit(1)\n"
+        "bad = b' \\xff' if k == 12 else b''\n"
+        "sys.stdout.buffer.write(b'{\"exact_match\": 50.0}' + bad + b'\\n')\n",
+        encoding="utf-8",
+    )
+    ledger = tmp_path / "ledger.json"
+    proc = run_cli("run", "--corpus", corpus, "--target", "weather", "--jobs", jobs,
+                   "--runner", f"exec:{sys.executable} {runner}", "--out", ledger)
+    assert proc.returncode == 3, proc.stderr
+    entries = json.loads(ledger.read_text(encoding="utf-8"))["entries"]
+    errors = {e["manifest"]["subset_percent"]: e["error"] for e in entries if e["error"]}
+    assert len(entries) == 10
+    assert errors == {
+        7.0: "RunnerError: runner exited 1: log \ufffd",
+        12.0: "RunnerError: parser.weather.uniform12.s0 runner output is not UTF-8: 'utf-8' "
+              "codec can't decode byte 0xff in position 22: invalid start byte",
+    }
 
 
 @pytest.mark.parametrize("option, value", [
