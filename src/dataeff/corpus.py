@@ -9,15 +9,33 @@ eagerly, so corruption surfaces at load time as a CorpusError reading
 ``PATH:LINE: message``.
 A table keeps columns of canonical frame text and labels, not row objects or
 trees. Row order is preserved because sampling determinism depends on it.
+
+A checked table is kept beside its corpus in ``.NAME.dataeff-cache`` (NAME is
+the corpus file's name), so a later load of the same bytes skips the check.
+Its key is a blake2b digest of the bytes the check read, the reading rule (TSV
+or JSONL, and the filename's fallback split) and the source of the modules
+that check (``corpus``, ``frames``, ``jsonio``) under this Python. The cache
+takes about as much disk as the corpus, and deleting it is always safe. Only a
+regular file owned by the current user is read as a cache. Any other cache
+file, and one that is stale, truncated or corrupt, counts as a miss; one that
+cannot be written is skipped. A corpus that is not a regular file, such as a
+pipe, is read once and never cached.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import stat
 import sys
+import zlib
+from _blake2 import blake2b
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import frames, jsonio
 from .errors import CorpusError, FrameParseError, InputError, UnknownDomainError
 from .frames import canonical_frame
 from .jsonio import from_dict, loads, read_lines
@@ -107,8 +125,8 @@ class _JsonlRow:
     split: str | None = None
 
 
-def _tsv_fields(path: Path, fallback_split: str) -> Iterator[tuple]:
-    lines = read_lines(path, CorpusError)
+def _tsv_fields(path: Path, fallback_split: str, digest) -> Iterator[tuple]:
+    lines = read_lines(path, CorpusError, digest)
     first = next(lines, None)
     if first is None:
         raise CorpusError("TSV corpus has no header row", path, 1)
@@ -129,8 +147,8 @@ def _tsv_fields(path: Path, fallback_split: str) -> Iterator[tuple]:
         yield lineno, fields[0], fields[1], fields[2], fields[3] if len(fields) == 4 else fallback_split
 
 
-def _jsonl_fields(path: Path, fallback_split: str) -> Iterator[tuple]:
-    for lineno, line in read_lines(path, CorpusError):
+def _jsonl_fields(path: Path, fallback_split: str, digest) -> Iterator[tuple]:
+    for lineno, line in read_lines(path, CorpusError, digest):
         if not line.strip():
             continue
         try:
@@ -147,15 +165,126 @@ def load_corpus(path: str | Path) -> CorpusTable:
     A ``.jsonl`` or ``.json`` extension means JSONL, any other TSV. A row without a
     split takes that of a ``_train``/``_eval``/``_test`` filename suffix, else ``train``.
     A malformed row raises CorpusError reading ``PATH:LINE: message``.
+    A regular file's table is cached beside it in ``.NAME.dataeff-cache``, keyed
+    by the digest of its bytes, its reading rule and the checking code; a load of
+    the same bytes returns the cached columns without checking them again. Only a
+    regular cache file owned by the current user is read, a pipe is never cached,
+    and deleting the cache is always safe.
     """
     path = Path(path)
     fields = _jsonl_fields if path.suffix.lower() in (".jsonl", ".json") else _tsv_fields
+    fallback = _default_split(path)
+    cache, digest = _cache_for(path, f"{fields.__name__} {fallback}")
+    if cache is not None:
+        table = _load_cached(path, cache, digest.copy())
+        if table is not None:
+            return table
     table = CorpusTable()
     try:
-        table._fill(fields(path, _default_split(path)), path)
+        table._fill(fields(path, fallback, digest), path)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
+    if cache is not None:
+        _save_cached(table, cache, digest.digest())
     return table
+
+
+_CACHE_ROWS = 1024  # rows of text per cache record
+
+
+def _cache_for(path: Path, rule: str):
+    """(cache path, blake2b of the checking code and rule) for a regular file, else (None, None).
+
+    The digest is to be fed the corpus bytes; the cache file starts with its value.
+    """
+    try:
+        if not hasattr(os, "geteuid") or not stat.S_ISREG(os.stat(path).st_mode):
+            return None, None
+        code = b"".join(blake2b(Path(source).read_bytes()).digest()
+                        for source in (__file__, frames.__file__, jsonio.__file__))
+    except OSError:
+        return None, None
+    return (path.with_name(f".{path.name}.dataeff-cache"),
+            blake2b(code + repr((sys.version, rule)).encode()))
+
+
+def _load_cached(path: Path, cache: Path, digest) -> CorpusTable | None:
+    """The table cached for the corpus's current bytes; None if there is none to trust."""
+    try:
+        # O_NONBLOCK: a pipe planted under the cache's name cannot block the open.
+        with open(cache, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)
+                  ) as handle:
+            info = os.fstat(handle.fileno())
+            if not stat.S_ISREG(info.st_mode) or info.st_uid != os.geteuid():
+                return None
+            with open(path, "rb") as corpus:
+                while block := corpus.read(1 << 16):
+                    digest.update(block)
+            if handle.read(digest.digest_size) != digest.digest():
+                return None
+            return _read_table(_records(handle, info.st_size - digest.digest_size))
+    except (OSError, EOFError, ValueError, StopIteration):  # unreadable, short or corrupt
+        return None
+
+
+def _records(handle, size: int) -> Iterator:
+    """The values in size bytes of records: each a 4-byte length, a CRC-32 and that much marshal."""
+    while size > 0:
+        head = handle.read(8)
+        length = int.from_bytes(head[:4], "little")
+        size -= len(head) + length
+        if size < 0:
+            raise EOFError("truncated cache")
+        data = handle.read(length)
+        if zlib.crc32(data) != int.from_bytes(head[4:], "little"):
+            raise ValueError("corrupt cache record")
+        yield marshal.loads(data)
+
+
+def _write_record(handle, value) -> None:
+    data = marshal.dumps(value)
+    handle.write(len(data).to_bytes(4, "little") + zlib.crc32(data).to_bytes(4, "little"))
+    handle.write(data)
+
+
+def _read_table(records: Iterator) -> CorpusTable:
+    table = CorpusTable()
+    # marshal interns a string that was interned when written, so domains, splits
+    # and labels come back as the same objects that sys.intern and SPLITS hold.
+    table.domain, table.split, table.labels, table._index = next(records)
+    utterance, parse = [], []
+    for texts, frame_texts in records:
+        utterance += texts
+        parse += frame_texts
+    if len(utterance) != len(table.domain):
+        raise EOFError("cache ends before its last row")
+    table.utterance, table.parse = tuple(utterance), tuple(parse)
+    return table
+
+
+def _save_cached(table: CorpusTable, cache: Path, key: bytes) -> None:
+    """Write the table to cache under key: a temp file, then a rename, so no reader sees half.
+
+    The file is the key, then one record of the domain, split and labels columns
+    and the index, then one record of utterances and parses per _CACHE_ROWS rows,
+    so neither a write nor a read holds a whole text column's marshal bytes.
+    """
+    temp = cache.with_name(f"{cache.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temp, "xb", opener=lambda name, flags: os.open(name, flags, 0o600)) as handle:
+            handle.write(key)
+            # marshal stores an object that rows share once and refers back to it,
+            # so shared domains, splits and labels come back shared.
+            _write_record(handle, (table.domain, table.split, table.labels, table._index))
+            for start in range(0, len(table), _CACHE_ROWS):
+                rows = slice(start, start + _CACHE_ROWS)
+                _write_record(handle, (table.utterance[rows], table.parse[rows]))
+        os.replace(temp, cache)
+    except OSError:
+        pass  # an unwritable cache costs only the next load its check
+    finally:
+        with suppress(OSError):
+            os.unlink(temp)
 
 
 def save_corpus(table: CorpusTable, path: str | Path) -> None:

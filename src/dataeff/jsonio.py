@@ -54,18 +54,22 @@ def dumps(obj) -> str:
     return json.dumps(obj, default=_fields, allow_nan=False)
 
 
-def read_lines(path, error: type[InputError] = InputError) -> Iterator[tuple[int, str]]:
+def read_lines(path, error: type[InputError] = InputError,
+               digest=None) -> Iterator[tuple[int, str]]:
     """Number and text of each line of a UTF-8 file, read one line at a time.
 
     A line ends at ``\n`` or ``\r\n`` only, and its end is stripped.
     ``str.splitlines`` would also split at U+2028, U+0085, ``\v``, ``\f`` and
     more, which may appear inside an utterance or a JSON string. A leading
     byte-order mark is skipped. A line that is not UTF-8 raises error naming
-    the file and the line.
+    the file and the line. A digest, if given, is updated with each line's
+    bytes as they are read.
     """
     encoding = "utf-8-sig"  # only line 1 may start with the byte-order mark
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if digest is not None:
+                digest.update(line)
             try:
                 text = line.decode(encoding)
             except UnicodeDecodeError as exc:

@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 _EM_STREAM = 0x45
 _PREDICTION_STREAM = 0x50
+_STDERR_LINES = 10  # of a failed runner's stderr, kept in its error
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,8 @@ class CommandRunner:
     ({"run_id", "exact_match", "seed", "wall_time", optional "predictions"})
     on stdout, in UTF-8; run_id and seed default to the manifest's, wall_time
     to the elapsed time. Anything else is recorded as a run failure. Stderr
-    only feeds a failure's detail, so no byte on it can fail a run.
+    only feeds a failure's detail, its last 10 lines, so no byte on it can
+    fail a run.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float | None = None):
@@ -325,7 +327,7 @@ class CommandRunner:
             detail = proc.stderr.decode("utf-8", errors="replace").strip().splitlines()
             raise RunnerError(
                 f"runner exited {proc.returncode}"
-                + (f": {detail[-1]}" if detail else "")
+                + (": " + "\n".join(detail[-_STDERR_LINES:]) if detail else "")
             )
         source = f"{manifest.run_id} runner output"
         try:

@@ -1,8 +1,12 @@
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import pytest
 
+from dataeff import corpus
 from dataeff.corpus import SPLITS, CorpusTable, load_corpus, save_corpus
 from dataeff.errors import CorpusError, DataEffError
 
@@ -378,16 +382,192 @@ def _topv2_like_rows(n):
 def test_load_holds_well_under_one_copy_of_the_file(tmp_path):
     rows = _topv2_like_rows(20_000)
     tsv = write_tsv(tmp_path / "corpus.tsv", rows)
-    jsonl = tmp_path / "corpus.jsonl"
-    keys = ("domain", "utterance", "semantic_parse", "split")
-    jsonl.write_text("".join(json.dumps(dict(zip(keys, row))) + "\n" for row in rows[:5000]),
-                     encoding="utf-8")
+    jsonl = _jsonl(tmp_path / "corpus.jsonl", rows[:5000])
     for path in (tsv, jsonl):
-        tracemalloc.start()
-        try:
-            table = load_corpus(path)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(table) == (20_000 if path is tsv else 5000)
-        assert peak - retained < 0.75 * path.stat().st_size, path.name
+        # The first load checks the file and writes its cache; the second reads the cache.
+        for load in ("check", "cache"):
+            tracemalloc.start()
+            try:
+                table = load_corpus(path)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert _cache(path).is_file()
+            assert len(table) == (20_000 if path is tsv else 5000)
+            assert peak - retained < 0.75 * path.stat().st_size, (path.name, load)
+
+
+def _cache(path):
+    return path.with_name(f".{path.name}.dataeff-cache")
+
+
+def _load_counting_checks(path, monkeypatch):
+    """load_corpus(path) and how many frames it checked: 0 when it read the cache."""
+    checked = []
+
+    def counting(text):
+        checked.append(text)
+        return canonical_frame(text)
+
+    canonical_frame = corpus.canonical_frame
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus, "canonical_frame", counting)
+        table = load_corpus(path)
+    return table, len(checked)
+
+
+def _sharing(column):
+    """Each row's first row holding the same object: equal lists mean equal sharing."""
+    first = {}
+    return [first.setdefault(id(value), row) for row, value in enumerate(column)]
+
+
+def _bom_crlf(path, rows):
+    text = "".join("\t".join(row) + "\r\n" for row in [("domain", "utterance", "semantic_parse",
+                                                       "split")] + rows)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return path
+
+
+def _jsonl(path, rows):
+    keys = ("domain", "utterance", "semantic_parse", "split")
+    path.write_text("".join(json.dumps(dict(zip(keys, row))) + "\n" for row in rows),
+                    encoding="utf-8")
+    return path
+
+
+CACHED_ROWS = _topv2_like_rows(2500) + [
+    ("weather", "a", "[IN:GET_WEATHER a [SL:LOCATION b ] ]", "train"),
+    ("alarm", "c", "[IN:CREATE_ALARM [SL:DATE_TIME [IN:GET_TIME c [SL:UNIT d ] ] ] ]", "eval"),
+    ("alarm", "e", "[IN:CREATE_ALARM [SL:DATE_TIME [IN:GET_TIME e ] ] [SL:UNIT f ] ]", "test"),
+]
+
+
+@pytest.mark.parametrize("name, write", [
+    ("corpus.tsv", lambda path: write_tsv(path, CACHED_ROWS)),
+    ("corpus.jsonl", lambda path: _jsonl(path, CACHED_ROWS)),
+    ("corpus.tsv", lambda path: _bom_crlf(path, CACHED_ROWS)),
+    ("weather_test.tsv", lambda path: write_tsv(path, [r[:3] for r in CACHED_ROWS],
+                                                 with_split=False)),
+])
+def test_a_cached_load_equals_a_checked_load(tmp_path, monkeypatch, name, write):
+    path = write(tmp_path / name)
+    checked, count = _load_counting_checks(path, monkeypatch)
+    assert count == len(CACHED_ROWS)
+    cached, count = _load_counting_checks(path, monkeypatch)
+    assert count == 0
+    assert columns(cached) == columns(checked)
+    assert cached._index == checked._index
+    assert cached.domains() == checked.domains()
+    for column in ("domain", "split", "labels"):
+        assert _sharing(getattr(cached, column)) == _sharing(getattr(checked, column)), column
+    assert cached.labels[-2] == cached.labels[-1]
+    assert cached.labels[-2] is not cached.labels[-1]
+    assert all(domain is sys.intern(domain) for domain in set(cached.domain))
+    assert all(split is SPLITS[SPLITS.index(split)] for split in set(cached.split))
+    assert all(label is sys.intern(label) for labels in set(cached.labels) for label in labels)
+    if name == "weather_test.tsv":
+        assert set(cached.split) == {"test"}
+
+
+def test_a_changed_byte_is_checked_again(tmp_path, monkeypatch):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    load_corpus(path)
+    data = path.read_bytes()
+    at = data.index(b" ]\t", data.index(b"\n", 1000))  # the last "]" of one row's frame
+    path.write_bytes(data[:at + 1] + b"x" + data[at + 2:])
+    line = data[:at].count(b"\n") + 1
+    with pytest.raises(CorpusError) as exc:
+        _load_counting_checks(path, monkeypatch)
+    assert str(exc.value).startswith(f"{path}:{line}: bad frame: ")
+
+
+def _another_code_key(path, tmp_path, monkeypatch):
+    edited = tmp_path / "edited_corpus.py"
+    edited.write_bytes(open(corpus.__file__, "rb").read() + b"# edited\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus, "__file__", str(edited))
+        _load_counting_checks(path, monkeypatch)
+
+
+def _cut_after_first_record(data):
+    """The key and the first record (an 8-byte head, then its length of bytes) only."""
+    return data[:64 + 8 + int.from_bytes(data[64:68], "little")]
+
+
+def _flip_a_byte(data):
+    return data[:len(data) // 2] + bytes([data[len(data) // 2] ^ 1]) + data[len(data) // 2 + 1:]
+
+
+@pytest.mark.parametrize("break_cache", [
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(cache.read_bytes()[:-100]),
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(cache.read_bytes()[:64]),
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(
+        _cut_after_first_record(cache.read_bytes())),
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(b"garbage" * 1000),
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(b""),
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(_flip_a_byte(cache.read_bytes())),
+    lambda cache, tmp_path, monkeypatch: _another_code_key(
+        cache.with_name("corpus.tsv"), tmp_path, monkeypatch),
+], ids=["truncated", "key only", "one record", "garbage", "empty", "flipped byte", "another code key"])
+def test_a_broken_cache_is_ignored_and_rewritten(tmp_path, monkeypatch, break_cache):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    checked = load_corpus(path)
+    cache = _cache(path)
+    good = cache.read_bytes()
+    break_cache(cache, tmp_path, monkeypatch)
+    broken = cache.read_bytes()
+    assert broken != good
+    table, count = _load_counting_checks(path, monkeypatch)
+    assert count == len(CACHED_ROWS)
+    assert columns(table) == columns(checked)
+    assert cache.read_bytes() != broken
+    assert _load_counting_checks(path, monkeypatch)[1] == 0
+
+
+def test_a_malformed_corpus_leaves_no_cache(tmp_path):
+    for path in (write_tsv(tmp_path / "bad.tsv", CACHED_ROWS + [("weather", "x", "[SL:X y ]")]),
+                 _jsonl(tmp_path / "bad.jsonl", CACHED_ROWS + [("weather", "x")])):
+        with pytest.raises(CorpusError):
+            load_corpus(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "bad.tsv"]
+
+
+def test_a_load_succeeds_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    _cache(path).mkdir()  # root ignores file modes; a directory stops the rename
+    for _ in range(2):
+        table, count = _load_counting_checks(path, monkeypatch)
+        assert count == len(CACHED_ROWS)
+    assert len(table) == len(CACHED_ROWS)
+    assert _cache(path).is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [_cache(path).name, "corpus.tsv"]
+
+
+def test_a_cache_owned_by_another_user_is_ignored(tmp_path, monkeypatch):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    checked = load_corpus(path)
+    euid = os.geteuid()
+    monkeypatch.setattr(os, "geteuid", lambda: euid + 1)
+    table, count = _load_counting_checks(path, monkeypatch)
+    assert count == len(CACHED_ROWS)
+    assert columns(table) == columns(checked)
+
+
+def test_a_pipe_is_read_once_and_never_cached(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    os.mkfifo(path)
+    text = "".join("\t".join(row) + "\n" for row in [("domain", "utterance", "semantic_parse",
+                                                    "split")] + CACHED_ROWS)
+
+    def write():
+        with open(path, "w", encoding="utf-8") as pipe:
+            pipe.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    table = load_corpus(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert len(table) == len(CACHED_ROWS)
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.tsv"]

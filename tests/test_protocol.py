@@ -321,6 +321,27 @@ def test_command_runner_failure_recorded(tmp_path, weather_table, manifests):
     assert "synthetic failure" in ledger.failed_entries[0].error
 
 
+def test_command_runner_failure_keeps_the_traceback_tail(tmp_path, manifests):
+    path = tmp_path / "crash.py"
+    path.write_text(
+        "import sys\n"
+        "for i in range(15):\n"
+        "    print(f'log {i}', file=sys.stderr)\n"
+        "def train():\n"
+        "    raise ValueError('no GPU left')\n"
+        "train()\n",
+        encoding="utf-8",
+    )
+    ledger = run_protocol(manifests[:1], CommandRunner([sys.executable, str(path)]))
+    error = ledger.failed_entries[0].error
+    assert error.startswith("RunnerError: runner exited 1: log ")
+    lines = error.removeprefix("RunnerError: runner exited 1: ").split("\n")
+    assert len(lines) == 10
+    assert lines[-1] == "ValueError: no GPU left"
+    assert "Traceback (most recent call last):" in lines
+    assert "log 14" in lines and "log 10" not in lines
+
+
 def _printing_runner(tmp_path, body):
     path = tmp_path / "printer.py"
     path.write_text(f"print({body!r})\n", encoding="utf-8")

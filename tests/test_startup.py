@@ -2,7 +2,8 @@
 
 Every command is one short process, so what the package imports is paid on
 every call. `import dataeff` loads no submodule, no command imports numpy
-(`fit` included: the solver is pure Python), and only runners start
+(`fit` included: the solver is pure Python) or hashlib (which loads OpenSSL;
+the corpus cache digests with the builtin `_blake2`), and only runners start
 processes. Each command runs in turn in one fresh interpreter; after each, the
 child records which heavy modules and which `dataeff` modules it has loaded so
 far. The package also declares and imports nothing outside the standard
@@ -26,7 +27,7 @@ from dataeff.jsonio import dumps
 from conftest import simple_corpus_rows, write_tsv
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-WATCHED = ("numpy", "subprocess", "concurrent.futures")
+WATCHED = ("numpy", "hashlib", "subprocess", "concurrent.futures")
 
 CHILD = """
 import json, sys
