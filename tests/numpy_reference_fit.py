@@ -1,10 +1,12 @@
 """A numpy Levenberg-Marquardt solver, the reference that `test_curve.py`
 compares `dataeff.curve.fit_curve` against.
 
-It runs the same algorithm as the pure-Python solver, with the same starts,
-damping schedule, bounds on b and stopping rules, but over numpy arrays with
+It reaches the least-squares fit by another road than the separable profile
+search of `fit_curve`: damped Gauss-Newton from three fixed starts, with b
+projected into its bounds after every step, over numpy arrays with
 `numpy.linalg.solve` and numpy's own summation; `average_points` sums with a
-plain `sum`. It shares the curve module's constants and data types.
+plain `sum`. It shares the curve module's bounds on b and data types, and
+keeps its own stopping constants.
 """
 
 from __future__ import annotations
@@ -13,16 +15,12 @@ import math
 
 import numpy as np
 
-from dataeff.curve import (
-    B_MAX,
-    B_MIN,
-    GRAD_TOL,
-    MAX_ITERATIONS,
-    SSE_RTOL,
-    CurveModel,
-    EfficiencyPoint,
-)
+from dataeff.curve import B_MAX, B_MIN, CurveModel, EfficiencyPoint
 from dataeff.errors import FitError
+
+MAX_ITERATIONS = 500
+SSE_RTOL = 1e-12
+GRAD_TOL = 1e-10
 
 
 def _residual(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ GOLDEN = {
     "spis.json": "0186bb88464222034a2eee0f652b6ce8981fffca86c741de85811f26c3dbc979",
     "sim.json": "29fcd0f070bad206603ed05d7aca87171676c1cc18b3e2039c807a46f470cfba",
     "exec.json": "d35e09d7c6510e3f28e715b258a66c0e091df6a49f061491fcd6dafd3fa0700a",
-    "model.json": "36416a69b5e2e61c2b458e0db3b31713abb45f58091e7dfa2d9e820eb49cb2a6",
+    "model.json": "1939cd9ae9db890342448db61cebea587a5d6c23f3fb51295797b7f55e5a495e",
     "plot.svg": "83c402213d168ba5ff1532737de21a97e72664786e66f81c32cdce2b6057aa45",
     "plot.csv": "21b2513a4d39c8c2d2cac06682c7c08b62e52f3e935f03463a2fb3d43e6812c2",
     "complexity.csv": "5246df8ba7a8be71ccff52a8a61c15560ceed88c98bca889e8f66f9d98a87723",
