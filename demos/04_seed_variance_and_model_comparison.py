@@ -9,10 +9,10 @@ measured on production parsers at full scale.
 from dataeff import (
     CorpusTable,
     SimulatedRunner,
-    aggregate_seeds,
     build_manifests,
     compare_models,
     fit_curve,
+    invert,
     ledger_to_curve,
     make_schedule,
     reference_comparison,
@@ -31,16 +31,19 @@ manifests = build_manifests(table, "reminder", schedule, seeds=(0, 1, 2))
 runner = SimulatedRunner(truth=(-30.0, 0.4, 96.5), noise_sigma=0.5)
 points = ledger_to_curve(run_protocol(manifests, runner))
 
-aggregate = aggregate_seeds(points, em_targets=(85.0, 90.0))
-print("per-size seed spread (EM):")
-for k, stats in aggregate.per_percent.items():
-    print(f"  {k:>5.1f}% : mean {stats.mean:6.2f}  min {stats.min:6.2f}  "
-          f"max {stats.max:6.2f}  ({stats.seed_count} seeds)")
+# One curve per seed: how far apart the per-seed answers land is how much the
+# protocol's conclusion depends on the seed.
+models = {seed: fit_curve([p for p in points if p.seed == seed]) for seed in (0, 1, 2)}
+print("per-seed curves:")
+for seed, model in models.items():
+    print(f"  seed {seed}: a {model.a:7.2f}  b {model.b:5.3f}  c {model.c:6.2f}")
 print()
 print("inverse-query spread across per-seed curves:")
-for target, spread in aggregate.inversion_spread.items():
-    answers = ", ".join(f"seed {s}: {v:.2f}%" for s, v in spread.per_seed.items())
-    print(f"  {target:.0f}% EM -> {answers}  (spread {spread.spread:.2f} pts)")
+for target in (85.0, 90.0):
+    answers = {seed: invert(model, target).percent for seed, model in models.items()}
+    text = ", ".join(f"seed {s}: {v:.2f}%" for s, v in answers.items())
+    spread = max(answers.values()) - min(answers.values())
+    print(f"  {target:.0f}% EM -> {text}  (spread {spread:.2f} pts)")
 print()
 
 # Model comparison: same asymptote, different saturation speed b. The faster

@@ -38,8 +38,9 @@ rows += [("event", f"event {i}", "[IN:GET_EVENT go ]", "train")
 table = CorpusTable(rows)
 
 manifests = build_manifests(table, "music", make_schedule(8), seeds=(0,))
+# Given the corpus table, the simulator also predicts a frame for each test row.
 runner = SimulatedRunner(truth=(-35.0, 0.45, 95.0), noise_sigma=0.0, em_at_zero=10.0,
-                         emit_predictions=True, table=table)
+                         table=table)
 ledger = run_protocol(manifests, runner)
 print(f"{len(ledger.ok_entries)} runs with per-example predictions")
 

@@ -21,11 +21,10 @@ __version__ = "0.1.0"
 # command pays only for the modules it runs.
 _SOURCE = {
     **dict.fromkeys((
-        "ComparisonTable", "ComplexityClass", "SeedAggregate", "aggregate_seeds",
-        "compare_models", "load_annotations", "packaged_annotations", "per_class_curves",
-        "per_intent_points", "reference_comparison",
+        "ComparisonTable", "ComplexityClass", "compare_models", "load_annotations",
+        "packaged_annotations", "per_class_curves", "per_intent_points", "reference_comparison",
     ), "analysis"),
-    **dict.fromkeys(("CorpusTable", "load_corpus", "save_corpus"), "corpus"),
+    **dict.fromkeys(("CorpusTable", "load_corpus"), "corpus"),
     **dict.fromkeys((
         "CurveModel", "EfficiencyPoint", "Inversion", "average_points", "evaluate",
         "fit_curve", "invert", "load_model",
@@ -41,8 +40,7 @@ _SOURCE = {
     ), "protocol"),
     **dict.fromkeys(("ReportSpec", "render_csv", "render_svg", "write_report"), "report"),
     **dict.fromkeys((
-        "Schedule", "SizeReport", "Subset", "SubsetSpec", "make_schedule", "spis_sample",
-        "subset_size_report", "uniform_sample",
+        "Schedule", "Subset", "SubsetSpec", "make_schedule", "spis_sample", "uniform_sample",
     ), "sampling"),
 }
 

@@ -1,4 +1,4 @@
-"""Result aggregation: seed variance, model comparison, intent complexity.
+"""Result aggregation: model comparison and intent complexity.
 
 Complexity classes rank how hard an intent is to model (none < closed < semi
 < open, where "semi" covers named entities / date-times / ~100-value closed
@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .curve import CurveModel, EfficiencyPoint, Inversion, average_points, fit_curve, invert
+from .curve import EfficiencyPoint, Inversion, average_points, invert
 from .errors import AnalysisError, AnnotationError, FrameParseError
 from .jsonio import read_text
 
@@ -167,75 +167,6 @@ def per_class_curves(
     for label, points in per_intent.items():
         intent_means[classes[label]] += average_points(points)
     return {cls: average_points(means) for cls, means in intent_means.items()}
-
-
-@dataclass(frozen=True)
-class PercentStats:
-    """Seed statistics for one subset percent."""
-
-    mean: float
-    min: float
-    max: float
-    seed_count: int
-
-    @property
-    def spread(self) -> float:
-        return self.max - self.min
-
-
-@dataclass(frozen=True)
-class InversionSpread:
-    """Per-seed inverse-query answers for one EM target; None marks unreachable."""
-
-    per_seed: dict
-    spread: float | None
-
-
-@dataclass(frozen=True)
-class SeedAggregate:
-    per_percent: dict  # subset percent -> PercentStats
-    per_seed_models: dict  # seed -> CurveModel (only when em_targets requested)
-    inversion_spread: dict  # EM target -> InversionSpread
-
-
-def aggregate_seeds(points: list[EfficiencyPoint], em_targets: tuple = ()) -> SeedAggregate:
-    """Per-percent seed statistics, optionally with per-seed fits and query spread.
-
-    Points must share one (model, domain). When em_targets is non-empty a
-    curve is fitted to each seed's points and invert() answers are compared
-    across seeds, quantifying how stable the protocol's conclusions are.
-    """
-    if not points:
-        raise AnalysisError("no points to aggregate")
-    pairs = {(p.model_id, p.domain) for p in points}
-    if len(pairs) != 1:
-        raise AnalysisError(f"points mix several (model, domain) pairs: {sorted(pairs)}")
-
-    by_k: dict[float, list[EfficiencyPoint]] = {}
-    for p in points:
-        by_k.setdefault(p.subset_percent, []).append(p)
-    per_percent = {
-        k: PercentStats(
-            mean=math.fsum(p.exact_match for p in group) / len(group),
-            min=min(p.exact_match for p in group),
-            max=max(p.exact_match for p in group),
-            seed_count=len({p.seed for p in group}),
-        )
-        for k, group in sorted(by_k.items())
-    }
-
-    per_seed_models: dict[int, CurveModel] = {}
-    inversion_spread: dict[float, InversionSpread] = {}
-    if em_targets:
-        seeds = sorted({p.seed for p in points})
-        for seed in seeds:
-            per_seed_models[seed] = fit_curve([p for p in points if p.seed == seed])
-        for y in em_targets:
-            per_seed = {seed: invert(per_seed_models[seed], y).percent for seed in seeds}
-            reached = [v for v in per_seed.values() if v is not None]
-            spread = (max(reached) - min(reached)) if reached else None
-            inversion_spread[y] = InversionSpread(per_seed, spread)
-    return SeedAggregate(per_percent, per_seed_models, inversion_spread)
 
 
 def _render(cell: Inversion | None) -> str:

@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from .curve import EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
+from .curve import MIN_FIT_PERCENTS, EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
 from .errors import DataEffError
 from .jsonio import dumps, from_dict, loads, read_lines, read_text
 
@@ -65,12 +65,10 @@ def cmd_sample(args) -> int:
     spec = sampling.SubsetSpec(args.domain, args.algorithm, args.size, args.seed)
     subset = sampling.sample(table, spec)
     _emit(dumps(subset) + "\n", args.out)
-    size = sampling.subset_size_report(subset, table)
-    print(
-        f"{subset.spec.algorithm} subset: {size.count} rows "
-        f"({size.percent:.2f}% of {args.domain} train)",
-        file=sys.stderr,
-    )
+    count, total = len(subset.row_ids), len(table.row_ids(args.domain, "train"))
+    percent = 100.0 * count / total if total else 0.0
+    print(f"{spec.algorithm} subset: {count} rows ({percent:.2f}% of {args.domain} train)",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -117,7 +115,7 @@ def _make_runner(args, table):
     if args.runner == "simulate":
         return SimulatedRunner(
             truth=tuple(args.truth), noise_sigma=args.noise, em_at_zero=args.em_at_zero,
-            seed=args.sim_seed, emit_predictions=args.emit_predictions, table=table,
+            seed=args.sim_seed, table=table if args.emit_predictions else None,
         )
     return CommandRunner(args.runner[len("exec:"):])
 
@@ -143,10 +141,10 @@ def cmd_run(args) -> int:
     for entry in failed:
         print(f"  failed {entry.manifest.run_id}: {entry.error}", file=sys.stderr)
     percents = {e.manifest.subset_percent for e in ledger.ok_entries} - {0.0}
-    if len(percents) < 3:
+    if len(percents) < MIN_FIT_PERCENTS:
         print(
-            "warning: fit needs at least 3 distinct subset percents > 0 among the ok runs; "
-            f"this ledger has {len(percents)}",
+            f"warning: fit needs at least {MIN_FIT_PERCENTS} distinct subset percents > 0 "
+            f"among the ok runs; this ledger has {len(percents)}",
             file=sys.stderr,
         )
     return EXIT_PARTIAL if failed else EXIT_OK

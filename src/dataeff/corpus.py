@@ -7,8 +7,11 @@ ever held whole. A leading UTF-8 byte-order mark is skipped. Rows end at
 ``\n`` or ``\r\n`` only. Each row's frame is validated and canonicalized
 eagerly, so corruption surfaces at load time as a CorpusError reading
 ``PATH:LINE: message``.
-A table keeps columns of canonical frame text and labels, not row objects or
-trees. Row order is preserved because sampling determinism depends on it.
+A table keeps only what the pipeline reads: each row's canonical frame text
+and labels, and the row positions of each (domain, split). Utterances are
+checked (a JSONL utterance must be a string) but not kept, and there are no
+row objects or trees. Row order is preserved because sampling determinism
+depends on it.
 
 A checked table is kept beside its corpus in ``.NAME.dataeff-cache`` (NAME is
 the corpus file's name), so a later load of the same bytes skips the check.
@@ -47,49 +50,44 @@ class CorpusTable:
     """Immutable, order-preserving corpus columns indexed by domain and split.
 
     Built from ``(domain, utterance, parse, split)`` tuples, checked as
-    ``load_corpus`` checks a file's rows. Row ``i`` is ``domain[i]``,
-    ``utterance[i]``, ``parse[i]`` (canonical frame text, so exact match is
-    string equality), ``split[i]`` (the ``SPLITS`` entry) and ``labels[i]`` (the
-    frame's interned intent and slot labels in pre-order, root intent first).
-    Rows share each distinct domain and split, and rows with the same bracket
-    structure share one ``labels`` tuple.
+    ``load_corpus`` checks a file's rows; the utterance is not kept. Row ``i``
+    is ``parse[i]`` (canonical frame text, so exact match is string equality)
+    and ``labels[i]`` (the frame's interned intent and slot labels in
+    pre-order, root intent first), and ``row_ids(domain, split)`` lists the rows
+    of each domain and split. Rows with the same bracket structure share one
+    ``labels`` tuple.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
-        self._fill((None, *row) for row in rows)
+        self._fill((None, domain, parse, split) for domain, _, parse, split in rows)
 
     def _fill(self, rows: Iterable[tuple], path: Path | None = None) -> None:
-        """Check (line number, domain, utterance, frame, split) rows into the columns.
+        """Check (line number, domain, frame, split) rows into the columns and the index.
 
         Errors name ``path`` and the row's line number when the rows came from a file.
         """
-        domain, utterance, parse, split, labels = [], [], [], [], []
-        index: dict[str, tuple[str, dict[str, list[int]]]] = {}
-        for lineno, name, text, frame, split_name in rows:
+        parse, labels = [], []
+        index: dict[str, dict[str, list[int]]] = {}
+        for lineno, name, frame, split in rows:
             if not name:
                 raise CorpusError("empty domain", path, lineno)
-            if split_name not in SPLITS:
+            if split not in SPLITS:
                 raise CorpusError(
-                    f"unknown split {split_name!r} (expected one of {SPLITS})", path, lineno)
-            split_name = SPLITS[SPLITS.index(split_name)]
+                    f"unknown split {split!r} (expected one of {SPLITS})", path, lineno)
             try:
                 frame, frame_labels = canonical_frame(frame)
             except FrameParseError as exc:
                 raise CorpusError(f"bad frame: {exc}", path, lineno) from exc
-            entry = index.get(name)
-            if entry is None:
-                entry = index[name] = (sys.intern(name), {s: [] for s in SPLITS})
-            entry[1][split_name].append(len(parse))
-            domain.append(entry[0])
-            utterance.append(text)
+            per_split = index.get(name)
+            if per_split is None:
+                per_split = index[name] = {s: [] for s in SPLITS}
+            per_split[split].append(len(parse))
             parse.append(frame)
-            split.append(split_name)
             labels.append(frame_labels)
-        self.domain, self.utterance, self.parse, self.split, self.labels = map(
-            tuple, (domain, utterance, parse, split, labels))
+        self.parse, self.labels = tuple(parse), tuple(labels)
         self._index = {
             name: {s: tuple(ids) for s, ids in per_split.items()}
-            for name, (_, per_split) in index.items()
+            for name, per_split in index.items()
         }
 
     def __len__(self) -> int:
@@ -144,7 +142,7 @@ def _tsv_fields(path: Path, fallback_split: str, digest) -> Iterator[tuple]:
             raise CorpusError(
                 f"expected {len(header)} tab-separated fields, got {len(fields)}", path, lineno
             )
-        yield lineno, fields[0], fields[1], fields[2], fields[3] if len(fields) == 4 else fallback_split
+        yield lineno, fields[0], fields[2], fields[3] if len(fields) == 4 else fallback_split
 
 
 def _jsonl_fields(path: Path, fallback_split: str, digest) -> Iterator[tuple]:
@@ -156,7 +154,7 @@ def _jsonl_fields(path: Path, fallback_split: str, digest) -> Iterator[tuple]:
         except InputError as exc:
             raise CorpusError(str(exc), path, lineno) from None
         split = fallback_split if obj.split is None else obj.split
-        yield lineno, obj.domain, obj.utterance, obj.semantic_parse, split
+        yield lineno, obj.domain, obj.semantic_parse, split
 
 
 def load_corpus(path: str | Path) -> CorpusTable:
@@ -167,7 +165,7 @@ def load_corpus(path: str | Path) -> CorpusTable:
     A malformed row raises CorpusError reading ``PATH:LINE: message``.
     A regular file's table is cached beside it in ``.NAME.dataeff-cache``, keyed
     by the digest of its bytes, its reading rule and the checking code; a load of
-    the same bytes returns the cached columns without checking them again. Only a
+    the same bytes returns the cached table without checking it again. Only a
     regular cache file owned by the current user is read, a pipe is never cached,
     and deleting the cache is always safe.
     """
@@ -189,7 +187,7 @@ def load_corpus(path: str | Path) -> CorpusTable:
     return table
 
 
-_CACHE_ROWS = 1024  # rows of text per cache record
+_CACHE_ROWS = 1024  # frames per cache record
 
 
 def _cache_for(path: Path, rule: str):
@@ -249,36 +247,34 @@ def _write_record(handle, value) -> None:
 
 def _read_table(records: Iterator) -> CorpusTable:
     table = CorpusTable()
-    # marshal interns a string that was interned when written, so domains, splits
-    # and labels come back as the same objects that sys.intern and SPLITS hold.
-    table.domain, table.split, table.labels, table._index = next(records)
-    utterance, parse = [], []
-    for texts, frame_texts in records:
-        utterance += texts
+    # marshal interns a string that was interned when written, so labels come
+    # back as the same objects that sys.intern holds.
+    table.labels, table._index = next(records)
+    parse = []
+    for frame_texts in records:
         parse += frame_texts
-    if len(utterance) != len(table.domain):
+    if len(parse) != len(table.labels):
         raise EOFError("cache ends before its last row")
-    table.utterance, table.parse = tuple(utterance), tuple(parse)
+    table.parse = tuple(parse)
     return table
 
 
 def _save_cached(table: CorpusTable, cache: Path, key: bytes) -> None:
     """Write the table to cache under key: a temp file, then a rename, so no reader sees half.
 
-    The file is the key, then one record of the domain, split and labels columns
-    and the index, then one record of utterances and parses per _CACHE_ROWS rows,
-    so neither a write nor a read holds a whole text column's marshal bytes.
+    The file is the key, then one record of the labels column and the index,
+    then one record of frames per _CACHE_ROWS rows, so neither a write nor a
+    read holds the whole frame column's marshal bytes.
     """
     temp = cache.with_name(f"{cache.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(temp, "xb", opener=lambda name, flags: os.open(name, flags, 0o600)) as handle:
             handle.write(key)
             # marshal stores an object that rows share once and refers back to it,
-            # so shared domains, splits and labels come back shared.
-            _write_record(handle, (table.domain, table.split, table.labels, table._index))
+            # so shared labels come back shared.
+            _write_record(handle, (table.labels, table._index))
             for start in range(0, len(table), _CACHE_ROWS):
-                rows = slice(start, start + _CACHE_ROWS)
-                _write_record(handle, (table.utterance[rows], table.parse[rows]))
+                _write_record(handle, table.parse[start:start + _CACHE_ROWS])
         os.replace(temp, cache)
     except OSError:
         pass  # an unwritable cache costs only the next load its check
@@ -286,17 +282,3 @@ def _save_cached(table: CorpusTable, cache: Path, key: bytes) -> None:
         with suppress(OSError):
             os.unlink(temp)
 
-
-def save_corpus(table: CorpusTable, path: str | Path) -> None:
-    """Write a table back out as TSV with an explicit split column.
-
-    A domain or utterance holding a tab or a newline raises CorpusError before
-    anything is written: the TSV would not load back.
-    """
-    for i, (domain, utterance) in enumerate(zip(table.domain, table.utterance)):
-        if any(c in domain or c in utterance for c in "\t\n"):
-            raise CorpusError(f"row {i} ({domain!r}, {utterance!r}) holds a tab or newline; "
-                              "a TSV corpus cannot carry it")
-    lines = ["domain\tutterance\tsemantic_parse\tsplit"]
-    lines += map("\t".join, zip(table.domain, table.utterance, table.parse, table.split))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -33,6 +33,7 @@ from .errors import CurveDomainError, FitError, InputError
 from .jsonio import from_dict, loads, read_text
 
 B_MIN, B_MAX = 1e-3, 10.0
+MIN_FIT_PERCENTS = 3  # distinct subset percents above 0 that a fit needs
 # Profile evaluations on the grid of ln b, bounds included: 4 already find the lowest minimum
 # of all 400 reference-test fixtures, and 16 (a factor 1.85 in b per cell) keep a margin.
 GRID_POINTS = 16
@@ -182,8 +183,9 @@ def fit_curve(points: list[EfficiencyPoint], average_first: bool = False) -> Cur
     positive = [p for p in points if p.subset_percent > 0.0]
     xs = [float(p.subset_percent) for p in positive]
     ys = [float(p.exact_match) for p in positive]
-    if len(set(xs)) < 3:
-        raise FitError(f"need at least 3 distinct subset percents > 0 to fit, got {len(set(xs))}")
+    if len(set(xs)) < MIN_FIT_PERCENTS:
+        raise FitError(f"need at least {MIN_FIT_PERCENTS} distinct subset percents > 0 to fit, "
+                       f"got {len(set(xs))}")
     fit_domain = (min(xs), max(xs))
 
     if max(ys) - min(ys) == 0.0:

@@ -228,17 +228,16 @@ class SimulatedRunner:
     EM for a k% subset is clamp(a / k**b + c + eps, 0, 100) with
     eps ~ Normal(0, noise_sigma^2); the 0% subset reports em_at_zero + eps
     because the curve has a pole at zero. Noise is keyed by
-    (seed, run seed, k), never by execution order. With emit_predictions a
-    per-test-row prediction list is drawn (each row correct with probability
-    EM/100) and exact_match becomes the realized fraction; the corpus table
-    then supplies the reference frames.
+    (seed, run seed, k), never by execution order. Given the corpus table, a
+    per-test-row prediction list is drawn from its reference frames (each row
+    correct with probability EM/100) and exact_match becomes the realized
+    fraction.
     """
 
     truth: tuple[float, float, float] = (-27.26, 0.35, 97.79)
     noise_sigma: float = 0.0
     em_at_zero: float = 0.0
     seed: int = 0
-    emit_predictions: bool = False
     table: CorpusTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -250,8 +249,6 @@ class SimulatedRunner:
             raise ProtocolError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.em_at_zero <= 100.0:
             raise ProtocolError(f"em_at_zero out of [0, 100]: {self.em_at_zero}")
-        if self.emit_predictions and self.table is None:
-            raise ProtocolError("emit_predictions requires the corpus table")
 
     def __call__(self, manifest: Manifest) -> RunResult:
         k = manifest.subset_percent
@@ -262,8 +259,8 @@ class SimulatedRunner:
         em = min(max((self.em_at_zero if k == 0 else a / k ** b + c) + eps, 0.0), 100.0)
 
         predictions = None
-        if self.emit_predictions:
-            table = self.table
+        table = self.table
+        if table is not None:
             stream = SplitMix64(combine(self.seed, run_seed, float_key(k), _PREDICTION_STREAM))
             rows = []
             hits = 0

@@ -147,26 +147,3 @@ def sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
         return uniform_sample(table, spec)
     return spis_sample(table, spec)
 
-
-@dataclass(frozen=True)
-class SizeReport:
-    """Realized size of a subset: row count, percent of the domain, label coverage."""
-
-    count: int
-    percent: float
-    label_counts: Counter
-
-
-def subset_size_report(subset: Subset, table: CorpusTable) -> SizeReport:
-    """Exact count, percent of the domain's train split, and achieved label counts."""
-    domain_total = len(table.row_ids(subset.spec.target_domain, "train"))
-    counts: Counter = Counter()
-    for pos in subset.row_ids:
-        if table.domain[pos] != subset.spec.target_domain or table.split[pos] != "train":
-            raise SamplingError(
-                f"row {pos} is not a train row of {subset.spec.target_domain!r}"
-            )
-        counts.update(table.labels[pos])
-    count = len(subset.row_ids)
-    percent = 100.0 * count / domain_total if domain_total else 0.0
-    return SizeReport(count, percent, counts)

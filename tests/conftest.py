@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dataeff.corpus import CorpusTable
+from dataeff.corpus import SPLITS, CorpusTable
 from dataeff.frames import Frame, FrameNode
 
 _INTENTS = ("IN:GET_WEATHER", "IN:GET_SUNRISE", "IN:GET_SUNSET", "IN:CREATE_ALARM",
@@ -54,9 +54,21 @@ def weather_table():
     return CorpusTable(rows)
 
 
+def row_keys(table):
+    """Each row's (domain, split), in row order, rebuilt from table.row_ids."""
+    keys = [None] * len(table)
+    for domain in table.domains():
+        for split in SPLITS:
+            for pos in table.row_ids(domain, split):
+                assert keys[pos] is None, (pos, domain, split)
+                keys[pos] = (domain, split)
+    assert None not in keys
+    return tuple(keys)
+
+
 def columns(table):
-    """A CorpusTable's columns, for comparing whole tables."""
-    return table.domain, table.utterance, table.parse, table.split, table.labels
+    """Each row's (domain, split), frame and labels, for comparing whole tables."""
+    return row_keys(table), table.parse, table.labels
 
 
 def write_tsv(path, rows, with_split=True):

@@ -19,7 +19,6 @@ from dataeff.curve import B_MAX, B_MIN, CurveModel, EfficiencyPoint
 from dataeff.errors import FitError
 
 MAX_ITERATIONS = 500
-SSE_RTOL = 1e-12
 GRAD_TOL = 1e-10
 
 
@@ -44,7 +43,9 @@ def _levenberg_marquardt(theta0, x, y):
     """Damped Gauss-Newton from one start; returns (theta, sse, iterations, converged).
 
     Damping starts at 1e-3, /10 on an accepted step, *10 on a rejected one;
-    b is projected into [B_MIN, B_MAX] after every step.
+    b is projected into [B_MIN, B_MAX] after every step. It stops on a gradient
+    norm below GRAD_TOL (converged), once no step lowers the SSE even at damping
+    1e15, or after MAX_ITERATIONS; never on a small drop of the SSE alone.
     """
     theta = _clip_b(np.asarray(theta0, dtype=float))
     r = _residual(theta, x, y)
@@ -71,12 +72,8 @@ def _levenberg_marquardt(theta0, x, y):
         r_new = _residual(candidate, x, y)
         sse_new = float(r_new @ r_new)
         if sse_new < sse:
-            relative_drop = (sse - sse_new) / sse
             theta, r, sse = candidate, r_new, sse_new
             lam = max(lam / 10.0, 1e-15)
-            if relative_drop < SSE_RTOL:
-                converged = True
-                break
         else:
             lam *= 10.0
             if lam > 1e15:

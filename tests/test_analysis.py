@@ -4,7 +4,6 @@ import pytest
 
 from dataeff.analysis import (
     ComplexityClass,
-    aggregate_seeds,
     compare_models,
     load_annotations,
     packaged_annotations,
@@ -15,17 +14,7 @@ from dataeff.analysis import (
 from dataeff.corpus import CorpusTable
 from dataeff.curve import CurveModel, EfficiencyPoint
 from dataeff.errors import AnalysisError, AnnotationError
-from dataeff.protocol import (
-    Ledger,
-    LedgerEntry,
-    ManifestSummary,
-    RunResult,
-    SimulatedRunner,
-    build_manifests,
-    ledger_to_curve,
-    run_protocol,
-)
-from dataeff.sampling import make_schedule
+from dataeff.protocol import Ledger, LedgerEntry, ManifestSummary, RunResult
 
 NONE, CLOSED, SEMI, OPEN = (
     ComplexityClass.NONE, ComplexityClass.CLOSED, ComplexityClass.SEMI, ComplexityClass.OPEN
@@ -128,10 +117,9 @@ def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally w
     wrong_text; each function in rewrites then rewrites the next PLAY row's text."""
     predictions = []
     edits = [lambda text: wrong_text] * wrong_play + list(rewrites)
-    for pos, (split, text, labels) in enumerate(zip(table.split, table.parse, table.labels)):
-        if split != "test":
-            continue
-        if labels[0] == "IN:PLAY_MUSIC" and edits:
+    for pos in table.row_ids("music", "test"):
+        text = table.parse[pos]
+        if table.labels[pos][0] == "IN:PLAY_MUSIC" and edits:
             text = edits.pop(0)(text)
         predictions.append((pos, text))
     result = RunResult(run_id="run-k4", exact_match=0.0, seed=0, predictions=tuple(predictions))
@@ -202,7 +190,7 @@ def test_per_intent_rejects_out_of_range_rows():
 def test_per_intent_rejects_rows_outside_the_test_split():
     # A correct prediction for a train row would otherwise count as a hit.
     table = _music_test_table()
-    train_row = table.split.index("train")
+    train_row = table.row_ids("music", "train")[0]
     predictions = ((0, table.parse[0]), (train_row, table.parse[train_row]))
     result = RunResult(run_id="leak", exact_match=100.0, seed=0, predictions=predictions)
     ledger = Ledger((LedgerEntry(_summary("leak", 4), result, None),))
@@ -284,77 +272,6 @@ def test_per_class_requires_annotations():
     per_intent = {"IN:MYSTERY": [EfficiencyPoint(1, 50.0)]}
     with pytest.raises(AnalysisError):
         per_class_curves(per_intent, _toy_annotations())
-
-
-def test_aggregate_seeds_identical():
-    points = [EfficiencyPoint(7, 88.0, seed=s) for s in range(3)]
-    agg = aggregate_seeds(points)
-    stats = agg.per_percent[7.0]
-    assert stats.min == stats.mean == stats.max == 88.0
-    assert stats.seed_count == 3
-
-
-def test_aggregate_seeds_spread():
-    points = [
-        EfficiencyPoint(7, 88.0, seed=0),
-        EfficiencyPoint(7, 89.0, seed=1),
-        EfficiencyPoint(7, 90.0, seed=2),
-    ]
-    stats = aggregate_seeds(points).per_percent[7.0]
-    assert stats.mean == 89.0
-    assert stats.spread == 2.0
-
-
-def test_aggregate_seeds_permutation_invariant():
-    points = [
-        EfficiencyPoint(k, 60.0 + k / 5 + s, seed=s) for s in (0, 1, 2) for k in (1, 4, 12)
-    ]
-    a = aggregate_seeds(points)
-    b = aggregate_seeds(list(reversed(points)))
-    assert a.per_percent == b.per_percent
-
-
-def test_aggregate_seeds_rejects_mixed_groups():
-    with pytest.raises(AnalysisError):
-        aggregate_seeds(
-            [EfficiencyPoint(1, 50, model_id="a"), EfficiencyPoint(2, 60, model_id="b")]
-        )
-    with pytest.raises(AnalysisError):
-        aggregate_seeds([])
-
-
-def test_aggregate_seeds_per_seed_fits_deterministic(weather_table):
-    manifests = build_manifests(
-        weather_table, "weather", make_schedule(10), seeds=(0, 1, 2)
-    )
-    runner = SimulatedRunner(truth=(-27.26, 0.35, 97.79))
-    points = ledger_to_curve(run_protocol(manifests, runner))
-    agg = aggregate_seeds(points, em_targets=(80.0,))
-    models = list(agg.per_seed_models.values())
-    assert len(models) == 3
-    for other in models[1:]:
-        assert abs(models[0].a - other.a) < 1e-9
-        assert abs(models[0].b - other.b) < 1e-9
-        assert abs(models[0].c - other.c) < 1e-9
-    assert agg.inversion_spread[80.0].spread == pytest.approx(0.0, abs=1e-9)
-
-
-def test_aggregate_seeds_unreachable_target_counts_reached_seeds_only():
-    # Three seeds of the same shape with ceilings 97.79, 95 and 93: EM 94 is
-    # above seed 2's fitted ceiling, so seed 2 has no answer and the spread
-    # covers seeds 0 and 1 alone.
-    ceilings = {0: 97.79, 1: 95.0, 2: 93.0}
-    points = [
-        EfficiencyPoint(x, -27.26 / x**0.35 + c, seed=seed)
-        for seed, c in ceilings.items() for x in (1, 2, 4, 7, 12, 21, 36, 60, 100)
-    ]
-    agg = aggregate_seeds(points, em_targets=(94.0,))
-    per_seed = agg.inversion_spread[94.0].per_seed
-    assert per_seed[2] is None
-    closed_form = [((94.0 - ceilings[seed]) / -27.26) ** (-1 / 0.35) for seed in (0, 1)]
-    assert [per_seed[0], per_seed[1]] == pytest.approx(closed_form, rel=1e-6)
-    spread = agg.inversion_spread[94.0].spread
-    assert spread == pytest.approx(closed_form[1] - closed_form[0], rel=1e-6)
 
 
 def _model(a, b, c):

@@ -7,10 +7,10 @@ import tracemalloc
 import pytest
 
 from dataeff import corpus
-from dataeff.corpus import SPLITS, CorpusTable, load_corpus, save_corpus
+from dataeff.corpus import SPLITS, CorpusTable, load_corpus
 from dataeff.errors import CorpusError, DataEffError
 
-from conftest import columns, write_tsv
+from conftest import columns, row_keys, write_tsv
 
 
 def test_three_row_tsv(tmp_path):
@@ -75,14 +75,14 @@ def test_split_from_filename_suffix(tmp_path):
         with_split=False,
     )
     table = load_corpus(path)
-    assert table.split[0] == "test"
+    assert row_keys(table) == (("weather", "test"),)
 
 
 def test_split_defaults_to_train(tmp_path):
     path = write_tsv(
         tmp_path / "corpus.tsv", [("weather", "hi", "[IN:GET_WEATHER hi ]")], with_split=False
     )
-    assert load_corpus(path).split[0] == "train"
+    assert row_keys(load_corpus(path)) == (("weather", "train"),)
 
 
 def test_jsonl_load(tmp_path):
@@ -93,7 +93,7 @@ def test_jsonl_load(tmp_path):
         encoding="utf-8",
     )
     table = load_corpus(path)
-    assert table.split == ("eval", "train")
+    assert row_keys(table) == (("weather", "eval"), ("alarm", "train"))
 
 
 UNKNOWN_SPLIT = "unknown split 'dev' (expected one of ('train', 'eval', 'test'))"
@@ -128,10 +128,10 @@ def test_rows_share_one_object_per_domain_split_and_label(tmp_path):
         domain, split = ("weather", "alarm")[i % 2], SPLITS[i % 3]
         rows.append((domain, f"u{i}", f"[IN:GET_{domain.upper()} x [SL:DATE_TIME y ] ]", split))
     table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
+    # A row's domain and split live only in the index, so rows hold no copy of either.
+    assert row_keys(table) == tuple((domain, split) for domain, _, _, split in rows)
     labels = [label for row_labels in table.labels for label in row_labels]
-    for values in (table.domain, table.split, labels):
-        assert len({id(value) for value in values}) == len(set(values))
-    assert all(split is SPLITS[SPLITS.index(split)] for split in table.split)
+    assert len({id(label) for label in labels}) == len(set(labels))
 
 
 def test_jsonl_missing_key(tmp_path):
@@ -160,31 +160,31 @@ def test_jsonl_malformed_row_names_line_and_key(tmp_path, bad, message):
     assert str(exc.value) == f"{path}:2: JSONL row: {message}"
 
 
+def _save(table, utterances, path):
+    """A loaded table back out as TSV: each row's domain, utterance, canonical frame, split."""
+    return write_tsv(path, [(domain, utterance, parse, split) for (domain, split), utterance, parse
+                            in zip(row_keys(table), utterances, table.parse, strict=True)])
+
+
 def test_load_save_reload_fixpoint(tmp_path):
-    path = write_tsv(
-        tmp_path / "corpus.tsv",
-        [
-            ("weather", "messy spacing", "[IN:GET_WEATHER   what  [SL:LOCATION boston ]  ]", "train"),
-            ("alarm", "plain", "[IN:CREATE_ALARM now ]", "test"),
-        ],
-    )
-    table = load_corpus(path)
-    out1 = tmp_path / "round1.tsv"
-    save_corpus(table, out1)
-    out2 = tmp_path / "round2.tsv"
-    save_corpus(load_corpus(out1), out2)
+    rows = [("weather", "messy spacing", "[IN:GET_WEATHER   what  [SL:LOCATION boston ]  ]",
+             "train"),
+            ("alarm", "plain", "[IN:CREATE_ALARM now ]", "test")]
+    utterances = [row[1] for row in rows]
+    table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
+    assert table.parse[0] == "[IN:GET_WEATHER what [SL:LOCATION boston ] ]"
+    out1 = _save(table, utterances, tmp_path / "round1.tsv")
+    out2 = _save(load_corpus(out1), utterances, tmp_path / "round2.tsv")
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_unicode_corpus_round_trip(tmp_path):
-    path = write_tsv(
-        tmp_path / "uni.tsv",
-        [("weather", "prévisions à Zürich 東京",
-          "[IN:GET_WEATHER prévisions [SL:LOCATION zürich_東京 ] ]", "train")],
-    )
-    table = load_corpus(path)
-    out = tmp_path / "uni_out.tsv"
-    save_corpus(table, out)
+    rows = [("wéather", "prévisions à Zürich 東京",
+             "[IN:GET_WEATHER prévisions [SL:LOCATION zürich_東京 ] ]", "train")]
+    table = load_corpus(write_tsv(tmp_path / "uni.tsv", rows))
+    assert columns(table) == ((("wéather", "train"),), (rows[0][2],),
+                              (("IN:GET_WEATHER", "SL:LOCATION"),))
+    out = _save(table, [rows[0][1]], tmp_path / "uni_out.tsv")
     assert columns(load_corpus(out)) == columns(table)
 
 
@@ -201,9 +201,8 @@ def test_tsv_row_keeps_other_line_breaks(tmp_path):
     ]
     table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
     assert len(table) == 2
-    assert table.utterance[0] == utterance
+    assert row_keys(table) == (("weather", "train"), ("weather", "test"))
     assert table.parse[0] == "[IN:GET_WEATHER rain today ]"
-    assert table.split[1] == "test"
     path = write_tsv(tmp_path / "bad.tsv", rows + [("weather", "x", "[SL:X y ]", "train")])
     with pytest.raises(CorpusError) as exc:
         load_corpus(path)
@@ -226,8 +225,8 @@ def test_jsonl_row_keeps_other_line_breaks(tmp_path):
     assert exc.value.line == 3
     path.write_text(text.rsplit("{", 1)[0], encoding="utf-8")
     table = load_corpus(path)
-    assert table.utterance == (utterance, "stop")
-    assert table.parse[0] == "[IN:PLAY_MUSIC jazz ]"
+    assert row_keys(table) == (("music", "train"), ("music", "train"))
+    assert table.parse == ("[IN:PLAY_MUSIC jazz ]", "[IN:STOP_MUSIC ]")
 
 
 def test_crlf_corpus_loads(tmp_path):
@@ -240,7 +239,7 @@ def test_crlf_corpus_loads(tmp_path):
     assert exc.value.line == 3
     tsv.write_bytes(tsv.read_bytes().rsplit(b"weather", 1)[0])
     table = load_corpus(tsv)
-    assert columns(table)[1:4] == (("hi",), ("[IN:GET_WEATHER hi ]",), ("test",))
+    assert columns(table)[:2] == ((("weather", "test"),), ("[IN:GET_WEATHER hi ]",))
     jsonl = tmp_path / "corpus.jsonl"
     jsonl.write_bytes(b'{"domain": "weather", "utterance": "hi", '
                       b'"semantic_parse": "[IN:GET_WEATHER hi ]"}\r\n\r\n')
@@ -256,8 +255,8 @@ def test_bom_crlf_lone_cr_blank_lines_and_no_final_newline(tmp_path):
             b"alarm\twake\t[IN:CREATE_ALARM wake ]\ttrain")
     path.write_bytes(text)
     assert columns(load_corpus(path)) == (
-        ("weather", "alarm"), ("ri\rn", "wake"),
-        ("[IN:GET_WEATHER ri n ]", "[IN:CREATE_ALARM wake ]"), ("test", "train"),
+        (("weather", "test"), ("alarm", "train")),
+        ("[IN:GET_WEATHER ri n ]", "[IN:CREATE_ALARM wake ]"),
         (("IN:GET_WEATHER",), ("IN:CREATE_ALARM",)))
     path.write_bytes(text.replace(b"wake ]", b"wake"))
     with pytest.raises(CorpusError) as exc:
@@ -326,16 +325,16 @@ def test_load_fills_columns_without_building_rows(tmp_path):
             ("weather", "f", "[IN:GET_WEATHER [SL:DATE_TIME f ] ]", "train")]
     from_rows = CorpusTable(rows)
     table = load_corpus(write_tsv(tmp_path / "corpus.tsv", rows))
-    assert table.domain == ("weather", "alarm", "weather", "weather")
-    assert table.utterance == ("a", "c", "d", "f")
+    assert row_keys(table) == (("weather", "train"), ("alarm", "test"), ("weather", "eval"),
+                               ("weather", "train"))
     assert table.parse[0] == "[IN:GET_WEATHER a [SL:LOCATION b ] ]"
-    assert table.split == ("train", "test", "eval", "train")
     assert table.labels[1] == ("IN:CREATE_ALARM",)
     for loaded in (table, from_rows):
         assert loaded.row_ids("weather", "train") == (0, 3)
         assert loaded.labels[0] is loaded.labels[2]
         assert loaded.labels[0] is not loaded.labels[3]
-        assert not hasattr(loaded, "rows")
+        for name in ("rows", "domain", "utterance", "split"):
+            assert not hasattr(loaded, name), name
     assert columns(table) == columns(from_rows)
 
 
@@ -351,20 +350,6 @@ def test_table_of_rows_checks_rows_as_load_does(tmp_path):
         assert built.value.line is None
         assert f"{tmp_path / 'corpus.tsv'}:2: {built.value}" == str(loaded.value)
     assert str(built.value) == "bad frame: trailing garbage after frame: 'z' (offset 20)"
-
-
-def test_save_refuses_rows_a_tsv_cannot_carry(tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    for domain, utterance in (("weather", "rain\ttoday"), ("wea\nther", "rain")):
-        row = {"domain": domain, "utterance": utterance, "semantic_parse": "[IN:GET_WEATHER x ]"}
-        good = {**row, "domain": "weather", "utterance": "sun"}
-        path.write_text("".join(json.dumps(r) + "\n" for r in (good, row)), encoding="utf-8")
-        table = load_corpus(path)
-        out = tmp_path / "out.tsv"
-        with pytest.raises(CorpusError) as exc:
-            save_corpus(table, out)
-        assert str(exc.value).startswith(f"row 1 ({domain!r}, {utterance!r}) holds a tab")
-        assert not out.exists()
 
 
 def _topv2_like_rows(n):
@@ -459,15 +444,12 @@ def test_a_cached_load_equals_a_checked_load(tmp_path, monkeypatch, name, write)
     assert columns(cached) == columns(checked)
     assert cached._index == checked._index
     assert cached.domains() == checked.domains()
-    for column in ("domain", "split", "labels"):
-        assert _sharing(getattr(cached, column)) == _sharing(getattr(checked, column)), column
+    assert _sharing(cached.labels) == _sharing(checked.labels)
     assert cached.labels[-2] == cached.labels[-1]
     assert cached.labels[-2] is not cached.labels[-1]
-    assert all(domain is sys.intern(domain) for domain in set(cached.domain))
-    assert all(split is SPLITS[SPLITS.index(split)] for split in set(cached.split))
     assert all(label is sys.intern(label) for labels in set(cached.labels) for label in labels)
     if name == "weather_test.tsv":
-        assert set(cached.split) == {"test"}
+        assert {split for _, split in row_keys(cached)} == {"test"}
 
 
 def test_a_changed_byte_is_checked_again(tmp_path, monkeypatch):

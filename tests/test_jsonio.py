@@ -17,7 +17,7 @@ from dataeff.sampling import Schedule, make_schedule
 
 def _ledger(weather_table):
     manifests = build_manifests(weather_table, "weather", make_schedule(4), seeds=(0, 1))
-    inner = SimulatedRunner(noise_sigma=0.5, emit_predictions=True, table=weather_table)
+    inner = SimulatedRunner(noise_sigma=0.5, table=weather_table)
 
     def runner(manifest):
         if manifest.subset_percent == 4:

@@ -23,7 +23,7 @@ from dataeff.protocol import (
 )
 from dataeff.sampling import make_schedule
 
-from conftest import make_rows
+from conftest import make_rows, row_keys
 
 TRUTH = (-27.26, 0.35, 97.79)
 
@@ -57,25 +57,27 @@ def test_build_manifests_duplicate_seeds_rejected(weather_table):
 
 def test_zero_percent_manifest_is_source_only(weather_table, manifests):
     zero = manifests[0]
+    keys = row_keys(weather_table)
     assert zero.subset_rows == ()
-    assert all(weather_table.domain[i] != "weather" for i in zero.train_rows)
+    assert all(keys[i][0] != "weather" for i in zero.train_rows)
 
 
 def test_manifest_disjointness_invariants(weather_table, manifests):
     target_train = set(weather_table.row_ids("weather", "train"))
+    keys = row_keys(weather_table)
     for m in manifests:
         assert not set(m.train_rows) & set(m.test_rows)
         assert set(m.subset_rows) <= target_train
         source_part = set(m.train_rows) - set(m.subset_rows)
-        assert all(weather_table.domain[i] != "weather" for i in source_part)
-        assert all(weather_table.split[i] == "test" for i in m.test_rows)
-        assert all(weather_table.domain[i] == "weather" for i in m.test_rows)
+        assert all(keys[i][0] != "weather" for i in source_part)
+        assert all(keys[i] == ("weather", "test") for i in m.test_rows)
 
 
 def test_manifest_eval_rows_cover_both_sides(weather_table, manifests):
-    eval_domains = {weather_table.domain[i] for i in manifests[3].eval_rows}
+    keys = row_keys(weather_table)
+    eval_domains = {keys[i][0] for i in manifests[3].eval_rows}
     assert eval_domains == {"weather", "alarm"}
-    assert all(weather_table.split[i] == "eval" for i in manifests[3].eval_rows)
+    assert all(keys[i][1] == "eval" for i in manifests[3].eval_rows)
 
 
 def test_build_manifests_spis_skips_zero(weather_table):
@@ -266,7 +268,7 @@ def test_end_to_end_recovers_truth(weather_table, manifests):
 
 
 def test_predictions_mode_reports_realized_em(weather_table, manifests):
-    runner = SimulatedRunner(truth=TRUTH, emit_predictions=True, table=weather_table)
+    runner = SimulatedRunner(truth=TRUTH, table=weather_table)
     result = runner(manifests[9])  # k = 100
     assert result.predictions is not None
     assert len(result.predictions) == len(manifests[9].test_rows)
@@ -279,10 +281,13 @@ def test_predictions_mode_reports_realized_em(weather_table, manifests):
     assert result.exact_match == pytest.approx(100.0 * hits / len(result.predictions))
 
 
-def test_predictions_mode_needs_table(manifests):
-    # Raised while the runner is built: run_protocol would return a ledger instead.
-    with pytest.raises(ProtocolError, match="emit_predictions requires the corpus table"):
-        run_protocol(manifests, SimulatedRunner(truth=TRUTH, emit_predictions=True))
+def test_predictions_mode_needs_table(weather_table, manifests):
+    # Predictions are drawn exactly when the runner has the table to draw them from.
+    bare = run_protocol(manifests, SimulatedRunner(truth=TRUTH))
+    assert all(entry.result.predictions is None for entry in bare.entries)
+    ledger = run_protocol(manifests, SimulatedRunner(truth=TRUTH, table=weather_table))
+    assert all(len(entry.result.predictions) == entry.manifest.n_test > 0
+               for entry in ledger.entries)
 
 
 def _write_runner(tmp_path, fail_at=None):

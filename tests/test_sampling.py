@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from dataeff import cli
 from dataeff.corpus import CorpusTable
 from dataeff.errors import SamplingError, UnknownDomainError
 from dataeff.frames import ontology_labels, parse_frame, serialize_frame
@@ -14,12 +15,11 @@ from dataeff.sampling import (
     SubsetSpec,
     make_schedule,
     spis_sample,
-    subset_size_report,
     uniform_sample,
     uniform_size,
 )
 
-from conftest import random_frame
+from conftest import make_rows, random_frame, write_tsv
 
 # Published schedule for n=10: raw curve values and their ceiled sizes.
 RAW_N10 = (0.00, 0.67, 1.79, 3.66, 6.78, 11.99, 20.69, 35.22, 59.48, 100.00)
@@ -184,9 +184,9 @@ def test_spis_six_row_fixture_against_all_orderings():
     subset = spis_sample(table, SubsetSpec("toy", "spis", k, 3))
     assert len(subset.row_ids) < len(table)  # stopped early
     assert len(subset.row_ids) in sizes
-    report = subset_size_report(subset, table)
+    achieved = _label_counts(subset, table)
     for label, total in totals.items():
-        assert report.label_counts[label] >= min(k, total)
+        assert achieved[label] >= min(k, total)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -204,7 +204,7 @@ def test_spis_coverage_property(k):
         for frame in frames:
             totals.update(ontology_labels(frame))
         subset = spis_sample(table, SubsetSpec("rand", "spis", k, trial))
-        achieved = subset_size_report(subset, table).label_counts
+        achieved = _label_counts(subset, table)
         for label, total in totals.items():
             assert achieved[label] >= min(k, total), (label, k, trial)
 
@@ -215,21 +215,30 @@ def test_spis_deterministic():
     assert spis_sample(table, spec).row_ids == spis_sample(table, spec).row_ids
 
 
-def test_size_report_uniform(weather_table):
-    subset = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 12, 1))
-    report = subset_size_report(subset, weather_table)
-    assert report.count == 120
-    assert report.percent == 12.0
+def _label_counts(subset, table):
+    """How often each ontology label occurs in the subset's rows."""
+    return Counter(label for pos in subset.row_ids for label in table.labels[pos])
 
 
-def test_size_report_empty(weather_table):
-    subset = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 0, 1))
-    report = subset_size_report(subset, weather_table)
-    assert (report.count, report.percent, dict(report.label_counts)) == (0, 0.0, {})
+def _sample_report(tmp_path, capsys, *args):
+    """What `dataeff sample` reports on stderr; alarm has test rows but no train rows."""
+    rows = make_rows("weather", 1000) + make_rows("weather", 60, split="test")
+    rows += make_rows("alarm", 20, split="test", intent="IN:CREATE_ALARM", token="alarm")
+    corpus = write_tsv(tmp_path / "corpus.tsv", rows)
+    argv = ["sample", "--corpus", corpus, *args, "--out", tmp_path / "subset.json"]
+    assert cli.main([str(arg) for arg in argv]) == 0
+    return capsys.readouterr().err
 
 
-def test_size_report_rejects_foreign_rows(weather_table):
-    alarm_row = weather_table.row_ids("alarm", "train")[0]
-    subset = Subset(SubsetSpec("weather", "uniform", 1, 0), (alarm_row,))
-    with pytest.raises(SamplingError):
-        subset_size_report(subset, weather_table)
+def test_size_report_uniform(tmp_path, capsys):
+    report = _sample_report(tmp_path, capsys, "--domain", "weather", "--size", 12, "--seed", 1)
+    assert report == "uniform subset: 120 rows (12.00% of weather train)\n"
+
+
+def test_size_report_empty(tmp_path, capsys):
+    report = _sample_report(tmp_path, capsys, "--domain", "weather", "--size", 0)
+    assert report == "uniform subset: 0 rows (0.00% of weather train)\n"
+    # A domain without train rows reports 0% rather than dividing by zero.
+    report = _sample_report(tmp_path, capsys, "--domain", "alarm", "--algorithm", "spis",
+                            "--size", 1)
+    assert report == "spis subset: 0 rows (0.00% of alarm train)\n"

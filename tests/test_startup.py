@@ -137,6 +137,22 @@ def test_every_public_name_resolves_and_is_listed():
         dataeff.nope
 
 
+def test_every_public_name_is_read_inside_the_package():
+    # A public name earns its place with a reader in the package's own modules: a name
+    # loaded, or an attribute taken, anywhere outside __init__.py. ontology_labels is read
+    # only by the benchmark's tracer, and goes with the frame tree.
+    read = set()
+    for path in sorted((SRC / "dataeff").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(set(dataeff.__all__) - read) == ["ontology_labels"]
+
+
 def test_cli_still_exposes_the_functions_the_benchmark_tracer_wraps():
     for name in ("load_corpus", "build_manifests", "run_protocol", "save_ledger",
                  "fit_curve", "invert"):
