@@ -30,10 +30,7 @@ _SOURCE = {
         "fit_curve", "invert", "load_model",
     ), "curve"),
     "DataEffError": "errors",
-    **dict.fromkeys((
-        "Frame", "FrameNode", "exact_match", "ontology_labels", "parse_frame",
-        "serialize_frame",
-    ), "frames"),
+    **dict.fromkeys(("canonical_frame", "exact_match"), "frames"),
     **dict.fromkeys((
         "CommandRunner", "Ledger", "Manifest", "RunResult", "SimulatedRunner",
         "build_manifests", "ledger_to_curve", "load_ledger", "run_protocol", "save_ledger",

@@ -62,20 +62,21 @@ def load_annotations(path: str | Path) -> dict[str, ComplexityClass]:
     header = next(reader, None)
     if header != ["intent", "class"]:
         raise AnnotationError(f"{path}: expected header 'intent,class', got {header}")
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != 2:
-            raise AnnotationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+            raise AnnotationError(f"expected 2 columns, got {len(row)}", path, reader.line_num)
         intent, cls = row[0].strip(), row[1]
         if not intent.startswith("IN:"):
-            raise AnnotationError(f"{path}:{lineno}: intent {intent!r} must be IN:-prefixed")
+            raise AnnotationError(f"intent {intent!r} must be IN:-prefixed", path,
+                                  reader.line_num)
         if intent in classes:
-            raise AnnotationError(f"{path}:{lineno}: duplicate intent {intent!r}")
+            raise AnnotationError(f"duplicate intent {intent!r}", path, reader.line_num)
         try:
             classes[intent] = ComplexityClass.from_string(cls)
         except AnnotationError as exc:
-            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
+            raise AnnotationError(str(exc), path, reader.line_num) from None
     return classes
 
 

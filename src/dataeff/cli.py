@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .curve import MIN_FIT_PERCENTS, EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
-from .errors import DataEffError
+from .errors import DataEffError, FrameParseError, InputError
 from .jsonio import dumps, from_dict, loads, read_lines, read_text
 
 EXIT_OK = 0
@@ -194,17 +194,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _read_frames(path: str):
-    from .frames import parse_frame
+def _read_frames(path: str) -> list[str]:
+    """The canonical text of each non-blank line's frame."""
+    from .frames import canonical_frame
 
     frames = []
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
-            frames.append(parse_frame(line))
-        except DataEffError as exc:
-            raise DataEffError(f"{path}:{lineno}: {exc}") from exc
+            frames.append(canonical_frame(line)[0])
+        except FrameParseError as exc:
+            raise InputError(str(exc), path, lineno) from exc
     return frames
 
 

@@ -95,7 +95,7 @@ def points_from_csv(text: str, source: str) -> list["EfficiencyPoint"]:
                 EfficiencyPoint(x, em, seed, row.get("model_id") or "", row.get("domain") or "")
             )
         except (TypeError, ValueError) as exc:  # a non-numeric or missing cell, or a bad value
-            raise InputError(f"{source}:{reader.line_num}: {exc}") from exc
+            raise InputError(str(exc), source, reader.line_num) from exc
     return points
 
 
@@ -244,7 +244,8 @@ def invert(model: CurveModel, y: float) -> Inversion:
     """Subset percent x with h(x) = y, via the closed form ((y - c) / a) ** (-1 / b).
 
     For a < 0 a target at or above the asymptote c is never reached: the answer
-    is Inversion(None). Answers above 100% of the data are flagged exceeds_full_data.
+    is Inversion(None). Answers above 100% of the data are flagged exceeds_full_data;
+    one past the float range is math.inf.
     Raises CurveDomainError for b <= 0, a = 0, or a target out of range when a > 0.
     """
     if model.b <= 0.0:
@@ -258,4 +259,7 @@ def invert(model: CurveModel, y: float) -> Inversion:
         raise CurveDomainError(
             f"exact match {y:g} is outside the range of this curve (c = {model.c:g})"
         )
-    return Inversion(ratio ** (-1.0 / model.b))
+    try:
+        return Inversion(ratio ** (-1.0 / model.b))
+    except OverflowError:  # the answer is past the float range
+        return Inversion(math.inf)

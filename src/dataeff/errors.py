@@ -59,8 +59,8 @@ class RunnerError(DataEffError):
     """A single parser run failed; recorded in the ledger, does not abort the protocol."""
 
 
-class AnnotationError(DataEffError):
-    """Malformed complexity annotation file."""
+class AnnotationError(InputError):
+    """Malformed complexity annotation file; ``line`` is the 1-based line number."""
 
 
 class AnalysisError(DataEffError):

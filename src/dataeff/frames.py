@@ -1,19 +1,20 @@
-"""Bracketed semantic frames: parse, canonicalize, compare, count labels.
+"""Bracketed semantic frames: check, canonicalize, compare.
 
-A frame is a tree of intent and slot nodes over an utterance, written as
-``[IN:GET_WEATHER what s the [SL:LOCATION boston ] forecast ]``. Intent
-labels start with ``IN:``, slot labels with ``SL:``; everything else is an
-utterance token. Intents may contain tokens and slots; slots may contain
-tokens and nested intents. Exact match is plain string equality of the
-canonical single-space serialization.
+A frame is written as ``[IN:GET_WEATHER what s the [SL:LOCATION boston ] forecast ]``:
+intent and slot nodes over an utterance. Intent labels start with ``IN:``,
+slot labels with ``SL:``; everything else is an utterance token. Intents may
+contain tokens and slots; slots may contain tokens and nested intents.
+
+A checked frame is a pair, its canonical text and its labels in pre-order, and
+no tree is built. The canonical text is the frame's tokens joined by single
+spaces, so exact match is plain string equality of canonical texts; the first
+label is the root intent.
 
 A token is "[" with its label glued to it, "]", or a word: a maximal run of
 characters that are neither whitespace nor brackets. One stack check over the
 tokens defines the grammar; it runs once per distinct skeleton (a frame's
 bracket tokens), and frames with the same skeleton share one tuple of interned
-labels. canonical_frame returns a checked frame's canonical text and labels
-without building a tree; parse_frame builds the tree from the same checked
-tokens.
+labels.
 """
 
 from __future__ import annotations
@@ -22,35 +23,12 @@ import re
 import sys
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice
 
 from .errors import FrameParseError, InputError
 
 INTENT_PREFIX = "IN:"
 SLOT_PREFIX = "SL:"
-
-
-@dataclass(frozen=True)
-class FrameNode:
-    """One tree node: an ``intent``/``slot`` with a label, or a ``token`` with text."""
-
-    kind: str  # "intent" | "slot" | "token"
-    text: str  # ontology label for intent/slot nodes, surface text for tokens
-    children: tuple["FrameNode", ...] = ()
-
-    def is_token(self) -> bool:
-        return self.kind == "token"
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A whole parse tree; the root is always an intent node."""
-
-    root: FrameNode
-
-    def __str__(self) -> str:
-        return serialize_frame(self)
 
 
 # The tokens as a regex, kept to find an error's offset. ``\s`` matches exactly
@@ -164,56 +142,19 @@ def _checked(text: str) -> tuple[list[str], tuple[str, ...]]:
 def canonical_frame(text: str) -> tuple[str, tuple[str, ...]]:
     """Check frame text; return its canonical text and its labels in pre-order.
 
-    The canonical text is what serialize_frame(parse_frame(text)) gives, and
-    the first label is the root intent, so no tree is built. The labels are
-    interned, and frames with the same skeleton share one labels tuple.
-    Raises FrameParseError as parse_frame does.
+    The canonical text is the frame's tokens joined by single spaces, and the
+    first label is the root intent. The labels are interned, and frames with
+    the same skeleton share one labels tuple. Raises FrameParseError (with
+    character offset) on unbalanced brackets, a non-intent root, empty or
+    malformed labels, an intent nested directly in an intent or a slot in a
+    slot, or trailing garbage.
     """
     tokens, labels = _checked(text)
     return " ".join(tokens), labels
 
 
-def parse_frame(text: str) -> Frame:
-    """Parse bracketed frame text into a Frame.
-
-    Tokens are whitespace-separated maximal non-bracket runs. Raises
-    FrameParseError (with character offset) on unbalanced brackets, a
-    non-intent root, empty or malformed labels, an intent nested directly in an
-    intent or a slot in a slot, or trailing garbage.
-    """
-    tokens, _ = _checked(text)
-    open_nodes: list[tuple[str, list[FrameNode]]] = [("", [])]
-    for token in tokens:
-        if token[0] == "[":
-            open_nodes.append((token[1:], []))
-        elif token == "]":
-            label, children = open_nodes.pop()
-            kind = "intent" if label.startswith(INTENT_PREFIX) else "slot"
-            open_nodes[-1][1].append(FrameNode(kind, label, tuple(children)))
-        else:
-            open_nodes[-1][1].append(FrameNode("token", token))
-    return Frame(open_nodes[0][1][0])
-
-
-def _serialize_node(node: FrameNode, parts: list[str]) -> None:
-    if node.is_token():
-        parts.append(node.text)
-        return
-    parts.append("[" + node.text)
-    for child in node.children:
-        _serialize_node(child, parts)
-    parts.append("]")
-
-
-def serialize_frame(frame: Frame) -> str:
-    """Canonical single-space form; parse_frame(serialize_frame(f)) == f."""
-    parts: list[str] = []
-    _serialize_node(frame.root, parts)
-    return " ".join(parts)
-
-
-def exact_match(system: list[Frame], reference: list[Frame]) -> float:
-    """Percent of positions where the canonical serializations are identical.
+def exact_match(system: list[str], reference: list[str]) -> float:
+    """Percent of positions where the canonical frame texts are identical.
 
     Both lists must be non-empty and the same length.
     """
@@ -223,19 +164,19 @@ def exact_match(system: list[Frame], reference: list[Frame]) -> float:
         raise InputError(
             f"length mismatch: {len(system)} system vs {len(reference)} reference frames"
         )
-    hits = sum(
-        serialize_frame(s) == serialize_frame(r) for s, r in zip(system, reference)
-    )
+    hits = sum(s == r for s, r in zip(system, reference))
     return 100.0 * hits / len(system)
 
 
-def ontology_labels(frame: Frame) -> Counter:
-    """Multiset of every intent and slot label in the tree; tokens excluded."""
-    counts: Counter = Counter()
-    stack = [frame.root]
-    while stack:
-        node = stack.pop()
-        if not node.is_token():
-            counts[node.text] += 1
-            stack.extend(node.children)
-    return counts
+# Benchmark seam: bench/tracer.py and bench/test_bench.py look these three names up
+# here. Delete them once the package records its own spans.
+def parse_frame(text: str) -> tuple[str, tuple[str, ...]]:
+    return canonical_frame(text)
+
+
+def serialize_frame(frame: tuple[str, tuple[str, ...]]) -> str:
+    return frame[0]
+
+
+def ontology_labels(frame: tuple[str, tuple[str, ...]]) -> Counter:
+    return Counter(frame[1])

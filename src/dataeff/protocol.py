@@ -285,7 +285,8 @@ class CommandRunner:
     """Run an external fine-tuning command once per manifest.
 
     The command is invoked with the manifest JSON path appended as its single
-    extra argument. It must exit 0 and print a RunResult JSON object
+    extra argument: manifest.json, in a temporary directory of the run's own,
+    so any model id is safe. It must exit 0 and print a RunResult JSON object
     ({"run_id", "exact_match", "seed", "wall_time", optional "predictions"})
     on stdout, in UTF-8; run_id and seed default to the manifest's, wall_time
     to the elapsed time. Anything else is recorded as a run failure. Stderr
@@ -309,7 +310,7 @@ class CommandRunner:
         import tempfile
 
         with tempfile.TemporaryDirectory(prefix="dataeff-run-") as tmp:
-            manifest_path = Path(tmp) / f"{manifest.run_id}.manifest.json"
+            manifest_path = Path(tmp) / "manifest.json"
             manifest_path.write_text(dumps(manifest) + "\n", encoding="utf-8")
             started = time.monotonic()
             try:

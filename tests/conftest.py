@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dataeff.corpus import SPLITS, CorpusTable
-from dataeff.frames import Frame, FrameNode
+from reference_frames import FrameNode
 
 _INTENTS = ("IN:GET_WEATHER", "IN:GET_SUNRISE", "IN:GET_SUNSET", "IN:CREATE_ALARM",
             "IN:SEND_MESSAGE", "IN:PLAY_MUSIC")
@@ -12,8 +12,8 @@ _TOKENS = ("what", "s", "the", "forecast", "boston", "tomorrow", "jazz", "nine",
            "am", "please", "rain", "sunny")
 
 
-def random_frame(rng: random.Random, max_depth: int = 4, max_branch: int = 4) -> Frame:
-    """Random valid frame: intents nest slots, slots nest intents, depth/branch capped."""
+def random_frame(rng: random.Random, max_depth: int = 4, max_branch: int = 4) -> FrameNode:
+    """Root of a random valid frame: intents nest slots, slots nest intents, depth/branch capped."""
 
     def intent_node(depth: int) -> FrameNode:
         children = []
@@ -33,7 +33,7 @@ def random_frame(rng: random.Random, max_depth: int = 4, max_branch: int = 4) ->
                 children.append(FrameNode("token", rng.choice(_TOKENS)))
         return FrameNode("slot", rng.choice(_SLOTS), tuple(children))
 
-    return Frame(intent_node(1))
+    return intent_node(1)
 
 
 def make_rows(domain, n, split="train", intent="IN:GET_WEATHER", token="forecast"):

@@ -1,12 +1,38 @@
-"""The recursive-descent frame parser that ``dataeff.frames`` replaced.
+"""The frame tree and the recursive-descent parser that ``dataeff.frames`` replaced.
 
-Kept as the reference the token-based parser is tested against: both must
-accept and reject the same texts, with the same error message and offset,
-and agree on the tree.
+Kept as the reference the token-based check is tested against: both must
+accept and reject the same texts, with the same error message and offset, and
+canonical_frame's text and labels must be the tree's serialization and its
+labels in pre-order.
 """
 
+from dataclasses import dataclass
+
 from dataeff.errors import FrameParseError
-from dataeff.frames import INTENT_PREFIX, SLOT_PREFIX, Frame, FrameNode
+from dataeff.frames import INTENT_PREFIX, SLOT_PREFIX
+
+
+@dataclass(frozen=True)
+class FrameNode:
+    """One tree node: an ``intent``/``slot`` with a label, or a ``token`` with text."""
+
+    kind: str  # "intent" | "slot" | "token"
+    text: str  # ontology label for intent/slot nodes, surface text for tokens
+    children: tuple["FrameNode", ...] = ()
+
+
+def serialize_tree(node: FrameNode) -> str:
+    """Canonical single-space text of the tree under node."""
+    if node.kind == "token":
+        return node.text
+    return " ".join(["[" + node.text, *map(serialize_tree, node.children), "]"])
+
+
+def tree_labels(node: FrameNode) -> list[str]:
+    """Every intent and slot label under node, node's own first, in pre-order."""
+    if node.kind == "token":
+        return []
+    return [node.text, *(label for child in node.children for label in tree_labels(child))]
 
 _LABEL_BODY = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 
@@ -84,7 +110,7 @@ class _Parser:
                     raise self.error("unexpected character", word_at)
                 children.append(FrameNode("token", word))
 
-    def parse(self) -> Frame:
+    def parse(self) -> FrameNode:
         self.skip_ws()
         if self.pos >= len(self.text):
             raise self.error("empty input")
@@ -94,8 +120,9 @@ class _Parser:
         self.skip_ws()
         if self.pos < len(self.text):
             raise self.error(f"trailing garbage after frame: {self.text[self.pos:][:20]!r}")
-        return Frame(root)
+        return root
 
 
-def reference_parse(text: str) -> Frame:
+def reference_parse(text: str) -> FrameNode:
+    """The root node of text's frame; raises FrameParseError as canonical_frame does."""
     return _Parser(text).parse()

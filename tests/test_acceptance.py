@@ -20,7 +20,7 @@ from dataeff.analysis import (
 )
 from dataeff.corpus import CorpusTable
 from dataeff.curve import CurveModel, EfficiencyPoint, evaluate, fit_curve, invert
-from dataeff.frames import exact_match, ontology_labels, parse_frame, serialize_frame
+from dataeff.frames import canonical_frame, exact_match
 from dataeff.jsonio import dumps
 from dataeff.rng import SplitMix64
 from dataeff.sampling import (
@@ -31,6 +31,7 @@ from dataeff.sampling import (
 )
 
 from conftest import random_frame, simple_corpus_rows, write_tsv
+from reference_frames import serialize_tree, tree_labels
 from test_analysis import PACKAGED
 
 CANONICAL = (-27.26, 0.35, 97.79)
@@ -122,13 +123,13 @@ def test_criterion_05_spis_coverage():
         frames = [random_frame(rng, max_depth=3, max_branch=3)
                   for _ in range(rng.randint(4, 30))]
         rows = [
-            ("synth", f"u{i}", serialize_frame(frame), "train")
+            ("synth", f"u{i}", serialize_tree(frame), "train")
             for i, frame in enumerate(frames)
         ]
         table = CorpusTable(rows)
         totals = Counter()
         for frame in frames:
-            totals.update(ontology_labels(frame))
+            totals.update(tree_labels(frame))
         for k in (1, 2, 5):
             subset = spis_sample(table, SubsetSpec("synth", "spis", k, corpus_id))
             achieved = Counter(label for pos in subset.row_ids for label in table.labels[pos])
@@ -165,13 +166,14 @@ def test_criterion_07_frame_round_trip():
     rng = random.Random(20240707)
     for _ in range(1000):
         frame = random_frame(rng)
-        assert parse_frame(serialize_frame(frame)) == frame
-    frames = [random_frame(rng) for _ in range(5)]
+        text = serialize_tree(frame)
+        assert canonical_frame(text) == (text, tuple(tree_labels(frame)))
+    frames = [serialize_tree(random_frame(rng)) for _ in range(5)]
     assert exact_match(frames, frames) == 100.0
-    a = [parse_frame("[IN:GET_WEATHER ]"), parse_frame("[IN:GET_SUNSET ]")]
-    b = [parse_frame("[IN:GET_WEATHER ]"), parse_frame("[IN:GET_SUNRISE ]")]
+    a = [canonical_frame("[IN:GET_WEATHER ]")[0], canonical_frame("[IN:GET_SUNSET ]")[0]]
+    b = [canonical_frame("[IN:GET_WEATHER ]")[0], canonical_frame("[IN:GET_SUNRISE ]")[0]]
     assert exact_match(a, b) == 50.0
-    note("criterion 7 PASS: 1000-frame parse/serialize identity, EM identities")
+    note("criterion 7 PASS: 1000-frame canonical round trip with labels, EM identities")
 
 
 def test_criterion_08_end_to_end_protocol(tmp_path):

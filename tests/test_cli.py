@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 from dataeff import cli
 from dataeff.analysis import load_annotations
 from dataeff.corpus import load_corpus
-from dataeff.curve import CurveModel, load_model
+from dataeff.curve import CurveModel, load_model, points_from_csv
+from dataeff.errors import AnnotationError, InputError
 from dataeff.jsonio import dumps
 from dataeff.protocol import load_ledger
 
@@ -162,6 +164,19 @@ def test_query_exceeds_full_data(canonical_model_file):
     assert "exceeds_full_data" in proc.stdout
 
 
+def test_query_and_compare_answer_past_the_float_range(tmp_path):
+    model = CurveModel(-30.0, 0.01, 95.0, sse=0.0, iterations=0, converged=True,
+                       fit_domain=(1.0, 100.0))
+    path = tmp_path / "model.json"
+    path.write_text(dumps(model) + "\n", encoding="utf-8")
+    proc = run_cli("query", "--model", path, "--em", 94.98)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split() == ["94.98", "inf", "exceeds_full_data"]
+    proc = run_cli("compare", "--curves", f"a={path}", f"b={path}", "--em", 94.98)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("inf (exceeds_full_data)") == 2
+
+
 def test_run_simulate_deterministic(corpus, tmp_path):
     args = ("run", "--corpus", corpus, "--target", "weather",
             "--runner", "simulate", "--seeds", 0, "--noise", 0.5)
@@ -225,6 +240,33 @@ def test_run_exec_runner_partial_failure(corpus, tmp_path):
     payload = json.loads(ledger_path.read_text())
     failed = [e for e in payload["entries"] if e["result"] is None]
     assert len(failed) == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("model_id", ["bart/large", "../x"])
+def test_exec_runner_takes_any_model_id(corpus, tmp_path, jobs, model_id):
+    runner = tmp_path / "runner.py"
+    runner.write_text(
+        "import json, os, sys\n"
+        "assert os.path.basename(sys.argv[1]) == 'manifest.json'\n"
+        "k = json.load(open(sys.argv[1], encoding='utf-8'))['subset_percent']\n"
+        "print(json.dumps({'exact_match': 50.0 + k / 4}))\n",
+        encoding="utf-8",
+    )
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    ledger = tmp_path / "ledger.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dataeff", "run", "--corpus", str(corpus), "--target", "weather",
+         "--n", "4", "--jobs", jobs, "--model-id", model_id,
+         "--runner", f"exec:{sys.executable} {runner}", "--out", str(ledger)],
+        capture_output=True, text=True, env={**os.environ, "TMPDIR": str(temp)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    entries = load_ledger(ledger).entries
+    assert len(entries) == 4
+    assert all(e.error is None and e.manifest.model_id == model_id for e in entries)
+    assert list(temp.iterdir()) == []  # each run's directory is gone, and nothing beside it
 
 
 def test_report_command(corpus, tmp_path, canonical_model_file):
@@ -418,6 +460,30 @@ def test_em_files_split_rows_at_newlines_only(tmp_path, capsys):
     assert cli.main(["em", "--system", str(system), "--reference", str(reference)]) == 1
     assert capsys.readouterr().err == (f"error: {system}:3: not UTF-8: 'utf-8' codec can't "
                                        "decode byte 0xff in position 4: invalid start byte\n")
+
+
+def test_path_line_errors_carry_their_line(tmp_path):
+    annotations = tmp_path / "a.csv"
+    annotations.write_text('intent,class\nIN:A,open\n"IN:B\nX",open\nIN:C,weird\n',
+                           encoding="utf-8")
+    with pytest.raises(AnnotationError) as exc:
+        load_annotations(annotations)
+    assert exc.value.line == 5
+    assert str(exc.value) == (f"{annotations}:5: unknown complexity class 'weird' "
+                              "(expected none, closed, semi, open)")
+    assert isinstance(exc.value, InputError)
+
+    with pytest.raises(InputError) as exc:
+        points_from_csv("subset_percent,exact_match\n1,70\n101,88\n", "p.csv")
+    assert exc.value.line == 3
+    assert str(exc.value) == "p.csv:3: subset_percent out of [0, 100]: 101.0"
+
+    frames = tmp_path / "frames.txt"
+    frames.write_text("[IN:A x ]\n\n[IN:B [SL:C y ]\n", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        cli._read_frames(str(frames))
+    assert exc.value.line == 3
+    assert str(exc.value) == f"{frames}:3: unbalanced brackets: missing ']' (offset 0)"
 
 
 def test_em_length_mismatch(tmp_path):

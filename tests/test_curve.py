@@ -181,6 +181,14 @@ def test_invert_flags_beyond_full_data():
         Inversion(50.0, True)
 
 
+def test_invert_past_the_float_range_is_infinite():
+    # ((94.98 - 95) / -30) ** -100 is about 1e318, past the largest float.
+    model = CurveModel(-30.0, 0.01, 95.0, 0.0, 0, True, (1.0, 100.0))
+    answer = invert(model, 94.98)
+    assert answer == Inversion(math.inf)
+    assert answer.exceeds_full_data
+
+
 def test_invert_rejects_degenerate_models():
     with pytest.raises(CurveDomainError):
         invert(CurveModel(-10.0, 0.0, 90.0, 0.0, 0, True, (1.0, 100.0)), 80.0)

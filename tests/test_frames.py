@@ -5,50 +5,28 @@ from collections import Counter
 import pytest
 
 from dataeff.errors import FrameParseError
-from dataeff.frames import (
-    _TOKEN,
-    Frame,
-    FrameNode,
-    canonical_frame,
-    exact_match,
-    ontology_labels,
-    parse_frame,
-    serialize_frame,
-    _skeletons,
-    _tokens,
-)
+from dataeff.frames import _TOKEN, canonical_frame, exact_match, _skeletons, _tokens
 from conftest import random_frame
-from reference_frames import reference_parse
+from reference_frames import reference_parse, serialize_tree, tree_labels
 
 WEATHER_TEXT = "[IN:GET_WEATHER what s the [SL:LOCATION boston ] forecast ]"
 
 
+def labels_of(text):
+    return Counter(canonical_frame(text)[1])
+
+
 def test_parse_single_intent():
-    frame = parse_frame("[IN:GET_WEATHER ]")
-    assert frame.root == FrameNode("intent", "IN:GET_WEATHER", ())
+    assert canonical_frame("[IN:GET_WEATHER ]") == ("[IN:GET_WEATHER ]", ("IN:GET_WEATHER",))
 
 
 def test_parse_weather_tree_hand_trace():
-    frame = parse_frame(WEATHER_TEXT)
-    expected = Frame(
-        FrameNode(
-            "intent",
-            "IN:GET_WEATHER",
-            (
-                FrameNode("token", "what"),
-                FrameNode("token", "s"),
-                FrameNode("token", "the"),
-                FrameNode("slot", "SL:LOCATION", (FrameNode("token", "boston"),)),
-                FrameNode("token", "forecast"),
-            ),
-        )
-    )
-    assert frame == expected
+    assert canonical_frame(WEATHER_TEXT) == (WEATHER_TEXT, ("IN:GET_WEATHER", "SL:LOCATION"))
 
 
 def test_parse_root_slot_rejected():
     with pytest.raises(FrameParseError) as exc:
-        parse_frame("[SL:LOCATION boston ]")
+        canonical_frame("[SL:LOCATION boston ]")
     assert "not an intent" in str(exc.value)
 
 
@@ -69,54 +47,54 @@ def test_parse_root_slot_rejected():
 )
 def test_parse_errors_report_offsets(text, fragment):
     with pytest.raises(FrameParseError) as exc:
-        parse_frame(text)
+        canonical_frame(text)
     assert fragment in str(exc.value)
     assert exc.value.offset >= 0
 
 
 def test_error_offset_points_at_fault():
     with pytest.raises(FrameParseError) as exc:
-        parse_frame("[IN:GET_WEATHER ] x")
+        canonical_frame("[IN:GET_WEATHER ] x")
     assert exc.value.offset == 18
 
 
 def test_serialize_single_node():
-    frame = Frame(FrameNode("intent", "IN:GET_SUNRISE", ()))
-    assert serialize_frame(frame) == "[IN:GET_SUNRISE ]"
+    assert canonical_frame("[IN:GET_SUNRISE]")[0] == "[IN:GET_SUNRISE ]"
 
 
 def test_weather_tree_round_trip_is_canonical():
-    assert serialize_frame(parse_frame(WEATHER_TEXT)) == WEATHER_TEXT
+    assert canonical_frame(WEATHER_TEXT)[0] == WEATHER_TEXT
 
 
 def test_whitespace_normalizes_to_canonical():
     messy = "  [IN:GET_WEATHER   what  s the\t[SL:LOCATION  boston ]   forecast ]  "
-    assert serialize_frame(parse_frame(messy)) == WEATHER_TEXT
+    assert canonical_frame(messy)[0] == WEATHER_TEXT
 
 
 def test_round_trip_property():
     rng = random.Random(20240817)
     for _ in range(300):
         frame = random_frame(rng)
-        text = serialize_frame(frame)
-        again = parse_frame(text)
-        assert again == frame
-        assert serialize_frame(again) == text  # idempotent
+        text = serialize_tree(frame)
+        canonical, labels = canonical_frame(text)
+        assert canonical == text
+        assert list(labels) == tree_labels(frame)
+        assert canonical_frame(canonical) == (canonical, labels)  # idempotent
 
 
 def test_exact_match_identity():
-    frames = [parse_frame(WEATHER_TEXT), parse_frame("[IN:GET_SUNSET now ]")]
+    frames = [canonical_frame(WEATHER_TEXT)[0], canonical_frame("[IN:GET_SUNSET now ]")[0]]
     assert exact_match(frames, frames) == 100.0
 
 
 def test_exact_match_half():
-    a = [parse_frame("[IN:GET_WEATHER ]"), parse_frame("[IN:GET_SUNSET ]")]
-    b = [parse_frame("[IN:GET_WEATHER ]"), parse_frame("[IN:GET_SUNRISE ]")]
+    a = [canonical_frame("[IN:GET_WEATHER ]")[0], canonical_frame("[IN:GET_SUNSET ]")[0]]
+    b = [canonical_frame("[IN:GET_WEATHER]")[0], canonical_frame("[IN:GET_SUNRISE ]")[0]]
     assert exact_match(a, b) == 50.0
 
 
 def test_exact_match_errors():
-    frame = parse_frame("[IN:GET_WEATHER ]")
+    frame = canonical_frame("[IN:GET_WEATHER ]")[0]
     with pytest.raises(ValueError):
         exact_match([], [])
     with pytest.raises(ValueError):
@@ -125,37 +103,33 @@ def test_exact_match_errors():
 
 def test_exact_match_symmetric():
     rng = random.Random(7)
-    a = [random_frame(rng) for _ in range(20)]
-    b = [random_frame(rng) for _ in range(20)]
+    a = [serialize_tree(random_frame(rng)) for _ in range(20)]
+    b = [serialize_tree(random_frame(rng)) for _ in range(20)]
     assert exact_match(a, b) == exact_match(b, a)
 
 
 def test_ontology_labels_single():
-    assert ontology_labels(parse_frame("[IN:STOP_MUSIC ]")) == {"IN:STOP_MUSIC": 1}
+    assert labels_of("[IN:STOP_MUSIC ]") == {"IN:STOP_MUSIC": 1}
 
 
 def test_ontology_labels_weather():
-    counts = ontology_labels(parse_frame(WEATHER_TEXT))
-    assert counts == {"IN:GET_WEATHER": 1, "SL:LOCATION": 1}
+    assert labels_of(WEATHER_TEXT) == {"IN:GET_WEATHER": 1, "SL:LOCATION": 1}
 
 
 def test_ontology_labels_repeated_slot():
-    frame = parse_frame("[IN:GET_WEATHER [SL:LOCATION a ] [SL:LOCATION b ] ]")
-    assert ontology_labels(frame)["SL:LOCATION"] == 2
+    assert labels_of("[IN:GET_WEATHER [SL:LOCATION a ] [SL:LOCATION b ] ]")["SL:LOCATION"] == 2
 
 
 def test_label_total_matches_bracket_count():
     rng = random.Random(99)
     for _ in range(100):
-        frame = random_frame(rng)
-        total = sum(ontology_labels(frame).values())
-        assert total == serialize_frame(frame).count("[")
+        canonical, labels = canonical_frame(serialize_tree(random_frame(rng)))
+        assert len(labels) == canonical.count("[")
 
 
 def test_unicode_tokens_round_trip():
     text = "[IN:GET_WEATHER prévisions [SL:LOCATION zürich_東京 ] ]"
-    frame = parse_frame(text)
-    assert serialize_frame(frame) == text
+    assert canonical_frame(text)[0] == text
 
 
 _SPACES = (" ", "\t", "\n", "\u00a0", "\u2028")
@@ -182,14 +156,13 @@ def test_canonical_frame_agrees_with_reference_parser():
     rng = random.Random(20261018)
     for _ in range(1000):
         frame = random_frame(rng)
-        text = _respace(rng, serialize_frame(frame))
+        text = _respace(rng, serialize_tree(frame))
         tree = reference_parse(text)
         assert tree == frame
         canonical, labels = canonical_frame(text)
-        assert canonical == serialize_frame(tree)
-        assert Counter(labels) == ontology_labels(tree)
-        assert labels[0] == tree.root.text
-        assert parse_frame(text) == tree
+        assert canonical == serialize_tree(tree)
+        assert list(labels) == tree_labels(tree)
+        assert labels[0] == tree.text
 
 
 def _mutate(rng, text):
@@ -229,14 +202,13 @@ def test_mutated_frames_fail_as_in_reference_parser():
     rng = random.Random(1018)
     rejected = 0
     for _ in range(1500):
-        text = _respace(rng, _mutate(rng, serialize_frame(random_frame(rng))))
+        text = _respace(rng, _mutate(rng, serialize_tree(random_frame(rng))))
         expected = _outcome(reference_parse, text)
-        assert _outcome(parse_frame, text) == expected, text
         if isinstance(expected, str):
             rejected += 1
             assert _outcome(canonical_frame, text) == expected, text
         else:
-            assert canonical_frame(text)[0] == serialize_frame(expected)
+            assert canonical_frame(text) == (serialize_tree(expected), tuple(tree_labels(expected)))
     assert 1000 <= rejected < 1500
 
 
@@ -256,7 +228,6 @@ def test_memoized_skeleton_with_stray_word_fails_as_reference(text):
     expected = _outcome(reference_parse, text)
     assert expected.startswith("error: ")
     assert _outcome(canonical_frame, text) == expected
-    assert _outcome(parse_frame, text) == expected
 
 
 def test_frames_with_one_skeleton_share_labels():

@@ -8,7 +8,7 @@ import pytest
 from dataeff import cli
 from dataeff.corpus import CorpusTable
 from dataeff.errors import SamplingError, UnknownDomainError
-from dataeff.frames import ontology_labels, parse_frame, serialize_frame
+from dataeff.frames import canonical_frame
 from dataeff.jsonio import dumps, from_dict
 from dataeff.sampling import (
     Subset,
@@ -20,6 +20,7 @@ from dataeff.sampling import (
 )
 
 from conftest import make_rows, random_frame, write_tsv
+from reference_frames import serialize_tree, tree_labels
 
 # Published schedule for n=10: raw curve values and their ceiled sizes.
 RAW_N10 = (0.00, 0.67, 1.79, 3.66, 6.78, 11.99, 20.69, 35.22, 59.48, 100.00)
@@ -156,7 +157,7 @@ def _greedy_reference(frames, order, k):
     seen = Counter()
     picked = []
     for idx in order:
-        labels = ontology_labels(frames[idx])
+        labels = Counter(frames[idx])
         if any(seen[lab] < k for lab in labels):
             picked.append(idx)
             seen.update(labels)
@@ -168,10 +169,10 @@ def test_spis_six_row_fixture_against_all_orderings():
     # early instead of taking the whole domain.
     labels = ["AAA", "AAA", "AAA", "AAA", "BBB", "BBB"]
     table = _single_intent_table(labels)
-    frames = [parse_frame(parse) for parse in table.parse]
+    frames = [canonical_frame(parse)[1] for parse in table.parse]
     totals = Counter()
-    for frame in frames:
-        totals.update(ontology_labels(frame))
+    for labels in frames:
+        totals.update(labels)
     k = 2
 
     sizes = set()
@@ -196,13 +197,13 @@ def test_spis_coverage_property(k):
         frames = [random_frame(rng, max_depth=3, max_branch=3)
                   for _ in range(rng.randint(5, 40))]
         rows = [
-            ("rand", f"u{i}", serialize_frame(frame), "train")
+            ("rand", f"u{i}", serialize_tree(frame), "train")
             for i, frame in enumerate(frames)
         ]
         table = CorpusTable(rows)
         totals = Counter()
         for frame in frames:
-            totals.update(ontology_labels(frame))
+            totals.update(tree_labels(frame))
         subset = spis_sample(table, SubsetSpec("rand", "spis", k, trial))
         achieved = _label_counts(subset, table)
         for label, total in totals.items():
