@@ -230,14 +230,21 @@ def fit_curve(points: list[EfficiencyPoint], average_first: bool = False) -> Cur
     )
 
 
-def evaluate(model: CurveModel, x: float, clamp: bool = False) -> float:
-    """h(x) = a / x**b + c for x > 0; clamp squeezes the value into [0, 100]."""
+def evaluate(model: CurveModel, x: float) -> float:
+    """h(x) = a / x**b + c for x > 0, or its limit where x**b leaves the float range.
+
+    An x**b past the largest float gives c; one that rounds to 0 gives an
+    infinity with the sign of a (c when a = 0).
+    """
     if x <= 0.0:
         raise CurveDomainError(f"curve is undefined at x = {x:g} (pole at zero)")
-    value = model.a / x ** model.b + model.c
-    if clamp:
-        value = min(max(value, 0.0), 100.0)
-    return value
+    try:
+        power = math.pow(x, model.b)
+    except OverflowError:
+        return model.c
+    if power == 0.0:
+        return model.c if model.a == 0.0 else math.copysign(math.inf, model.a)
+    return model.a / power + model.c
 
 
 def invert(model: CurveModel, y: float) -> Inversion:

@@ -172,8 +172,9 @@ def build_manifests(
     here, before any run starts; each Manifest, with its train rows, is built only
     when taken. Train rows are every non-target train row plus the drawn subset;
     eval rows are all non-target eval rows plus the target domain's eval rows;
-    test rows are the target domain's test split. For spis the schedule sizes
-    double as the per-label minimums, skipping entries below 1.
+    test rows are the target domain's test split. Each distinct schedule size
+    is drawn once, in schedule order. For spis the sizes double as the
+    per-label minimums, skipping entries below 1.
     """
     if len(set(seeds)) != len(tuple(seeds)):
         raise ProtocolError(f"seeds must be unique, got {tuple(seeds)}")
@@ -189,7 +190,7 @@ def build_manifests(
     eval_rows = source_eval + table.row_ids(target_domain, "eval")
     test_rows = table.row_ids(target_domain, "test")
 
-    sizes = list(schedule.sizes)
+    sizes = list(dict.fromkeys(schedule.sizes))  # a dense schedule repeats ceiled sizes
     if algorithm == "spis":
         sizes = [k for k in sizes if k >= 1]
 

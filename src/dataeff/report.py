@@ -1,12 +1,12 @@
 """Plot emission without a plotting dependency: SVG for eyes, CSV for machines.
 
 The chart mirrors the discrete/continuous pair: scattered (subset %, EM %)
-observations, the fitted curve as a polyline sampled at 200 x-values, and a
-dashed guide-line pair (horizontal at the EM target, vertical at the required
-subset percent) per inverse query answered within the data; an answer past
-100% or one never reached is an SVG comment in `dataeff query`'s words. Axes
-are fixed to [0,100] x [0,100]. All numbers are formatted with fixed precision
-so output bytes are deterministic.
+observations, the fitted curve sampled at 200 x-values and clamped into
+[0, 100], drawn as a polyline, and a dashed guide-line pair (horizontal at the
+EM target, vertical at the required subset percent) per inverse query answered
+within the data; an answer past 100% or one never reached is an SVG comment in
+`dataeff query`'s words. Axes are fixed to [0,100] x [0,100]. All numbers are
+formatted with fixed precision so output bytes are deterministic.
 """
 
 from __future__ import annotations
@@ -51,10 +51,17 @@ def _fy(y: float) -> float:
     return HEIGHT - MARGIN_BOTTOM - y / 100.0 * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
 
 
-def _curve_xs(model: CurveModel) -> list[float]:
-    x_min = model.fit_domain[0]
-    step = (100.0 - x_min) / (CURVE_SAMPLES - 1)
-    return [x_min + i * step for i in range(CURVE_SAMPLES)]
+def _curve(model: CurveModel) -> list[tuple[float, float]]:
+    """The curve at CURVE_SAMPLES x-values from the fit's lowest x to 100, in [0, 100]."""
+    step = (100.0 - model.fit_domain[0]) / (CURVE_SAMPLES - 1)
+    xs = [model.fit_domain[0] + i * step for i in range(CURVE_SAMPLES)]
+    return [(x, min(max(evaluate(model, x), 0.0), 100.0)) for x in xs]
+
+
+def _line(cls: str, x1: float, y1: float, x2: float, y2: float, style: str) -> str:
+    """An SVG line between two points given in data units (subset %, EM %)."""
+    return (f'<line class="{cls}" x1="{_fx(x1):.2f}" y1="{_fy(y1):.2f}" x2="{_fx(x2):.2f}" '
+            f'y2="{_fy(y2):.2f}" {style}/>')
 
 
 def render_svg(spec: ReportSpec) -> str:
@@ -67,31 +74,18 @@ def render_svg(spec: ReportSpec) -> str:
     ]
     # grid and axes, ticks every 20 units
     for value in range(0, 101, 20):
-        gx, gy = _fx(value), _fy(value)
+        out.append(_line("grid", value, 0, value, 100, 'stroke="#dddddd" stroke-width="1"'))
+        out.append(_line("grid", 0, value, 100, value, 'stroke="#dddddd" stroke-width="1"'))
         out.append(
-            f'<line class="grid" x1="{gx:.2f}" y1="{_fy(0):.2f}" x2="{gx:.2f}" '
-            f'y2="{_fy(100):.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<line class="grid" x1="{_fx(0):.2f}" y1="{gy:.2f}" x2="{_fx(100):.2f}" '
-            f'y2="{gy:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text class="tick" x="{gx:.2f}" y="{_fy(0) + 18:.2f}" font-size="12" '
+            f'<text class="tick" x="{_fx(value):.2f}" y="{_fy(0) + 18:.2f}" font-size="12" '
             f'text-anchor="middle">{value}</text>'
         )
         out.append(
-            f'<text class="tick" x="{_fx(0) - 8:.2f}" y="{gy + 4:.2f}" font-size="12" '
+            f'<text class="tick" x="{_fx(0) - 8:.2f}" y="{_fy(value) + 4:.2f}" font-size="12" '
             f'text-anchor="end">{value}</text>'
         )
-    out.append(
-        f'<line class="axis" x1="{_fx(0):.2f}" y1="{_fy(0):.2f}" x2="{_fx(100):.2f}" '
-        f'y2="{_fy(0):.2f}" stroke="black" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<line class="axis" x1="{_fx(0):.2f}" y1="{_fy(0):.2f}" x2="{_fx(0):.2f}" '
-        f'y2="{_fy(100):.2f}" stroke="black" stroke-width="1.5"/>'
-    )
+    out.append(_line("axis", 0, 0, 100, 0, 'stroke="black" stroke-width="1.5"'))
+    out.append(_line("axis", 0, 0, 0, 100, 'stroke="black" stroke-width="1.5"'))
     out.append(
         f'<text class="label" x="{(_fx(0) + _fx(100)) / 2:.2f}" y="{HEIGHT - 12}" '
         f'font-size="14" text-anchor="middle">target subset (%)</text>'
@@ -103,10 +97,7 @@ def render_svg(spec: ReportSpec) -> str:
     )
 
     if spec.model is not None:
-        coords = " ".join(
-            f"{_fx(x):.2f},{_fy(evaluate(spec.model, x, clamp=True)):.2f}"
-            for x in _curve_xs(spec.model)
-        )
+        coords = " ".join(f"{_fx(x):.2f},{_fy(y):.2f}" for x, y in _curve(spec.model))
         out.append(
             f'<polyline class="curve" points="{coords}" fill="none" '
             'stroke="#1f77b4" stroke-width="2"/>'
@@ -119,17 +110,11 @@ def render_svg(spec: ReportSpec) -> str:
             if answer.exceeds_full_data:  # no guide line past the 100% axis
                 out.append(f"<!-- query em={y:g}: {answer.percent:.2f}% exceeds_full_data -->")
                 continue
-            gx, gy = _fx(answer.percent), _fy(y)
+            dash = 'stroke="#d62728" stroke-width="1.5" stroke-dasharray="5 4"'
+            out.append(_line("guide", 0, y, answer.percent, y, dash))
+            out.append(_line("guide", answer.percent, y, answer.percent, 0, dash))
             out.append(
-                f'<line class="guide" x1="{_fx(0):.2f}" y1="{gy:.2f}" x2="{gx:.2f}" '
-                f'y2="{gy:.2f}" stroke="#d62728" stroke-width="1.5" stroke-dasharray="5 4"/>'
-            )
-            out.append(
-                f'<line class="guide" x1="{gx:.2f}" y1="{gy:.2f}" x2="{gx:.2f}" '
-                f'y2="{_fy(0):.2f}" stroke="#d62728" stroke-width="1.5" stroke-dasharray="5 4"/>'
-            )
-            out.append(
-                f'<text class="guide-label" x="{gx + 4:.2f}" y="{_fy(0) - 6:.2f}" '
+                f'<text class="guide-label" x="{_fx(answer.percent) + 4:.2f}" y="{_fy(0) - 6:.2f}" '
                 f'font-size="12" fill="#d62728">{answer.percent:.2f}%</text>'
             )
 
@@ -149,8 +134,8 @@ def render_csv(spec: ReportSpec) -> str:
     for p in spec.points:
         lines.append(f"point,{p.subset_percent:.10g},{p.exact_match:.10g}")
     if spec.model is not None:
-        for x in _curve_xs(spec.model):
-            lines.append(f"curve,{x:.10g},{evaluate(spec.model, x, clamp=True):.10g}")
+        for x, y in _curve(spec.model):
+            lines.append(f"curve,{x:.10g},{y:.10g}")
         for y in spec.queries:
             x_required = invert(spec.model, y).percent  # None: never reached
             lines.append(f"query,{'' if x_required is None else format(x_required, '.10g')},{y:.10g}")

@@ -75,7 +75,7 @@ class SubsetSpec:
         if self.algorithm == "uniform" and not 0.0 <= self.size_param <= 100.0:
             raise SamplingError(f"uniform percent must be in [0, 100], got {self.size_param}")
         if self.algorithm == "spis":
-            if self.size_param < 1 or self.size_param != int(self.size_param):
+            if self.size_param < 1 or not self.size_param.is_integer():
                 raise SamplingError(f"spis parameter must be an integer >= 1, got {self.size_param}")
         if not 0 <= self.seed < 2 ** 64:
             raise SamplingError(f"seed must be an unsigned 64-bit integer, got {self.seed}")

@@ -93,6 +93,17 @@ def test_load_annotations_errors(tmp_path):
         load_annotations(bad_prefix)
 
 
+def test_load_annotations_skips_blank_rows_and_counts_columns(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("intent,class\nIN:A,open\n\nIN:B,closed\n", encoding="utf-8")
+    assert load_annotations(path) == {"IN:A": OPEN, "IN:B": CLOSED}
+    path.write_text("intent,class\nIN:A,open\nIN:B,closed,extra\n", encoding="utf-8")
+    with pytest.raises(AnnotationError) as exc:
+        load_annotations(path)
+    assert str(exc.value) == f"{path}:3: expected 2 columns, got 3"
+    assert exc.value.line == 3
+
+
 def _music_test_table():
     """music test split: PLAY x12, STOP x10, LIKE x9 (below the threshold)."""
     rows = []

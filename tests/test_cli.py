@@ -145,6 +145,20 @@ def test_fit_warns_on_zero_points(tmp_path):
     assert abs(model["a"] - CANONICAL[0]) / abs(CANONICAL[0]) < 1e-4
 
 
+def test_fit_warns_on_a_curve_that_is_not_saturating(tmp_path, capsys):
+    points = tmp_path / "falling.csv"
+    points.write_text("subset_percent,exact_match\n1,90\n10,60\n100,40\n", encoding="utf-8")
+    assert cli.main(["fit", "--points", str(points), "--out", str(tmp_path / "m.json")]) == 0
+    assert "warning: fit is not a well-formed saturating curve (a=" in capsys.readouterr().err
+
+
+def test_fit_rejects_a_ledger_whose_entries_are_not_an_array(tmp_path, capsys):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text('{"entries": {}}\n', encoding="utf-8")
+    assert cli.main(["fit", "--points", str(ledger)]) == 1
+    assert capsys.readouterr().err == f"error: {ledger}: entries: expected array, got object\n"
+
+
 def test_query_values(canonical_model_file):
     proc = run_cli("query", "--model", canonical_model_file, "--em", 80, 90)
     assert proc.returncode == 0
@@ -187,6 +201,23 @@ def test_run_simulate_deterministic(corpus, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
     assert len(payload["entries"]) == 10
+
+
+def test_run_on_a_dense_schedule_runs_each_size_once(corpus, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    args = ("run", "--corpus", corpus, "--target", "weather", "--n", 20, "--out", ledger)
+    proc = run_cli(*args, "--seeds", 0, 1)  # 20 sizes, 18 distinct
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(ledger.read_text())["entries"]) == 36
+    proc = run_cli(*args, "--algorithm", "spis")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_on_a_missing_corpus_is_data_error(tmp_path, capsys):
+    missing = tmp_path / "missing.tsv"
+    assert cli.main(["run", "--corpus", str(missing), "--target", "weather",
+                     "--out", str(tmp_path / "l.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read corpus {missing}: ")
 
 
 def test_run_warns_when_its_ledger_cannot_be_fitted(corpus, tmp_path):
@@ -279,6 +310,19 @@ def test_report_command(corpus, tmp_path, canonical_model_file):
     svg = (tmp_path / "plot.svg").read_text(encoding="utf-8")
     assert svg.count('class="guide"') == 4
     assert (tmp_path / "plot.csv").exists()
+
+
+@pytest.mark.parametrize("b, fit_domain", [(400.0, (1.0, 100.0)), (2000.0, (0.5, 100.0))])
+def test_report_draws_a_curve_past_the_float_range(tmp_path, capsys, b, fit_domain):
+    model = tmp_path / "model.json"
+    model.write_text(dumps(CurveModel(-30.0, b, 95.0, sse=0.0, iterations=0, converged=True,
+                                      fit_domain=fit_domain)) + "\n", encoding="utf-8")
+    points = points_csv(tmp_path, xs=(0.5, 1, 50))
+    assert cli.main(["report", "--points", str(points), "--model", str(model),
+                     "--out", str(tmp_path / "plot")]) == 0
+    curve = [float(line.split(",")[2]) for line in (tmp_path / "plot.csv").read_text().splitlines()
+             if line.startswith("curve,")]
+    assert len(curve) == 200 and all(0.0 <= y <= 100.0 for y in curve)
 
 
 def test_report_out_prefix_keeps_its_dots(tmp_path, canonical_model_file, capsys):

@@ -22,6 +22,7 @@ from dataeff.curve import (
 )
 from dataeff.errors import CurveDomainError, FitError, InputError
 from dataeff.jsonio import dumps, from_dict
+from dataeff.report import ReportSpec, render_csv
 
 # Canonical fixture curve used throughout: a=-27.26, b=0.35, c=97.79.
 CANONICAL = CurveModel(-27.26, 0.35, 97.79, 0.0, 0, True, (1.0, 100.0))
@@ -142,10 +143,24 @@ def test_evaluate_pole_at_zero():
 
 
 def test_evaluate_clamps_only_on_request():
+    # evaluate returns h itself; only the curve a report draws is clamped into [0, 100]
     tall = CurveModel(-5.0, 0.5, 103.0, 0.0, 0, True, (1.0, 100.0))
-    raw = evaluate(tall, 100.0)
-    assert raw > 100.0
-    assert evaluate(tall, 100.0, clamp=True) == 100.0
+    low = CurveModel(-50.0, 0.5, 10.0, 0.0, 0, True, (1.0, 100.0))
+    assert evaluate(tall, 100.0) > 100.0
+    assert evaluate(low, 1.0) < 0.0
+    for model, clamped in ((tall, 100.0), (low, 0.0)):
+        csv = render_csv(ReportSpec((EfficiencyPoint(1.0, 50.0),), model))
+        curve = [float(line.split(",")[2]) for line in csv.splitlines() if line.startswith("curve,")]
+        assert clamped in curve and all(0.0 <= y <= 100.0 for y in curve)
+
+
+def test_evaluate_returns_its_limits_past_the_float_range():
+    steep = CurveModel(-30.0, 400.0, 95.0, 0.0, 0, True, (1.0, 100.0))
+    assert evaluate(steep, 100.0) == 95.0  # 100 ** 400 overflows: a / x**b -> 0
+    steeper = CurveModel(-30.0, 2000.0, 95.0, 0.0, 0, True, (0.5, 100.0))
+    assert evaluate(steeper, 0.5) == -math.inf  # 0.5 ** 2000 underflows to 0
+    assert evaluate(CurveModel(30.0, 2000.0, 95.0, 0.0, 0, True, (0.5, 100.0)), 0.5) == math.inf
+    assert evaluate(CurveModel(0.0, 2000.0, 95.0, 0.0, 0, True, (0.5, 100.0)), 0.5) == 95.0
 
 
 def test_invert_canonical_closed_form():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from dataeff.errors import FrameParseError
+from dataeff import frames
 from dataeff.frames import _TOKEN, canonical_frame, exact_match, _skeletons, _tokens
 from conftest import random_frame
 from reference_frames import reference_parse, serialize_tree, tree_labels
@@ -236,3 +237,12 @@ def test_frames_with_one_skeleton_share_labels():
     assert first[1] == ("IN:GET_WEATHER", "SL:LOCATION")
     assert second[1] is first[1]
     assert canonical_frame("[IN:GET_WEATHER [SL:DATE_TIME x ] ]")[1] is not first[1]
+
+
+def test_skeleton_memo_is_emptied_when_full(monkeypatch):
+    monkeypatch.setattr(frames, "_SKELETON_MEMO_SIZE", 2)
+    for _ in range(2):
+        for name in "ABCDE":  # five skeletons
+            text = f"[IN:{name} w [SL:{name} x ] ]"
+            assert canonical_frame(text) == (text, (f"IN:{name}", f"SL:{name}"))
+            assert len(_skeletons) <= 2

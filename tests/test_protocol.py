@@ -50,6 +50,18 @@ def test_build_manifests_seed_product(weather_table):
     assert len({m.run_id for m in manifests}) == 30
 
 
+@pytest.mark.parametrize("algorithm", ["uniform", "spis"])
+def test_build_manifests_draws_each_distinct_size_once(weather_table, algorithm):
+    schedule = make_schedule(20)  # ceiled sizes 0, 1, 1, 2, 2, 3, ...
+    assert len(set(schedule.sizes)) < len(schedule.sizes)
+    sizes = [k for k in dict.fromkeys(schedule.sizes) if algorithm == "uniform" or k >= 1]
+    manifests = list(build_manifests(weather_table, "weather", schedule, algorithm, seeds=(0, 1)))
+    assert [(m.subset.size_param, m.subset.seed) for m in manifests] == [
+        (k, seed) for k in sizes for seed in (0, 1)
+    ]
+    assert len({m.run_id for m in manifests}) == len(manifests)
+
+
 def test_build_manifests_duplicate_seeds_rejected(weather_table):
     with pytest.raises(ProtocolError):
         build_manifests(weather_table, "weather", make_schedule(10), seeds=(1, 1))

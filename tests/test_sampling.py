@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -70,6 +71,12 @@ def test_spec_validation():
         SubsetSpec("weather", "spis", 1.5, 0)
     with pytest.raises(SamplingError):
         SubsetSpec("weather", "uniform", 10, -1)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 2.5, 0.5])
+def test_spis_parameter_must_be_a_whole_number(k):
+    with pytest.raises(SamplingError, match=f"^spis parameter must be an integer >= 1, got {k}$"):
+        SubsetSpec("weather", "spis", k, 0)
 
 
 def test_uniform_size_arithmetic():
