@@ -28,10 +28,8 @@ print()
 
 # Inverse queries: the whole point of the exercise. A target at or above the
 # fitted ceiling c is never reached, no matter the data: its answer has no percent.
+# cells() gives each answer in the words `dataeff query` prints.
+print(f"{'em':>4}  {'required_subset_%':>17}  note")
 for target in (80, 85, 90, 99):
-    answer = invert(model, target)
-    if answer.percent is None:
-        print(f"{target}% EM is never reached: the fitted ceiling is c = {model.c:.2f}")
-        continue
-    flag = "  (needs more than 100% of the domain)" if answer.exceeds_full_data else ""
-    print(f"{target}% EM needs {answer.percent:.2f}% of target data{flag}")
+    percent, note = invert(model, target).cells(".2f", model.c)
+    print(f"{target:>4}  {percent or '-':>17}  {note}".rstrip())

@@ -174,10 +174,8 @@ def _render(cell: Inversion | None) -> str:
     """A comparison-table cell as text; None is a reference cell with no data."""
     if cell is None:
         return "-"
-    if cell.percent is None:
-        return "unreachable"
-    text = f"{cell.percent:.2f}"
-    return f"{text} (exceeds_full_data)" if cell.exceeds_full_data else text
+    percent, note = cell.cells(".2f")
+    return f"{percent} ({note})" if percent and note else percent or note
 
 
 @dataclass(frozen=True)
@@ -223,8 +221,8 @@ def compare_models(curves: dict, em_targets: list) -> ComparisonTable:
     """Inverse-query every model at every EM target.
 
     curves maps model id -> well-formed CurveModel. Rows are sorted by the
-    data required at the first target, least first; targets above a model's
-    ceiling render as 'unreachable', answers past 100% are flagged.
+    data required at the first target, least first; a cell prints in the words of
+    Inversion.cells, with no asymptote: 'unreachable', or a percent past 100% flagged.
     """
     if len(curves) < 2:
         raise AnalysisError("compare_models needs at least 2 models")

@@ -96,12 +96,8 @@ def cmd_query(args) -> int:
     model = load_model(args.model)
     rows = []
     for y in args.em:
-        answer = invert(model, y)
-        if answer.percent is None:
-            rows.append((f"{y:g}", "-", f"unreachable (asymptote {model.c:.2f})"))
-        else:
-            note = "exceeds_full_data" if answer.exceeds_full_data else ""
-            rows.append((f"{y:g}", f"{answer.percent:.3f}", note))
+        percent, note = invert(model, y).cells(".3f", model.c)
+        rows.append((f"{y:g}", percent or "-", note))
     header = ("em", "required_subset_%", "note")
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(3)]
     for row in [header] + rows:
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="invert a fitted curve at EM targets")
     p.add_argument("--model", required=True, help="curve model JSON path")
-    p.add_argument("--em", type=_finite(), nargs="+", required=True)
+    p.add_argument("--em", type=_finite(0, 100), nargs="+", required=True)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("run", help="run the full protocol and write a ledger")
@@ -350,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--curves", type=_named_file, nargs="+", metavar="NAME=FILE")
     group.add_argument("--reference",
                        help="print the packaged full-scale reference table for a domain")
-    p.add_argument("--em", type=_finite(), nargs="*", help="EM targets for --curves")
+    p.add_argument("--em", type=_finite(0, 100), nargs="*", help="EM targets for --curves")
     p.add_argument("--fmt", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_compare)
 

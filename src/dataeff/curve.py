@@ -9,9 +9,9 @@ a 1-D search of the profile SSE(b) over ln b in [ln B_MIN, ln B_MAX]. A fixed
 grid finds the best cell, and bisection on the sign of dSSE/db closes it.
 The closed-form inverse h^-1(y) = ((y - c) / a) ** (-1 / b) answers "how
 much data for y% EM".
-Every inverse query gets one answer type, an Inversion: the target is reached
-within the data (percent <= 100), needs more than all of it (percent > 100),
-or is never reached because it lies at or above the ceiling c (percent None).
+Every inverse query gets one answer type, an Inversion, whose cells give the words
+of every printed answer: reached within the data (percent <= 100), past all of it
+(percent > 100), or never, at or above the ceiling c (percent None).
 
 Points at x = 0 (the 0% subset is a legitimate observation) are excluded from
 the residual because h has a pole there; they still appear in discrete plots.
@@ -58,7 +58,8 @@ class EfficiencyPoint:
 
 @dataclass(frozen=True)
 class CurveModel:
-    """Fitted parameters of h(x) = a / x**b + c plus fit diagnostics."""
+    """Fitted parameters of h(x) = a / x**b + c plus fit diagnostics; InputError names
+    a field that is not finite, a negative sse or iterations, or a bad fit_domain."""
 
     a: float
     b: float
@@ -67,6 +68,17 @@ class CurveModel:
     iterations: int
     converged: bool
     fit_domain: tuple[float, float]
+
+    def __post_init__(self):
+        for name in ("a", "b", "c", "sse"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.sse < 0.0:
+            raise InputError(f"sse must be >= 0, got {self.sse}")
+        if self.iterations < 0:
+            raise InputError(f"iterations must be >= 0, got {self.iterations}")
+        if not 0.0 < self.fit_domain[0] <= self.fit_domain[1] <= 100.0:
+            raise InputError(f"fit_domain must be 0 < low <= high <= 100, got {self.fit_domain}")
 
     @property
     def well_formed(self) -> bool:
@@ -113,6 +125,14 @@ class Inversion:
     @property
     def exceeds_full_data(self) -> bool:
         return self.percent is not None and self.percent > 100.0
+
+    def cells(self, spec: str, ceiling: float | None = None) -> tuple[str, str]:
+        """The answer as printed, (percent formatted with spec, note): note is "" within the
+        data and "exceeds_full_data" past it. A target never reached has percent "" and note
+        "unreachable", with " (asymptote C)" after it when a ceiling C is given."""
+        if self.percent is None:
+            return "", "unreachable" + ("" if ceiling is None else f" (asymptote {ceiling:.2f})")
+        return format(self.percent, spec), "exceeds_full_data" if self.exceeds_full_data else ""
 
 
 class _Profile(NamedTuple):

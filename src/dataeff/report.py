@@ -5,8 +5,8 @@ observations, the fitted curve sampled at 200 x-values and clamped into
 [0, 100], drawn as a polyline, and a dashed guide-line pair (horizontal at the
 EM target, vertical at the required subset percent) per inverse query answered
 within the data; an answer past 100% or one never reached is an SVG comment in
-`dataeff query`'s words. Axes are fixed to [0,100] x [0,100]. All numbers are
-formatted with fixed precision so output bytes are deterministic.
+the words of Inversion.cells, as `dataeff query` prints them. Axes are fixed to
+[0,100] x [0,100]. Numbers have fixed precision, so output bytes are deterministic.
 """
 
 from __future__ import annotations
@@ -104,18 +104,16 @@ def render_svg(spec: ReportSpec) -> str:
         )
         for y in spec.queries:
             answer = invert(spec.model, y)
-            if answer.percent is None:
-                out.append(f"<!-- query em={y:g}: unreachable (asymptote {spec.model.c:.2f}) -->")
-                continue
-            if answer.exceeds_full_data:  # no guide line past the 100% axis
-                out.append(f"<!-- query em={y:g}: {answer.percent:.2f}% exceeds_full_data -->")
+            percent, note = answer.cells(".2f", spec.model.c)
+            if note:  # no guide line past the 100% axis, nor for a target never reached
+                out.append(f"<!-- query em={y:g}: {percent + '% ' if percent else ''}{note} -->")
                 continue
             dash = 'stroke="#d62728" stroke-width="1.5" stroke-dasharray="5 4"'
             out.append(_line("guide", 0, y, answer.percent, y, dash))
             out.append(_line("guide", answer.percent, y, answer.percent, 0, dash))
             out.append(
                 f'<text class="guide-label" x="{_fx(answer.percent) + 4:.2f}" y="{_fy(0) - 6:.2f}" '
-                f'font-size="12" fill="#d62728">{answer.percent:.2f}%</text>'
+                f'font-size="12" fill="#d62728">{percent}%</text>'
             )
 
     for p in spec.points:
@@ -137,8 +135,8 @@ def render_csv(spec: ReportSpec) -> str:
         for x, y in _curve(spec.model):
             lines.append(f"curve,{x:.10g},{y:.10g}")
         for y in spec.queries:
-            x_required = invert(spec.model, y).percent  # None: never reached
-            lines.append(f"query,{'' if x_required is None else format(x_required, '.10g')},{y:.10g}")
+            percent, _ = invert(spec.model, y).cells(".10g")  # "" for a target never reached
+            lines.append(f"query,{percent},{y:.10g}")
     return "\n".join(lines) + "\n"
 
 

@@ -571,6 +571,33 @@ def test_model_missing_key_names_file_and_key(tmp_path):
     assert f"{path}: b: missing" in proc.stderr
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("c", "1e400", "c must be finite, got inf"),
+    ("a", "-1e400", "a must be finite, got -inf"),
+    ("fit_domain", "[0, 100]", "fit_domain must be 0 < low <= high <= 100, got (0.0, 100.0)"),
+    ("fit_domain", "[150, 200]",
+     "fit_domain must be 0 < low <= high <= 100, got (150.0, 200.0)"),
+    ("fit_domain", "[50, 10]", "fit_domain must be 0 < low <= high <= 100, got (50.0, 10.0)"),
+    ("sse", "-1", "sse must be >= 0, got -1.0"),
+    ("iterations", "-3", "iterations must be >= 0, got -3"),
+])
+def test_model_with_a_bad_field_names_file_and_field(tmp_path, capsys, key, value, message):
+    payload = {"a": -27.26, "b": 0.35, "c": 97.79, "sse": 0.0, "iterations": 0,
+               "converged": True, "fit_domain": [1.0, 100.0], key: "VALUE"}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload).replace('"VALUE"', value), encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+    points = points_csv(tmp_path)
+    for argv in (["query", "--model", str(path), "--em", "90"],
+                 ["report", "--points", str(points), "--model", str(path),
+                  "--out", str(tmp_path / "plot")]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not list(tmp_path.glob("plot.*"))
+
+
 def test_ledger_ill_typed_seed_names_file_and_key(corpus, tmp_path):
     ledger = tmp_path / "ledger.json"
     assert run_cli("run", "--corpus", corpus, "--target", "weather", "--out", ledger).returncode == 0
@@ -669,6 +696,25 @@ def test_float_options_reject_non_finite_values(argv, capsys):
         cli.main(list(argv))
     assert exc.value.code == 2
     assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "--model", "m.json", "--em", "80", "-5"),
+    ("query", "--model", "m.json", "--em", "150"),
+    ("compare", "--curves", "a=m.json", "b=n.json", "--em", "-5"),
+    ("compare", "--curves", "a=m.json", "b=n.json", "--em", "80", "150"),
+])
+def test_em_targets_outside_percents_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "not a number in [0, 100]" in capsys.readouterr().err
+
+
+def test_query_at_the_percent_bounds(canonical_model_file, capsys):
+    assert cli.main(["query", "--model", str(canonical_model_file), "--em", "0", "100"]) == 0
+    rows = [line.split(None, 2) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["0", "0.026"], ["100", "-", "unreachable (asymptote 97.79)"]]
 
 
 @pytest.mark.parametrize("key, constant", [("a", "NaN"), ("b", "Infinity"), ("c", "-Infinity")])

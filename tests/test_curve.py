@@ -213,6 +213,18 @@ def test_invert_rejects_degenerate_models():
         invert(CurveModel(10.0, 0.5, 90.0, 0.0, 0, True, (1.0, 100.0)), 85.0)
 
 
+@pytest.mark.parametrize("answer, without_ceiling, with_ceiling", [
+    (invert(CANONICAL, 80.0), ("3.385", ""), ("3.385", "")),
+    (invert(CANONICAL, 97.0), ("24774.019", "exceeds_full_data"),
+     ("24774.019", "exceeds_full_data")),
+    (Inversion(math.inf), ("inf", "exceeds_full_data"), ("inf", "exceeds_full_data")),
+    (invert(CANONICAL, 99.0), ("", "unreachable"), ("", "unreachable (asymptote 97.79)")),
+])
+def test_inversion_cells_word_every_answer(answer, without_ceiling, with_ceiling):
+    assert answer.cells(".3f") == without_ceiling
+    assert answer.cells(".3f", CANONICAL.c) == with_ceiling
+
+
 def test_round_trip_property_over_random_models():
     rng = np.random.default_rng(777)
     for _ in range(50):
