@@ -19,7 +19,7 @@ from dataeff import (
     run_protocol,
 )
 
-classes = packaged_annotations("music")  # {intent label: ComplexityClass}
+classes = packaged_annotations("music")  # {intent label: class name}
 print("packaged music annotations:")
 for intent, cls in sorted(classes.items()):
     print(f"  {intent:<32} {cls}")

@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 # command pays only for the modules it runs.
 _SOURCE = {
     **dict.fromkeys((
-        "ComparisonTable", "ComplexityClass", "compare_models", "load_annotations",
-        "packaged_annotations", "per_class_curves", "per_intent_points", "reference_comparison",
+        "ComparisonTable", "compare_models", "load_annotations", "packaged_annotations",
+        "per_class_curves", "per_intent_points", "reference_comparison",
     ), "analysis"),
     **dict.fromkeys(("CorpusTable", "load_corpus"), "corpus"),
     **dict.fromkeys((

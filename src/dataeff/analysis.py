@@ -1,11 +1,11 @@
 """Result aggregation: model comparison and intent complexity.
 
-Complexity classes rank how hard an intent is to model (none < closed < semi
-< open, where "semi" covers named entities / date-times / ~100-value closed
-classes and "open" long free text); an intent inherits the maximum class of
-its slots. Annotation files for five stock domains ship with the package, as
-does a reference model-comparison table whose numbers come from full-scale
-fine-tuning and are not recomputable here.
+A complexity class is a name in COMPLEXITY_CLASSES, which ranks how hard an intent is
+to model: none < closed < semi < open, where "semi" covers named entities / date-times
+/ ~100-value closed classes and "open" long free text; an intent inherits the maximum
+class of its slots. Annotation files for five stock domains ship with the package, as
+does a reference model-comparison table whose numbers come from full-scale fine-tuning
+and are not recomputable here.
 
 The complexity study reuses the curve path: per-intent points come from
 ledger_to_curve, and a class curve is average_points of average_points.
@@ -14,7 +14,6 @@ ledger_to_curve, and a class curve is average_points of average_points.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 import math
@@ -33,31 +32,12 @@ if TYPE_CHECKING:
     from .protocol import Ledger
 
 PACKAGED_ANNOTATION_DOMAINS = ("messaging", "music", "reminder", "timer", "weather")
+COMPLEXITY_CLASSES = ("none", "closed", "semi", "open")  # least to most difficult
 
 
-class ComplexityClass(enum.IntEnum):
-    """Totally ordered difficulty classes; comparison follows the int value."""
-
-    NONE = 0
-    CLOSED = 1
-    SEMI = 2
-    OPEN = 3
-
-    @staticmethod
-    def from_string(text: str) -> "ComplexityClass":
-        try:
-            return ComplexityClass[text.strip().upper()]
-        except KeyError:
-            valid = ", ".join(c.name.lower() for c in ComplexityClass)
-            raise AnnotationError(f"unknown complexity class {text!r} (expected {valid})")
-
-    def __str__(self) -> str:
-        return self.name.lower()
-
-
-def load_annotations(path: str | Path) -> dict[str, ComplexityClass]:
-    """Read a two-column CSV ``intent,class`` into {intent label: ComplexityClass}."""
-    classes: dict[str, ComplexityClass] = {}
+def load_annotations(path: str | Path) -> dict[str, str]:
+    """Read a two-column CSV ``intent,class`` into {intent label: class name}."""
+    classes: dict[str, str] = {}
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
     if header != ["intent", "class"]:
@@ -67,20 +47,21 @@ def load_annotations(path: str | Path) -> dict[str, ComplexityClass]:
             continue
         if len(row) != 2:
             raise AnnotationError(f"expected 2 columns, got {len(row)}", path, reader.line_num)
-        intent, cls = row[0].strip(), row[1]
+        intent, cls = row[0].strip(), row[1].strip().lower()
         if not intent.startswith("IN:"):
             raise AnnotationError(f"intent {intent!r} must be IN:-prefixed", path,
                                   reader.line_num)
         if intent in classes:
             raise AnnotationError(f"duplicate intent {intent!r}", path, reader.line_num)
-        try:
-            classes[intent] = ComplexityClass.from_string(cls)
-        except AnnotationError as exc:
-            raise AnnotationError(str(exc), path, reader.line_num) from None
+        if cls not in COMPLEXITY_CLASSES:
+            expected = ", ".join(COMPLEXITY_CLASSES)
+            raise AnnotationError(f"unknown complexity class {row[1]!r} (expected {expected})",
+                                  path, reader.line_num)
+        classes[intent] = cls
     return classes
 
 
-def packaged_annotations(domain: str) -> dict[str, ComplexityClass]:
+def packaged_annotations(domain: str) -> dict[str, str]:
     """Annotations shipped with the package for one of the stock domains."""
     if domain not in PACKAGED_ANNOTATION_DOMAINS:
         raise AnnotationError(
@@ -109,7 +90,7 @@ def per_intent_points(
     from .protocol import ledger_to_curve
 
     points = ledger_to_curve(ledger)
-    domain = points[0].domain
+    domain = ledger.ok_entries[0].manifest.target_domain
     test_split = table.row_ids(domain, "test")
     test_rows = set(test_split)
     test_counts = Counter(table.labels[pos][0] for pos in test_split)
@@ -152,19 +133,19 @@ def per_intent_points(
 
 def per_class_curves(
     per_intent: dict,
-    classes: dict[str, ComplexityClass],
+    classes: dict[str, str],
 ) -> dict:
     """Average member-intent EM per subset percent within each complexity class.
 
     Seeds pool into a per-intent mean first (average_points), and a class
     point is the unweighted mean of its member intents' means (average_points
-    again). Returns {ComplexityClass: [EfficiencyPoint, ...]} sorted by
-    percent, each point with seed 0; a class with no member intents maps to [].
+    again). Returns {class name: [EfficiencyPoint, ...]} in COMPLEXITY_CLASSES
+    order, each sorted by percent with seed 0; a class with no member intents maps to [].
     """
     missing = [label for label in per_intent if label not in classes]
     if missing:
         raise AnalysisError(f"intents without annotations: {', '.join(sorted(missing))}")
-    intent_means: dict[ComplexityClass, list[EfficiencyPoint]] = {c: [] for c in ComplexityClass}
+    intent_means: dict[str, list[EfficiencyPoint]] = {c: [] for c in COMPLEXITY_CLASSES}
     for label, points in per_intent.items():
         intent_means[classes[label]] += average_points(points)
     return {cls: average_points(means) for cls, means in intent_means.items()}

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .curve import MIN_FIT_PERCENTS, EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
-from .errors import DataEffError, FrameParseError, InputError
+from .errors import DataEffError, FrameParseError, InputError, ProtocolError
 from .jsonio import dumps, from_dict, loads, read_lines, read_text
 
 EXIT_OK = 0
@@ -38,16 +38,24 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_points_file(path: str):
-    """Points from a CSV, a JSON array of point objects, or a ledger JSON."""
+    """Points from a CSV, a JSON array of point objects, or a ledger JSON; at least one."""
     text = read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         from .protocol import Ledger, ledger_to_curve
 
-        return ledger_to_curve(Ledger.from_json(text, path))
+        ledger = Ledger.from_json(text, path)
+        try:
+            return ledger_to_curve(ledger)
+        except ProtocolError as exc:
+            raise ProtocolError(f"{path}: {exc}") from None
     if stripped.startswith("["):
-        return from_dict(list[EfficiencyPoint], loads(text, path), path)
-    return points_from_csv(text, path)
+        points = from_dict(list[EfficiencyPoint], loads(text, path), path)
+    else:
+        points = points_from_csv(text, path)
+    if not points:
+        raise InputError(f"{path}: no points")
+    return points
 
 
 def cmd_schedule(args) -> int:
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit SVG and CSV plots of points + curve")
     p.add_argument("--points", required=True)
     p.add_argument("--model", default=None, help="curve model JSON path")
-    p.add_argument("--queries", type=_finite(), nargs="*", default=[],
+    p.add_argument("--queries", type=_finite(0, 100), nargs="*", default=[],
                    help="EM targets to draw guide lines for")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--fmt", choices=["svg", "csv", "both"], default="both")
@@ -366,10 +374,14 @@ def main(argv=None) -> int:
             parser.error("argument --em: not allowed with argument --reference")
         if args.curves and not args.em:
             parser.error("--curves comparison needs --em targets")
+        if args.curves and len(args.curves) < 2:
+            parser.error("--curves comparison needs at least 2 models")
         names = [name for name, _ in args.curves or ()]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             parser.error(f"--curves names must be unique; repeated: {', '.join(repeated)}")
+    if args.command == "report" and args.queries and args.model is None:
+        parser.error("argument --queries: needs --model")
     if args.command == "run" and len(set(args.seeds)) != len(args.seeds):
         parser.error(f"argument --seeds: seeds must be unique, got {args.seeds}")
     try:

@@ -41,13 +41,11 @@ GRID_POINTS = 16
 
 @dataclass(frozen=True)
 class EfficiencyPoint:
-    """One observation: (target subset %, exact match %) for a model/domain/seed."""
+    """One observation: (target subset %, exact match %) of one run, and its seed."""
 
     subset_percent: float
     exact_match: float
     seed: int = 0
-    model_id: str = ""
-    domain: str = ""
 
     def __post_init__(self):
         if not 0.0 <= self.subset_percent <= 100.0:
@@ -87,7 +85,7 @@ class CurveModel:
 
 
 def points_from_csv(text: str, source: str) -> list["EfficiencyPoint"]:
-    """Parse a points CSV; errors name source and line. seed/model_id/domain are optional."""
+    """Parse a points CSV; errors name source and line. seed is optional, other columns ignored."""
     import csv
     import io
 
@@ -103,9 +101,7 @@ def points_from_csv(text: str, source: str) -> list["EfficiencyPoint"]:
         try:
             x, em = float(row["subset_percent"]), float(row["exact_match"])
             seed = int(row.get("seed") or 0)
-            points.append(
-                EfficiencyPoint(x, em, seed, row.get("model_id") or "", row.get("domain") or "")
-            )
+            points.append(EfficiencyPoint(x, em, seed))
         except (TypeError, ValueError) as exc:  # a non-numeric or missing cell, or a bad value
             raise InputError(str(exc), source, reader.line_num) from exc
     return points
@@ -179,11 +175,7 @@ def average_points(points: list[EfficiencyPoint]) -> list[EfficiencyPoint]:
         by_x.setdefault(p.subset_percent, []).append(p)
     out = []
     for x in sorted(by_x):
-        group = by_x[x]
-        mean = _mean([p.exact_match for p in group])
-        out.append(
-            EfficiencyPoint(x, mean, seed=0, model_id=group[0].model_id, domain=group[0].domain)
-        )
+        out.append(EfficiencyPoint(x, _mean([p.exact_match for p in by_x[x]])))
     return out
 
 

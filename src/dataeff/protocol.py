@@ -395,12 +395,6 @@ def ledger_to_curve(ledger: Ledger) -> list[EfficiencyPoint]:
             "split it before building a curve"
         )
     return [
-        EfficiencyPoint(
-            subset_percent=e.manifest.subset_percent,
-            exact_match=e.result.exact_match,
-            seed=e.result.seed,
-            model_id=e.manifest.model_id,
-            domain=e.manifest.target_domain,
-        )
+        EfficiencyPoint(e.manifest.subset_percent, e.result.exact_match, e.result.seed)
         for e in entries
     ]

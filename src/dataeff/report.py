@@ -37,8 +37,8 @@ class ReportSpec:
         if self.fmt not in ("svg", "csv", "both"):
             raise DataEffError(f"format must be svg, csv, or both, got {self.fmt!r}")
         for y in self.queries:
-            if not 0.0 < y < 100.0:
-                raise DataEffError(f"query targets must be inside (0, 100), got {y:g}")
+            if not 0.0 <= y <= 100.0:
+                raise DataEffError(f"query targets must be in [0, 100], got {y:g}")
         if self.queries and self.model is None:
             raise DataEffError("queries need a fitted curve model")
 

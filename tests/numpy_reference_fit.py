@@ -100,10 +100,7 @@ def average_points(points: list[EfficiencyPoint]) -> list[EfficiencyPoint]:
     out = []
     for x in sorted(by_x):
         group = by_x[x]
-        mean = sum(p.exact_match for p in group) / len(group)
-        out.append(
-            EfficiencyPoint(x, mean, seed=0, model_id=group[0].model_id, domain=group[0].domain)
-        )
+        out.append(EfficiencyPoint(x, sum(p.exact_match for p in group) / len(group)))
     return out
 
 

@@ -345,6 +345,67 @@ def test_report_empty_points_is_data_error(tmp_path, canonical_model_file):
     assert proc.returncode == 1
 
 
+def _all_failed_ledger(corpus, tmp_path):
+    ledger = tmp_path / "failed.json"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                     "--out", str(ledger)]) == 0
+    payload = json.loads(ledger.read_text(encoding="utf-8"))
+    for entry in payload["entries"]:
+        entry["result"], entry["error"] = None, "RuntimeError: boom"
+    ledger.write_text(json.dumps(payload), encoding="utf-8")
+    return ledger
+
+
+@pytest.mark.parametrize("command, source, message", [
+    ("fit", "header.csv", "no points"),
+    ("report", "header.csv", "no points"),
+    ("fit", "array.json", "no points"),
+    ("fit", "ledger", "all runs failed; nothing to plot"),
+])
+def test_points_file_without_a_point_names_the_file(corpus, tmp_path, capsys, command, source,
+                                                    message):
+    if source == "ledger":
+        path = _all_failed_ledger(corpus, tmp_path)
+    else:
+        path = tmp_path / source
+        path.write_text("subset_percent,exact_match\n" if source.endswith(".csv") else "[]",
+                        encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([command, "--points", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_points_json_keys_besides_a_point_are_ignored(tmp_path):
+    a, b, c = CANONICAL
+    points = [{"subset_percent": x, "exact_match": a / x ** b + c, "seed": 1}
+              for x in (1, 2, 4, 7, 12)]
+    tagged = [{**p, "model_id": "parser", "domain": "weather"} for p in points]
+    models = []
+    for name, payload in (("plain", points), ("tagged", tagged)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["fit", "--points", str(path), "--out", str(tmp_path / f"{name}.m")]) == 0
+        models.append((tmp_path / f"{name}.m").read_bytes())
+    assert models[0] == models[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--points", "missing.csv", "--model", "m.json", "--queries", "150",
+      "--out", "plot"], "argument --queries: not a number in [0, 100]: '150'"),
+    (["report", "--points", "missing.csv", "--queries", "80", "--out", "plot"],
+     "argument --queries: needs --model"),
+    (["compare", "--curves", "a=missing.json", "--em", "90"],
+     "--curves comparison needs at least 2 models"),
+])
+def test_report_queries_and_a_single_curve_are_usage_errors(argv, message, capsys):
+    # Each is refused before any file is read: the files named here do not exist.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_complexity_command(tmp_path):
     rows = simple_corpus_rows("alarm", 40, 4, 6, intent="IN:CREATE_ALARM")
     for intent, count in (("IN:PLAY_MUSIC", 12), ("IN:STOP_MUSIC", 10)):

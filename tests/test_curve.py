@@ -271,10 +271,8 @@ def test_model_json_round_trip_full_precision():
 
 
 def test_points_csv_round_trip():
-    points = [
-        EfficiencyPoint(1, 70.5, seed=2, model_id="m", domain="weather"),
-        EfficiencyPoint(12, 88.25, seed=3, model_id="m", domain="weather"),
-    ]
+    points = [EfficiencyPoint(1, 70.5, seed=2), EfficiencyPoint(12, 88.25, seed=3)]
+    # Columns other than subset_percent, exact_match and seed are ignored.
     text = ("subset_percent,exact_match,seed,model_id,domain\n"
             "1,70.5,2,m,weather\n12,88.25,3,m,weather\n")
     assert points_from_csv(text, "p.csv") == points

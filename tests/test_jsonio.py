@@ -38,7 +38,7 @@ def test_round_trip(weather_table):
     values = [
         (Schedule, make_schedule(10)),
         (Ledger, _ledger(weather_table)),
-        (list[EfficiencyPoint], [EfficiencyPoint(1.0, 70.5, 2, "m", "weather")]),
+        (list[EfficiencyPoint], [EfficiencyPoint(1.0, 70.5, 2)]),
     ]
     for tp, value in values:
         text = dumps(value)

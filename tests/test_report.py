@@ -62,10 +62,12 @@ def test_csv_series():
 def test_report_spec_validation():
     with pytest.raises(DataEffError):
         ReportSpec(points=())
-    with pytest.raises(DataEffError):
-        ReportSpec(points=POINTS, model=CANONICAL, queries=(0.0,))
-    with pytest.raises(DataEffError):
-        ReportSpec(points=POINTS, model=CANONICAL, queries=(100.0,))
+    # A query target is a percent in [0, 100], as for `query --em` and `compare --em`.
+    ReportSpec(points=POINTS, model=CANONICAL, queries=(0.0,))
+    ReportSpec(points=POINTS, model=CANONICAL, queries=(100.0,))
+    for y in (-0.5, 100.5):
+        with pytest.raises(DataEffError, match=r"query targets must be in \[0, 100\]"):
+            ReportSpec(points=POINTS, model=CANONICAL, queries=(y,))
     with pytest.raises(DataEffError):
         ReportSpec(points=POINTS, queries=(80.0,))  # queries need a model
     with pytest.raises(DataEffError):
