@@ -53,3 +53,9 @@ print("Same spec, same corpus, same subset every time:")
 a = uniform_sample(table, SubsetSpec("weather", "uniform", 12, seed=7))
 b = uniform_sample(table, SubsetSpec("weather", "uniform", 12, seed=7))
 print("  identical row ids:", a.row_ids == b.row_ids)
+
+# One seed draws one order of the domain's rows, and every size is cut from
+# it, so a seed's subsets nest: adding data only ever adds rows.
+small = uniform_sample(table, SubsetSpec("weather", "uniform", 7, seed=7))
+print("  7% uniform subset is a prefix of the 12% one:",
+      a.row_ids[:len(small.row_ids)] == small.row_ids)

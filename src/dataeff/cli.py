@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .curve import MIN_FIT_PERCENTS, EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
-from .errors import DataEffError, FrameParseError, InputError, ProtocolError
+from .errors import AnalysisError, DataEffError, FrameParseError, InputError, ProtocolError
 from .jsonio import dumps, from_dict, loads, read_lines, read_text
 
 EXIT_OK = 0
@@ -176,7 +176,10 @@ def cmd_complexity(args) -> int:
         classes = analysis.load_annotations(args.annotations)
     else:
         classes = analysis.packaged_annotations(args.domain)
-    per_intent = analysis.per_intent_points(ledger, table, args.min_count)
+    try:
+        per_intent = analysis.per_intent_points(ledger, table, args.min_count)
+    except (ProtocolError, AnalysisError) as exc:
+        raise type(exc)(f"{args.ledger}: {exc}") from None
     curves = analysis.per_class_curves(per_intent, classes)
     lines = ["class,subset_percent,mean_exact_match"]
     for cls, series in curves.items():

@@ -33,7 +33,7 @@ from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
 from .jsonio import dumps, from_dict, loads, read_text
 from .rng import SplitMix64, combine, float_key
-from .sampling import Schedule, SubsetSpec, sample
+from .sampling import Schedule, Subset, SubsetSpec, sample_nested
 
 if TYPE_CHECKING:
     from .corpus import CorpusTable
@@ -172,8 +172,10 @@ def build_manifests(
     here, before any run starts; each Manifest, with its train rows, is built only
     when taken. Train rows are every non-target train row plus the drawn subset;
     eval rows are all non-target eval rows plus the target domain's eval rows;
-    test rows are the target domain's test split. Each distinct schedule size
-    is drawn once, in schedule order. For spis the sizes double as the
+    test rows are the target domain's test split. Each seed draws one order of
+    the target train rows, and each distinct schedule size is cut from it
+    (sampling.sample_nested), so a seed's subsets nest. Manifests come in
+    schedule order, then seed order. For spis the sizes double as the
     per-label minimums, skipping entries below 1.
     """
     if len(set(seeds)) != len(tuple(seeds)):
@@ -194,31 +196,30 @@ def build_manifests(
     if algorithm == "spis":
         sizes = [k for k in sizes if k >= 1]
 
-    drawn = []
-    for k in sizes:
-        for seed in seeds:
-            spec = SubsetSpec(target_domain, algorithm, float(k), seed)
-            subset = sample(table, spec)
-            if not target_train.issuperset(subset.row_ids):
-                raise ProtocolError("sampler returned rows outside the target train split")
-            if algorithm == "uniform":
-                percent = float(k)
-            else:
-                percent = 100.0 * len(subset.row_ids) / len(target_train) if target_train else 0.0
-            drawn.append((f"{model_id}.{target_domain}.{algorithm}{k:g}.s{seed}", subset, percent))
+    by_seed = [sample_nested(table, target_domain, algorithm, seed, sizes) for seed in seeds]
+    for subsets in by_seed:  # a seed's subsets nest, so its largest holds all of them
+        if not target_train.issuperset(max((s.row_ids for s in subsets), key=len, default=())):
+            raise ProtocolError("sampler returned rows outside the target train split")
+
+    def percent(subset: Subset) -> float:
+        if algorithm == "uniform":
+            return subset.spec.size_param
+        return 100.0 * len(subset.row_ids) / len(target_train) if target_train else 0.0
+
     return (
         Manifest(
-            run_id=run_id,
+            run_id=f"{model_id}.{target_domain}.{algorithm}{subset.spec.size_param:g}"
+                   f".s{subset.spec.seed}",
             model_id=model_id,
             target_domain=target_domain,
             subset=subset.spec,
             subset_rows=subset.row_ids,
-            subset_percent=percent,
+            subset_percent=percent(subset),
             train_rows=source_train + subset.row_ids,
             eval_rows=eval_rows,
             test_rows=test_rows,
         )
-        for run_id, subset, percent in drawn
+        for subset in chain.from_iterable(zip(*by_seed))  # by size, then by seed
     )
 
 

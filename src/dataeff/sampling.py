@@ -2,30 +2,31 @@
 
 The schedule spaces n subset sizes logarithmically between 0% and 100%:
 raw(x) = (101 ** (1/(n-1))) ** (x-1) - 1 for x = 1..n, discretized with the
-ceiling function. Two samplers draw from a target domain's train split:
+ceiling function. Two samplers draw from a target domain's train split, in a
+seeded order: a front-to-back Fisher-Yates shuffle of the rows in file order.
 
-* uniform -- takes ceil(k% of the rows), without replacement, as a seeded
-  Fisher-Yates prefix over the rows in file order;
-* spis -- "samples per intent slot": a greedy single pass over the rows in
-  seeded-shuffled order that keeps a row while any of its ontology labels is
-  still seen fewer than k times. Every label ends up covered min(k, total)
-  times; subset size is data-dependent rather than fixed.
+* uniform -- takes the first ceil(k% of the rows) of the order;
+* spis -- "samples per intent slot": a greedy pass over the order that keeps a
+  row while any of its ontology labels is still seen fewer than k times. A
+  label below k at a row was below k at every earlier row that holds it, so
+  the pass keeps exactly the rows whose threshold, 1 + the fewest earlier
+  occurrences of any of their labels, is at most k. Every label ends up
+  covered min(k, total) times; subset size is data-dependent.
 
 Draws depend only on (row order, spec), never on process state, so subsets
-are reproducible across runs and platforms. Each spec keys its own stream,
-so draws at different sizes are independent: a 12% subset is NOT guaranteed
-to contain the 7% subset drawn with the same seed.
+are reproducible across runs and platforms. The order's stream is keyed by
+(seed, domain, algorithm), not by size, so subsets nest: with one seed, the
+7% uniform subset is a prefix of the 12% one, and spis at k is inside k + 1.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import SamplingError
-from .rng import SplitMix64, combine, float_key, string_key
+from .rng import SplitMix64, combine, string_key
 
 if TYPE_CHECKING:
     from .corpus import CorpusTable
@@ -89,14 +90,6 @@ class Subset:
     row_ids: tuple[int, ...]
 
 
-def _stream(spec: SubsetSpec) -> SplitMix64:
-    """PRNG stream keyed by every spec field, so distinct specs draw independently."""
-    algo = ALGORITHMS.index(spec.algorithm)
-    return SplitMix64(
-        combine(spec.seed, string_key(spec.target_domain), algo, float_key(spec.size_param))
-    )
-
-
 def uniform_size(percent: float, population: int) -> int:
     """ceil(percent% of population); exact integer arithmetic for whole percents."""
     if percent == 0:
@@ -106,39 +99,43 @@ def uniform_size(percent: float, population: int) -> int:
     return math.ceil(percent * population / 100.0 - 1e-9)
 
 
+def sample_nested(
+    table: CorpusTable, target_domain: str, algorithm: str, seed: int, size_params: Sequence[float]
+) -> list[Subset]:
+    """sample() at each size parameter, all cut from one order of the domain's train rows."""
+    specs = [SubsetSpec(target_domain, algorithm, k, seed) for k in size_params]
+    ids = list(table.row_ids(target_domain, "train"))
+    stream = SplitMix64(combine(seed, string_key(target_domain), ALGORITHMS.index(algorithm)))
+    if algorithm == "uniform":
+        if not ids and any(spec.size_param > 0 for spec in specs):
+            raise SamplingError(f"domain {target_domain!r} has no train rows to sample from")
+        sizes = [uniform_size(spec.size_param, len(ids)) for spec in specs]
+        order = stream.shuffle_prefix(ids, max(sizes, default=0))
+        return [Subset(spec, tuple(order[:size])) for spec, size in zip(specs, sizes)]
+    order = stream.shuffle(ids)
+    seen: dict[str, int] = {}
+    thresholds = []
+    for pos in order:
+        labels = table.labels[pos]
+        thresholds.append(1 + min(seen.get(label, 0) for label in labels))
+        for label in labels:
+            seen[label] = seen.get(label, 0) + 1
+    return [Subset(spec, tuple(pos for pos, t in zip(order, thresholds) if t <= spec.size_param))
+            for spec in specs]
+
+
 def uniform_sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
     """Draw ceil(k% * |train rows|) rows without replacement from the target domain."""
     if spec.algorithm != "uniform":
         raise SamplingError(f"uniform_sample got algorithm {spec.algorithm!r}")
-    ids = list(table.row_ids(spec.target_domain, "train"))
-    size = uniform_size(spec.size_param, len(ids))
-    if spec.size_param > 0 and not ids:
-        raise SamplingError(
-            f"domain {spec.target_domain!r} has no train rows to sample from"
-        )
-    chosen = _stream(spec).shuffle_prefix(ids, size)
-    return Subset(spec, tuple(chosen))
+    return sample_nested(table, spec.target_domain, "uniform", spec.seed, [spec.size_param])[0]
 
 
 def spis_sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
-    """Greedy cover: keep a row while any of its labels is still below k occurrences.
-
-    One pass over the domain's train rows in seeded-shuffled order. Afterwards
-    every ontology label is covered min(k, total occurrences) times.
-    """
+    """Greedy cover: keep a row while any of its labels is still below k occurrences."""
     if spec.algorithm != "spis":
         raise SamplingError(f"spis_sample got algorithm {spec.algorithm!r}")
-    k = int(spec.size_param)
-    ids = list(table.row_ids(spec.target_domain, "train"))
-    order = _stream(spec).shuffle(ids)
-    seen: Counter = Counter()
-    chosen = []
-    for pos in order:
-        labels = table.labels[pos]
-        if any(seen[label] < k for label in labels):
-            chosen.append(pos)
-            seen.update(labels)
-    return Subset(spec, tuple(chosen))
+    return sample_nested(table, spec.target_domain, "spis", spec.seed, [spec.size_param])[0]
 
 
 def sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
@@ -146,4 +143,3 @@ def sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
     if spec.algorithm == "uniform":
         return uniform_sample(table, spec)
     return spis_sample(table, spec)
-

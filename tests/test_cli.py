@@ -439,8 +439,28 @@ def test_complexity_rejects_a_ledger_of_several_models(corpus, tmp_path, capsys)
     capsys.readouterr()
     assert cli.main(["complexity", "--ledger", str(mixed), "--corpus", str(corpus),
                      "--domain", "weather"]) == 1
-    assert "mixes several (model, domain) pairs: [('a', 'weather'), ('b', 'weather')]" in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err.startswith(
+        f"error: {mixed}: ledger mixes several (model, domain) pairs: "
+        "[('a', 'weather'), ('b', 'weather')]")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("failed", "all runs failed; nothing to plot"),
+    ("plain", "run 'parser.weather.uniform0.s0' has no per-example predictions; "
+              "re-run with a prediction-emitting runner"),
+])
+def test_complexity_names_the_ledger_it_refuses(corpus, tmp_path, capsys, source, message):
+    if source == "failed":
+        ledger = _all_failed_ledger(corpus, tmp_path)
+    else:
+        ledger = tmp_path / "plain.json"
+        assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                         "--out", str(ledger)]) == 0
+    capsys.readouterr()
+    assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(corpus),
+                     "--domain", "weather", "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {ledger}: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_complexity_command_with_annotation_file(tmp_path):

@@ -31,23 +31,26 @@ print(json.dumps({"run_id": manifest["run_id"], "exact_match": em,
                   "seed": manifest["subset"]["seed"], "wall_time": 0.0}))
 """
 
+# The subset files (uniform.json, spis.json and the copied manifest.json) were
+# recorded again when the sampling stream stopped being keyed by the size, so
+# that the subsets of one seed nest.
 GOLDEN = {
     "schedule": "e69c567d7a39bc4853bc3f38a76c929fa9470117e8edb4786fc39c81eb602f7d",
-    "uniform.json": "ac0fe2aceb5a1e05e68ebb56e317efaa94e7c750d36a8194f5a7c3861ebb9e60",
-    "spis.json": "0186bb88464222034a2eee0f652b6ce8981fffca86c741de85811f26c3dbc979",
+    "uniform.json": "a2c5be18237dbf06a7945306983cafe9db0489e46a598b617ef9f64cebd4c657",
+    "spis.json": "dc51784c8301463ccad1a9359e415cc8eaf7e37773d91e24da8a86a3a34cd611",
     "sim.json": "29fcd0f070bad206603ed05d7aca87171676c1cc18b3e2039c807a46f470cfba",
     "exec.json": "d35e09d7c6510e3f28e715b258a66c0e091df6a49f061491fcd6dafd3fa0700a",
     "model.json": "1939cd9ae9db890342448db61cebea587a5d6c23f3fb51295797b7f55e5a495e",
     "plot.svg": "83c402213d168ba5ff1532737de21a97e72664786e66f81c32cdce2b6057aa45",
     "plot.csv": "21b2513a4d39c8c2d2cac06682c7c08b62e52f3e935f03463a2fb3d43e6812c2",
     "complexity.csv": "5246df8ba7a8be71ccff52a8a61c15560ceed88c98bca889e8f66f9d98a87723",
-    "manifest.json": "297056afb68cfb68a6395bf02a45c32c1b782ac1fae44358311df0167acd67cc",
+    "manifest.json": "d2465819b3ec3d51c2566cae9be1434b9d639d599785ada18112af3c06d6f1d3",
 }
 
 # Recorded from the tree-building corpus loader, before rows kept only
-# canonical text and labels.
+# canonical text and labels; spis.json recorded again with the nesting subsets.
 NESTED_GOLDEN = {
-    "spis.json": "b0aac95ef071601abc85a186923394e83e05d144e29f1deda8efba9d3b1d6cc0",
+    "spis.json": "f71e956f3e4eaa7065497329d3dc141bf1f63e6e04dfd6c68dab987bf1abdc96",
     "sim.json": "1488ab23516657b99f9373bca2ba8bd310147814f8bfd0897a868d9cec1bdfb1",
     "complexity.csv": "9214dc19a0fa044d9bcf9f6666670da44e06998dc73a19a94b44f942d748a197",
 }

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import threading
 import weakref
@@ -21,9 +22,10 @@ from dataeff.protocol import (
     ledger_to_curve,
     run_protocol,
 )
-from dataeff.sampling import make_schedule
+from dataeff.sampling import make_schedule, sample
 
-from conftest import make_rows, row_keys
+from conftest import make_rows, random_frame, row_keys
+from reference_frames import serialize_tree
 
 TRUTH = (-27.26, 0.35, 97.79)
 
@@ -60,6 +62,25 @@ def test_build_manifests_draws_each_distinct_size_once(weather_table, algorithm)
         (k, seed) for k in sizes for seed in (0, 1)
     ]
     assert len({m.run_id for m in manifests}) == len(manifests)
+
+
+@pytest.mark.parametrize("algorithm", ["uniform", "spis"])
+def test_build_manifests_subsets_are_single_draws_that_nest(algorithm):
+    rng = random.Random(5)
+    rows = [("rand", f"u{i}", serialize_tree(random_frame(rng, max_depth=3)), "train")
+            for i in range(300)]
+    table = CorpusTable(rows + make_rows("alarm", 50, intent="IN:CREATE_ALARM"))
+    manifests = list(build_manifests(table, "rand", make_schedule(10), algorithm, seeds=(0, 1, 2)))
+    for m in manifests:
+        assert m.subset_rows == sample(table, m.subset).row_ids
+    for seed in (0, 1, 2):
+        subsets = [m.subset_rows for m in manifests if m.subset.seed == seed]
+        assert len(set(subsets)) > 3
+        for smaller, larger in zip(subsets, subsets[1:]):
+            if algorithm == "uniform":
+                assert larger[:len(smaller)] == smaller
+            else:
+                assert set(smaller) <= set(larger)
 
 
 def test_build_manifests_duplicate_seeds_rejected(weather_table):

@@ -15,6 +15,8 @@ from dataeff.sampling import (
     Subset,
     SubsetSpec,
     make_schedule,
+    sample,
+    sample_nested,
     spis_sample,
     uniform_sample,
     uniform_size,
@@ -221,6 +223,70 @@ def test_spis_deterministic():
     table = _single_intent_table(["AAA", "AAA", "BBB", "CCC", "CCC", "DDD"])
     spec = SubsetSpec("toy", "spis", 1, 77)
     assert spis_sample(table, spec).row_ids == spis_sample(table, spec).row_ids
+
+
+def _permuted_tables(frames):
+    """A table of the frames in every file order: each seeded order of them is then drawn."""
+    for perm in itertools.permutations(range(len(frames))):
+        yield CorpusTable([("toy", f"u{i}", frames[i], "train") for i in perm])
+
+
+def _random_frames_table(rng, n):
+    # Repeated slots make a label occur more than once in a row.
+    fixed = ["[IN:A [SL:B x ] [SL:B y ] ]", "[IN:A [SL:B [IN:A z ] ] ]", "[IN:C [SL:B w ] ]"]
+    frames = [rng.choice(fixed) if rng.random() < 0.4
+              else serialize_tree(random_frame(rng, max_depth=3, max_branch=3))
+              for _ in range(n)]
+    return CorpusTable([("rand", f"u{i}", frame, "train") for i, frame in enumerate(frames)])
+
+
+def _check_spis_against_the_greedy_pass(table, domain, seed, ks):
+    # At k = the row count every threshold qualifies, so that subset is the whole order.
+    order = spis_sample(table, SubsetSpec(domain, "spis", len(table), seed)).row_ids
+    assert sorted(order) == sorted(table.row_ids(domain, "train"))
+    frames = {pos: table.labels[pos] for pos in order}
+    for k in ks:
+        picked, _ = _greedy_reference(frames, order, k)
+        assert spis_sample(table, SubsetSpec(domain, "spis", k, seed)).row_ids == tuple(picked)
+
+
+def test_spis_threshold_rule_is_the_greedy_pass_on_every_ordering():
+    frames = ["[IN:AAA x ]"] * 4 + ["[IN:BBB x ]"] * 2
+    for table in _permuted_tables(frames):
+        _check_spis_against_the_greedy_pass(table, "toy", 3, range(1, 7))
+
+
+def test_spis_threshold_rule_is_the_greedy_pass_with_repeated_labels():
+    rng = random.Random(2024)
+    for trial in range(40):
+        table = _random_frames_table(rng, rng.randint(5, 40))
+        _check_spis_against_the_greedy_pass(table, "rand", trial, range(1, 7))
+
+
+def test_subsets_of_one_seed_nest(weather_table):
+    for seed in (0, 1, 2):
+        uniform = [uniform_sample(weather_table, SubsetSpec("weather", "uniform", k, seed)).row_ids
+                   for k in make_schedule(10).sizes]
+        for smaller, larger in zip(uniform, uniform[1:]):
+            assert larger[:len(smaller)] == smaller
+    rng = random.Random(7)
+    for seed in (0, 1, 2):
+        table = _random_frames_table(rng, 60)
+        spis = [set(spis_sample(table, SubsetSpec("rand", "spis", k, seed)).row_ids)
+                for k in range(1, 8)]
+        for smaller, larger in zip(spis, spis[1:]):
+            assert smaller <= larger
+
+
+def test_sample_nested_equals_one_sample_per_size(weather_table):
+    table = _random_frames_table(random.Random(11), 50)
+    for table, domain, algorithm, sizes in (
+        (weather_table, "weather", "uniform", [12, 0, 100, 7, 12, 0.5]),
+        (table, "rand", "spis", [3, 1, 50, 2, 3]),
+    ):
+        nested = sample_nested(table, domain, algorithm, 9, sizes)
+        assert nested == [sample(table, SubsetSpec(domain, algorithm, k, 9)) for k in sizes]
+    assert sample_nested(weather_table, "weather", "spis", 9, []) == []
 
 
 def _label_counts(subset, table):
