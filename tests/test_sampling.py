@@ -279,10 +279,10 @@ def test_subsets_of_one_seed_nest(weather_table):
 
 
 def test_sample_nested_equals_one_sample_per_size(weather_table):
-    table = _random_frames_table(random.Random(11), 50)
+    rand = _random_frames_table(random.Random(11), 50)
     for table, domain, algorithm, sizes in (
         (weather_table, "weather", "uniform", [12, 0, 100, 7, 12, 0.5]),
-        (table, "rand", "spis", [3, 1, 50, 2, 3]),
+        (rand, "rand", "spis", [3, 1, 50, 2, 3]),
     ):
         nested = sample_nested(table, domain, algorithm, 9, sizes)
         assert nested == [sample(table, SubsetSpec(domain, algorithm, k, 9)) for k in sizes]
