@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .curve import EfficiencyPoint, Inversion, average_points, invert
 from .errors import AnalysisError, AnnotationError, FrameParseError
-from .jsonio import read_text
+from .jsonio import csv_text, read_text, text_table
 
 if TYPE_CHECKING:
     from .corpus import CorpusTable
@@ -166,25 +166,15 @@ class ComparisonTable:
     em_targets: tuple
     rows: tuple  # ((model_id, (Inversion | None, ...)), ...)
 
+    def _table(self, em_header: str) -> list:
+        return [["model"] + [em_header.format(y) for y in self.em_targets]] + [
+            [model_id] + [_render(cell) for cell in cells] for model_id, cells in self.rows]
+
     def to_csv(self) -> str:
-        header = ["model"] + [f"em_{y:g}" for y in self.em_targets]
-        lines = [",".join(header)]
-        for model_id, cells in self.rows:
-            lines.append(",".join([model_id] + [_render(cell) for cell in cells]))
-        return "\n".join(lines) + "\n"
+        return csv_text(self._table("em_{:g}"))
 
     def to_text(self) -> str:
-        header = ["model"] + [f"em={y:g}%" for y in self.em_targets]
-        table = [header] + [
-            [model_id] + [_render(cell) for cell in cells] for model_id, cells in self.rows
-        ]
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        lines = []
-        for i, row in enumerate(table):
-            lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
+        return text_table(self._table("em={:g}%"), rule=True)
 
 
 def _sorted_rows(rows: list) -> tuple:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .curve import MIN_FIT_PERCENTS, EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
 from .errors import AnalysisError, DataEffError, FrameParseError, InputError, ProtocolError
-from .jsonio import dumps, from_dict, loads, read_lines, read_text
+from .jsonio import csv_text, dumps, from_dict, loads, read_lines, read_text, text_table
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -70,7 +70,7 @@ def cmd_sample(args) -> int:
     from . import corpus, sampling
 
     table = corpus.load_corpus(args.corpus)
-    spec = sampling.SubsetSpec(args.domain, args.algorithm, args.size, args.seed)
+    spec = args.spec  # built and checked by main() before any file is read
     subset = sampling.sample(table, spec)
     _emit(dumps(subset) + "\n", args.out)
     count, total = len(subset.row_ids), len(table.row_ids(args.domain, "train"))
@@ -102,14 +102,11 @@ def cmd_fit(args) -> int:
 
 def cmd_query(args) -> int:
     model = load_model(args.model)
-    rows = []
+    rows = [("em", "required_subset_%", "note")]
     for y in args.em:
         percent, note = invert(model, y).cells(".3f", model.c)
         rows.append((f"{y:g}", percent or "-", note))
-    header = ("em", "required_subset_%", "note")
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(3)]
-    for row in [header] + rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    sys.stdout.write(text_table(rows))
     return EXIT_OK
 
 
@@ -180,12 +177,15 @@ def cmd_complexity(args) -> int:
         per_intent = analysis.per_intent_points(ledger, table, args.min_count)
     except (ProtocolError, AnalysisError) as exc:
         raise type(exc)(f"{args.ledger}: {exc}") from None
+    domain = ledger.ok_entries[0].manifest.target_domain
+    if args.domain not in (None, domain):
+        raise AnalysisError(f"{args.ledger}: the ledger's runs are on domain {domain!r}, "
+                            f"not on --domain {args.domain!r}")
     curves = analysis.per_class_curves(per_intent, classes)
-    lines = ["class,subset_percent,mean_exact_match"]
-    for cls, series in curves.items():
-        for p in series:
-            lines.append(f"{cls},{p.subset_percent:.10g},{p.exact_match:.10g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [("class", "subset_percent", "mean_exact_match")]
+    rows += [(cls, f"{p.subset_percent:.10g}", f"{p.exact_match:.10g}")
+             for cls, series in curves.items() for p in series]
+    _emit(csv_text(rows), args.out)
     return EXIT_OK
 
 
@@ -385,6 +385,14 @@ def main(argv=None) -> int:
             parser.error(f"--curves names must be unique; repeated: {', '.join(repeated)}")
     if args.command == "report" and args.queries and args.model is None:
         parser.error("argument --queries: needs --model")
+    if args.command == "sample":
+        from .errors import SamplingError
+        from .sampling import SubsetSpec
+
+        try:
+            args.spec = SubsetSpec(args.domain, args.algorithm, args.size, args.seed)
+        except SamplingError as exc:
+            parser.error(f"argument --size: {exc}")
     if args.command == "run" and len(set(args.seeds)) != len(args.seeds):
         parser.error(f"argument --seeds: seeds must be unique, got {args.seeds}")
     try:

@@ -1,5 +1,6 @@
-"""The one JSON codec behind every file dataeff reads or writes, and its file reader.
+"""The one codec for what dataeff writes, JSON, CSV and aligned text, and its file reader.
 
+Every table goes out through csv_text as CSV or through text_table as aligned columns.
 dumps() writes dataclasses as objects of their fields in declaration order,
 leaving out a field whose value and default are both None. from_dict() checks
 decoded JSON against the type hints: a missing or ill-typed key raises
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import types
@@ -52,6 +54,22 @@ def dumps(obj) -> str:
     A NaN or infinite float raises ValueError: JSON has no such numbers.
     """
     return json.dumps(obj, default=_fields, allow_nan=False)
+
+
+def csv_text(rows) -> str:
+    """CSV of rows, lines ending in ``\n``; a cell with a comma, quote or line break is quoted."""
+    import csv  # here, not at the top, so that query never loads it
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def text_table(rows, rule: bool = False) -> str:
+    """Rows of str cells in columns two spaces apart, each line right-stripped;
+    rule puts a dashed line under the first row, the header."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows = [rows[0], ["-" * width for width in widths], *rows[1:]] if rule else rows
+    return "".join("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows)
 
 
 def read_lines(path, error: type[InputError] = InputError,

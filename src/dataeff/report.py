@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .curve import CurveModel, evaluate, invert
 from .errors import DataEffError
+from .jsonio import csv_text
 
 WIDTH, HEIGHT = 720, 520
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62, 22, 30, 56
@@ -128,16 +129,14 @@ def render_svg(spec: ReportSpec) -> str:
 
 def render_csv(spec: ReportSpec) -> str:
     """Raw series behind the chart: discrete points, curve samples, query answers."""
-    lines = ["series,x,y"]
-    for p in spec.points:
-        lines.append(f"point,{p.subset_percent:.10g},{p.exact_match:.10g}")
+    rows = [("series", "x", "y")]
+    rows += [("point", f"{p.subset_percent:.10g}", f"{p.exact_match:.10g}") for p in spec.points]
     if spec.model is not None:
-        for x, y in _curve(spec.model):
-            lines.append(f"curve,{x:.10g},{y:.10g}")
+        rows += [("curve", f"{x:.10g}", f"{y:.10g}") for x, y in _curve(spec.model)]
         for y in spec.queries:
             percent, _ = invert(spec.model, y).cells(".10g")  # "" for a target never reached
-            lines.append(f"query,{percent},{y:.10g}")
-    return "\n".join(lines) + "\n"
+            rows.append(("query", percent, f"{y:.10g}"))
+    return csv_text(rows)
 
 
 def write_report(spec: ReportSpec, out_prefix: str | Path) -> list[Path]:
@@ -146,14 +145,10 @@ def write_report(spec: ReportSpec, out_prefix: str | Path) -> list[Path]:
     The extension is appended to the prefix as given, so a prefix with a dot
     in its last part (``curve_v1.5``) keeps it.
     """
-    out_prefix = Path(out_prefix)
     written = []
-    if spec.fmt in ("svg", "both"):
-        path = Path(f"{out_prefix}.svg")
-        path.write_text(render_svg(spec), encoding="utf-8")
-        written.append(path)
-    if spec.fmt in ("csv", "both"):
-        path = Path(f"{out_prefix}.csv")
-        path.write_text(render_csv(spec), encoding="utf-8")
-        written.append(path)
+    for fmt, render in (("svg", render_svg), ("csv", render_csv)):
+        if spec.fmt in (fmt, "both"):
+            path = Path(f"{out_prefix}.{fmt}")
+            path.write_text(render(spec), encoding="utf-8")
+            written.append(path)
     return written

@@ -463,6 +463,19 @@ def test_complexity_names_the_ledger_it_refuses(corpus, tmp_path, capsys, source
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_complexity_names_a_domain_that_is_not_the_ledgers(corpus, tmp_path, capsys):
+    ledger = tmp_path / "ledger.json"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                     "--emit-predictions", "--out", str(ledger)]) == 0
+    capsys.readouterr()
+    assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(corpus),
+                     "--domain", "music", "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ledger}: the ledger's runs are on domain 'weather', "
+        "not on --domain 'music'\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_complexity_command_with_annotation_file(tmp_path):
     rows = simple_corpus_rows("alarm", 40, 4, 6, intent="IN:CREATE_ALARM")
     for i in range(30):
@@ -506,6 +519,32 @@ def test_compare_command_curves(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[2].startswith("fast")  # less data required, listed first
+
+
+def test_compare_csv_quotes_names_that_hold_a_comma_a_quote_or_a_line_break(tmp_path, capsys):
+    import csv
+    import io
+
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    fast.write_text(dumps(CurveModel(-27.26, 0.5, 97.79, 0.0, 0, True, (1.0, 100.0))),
+                    encoding="utf-8")
+    slow.write_text(dumps(CurveModel(*CANONICAL, 0.0, 0, True, (1.0, 100.0))),
+                    encoding="utf-8")
+    argv = ["compare", "--curves", f"bart, large={slow}", f'x"y={fast}', f"two\nlines={slow}",
+            "--em", "80", "90", "--fmt"]
+    assert cli.main(argv + ["csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert rows == [["model", "em_80", "em_90"], ['x"y', "2.35", "12.25"],
+                    ["bart, large", "3.39", "35.83"], ["two\nlines", "3.39", "35.83"]]
+    # The aligned text quotes nothing: each name is printed as given.
+    assert cli.main(argv + ["text"]) == 0
+    assert capsys.readouterr().out == (
+        "model        em=80%  em=90%\n"
+        "-----------  ------  ------\n"
+        'x"y          2.35    12.25\n'
+        "bart, large  3.39    35.83\n"
+        "two\nlines    3.39    35.83\n"
+    )
 
 
 def test_compare_command_reference():
@@ -927,6 +966,22 @@ def test_sample_seed_out_of_range_is_usage_error(tmp_path, seed):
                    "--size", 12, "--seed", seed, "--out", out)
     assert proc.returncode == 2, proc.stderr
     assert f"argument --seed: not an integer in [0, 2**64): {seed!r}" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm, size, message", [
+    ("uniform", "150", "uniform percent must be in [0, 100], got 150.0"),
+    ("uniform", "-1", "uniform percent must be in [0, 100], got -1.0"),
+    ("spis", "2.5", "spis parameter must be an integer >= 1, got 2.5"),
+    ("spis", "0", "spis parameter must be an integer >= 1, got 0.0"),
+])
+def test_sample_size_out_of_range_is_usage_error(tmp_path, algorithm, size, message):
+    # The corpus does not exist: the size is refused before any file is read.
+    out = tmp_path / "subset.json"
+    proc = run_cli("sample", "--corpus", tmp_path / "missing.tsv", "--domain", "weather",
+                   "--algorithm", algorithm, "--size", size, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument --size: {message}" in proc.stderr
     assert not out.exists()
 
 

@@ -1,10 +1,14 @@
+import ast
+import csv
+import io
 import json
+import pathlib
 
 import pytest
 
 from dataeff.curve import CurveModel, EfficiencyPoint
 from dataeff.errors import DataEffError, InputError
-from dataeff.jsonio import dumps, from_dict, loads
+from dataeff.jsonio import csv_text, dumps, from_dict, loads, text_table
 from dataeff.protocol import (
     Ledger,
     RunResult,
@@ -152,3 +156,40 @@ def test_non_json_numbers_are_rejected(constant):
 def test_dumps_writes_no_non_json_number(value):
     with pytest.raises(ValueError):
         dumps(RunResult("r", 50.0, 0, wall_time=value))
+
+
+def test_text_table_aligns_columns_and_strips_each_line():
+    rows = [("em", "required_subset_%", "note"), ("80", "3.386", ""), ("99", "-", "unreachable")]
+    assert text_table(rows) == (
+        "em  required_subset_%  note\n"
+        "80  3.386\n"
+        "99  -                  unreachable\n"
+    )
+    assert text_table([("model", "em=80%"), ("a", "1.00")], rule=True) == (
+        "model  em=80%\n"
+        "-----  ------\n"
+        "a      1.00\n"
+    )
+
+
+def test_csv_text_quotes_only_the_cells_that_need_it():
+    rows = [("name", "x"), ("bart, large", "1"), ('x"y', "2"), ("two\nlines", "3"), ("", "4")]
+    text = csv_text(rows)
+    assert text == 'name,x\n"bart, large",1\n"x""y",2\n"two\nlines",3\n,4\n'
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [list(row) for row in rows]
+
+
+def test_only_jsonio_lays_out_a_table():
+    # Every table goes through text_table or csv_text, so that a new table adds rows,
+    # not another copy of the column widths or the comma joins.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "dataeff"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "jsonio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "ljust", (path.name, node.lineno)
+                value = node.value
+                comma_join = (node.attr == "join" and isinstance(value, ast.Constant)
+                              and value.value == ",")
+                assert not comma_join, (path.name, node.lineno)

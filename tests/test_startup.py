@@ -3,10 +3,10 @@
 Every command is one short process, so what the package imports is paid on
 every call. `import dataeff` loads no submodule, no command imports numpy
 (`fit` included: the solver is pure Python) or hashlib (which loads OpenSSL;
-the corpus cache digests with the builtin `_blake2`), and only runners start
-processes. Each command runs in turn in one fresh interpreter; after each, the
-child records which heavy modules and which `dataeff` modules it has loaded so
-far. The package also declares and imports nothing outside the standard
+the corpus cache digests with the builtin `_blake2`), `query` does not load
+`csv`, and only runners start processes. Each command runs in turn in one
+fresh interpreter; after each, the child records which heavy modules and which
+`dataeff` modules it has loaded so far. The package also declares and imports nothing outside the standard
 library.
 """
 
@@ -38,14 +38,15 @@ def package():
 import dataeff
 imported = package()
 from dataeff import cli
-loaded, modules = [], []
+loaded, modules, csv = [], [], []
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     loaded.append([argv[0], code, [m for m in {watched!r} if m in sys.modules]])
     modules.append([argv[0], package()])
+    csv.append([argv[0], "csv" in sys.modules])
 with open(sys.argv[2], "w") as handle:
-    json.dump({{"bare": bare, "loaded": loaded, "imported": imported, "modules": modules}},
-              handle)
+    json.dump({{"bare": bare, "loaded": loaded, "imported": imported, "modules": modules,
+               "csv": csv}}, handle)
 """
 
 
@@ -123,6 +124,10 @@ def test_each_command_loads_only_its_own_modules(child):
     # the modules loaded so far, after each command in turn
     so_far = dict(report["modules"])
     assert so_far["query"] == ["cli", "curve", "errors", "jsonio"]
+    # jsonio.csv_text imports csv when it is first called; query prints only aligned text.
+    csv_so_far = dict(report["csv"])
+    assert csv_so_far["query"] is False
+    assert csv_so_far["report"] is True
     assert not {"corpus", "frames", "protocol"} & set(so_far["compare"])
     assert not {"corpus", "frames"} & set(so_far["report"])
 
