@@ -81,9 +81,10 @@ def per_intent_points(
     """Break each run's exact match down by the reference frame's root intent.
 
     The ledger is scoped by ledger_to_curve, whose points are rescored per
-    intent. Every successful run must carry per-example predictions, exactly
-    one for each row of the target domain's test split. Intents with fewer
-    than min_test_occurrences rows in that split are excluded. Returns
+    intent. Every successful run must carry predictions, item i for row i of
+    the target domain's test split, which must have the run's n_test rows. A
+    prediction that does not parse is a miss. Intents with fewer than
+    min_test_occurrences rows in that split are excluded. Returns
     {intent label: [EfficiencyPoint, ...]}.
     """
     from .frames import canonical_frame
@@ -92,7 +93,6 @@ def per_intent_points(
     points = ledger_to_curve(ledger)
     domain = ledger.ok_entries[0].manifest.target_domain
     test_split = table.row_ids(domain, "test")
-    test_rows = set(test_split)
     test_counts = Counter(table.labels[pos][0] for pos in test_split)
     kept = {label for label, n in test_counts.items() if n >= min_test_occurrences}
 
@@ -104,15 +104,11 @@ def per_intent_points(
                 f"run {run_id!r} has no per-example predictions; "
                 "re-run with a prediction-emitting runner"
             )
+        if entry.manifest.n_test != len(test_split):
+            raise AnalysisError(f"run {run_id!r} has {entry.manifest.n_test} test rows, but the "
+                                f"{domain} test split of this corpus has {len(test_split)}")
         per_intent: dict[str, list[bool]] = {}
-        seen: set[int] = set()
-        for row_id, predicted in entry.result.predictions:
-            if row_id not in test_rows:
-                raise AnalysisError(f"run {run_id!r} predicts for row {row_id}, "
-                                    f"which is not in the {domain} test split")
-            if row_id in seen:
-                raise AnalysisError(f"run {run_id!r} predicts for row {row_id} more than once")
-            seen.add(row_id)
+        for row_id, predicted in zip(test_split, entry.result.predictions):
             label = table.labels[row_id][0]
             if label not in kept:
                 continue
@@ -123,9 +119,6 @@ def per_intent_points(
             except FrameParseError:
                 hit = False  # unparseable prediction is simply a miss
             per_intent.setdefault(label, []).append(hit)
-        if len(seen) != len(test_rows):
-            missing = next(row_id for row_id in test_split if row_id not in seen)
-            raise AnalysisError(f"run {run_id!r} has no prediction for test row {missing}")
         for label, hits in per_intent.items():
             out[label].append(replace(point, exact_match=100.0 * sum(hits) / len(hits)))
     return out

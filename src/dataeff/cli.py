@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .curve import MIN_FIT_PERCENTS, EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
@@ -89,6 +90,12 @@ def cmd_fit(args) -> int:
             "(curve has a pole at zero)",
             file=sys.stderr,
         )
+    if args.average_seeds:
+        counts = Counter(p.subset_percent for p in points).values()
+        if min(counts) != max(counts):
+            print(f"warning: --average-seeds pools {min(counts)} to {max(counts)} points per "
+                  "subset percent; percents that differ by seed, as SPIS percents do, are not "
+                  "averaged together", file=sys.stderr)
     model = fit_curve(points, average_first=args.average_seeds)
     if not model.well_formed:
         print(
@@ -262,10 +269,12 @@ def _seed(text: str) -> int:
 
 
 def _named_file(text: str) -> tuple[str, str]:
-    """argparse type of a --curves entry: NAME=FILE, both non-empty."""
+    """argparse type of a --curves entry: NAME=FILE, both non-empty, NAME printable."""
     name, _, path = text.partition("=")
     if not name or not path:
         raise argparse.ArgumentTypeError(f"not NAME=FILE: {text!r}")
+    if not name.isprintable():  # a line break or tab would break the text table's columns
+        raise argparse.ArgumentTypeError(f"not NAME=FILE with a printable NAME: {text!r}")
     return name, path
 
 

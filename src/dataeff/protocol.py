@@ -13,7 +13,8 @@ protocol holds the train rows of the runs in flight, not of every run.
 
 A ledger is an immutable record of self-checked entries, one per run_id; its
 decode errors name the entry, as in ``entries[4]``. A runner that raises, or
-returns no RunResult for its manifest, fails only that run.
+returns no RunResult for its manifest, or a prediction list of another length
+than its test rows, fails only that run.
 The modules only CommandRunner and a multi-job protocol need (subprocess,
 shlex, tempfile, concurrent.futures) are imported where those run, so a
 simulated protocol and the commands that only read a ledger do not load them.
@@ -92,13 +93,14 @@ class ManifestSummary:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one run; predictions is the optional per-test-row output."""
+    """Outcome of one run. predictions, if given, holds one frame text per test row:
+    item i is the parse predicted for the manifest's test_rows[i]."""
 
     run_id: str
     exact_match: float
     seed: int
     wall_time: float = 0.0
-    predictions: tuple[tuple[int, str], ...] | None = None  # (row id, frame text)
+    predictions: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.exact_match <= 100.0:
@@ -117,6 +119,9 @@ class LedgerEntry:
         if self.result is not None and self.result.run_id != self.manifest.run_id:
             raise ProtocolError(f"result for {self.result.run_id!r} does not match "
                                 f"manifest {self.manifest.run_id!r}")
+        predictions = self.result and self.result.predictions
+        if predictions is not None and len(predictions) != self.manifest.n_test:
+            raise ProtocolError(f"{len(predictions)} predictions for {self.manifest.n_test} test rows")
 
     @property
     def ok(self) -> bool:
@@ -230,10 +235,10 @@ class SimulatedRunner:
     EM for a k% subset is clamp(a / k**b + c + eps, 0, 100) with
     eps ~ Normal(0, noise_sigma^2); the 0% subset reports em_at_zero + eps
     because the curve has a pole at zero. Noise is keyed by
-    (seed, run seed, k), never by execution order. Given the corpus table, a
-    per-test-row prediction list is drawn from its reference frames (each row
-    correct with probability EM/100) and exact_match becomes the realized
-    fraction.
+    (seed, run seed, k), never by execution order. Given the corpus table, it
+    also predicts one frame text per test row, in test_rows order: the reference
+    frame with probability EM/100, else that frame with its root intent
+    rewritten; exact_match becomes the realized fraction.
     """
 
     truth: tuple[float, float, float] = (-27.26, 0.35, 97.79)
@@ -264,19 +269,19 @@ class SimulatedRunner:
         table = self.table
         if table is not None:
             stream = SplitMix64(combine(self.seed, run_seed, float_key(k), _PREDICTION_STREAM))
-            rows = []
+            frames = []
             hits = 0
             for row_id in manifest.test_rows:
                 parse = table.parse[row_id]
                 if stream.unit() < em / 100.0:
                     hits += 1
-                    rows.append((row_id, parse))
+                    frames.append(parse)
                 else:  # a rewritten root intent label guarantees a miss
                     root = table.labels[row_id][0]
-                    rows.append((row_id, f"[{root}_WRONG{parse[len(root) + 1:]}"))
-            predictions = tuple(rows)
-            if rows:
-                em = 100.0 * hits / len(rows)
+                    frames.append(f"[{root}_WRONG{parse[len(root) + 1:]}")
+            predictions = tuple(frames)
+            if frames:
+                em = 100.0 * hits / len(frames)
         return RunResult(
             run_id=manifest.run_id, exact_match=em, seed=run_seed,
             wall_time=0.0, predictions=predictions,
@@ -291,7 +296,8 @@ class CommandRunner:
     so any model id is safe. It must exit 0 and print a RunResult JSON object
     ({"run_id", "exact_match", "seed", "wall_time", optional "predictions"})
     on stdout, in UTF-8; run_id and seed default to the manifest's, wall_time
-    to the elapsed time. Anything else is recorded as a run failure. Stderr
+    to the elapsed time. predictions is a list of frame texts, item i for the
+    manifest's test_rows[i]. Anything else is recorded as a run failure. Stderr
     only feeds a failure's detail, its last 10 lines, so no byte on it can
     fail a run.
     """

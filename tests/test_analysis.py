@@ -109,10 +109,10 @@ def test_load_annotations_skips_blank_rows_and_counts_columns(tmp_path):
     assert exc.value.line == 3
 
 
-def _music_test_table():
+def _music_test_table(play=12):
     """music test split: PLAY x12, STOP x10, LIKE x9 (below the threshold)."""
     rows = []
-    for intent, count in (("IN:PLAY_MUSIC", 12), ("IN:STOP_MUSIC", 10), ("IN:LIKE_MUSIC", 9)):
+    for intent, count in (("IN:PLAY_MUSIC", play), ("IN:STOP_MUSIC", 10), ("IN:LIKE_MUSIC", 9)):
         for i in range(count):
             rows.append(("music", f"{intent} {i}", f"[{intent} song{i} ]", "test"))
     rows.append(("music", "train row", "[IN:PLAY_MUSIC x ]", "train"))
@@ -137,7 +137,7 @@ def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally w
         text = table.parse[pos]
         if table.labels[pos][0] == "IN:PLAY_MUSIC" and edits:
             text = edits.pop(0)(text)
-        predictions.append((pos, text))
+        predictions.append(text)
     result = RunResult(run_id="run-k4", exact_match=0.0, seed=0, predictions=tuple(predictions))
     return Ledger((LedgerEntry(_summary("run-k4", 4), result, None),))
 
@@ -193,42 +193,12 @@ def test_per_intent_threshold_is_configurable():
     assert "IN:LIKE_MUSIC" in points
 
 
-def test_per_intent_rejects_out_of_range_rows():
-    table = _music_test_table()
-    for row_id in (10_000, -1):
-        result = RunResult(run_id="bogus", exact_match=0.0, seed=0,
-                           predictions=((row_id, "[IN:PLAY_MUSIC x ]"),))
-        ledger = Ledger((LedgerEntry(_summary("bogus", 4), result, None),))
-        with pytest.raises(AnalysisError, match=f"'bogus' predicts for row {row_id},"):
-            per_intent_points(ledger, table)
-
-
-def test_per_intent_rejects_rows_outside_the_test_split():
-    # A correct prediction for a train row would otherwise count as a hit.
-    table = _music_test_table()
-    train_row = table.row_ids("music", "train")[0]
-    predictions = ((0, table.parse[0]), (train_row, table.parse[train_row]))
-    result = RunResult(run_id="leak", exact_match=100.0, seed=0, predictions=predictions)
-    ledger = Ledger((LedgerEntry(_summary("leak", 4), result, None),))
-    message = f"run 'leak' predicts for row {train_row}, which is not in the music test split"
+def test_per_intent_rejects_a_ledger_of_another_test_split():
+    # A positional list read against another split would score the wrong rows.
+    ledger = _prediction_ledger(_music_test_table())
+    message = "run 'run-k4' has 31 test rows, but the music test split of this corpus has 32"
     with pytest.raises(AnalysisError, match=message):
-        per_intent_points(ledger, table)
-
-
-def test_per_intent_requires_one_prediction_per_test_row():
-    # Ten correct predictions of one PLAY row would otherwise score PLAY 100.0.
-    table = _music_test_table()
-    (entry,) = _prediction_ledger(table).entries
-    predictions = entry.result.predictions
-    bad = {
-        "run 'run-k4' predicts for row 0 more than once": predictions[:1] + predictions,
-        "run 'run-k4' has no prediction for test row 3": predictions[:3] + predictions[4:],
-    }
-    for message, rows in bad.items():
-        result = RunResult(run_id="run-k4", exact_match=0.0, seed=0, predictions=rows)
-        ledger = Ledger((LedgerEntry(entry.manifest, result, None),))
-        with pytest.raises(AnalysisError, match=message):
-            per_intent_points(ledger, table)
+        per_intent_points(ledger, _music_test_table(play=13))
 
 
 def _toy_annotations():

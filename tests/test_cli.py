@@ -2,16 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from dataeff import cli
-from dataeff.analysis import load_annotations
+from dataeff.analysis import compare_models, load_annotations
 from dataeff.corpus import load_corpus
 from dataeff.curve import CurveModel, load_model, points_from_csv
 from dataeff.errors import AnnotationError, InputError
 from dataeff.jsonio import dumps
-from dataeff.protocol import load_ledger
+from dataeff.protocol import ledger_to_curve, load_ledger
 
 from conftest import columns, simple_corpus_rows, write_tsv
 
@@ -157,6 +158,30 @@ def test_fit_rejects_a_ledger_whose_entries_are_not_an_array(tmp_path, capsys):
     ledger.write_text('{"entries": {}}\n', encoding="utf-8")
     assert cli.main(["fit", "--points", str(ledger)]) == 1
     assert capsys.readouterr().err == f"error: {ledger}: entries: expected array, got object\n"
+
+
+def test_fit_average_seeds_warns_when_percents_differ_by_seed(corpus, tmp_path, capsys):
+    # One train row in ten carries a slot, so the rows SPIS draws, and so its
+    # realized percent, depend on the seed's order.
+    rows = [("weather", f"u {i}", "[IN:GET_WEATHER x [SL:LOCATION y ] ]" if i % 10 == 0
+             else "[IN:GET_WEATHER x ]", "train") for i in range(1000)]
+    spis_corpus = write_tsv(tmp_path / "spis.tsv", rows + simple_corpus_rows("weather", 0, 5, 20)
+                            + simple_corpus_rows("alarm", 100, 10, 15, intent="IN:CREATE_ALARM"))
+    spis, uniform = tmp_path / "spis.json", tmp_path / "uniform.json"
+    seeds = ["--seeds", "0", "1", "2"]
+    assert cli.main(["run", "--corpus", str(spis_corpus), "--target", "weather",
+                     "--algorithm", "spis", *seeds, "--out", str(spis)]) == 0
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather", *seeds,
+                     "--out", str(uniform)]) == 0
+    counts = Counter(p.subset_percent for p in ledger_to_curve(load_ledger(spis))).values()
+    assert min(counts) < max(counts) == 3
+    capsys.readouterr()
+    assert cli.main(["fit", "--points", str(spis), "--average-seeds"]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: --average-seeds pools {min(counts)} to 3 points per subset percent; "
+        "percents that differ by seed, as SPIS percents do, are not averaged together\n")
+    assert cli.main(["fit", "--points", str(uniform), "--average-seeds"]) == 0
+    assert "--average-seeds" not in capsys.readouterr().err
 
 
 def test_query_values(canonical_model_file):
@@ -476,6 +501,49 @@ def test_complexity_names_a_domain_that_is_not_the_ledgers(corpus, tmp_path, cap
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_complexity_names_a_corpus_whose_test_split_has_another_size(corpus, tmp_path, capsys):
+    ledger = tmp_path / "ledger.json"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                     "--emit-predictions", "--out", str(ledger)]) == 0
+    other = write_tsv(tmp_path / "other.tsv", simple_corpus_rows("weather", 1000, 20, 31)
+                      + simple_corpus_rows("alarm", 100, 10, 15, intent="IN:CREATE_ALARM"))
+    capsys.readouterr()
+    assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(other),
+                     "--domain", "weather"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ledger}: run 'parser.weather.uniform0.s0' has 30 test rows, "
+        "but the weather test split of this corpus has 31\n")
+
+
+def test_a_short_prediction_list_fails_only_its_run(corpus, tmp_path, capsys):
+    # Every run prints one frame per test row, except the 7% run, which drops one.
+    runner = tmp_path / "runner.py"
+    runner.write_text(
+        "import json, sys\n"
+        "manifest = json.load(open(sys.argv[1]))\n"
+        "k = manifest['subset_percent']\n"
+        "em = -27.26 / k**0.35 + 97.79 if k > 0 else 5.0\n"
+        "frames = ['[IN:GET_WEATHER x ]'] * (len(manifest['test_rows']) - (k == 7))\n"
+        "print(json.dumps({'exact_match': em, 'predictions': frames}))\n",
+        encoding="utf-8",
+    )
+    ledger, model, out = tmp_path / "ledger.json", tmp_path / "model.json", tmp_path / "c.csv"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                     "--runner", f"exec:{sys.executable} {runner}", "--out", str(ledger)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"10 runs: 9 ok, 1 failed -> {ledger}\n")
+    assert ("  failed parser.weather.uniform7.s0: "
+            "ProtocolError: 29 predictions for 30 test rows\n") in err
+
+    assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(corpus),
+                     "--domain", "weather", "--out", str(out)]) == 0
+    percents = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+    assert percents == [0, 1, 2, 4, 12, 21, 36, 60, 100]  # every run but the 7% one
+    assert cli.main(["fit", "--points", str(ledger), "--out", str(model)]) == 0
+    fitted = load_model(model)
+    assert (fitted.a, fitted.b, fitted.c) == pytest.approx(CANONICAL, rel=1e-6)
+
+
 def test_complexity_command_with_annotation_file(tmp_path):
     rows = simple_corpus_rows("alarm", 40, 4, 6, intent="IN:CREATE_ALARM")
     for i in range(30):
@@ -525,17 +593,17 @@ def test_compare_csv_quotes_names_that_hold_a_comma_a_quote_or_a_line_break(tmp_
     import csv
     import io
 
+    fast_model = CurveModel(-27.26, 0.5, 97.79, 0.0, 0, True, (1.0, 100.0))
+    slow_model = CurveModel(*CANONICAL, 0.0, 0, True, (1.0, 100.0))
     fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
-    fast.write_text(dumps(CurveModel(-27.26, 0.5, 97.79, 0.0, 0, True, (1.0, 100.0))),
-                    encoding="utf-8")
-    slow.write_text(dumps(CurveModel(*CANONICAL, 0.0, 0, True, (1.0, 100.0))),
-                    encoding="utf-8")
-    argv = ["compare", "--curves", f"bart, large={slow}", f'x"y={fast}', f"two\nlines={slow}",
-            "--em", "80", "90", "--fmt"]
+    fast.write_text(dumps(fast_model), encoding="utf-8")
+    slow.write_text(dumps(slow_model), encoding="utf-8")
+    argv = ["compare", "--curves", f"bart, large={slow}", f'x"y={fast}', "--em", "80", "90",
+            "--fmt"]
     assert cli.main(argv + ["csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
     assert rows == [["model", "em_80", "em_90"], ['x"y', "2.35", "12.25"],
-                    ["bart, large", "3.39", "35.83"], ["two\nlines", "3.39", "35.83"]]
+                    ["bart, large", "3.39", "35.83"]]
     # The aligned text quotes nothing: each name is printed as given.
     assert cli.main(argv + ["text"]) == 0
     assert capsys.readouterr().out == (
@@ -543,8 +611,18 @@ def test_compare_csv_quotes_names_that_hold_a_comma_a_quote_or_a_line_break(tmp_
         "-----------  ------  ------\n"
         'x"y          2.35    12.25\n'
         "bart, large  3.39    35.83\n"
-        "two\nlines    3.39    35.83\n"
     )
+    # A name with a line break cannot reach the text table from the command line ...
+    entry = f"two\nlines={slow}"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--curves", entry, f"x={fast}", "--em", "80"])
+    assert exc.value.code == 2
+    assert (f"argument --curves: not NAME=FILE with a printable NAME: {entry!r}"
+            in capsys.readouterr().err)
+    # ... and the CSV still quotes one given in code.
+    table = compare_models({"two\nlines": slow_model, "x": fast_model}, [80.0])
+    assert list(csv.reader(io.StringIO(table.to_csv(), newline=""))) == [
+        ["model", "em_80"], ["x", "2.35"], ["two\nlines", "3.39"]]
 
 
 def test_compare_command_reference():

@@ -33,12 +33,13 @@ print(json.dumps({"run_id": manifest["run_id"], "exact_match": em,
 
 # The subset files (uniform.json, spis.json and the copied manifest.json) were
 # recorded again when the sampling stream stopped being keyed by the size, so
-# that the subsets of one seed nest.
+# that the subsets of one seed nest. sim.json was recorded again when a
+# prediction became a frame text alone, in the manifest's test-row order.
 GOLDEN = {
     "schedule": "e69c567d7a39bc4853bc3f38a76c929fa9470117e8edb4786fc39c81eb602f7d",
     "uniform.json": "a2c5be18237dbf06a7945306983cafe9db0489e46a598b617ef9f64cebd4c657",
     "spis.json": "dc51784c8301463ccad1a9359e415cc8eaf7e37773d91e24da8a86a3a34cd611",
-    "sim.json": "29fcd0f070bad206603ed05d7aca87171676c1cc18b3e2039c807a46f470cfba",
+    "sim.json": "472497316e9e7364d0e3aba809a3f0e1fd3f0174009d3a16f1ecca71606e3480",
     "exec.json": "d35e09d7c6510e3f28e715b258a66c0e091df6a49f061491fcd6dafd3fa0700a",
     "model.json": "1939cd9ae9db890342448db61cebea587a5d6c23f3fb51295797b7f55e5a495e",
     "plot.svg": "83c402213d168ba5ff1532737de21a97e72664786e66f81c32cdce2b6057aa45",
@@ -48,10 +49,11 @@ GOLDEN = {
 }
 
 # Recorded from the tree-building corpus loader, before rows kept only
-# canonical text and labels; spis.json recorded again with the nesting subsets.
+# canonical text and labels; spis.json recorded again with the nesting subsets,
+# and sim.json with the positional predictions.
 NESTED_GOLDEN = {
     "spis.json": "f71e956f3e4eaa7065497329d3dc141bf1f63e6e04dfd6c68dab987bf1abdc96",
-    "sim.json": "1488ab23516657b99f9373bca2ba8bd310147814f8bfd0897a868d9cec1bdfb1",
+    "sim.json": "edf32e1a704698ad7449d3fecb2b88dadd9c37cb0736cf64e38df5677fd16e35",
     "complexity.csv": "9214dc19a0fa044d9bcf9f6666670da44e06998dc73a19a94b44f942d748a197",
 }
 

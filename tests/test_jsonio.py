@@ -85,11 +85,13 @@ def test_errors_name_source_and_key_path(weather_table):
     assert message == "ledger.json: entries[3].manifest.seed: expected int, got str"
 
     payload = json.loads(dumps(_ledger(weather_table)))
-    payload["entries"][1]["result"]["predictions"][0][1] = 7
-    assert "entries[1].result.predictions[0][1]: expected str, got int" in _decode_error(
+    payload["entries"][1]["result"]["predictions"][0] = 7
+    assert "entries[1].result.predictions[0]: expected str, got int" in _decode_error(
         Ledger, payload)
-    payload["entries"][1]["result"]["predictions"][0] = [1, "a", "b"]
-    assert "predictions[0]: expected 2 items, got 3" in _decode_error(Ledger, payload)
+    # A ledger written when a prediction was a [row id, frame text] pair.
+    payload["entries"][1]["result"]["predictions"][0] = [1, "a"]
+    assert "entries[1].result.predictions[0]: expected str, got array" in _decode_error(
+        Ledger, payload)
 
     # The ledger's own checks name the entry, or both entries of a duplicate.
     payload = json.loads(dumps(_ledger(weather_table)))
@@ -98,6 +100,11 @@ def test_errors_name_source_and_key_path(weather_table):
     assert _decode_error(Ledger, payload, "ledger.json") == (
         f"ledger.json: entries[4]: result for {run_ids[5]!r} does not match manifest "
         f"{run_ids[4]!r}")
+    payload = json.loads(dumps(_ledger(weather_table)))
+    n_test = payload["entries"][5]["manifest"]["n_test"]
+    payload["entries"][5]["result"]["predictions"].pop()
+    assert _decode_error(Ledger, payload, "ledger.json") == (
+        f"ledger.json: entries[5]: {n_test - 1} predictions for {n_test} test rows")
     payload = json.loads(dumps(_ledger(weather_table)))
     payload["entries"][6]["result"] = None
     assert _decode_error(Ledger, payload, "ledger.json") == (

@@ -217,6 +217,25 @@ def test_ledger_rejects_duplicates_and_mismatches(manifests):
     assert not LedgerEntry(manifests[2].summary(), None, "boom").ok
 
 
+def test_ledger_entry_requires_one_prediction_per_test_row(weather_table, manifests):
+    runner = SimulatedRunner(truth=TRUTH, table=weather_table)
+    result = runner(manifests[4])
+    n_test = manifests[4].summary().n_test
+    assert len(result.predictions) == n_test > 0
+    short = RunResult(result.run_id, result.exact_match, result.seed,
+                      predictions=result.predictions[:-1])
+    with pytest.raises(ProtocolError, match=f"^{n_test - 1} predictions for {n_test} test rows$"):
+        LedgerEntry(manifests[4].summary(), short, None)
+
+    def one_short(manifest):
+        return short if manifest is manifests[4] else runner(manifest)
+
+    ledger = run_protocol(manifests, one_short)  # the bad list fails its own run only
+    assert [e.error for e in ledger.failed_entries] == [
+        f"ProtocolError: {n_test - 1} predictions for {n_test} test rows"]
+    assert len(ledger.ok_entries) == 9
+
+
 def test_ledger_to_curve_requires_single_group(weather_table):
     schedule = make_schedule(4)
     ledger = Ledger(tuple(
@@ -300,16 +319,20 @@ def test_end_to_end_recovers_truth(weather_table, manifests):
         assert abs(got - want) / abs(want) < 1e-3
 
 
-def test_predictions_mode_reports_realized_em(weather_table, manifests):
-    runner = SimulatedRunner(truth=TRUTH, table=weather_table)
-    result = runner(manifests[9])  # k = 100
-    assert result.predictions is not None
-    assert len(result.predictions) == len(manifests[9].test_rows)
-    hits = 0
-    for row_id, predicted in result.predictions:
-        reference = weather_table.parse[row_id]
-        if canonical_frame(predicted)[0] == reference:  # corrupted frames still parse
-            hits += 1
+def test_predictions_mode_reports_realized_em():
+    # Each test row has a frame of its own, so a prediction scored against
+    # another row than its own would miss.
+    rows = make_rows("weather", 100) + make_rows("alarm", 20, intent="IN:CREATE_ALARM")
+    rows += [("weather", f"t {i}", f"[IN:GET_WEATHER w{i} ]", "test") for i in range(60)]
+    table = CorpusTable(rows)
+    *_, manifest = build_manifests(table, "weather", make_schedule(10))  # k = 100
+    result = SimulatedRunner(truth=TRUTH, table=table)(manifest)
+    assert len(result.predictions) == len(manifest.test_rows)
+    # Item i predicts test row i; a corrupted frame still parses, to another frame.
+    references = [table.parse[row_id] for row_id in manifest.test_rows]
+    hits = sum(canonical_frame(predicted)[0] == reference
+               for predicted, reference in zip(result.predictions, references))
+    assert 0 < hits < len(references)
     assert result.exact_match == pytest.approx(100.0 * hits / len(result.predictions))
 
 
