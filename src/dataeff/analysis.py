@@ -82,17 +82,20 @@ def per_intent_points(
 
     The ledger is scoped by ledger_to_curve, whose points are rescored per
     intent. Every successful run must carry predictions, item i for row i of
-    the target domain's test split, which must have the run's n_test rows. A
+    the target domain's test split, and the test_digest of that split in this
+    corpus (corpus.split_digest), so a run is never scored on another split. A
     prediction that does not parse is a miss. Intents with fewer than
     min_test_occurrences rows in that split are excluded. Returns
     {intent label: [EfficiencyPoint, ...]}.
     """
+    from .corpus import split_digest
     from .frames import canonical_frame
     from .protocol import ledger_to_curve
 
     points = ledger_to_curve(ledger)
     domain = ledger.ok_entries[0].manifest.target_domain
     test_split = table.row_ids(domain, "test")
+    digest = split_digest(table, domain, "test")
     test_counts = Counter(table.labels[pos][0] for pos in test_split)
     kept = {label for label, n in test_counts.items() if n >= min_test_occurrences}
 
@@ -104,9 +107,12 @@ def per_intent_points(
                 f"run {run_id!r} has no per-example predictions; "
                 "re-run with a prediction-emitting runner"
             )
-        if entry.manifest.n_test != len(test_split):
-            raise AnalysisError(f"run {run_id!r} has {entry.manifest.n_test} test rows, but the "
-                                f"{domain} test split of this corpus has {len(test_split)}")
+        if entry.manifest.test_digest is None:
+            raise AnalysisError(f"run {run_id!r} has no test_digest: the ledger predates the "
+                                "test-split check; run it again")
+        if entry.manifest.test_digest != digest:
+            raise AnalysisError(f"run {run_id!r} was scored on another {domain} test split "
+                                "than this corpus's")
         per_intent: dict[str, list[bool]] = {}
         for row_id, predicted in zip(test_split, entry.result.predictions):
             label = table.labels[row_id][0]

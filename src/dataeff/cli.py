@@ -14,7 +14,8 @@ from collections import Counter
 from pathlib import Path
 
 from .curve import MIN_FIT_PERCENTS, EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
-from .errors import AnalysisError, DataEffError, FrameParseError, InputError, ProtocolError
+from .errors import (AnalysisError, DataEffError, FrameParseError, InputError, ProtocolError,
+                     UnknownDomainError)
 from .jsonio import csv_text, dumps, from_dict, loads, read_lines, read_text, text_table
 
 EXIT_OK = 0
@@ -175,19 +176,20 @@ def cmd_complexity(args) -> int:
     from . import analysis, corpus, protocol
 
     ledger = protocol.load_ledger(args.ledger)
-    table = corpus.load_corpus(args.corpus)
-    if args.annotations:
-        classes = analysis.load_annotations(args.annotations)
-    else:
-        classes = analysis.packaged_annotations(args.domain)
     try:
+        protocol.ledger_to_curve(ledger)  # one (model, domain) with an ok run, checked first
+        domain = ledger.ok_entries[0].manifest.target_domain
+        if args.domain not in (None, domain):
+            raise AnalysisError(f"the ledger's runs are on domain {domain!r}, "
+                                f"not on --domain {args.domain!r}")
+        table = corpus.load_corpus(args.corpus)
+        if args.annotations:
+            classes = analysis.load_annotations(args.annotations)
+        else:
+            classes = analysis.packaged_annotations(args.domain)
         per_intent = analysis.per_intent_points(ledger, table, args.min_count)
-    except (ProtocolError, AnalysisError) as exc:
+    except (ProtocolError, AnalysisError, UnknownDomainError) as exc:
         raise type(exc)(f"{args.ledger}: {exc}") from None
-    domain = ledger.ok_entries[0].manifest.target_domain
-    if args.domain not in (None, domain):
-        raise AnalysisError(f"{args.ledger}: the ledger's runs are on domain {domain!r}, "
-                            f"not on --domain {args.domain!r}")
     curves = analysis.per_class_curves(per_intent, classes)
     rows = [("class", "subset_percent", "mean_exact_match")]
     rows += [(cls, f"{p.subset_percent:.10g}", f"{p.exact_match:.10g}")

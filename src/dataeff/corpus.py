@@ -107,6 +107,12 @@ class CorpusTable:
         return self._index[domain][split]
 
 
+def split_digest(table: CorpusTable, domain: str, split: str) -> str:
+    """Hex blake2b (16 bytes) of a split's canonical frames joined by ``\n``, in row order."""
+    text = "\n".join(table.parse[row] for row in table.row_ids(domain, split))
+    return blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+
 def _default_split(path: Path) -> str:
     stem = path.stem
     for split in SPLITS:

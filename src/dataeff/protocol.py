@@ -11,10 +11,10 @@ build_manifests draws every subset before it returns but builds each Manifest
 only when it is taken, and run_protocol takes manifests as runs start, so a
 protocol holds the train rows of the runs in flight, not of every run.
 
-A ledger is an immutable record of self-checked entries, one per run_id; its
-decode errors name the entry, as in ``entries[4]``. A runner that raises, or
-returns no RunResult for its manifest, or a prediction list of another length
-than its test rows, fails only that run.
+A ledger is an immutable record of self-checked entries, one per run_id; a
+run's id and seed come from its manifest, and decode errors name the entry, as
+in ``entries[4]``. A runner that raises, or returns no RunResult, or a
+prediction list of another length than its test rows, fails only that run.
 The modules only CommandRunner and a multi-job protocol need (subprocess,
 shlex, tempfile, concurrent.futures) are imported where those run, so a
 simulated protocol and the commands that only read a ledger do not load them.
@@ -57,6 +57,7 @@ class Manifest:
     train_rows: tuple[int, ...]
     eval_rows: tuple[int, ...]
     test_rows: tuple[int, ...]
+    test_digest: str  # corpus.split_digest of the target domain's test split
 
     def summary(self) -> "ManifestSummary":
         return ManifestSummary(
@@ -71,6 +72,7 @@ class Manifest:
             n_train=len(self.train_rows),
             n_eval=len(self.eval_rows),
             n_test=len(self.test_rows),
+            test_digest=self.test_digest,
         )
 
 
@@ -89,22 +91,23 @@ class ManifestSummary:
     n_train: int
     n_eval: int
     n_test: int
+    test_digest: str | None = None  # None in a ledger written before it was recorded
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one run. predictions, if given, holds one frame text per test row:
-    item i is the parse predicted for the manifest's test_rows[i]."""
+    """What one run measured (its run_id and seed are its manifest's). predictions, if
+    given, holds one frame text per test row, item i for the manifest's test_rows[i]."""
 
-    run_id: str
     exact_match: float
-    seed: int
     wall_time: float = 0.0
     predictions: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.exact_match <= 100.0:
             raise ProtocolError(f"exact_match out of [0, 100]: {self.exact_match}")
+        if not (math.isfinite(self.wall_time) and self.wall_time >= 0):
+            raise ProtocolError(f"wall_time must be finite and >= 0, got {self.wall_time}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +119,8 @@ class LedgerEntry:
     def __post_init__(self):
         if self.result is None and self.error is None:
             raise ProtocolError("a failed entry needs an error message")
-        if self.result is not None and self.result.run_id != self.manifest.run_id:
-            raise ProtocolError(f"result for {self.result.run_id!r} does not match "
-                                f"manifest {self.manifest.run_id!r}")
+        if self.result is not None and self.error is not None:
+            raise ProtocolError("an entry has a result or an error, not both")
         predictions = self.result and self.result.predictions
         if predictions is not None and len(predictions) != self.manifest.n_test:
             raise ProtocolError(f"{len(predictions)} predictions for {self.manifest.n_test} test rows")
@@ -183,6 +185,8 @@ def build_manifests(
     schedule order, then seed order. For spis the sizes double as the
     per-label minimums, skipping entries below 1.
     """
+    from .corpus import split_digest
+
     if len(set(seeds)) != len(tuple(seeds)):
         raise ProtocolError(f"seeds must be unique, got {tuple(seeds)}")
     target_train = set(table.row_ids(target_domain, "train"))
@@ -196,6 +200,7 @@ def build_manifests(
     source_eval = source_rows("eval")
     eval_rows = source_eval + table.row_ids(target_domain, "eval")
     test_rows = table.row_ids(target_domain, "test")
+    test_digest = split_digest(table, target_domain, "test")
 
     sizes = list(dict.fromkeys(schedule.sizes))  # a dense schedule repeats ceiled sizes
     if algorithm == "spis":
@@ -223,6 +228,7 @@ def build_manifests(
             train_rows=source_train + subset.row_ids,
             eval_rows=eval_rows,
             test_rows=test_rows,
+            test_digest=test_digest,
         )
         for subset in chain.from_iterable(zip(*by_seed))  # by size, then by seed
     )
@@ -238,7 +244,7 @@ class SimulatedRunner:
     (seed, run seed, k), never by execution order. Given the corpus table, it
     also predicts one frame text per test row, in test_rows order: the reference
     frame with probability EM/100, else that frame with its root intent
-    rewritten; exact_match becomes the realized fraction.
+    rewritten; exact_match becomes the realized fraction. wall_time is 0.
     """
 
     truth: tuple[float, float, float] = (-27.26, 0.35, 97.79)
@@ -282,10 +288,7 @@ class SimulatedRunner:
             predictions = tuple(frames)
             if frames:
                 em = 100.0 * hits / len(frames)
-        return RunResult(
-            run_id=manifest.run_id, exact_match=em, seed=run_seed,
-            wall_time=0.0, predictions=predictions,
-        )
+        return RunResult(exact_match=em, predictions=predictions)
 
 
 class CommandRunner:
@@ -294,12 +297,12 @@ class CommandRunner:
     The command is invoked with the manifest JSON path appended as its single
     extra argument: manifest.json, in a temporary directory of the run's own,
     so any model id is safe. It must exit 0 and print a RunResult JSON object
-    ({"run_id", "exact_match", "seed", "wall_time", optional "predictions"})
-    on stdout, in UTF-8; run_id and seed default to the manifest's, wall_time
-    to the elapsed time. predictions is a list of frame texts, item i for the
-    manifest's test_rows[i]. Anything else is recorded as a run failure. Stderr
-    only feeds a failure's detail, its last 10 lines, so no byte on it can
-    fail a run.
+    ({"exact_match", optional "wall_time" and "predictions"}) on stdout, in
+    UTF-8; wall_time defaults to the elapsed time. predictions is a list of
+    frame texts, item i for the manifest's test_rows[i]. A run_id or seed the
+    command echoes must equal the manifest's and is then dropped. Anything else
+    is recorded as a run failure. Stderr only feeds a failure's detail, its
+    last 10 lines, so no byte on it can fail a run.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float | None = None):
@@ -342,9 +345,10 @@ class CommandRunner:
             raise RunnerError(f"{source} is not UTF-8: {exc}") from None
         obj = loads(stdout, source)
         if isinstance(obj, dict):
-            defaults = {"run_id": manifest.run_id, "seed": manifest.subset.seed,
-                        "wall_time": elapsed}
-            obj = defaults | obj
+            for key, want in (("run_id", manifest.run_id), ("seed", manifest.subset.seed)):
+                if (type(got := obj.get(key, want)), got) != (type(want), want):  # true is not 1
+                    raise RunnerError(f"{source}: {key} {got!r} is not the manifest's {want!r}")
+            obj = {"wall_time": elapsed} | obj
         return from_dict(RunResult, obj, source)
 
 
@@ -356,7 +360,7 @@ def run_protocol(manifests: Iterable[Manifest], runner: Runner, jobs: int = 1) -
 
     Manifests are taken from the iterable as runs start: jobs == 1 runs each
     as it is taken, and jobs > 1 runs them in a thread pool with at most
-    2 * jobs of them in flight. A runner that raises or returns no matching
+    2 * jobs of them in flight. A runner that raises or returns no valid
     RunResult fails only that run. Ledger order always follows manifest order,
     regardless of completion order.
     """
@@ -389,7 +393,7 @@ def run_protocol(manifests: Iterable[Manifest], runner: Runner, jobs: int = 1) -
 
 
 def ledger_to_curve(ledger: Ledger) -> list[EfficiencyPoint]:
-    """One EfficiencyPoint per successful run; the ledger must cover one (model, domain)."""
+    """One EfficiencyPoint per ok run, from its manifest's percent and seed; one (model, domain)."""
     entries = ledger.ok_entries
     if not ledger.entries:
         raise ProtocolError("empty ledger")
@@ -402,6 +406,6 @@ def ledger_to_curve(ledger: Ledger) -> list[EfficiencyPoint]:
             "split it before building a curve"
         )
     return [
-        EfficiencyPoint(e.manifest.subset_percent, e.result.exact_match, e.result.seed)
+        EfficiencyPoint(e.manifest.subset_percent, e.result.exact_match, e.manifest.seed)
         for e in entries
     ]

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from collections import Counter
@@ -17,6 +18,7 @@ from dataeff.protocol import ledger_to_curve, load_ledger
 from conftest import columns, simple_corpus_rows, write_tsv
 
 CANONICAL = (-27.26, 0.35, 97.79)
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, cwd=None):
@@ -24,6 +26,21 @@ def run_cli(*args, cwd=None):
         [sys.executable, "-m", "dataeff", *map(str, args)],
         capture_output=True, text=True, cwd=cwd,
     )
+
+
+def test_python_m_dataeff_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "dataeff", *args], capture_output=True,
+                              text=True, cwd=tmp_path, env=env)
+
+    schedule = module("schedule")
+    assert schedule.returncode == 0, schedule.stderr
+    assert json.loads(schedule.stdout)["sizes"] == [0, 1, 2, 4, 7, 12, 21, 36, 60, 100]
+    missing = module("query", "--model", "missing.json", "--em", "80")
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error: ") and "missing.json" in missing.stderr
 
 
 @pytest.fixture
@@ -511,8 +528,73 @@ def test_complexity_names_a_corpus_whose_test_split_has_another_size(corpus, tmp
     assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(other),
                      "--domain", "weather"]) == 1
     assert capsys.readouterr().err == (
-        f"error: {ledger}: run 'parser.weather.uniform0.s0' has 30 test rows, "
-        "but the weather test split of this corpus has 31\n")
+        f"error: {ledger}: run 'parser.weather.uniform0.s0' was scored on another weather "
+        "test split than this corpus's\n")
+
+
+def _music_corpus(path, test_intents):
+    rows = [("music", f"{intent} train {i}", f"[{intent} x{i} ]", "train")
+            for intent in ("IN:PLAY_MUSIC", "IN:STOP_MUSIC") for i in range(30)]
+    rows += [("music", f"{intent} test {i}", f"[{intent} ]", "test")
+             for intent in test_intents for i in range(20)]
+    return write_tsv(path, rows)
+
+
+def test_complexity_refuses_a_corpus_whose_test_split_is_in_another_order(tmp_path, capsys):
+    # Both corpora hold 20 PLAY and 20 STOP test rows, in opposite orders.
+    corpus = _music_corpus(tmp_path / "music.tsv", ("IN:PLAY_MUSIC", "IN:STOP_MUSIC"))
+    swapped = _music_corpus(tmp_path / "swapped.tsv", ("IN:STOP_MUSIC", "IN:PLAY_MUSIC"))
+    ledger, out = tmp_path / "ledger.json", tmp_path / "out.csv"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "music", "--seeds", "0", "1",
+                     "--emit-predictions", "--out", str(ledger)]) == 0
+    argv = ["complexity", "--ledger", str(ledger), "--domain", "music", "--out", str(out)]
+    assert cli.main(argv + ["--corpus", str(corpus)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("class,subset_percent,mean_exact_match\n")
+    out.unlink()
+    capsys.readouterr()
+    assert cli.main(argv + ["--corpus", str(swapped)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ledger}: run 'parser.music.uniform0.s0' was scored on another music "
+        "test split than this corpus's\n")
+    assert not out.exists()
+
+
+def test_complexity_refuses_a_ledger_that_predates_the_test_split_check(corpus, tmp_path, capsys):
+    ledger = tmp_path / "ledger.json"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                     "--emit-predictions", "--out", str(ledger)]) == 0
+    payload = json.loads(ledger.read_text(encoding="utf-8"))
+    for entry in payload["entries"]:
+        del entry["manifest"]["test_digest"]
+    ledger.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(corpus),
+                     "--domain", "weather"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ledger}: run 'parser.weather.uniform0.s0' has no test_digest: the ledger "
+        "predates the test-split check; run it again\n")
+    assert cli.main(["fit", "--points", str(ledger), "--out", str(tmp_path / "model.json")]) == 0
+    assert cli.main(["report", "--points", str(ledger), "--out", str(tmp_path / "plot")]) == 0
+
+
+@pytest.mark.parametrize("domain, message", [
+    # --domain is checked against the ledger before the corpus is read
+    ("music", "the ledger's runs are on domain 'weather', not on --domain 'music'"),
+    (None, "domain 'weather' not in corpus (have: music)"),
+])
+def test_complexity_names_the_ledger_in_its_domain_errors(corpus, tmp_path, capsys,
+                                                           domain, message):
+    ledger = tmp_path / "ledger.json"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                     "--emit-predictions", "--out", str(ledger)]) == 0
+    music = _music_corpus(tmp_path / "music.tsv", ("IN:PLAY_MUSIC",))
+    annotations = tmp_path / "weather.csv"
+    annotations.write_text("intent,class\nIN:GET_WEATHER,semi\n", encoding="utf-8")
+    chosen = ["--domain", domain] if domain else ["--annotations", str(annotations)]
+    capsys.readouterr()
+    assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(music)]
+                    + chosen) == 1
+    assert capsys.readouterr().err == f"error: {ledger}: {message}\n"
 
 
 def test_a_short_prediction_list_fails_only_its_run(corpus, tmp_path, capsys):

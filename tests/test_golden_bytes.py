@@ -35,25 +35,29 @@ print(json.dumps({"run_id": manifest["run_id"], "exact_match": em,
 # recorded again when the sampling stream stopped being keyed by the size, so
 # that the subsets of one seed nest. sim.json was recorded again when a
 # prediction became a frame text alone, in the manifest's test-row order.
+# sim.json, exec.json and manifest.json were recorded again when a result
+# stopped repeating its manifest's run_id and seed, and a manifest began to
+# carry the digest of its test split.
 GOLDEN = {
     "schedule": "e69c567d7a39bc4853bc3f38a76c929fa9470117e8edb4786fc39c81eb602f7d",
     "uniform.json": "a2c5be18237dbf06a7945306983cafe9db0489e46a598b617ef9f64cebd4c657",
     "spis.json": "dc51784c8301463ccad1a9359e415cc8eaf7e37773d91e24da8a86a3a34cd611",
-    "sim.json": "472497316e9e7364d0e3aba809a3f0e1fd3f0174009d3a16f1ecca71606e3480",
-    "exec.json": "d35e09d7c6510e3f28e715b258a66c0e091df6a49f061491fcd6dafd3fa0700a",
+    "sim.json": "52433c330f84c21be97a2fb7663ec3bddea8211194c2bc4cb8b8a9985fdf9a4f",
+    "exec.json": "e48b3934303799c10050731af24df1511cb2745261c93ea2ff45319edf8a0caf",
     "model.json": "1939cd9ae9db890342448db61cebea587a5d6c23f3fb51295797b7f55e5a495e",
     "plot.svg": "83c402213d168ba5ff1532737de21a97e72664786e66f81c32cdce2b6057aa45",
     "plot.csv": "21b2513a4d39c8c2d2cac06682c7c08b62e52f3e935f03463a2fb3d43e6812c2",
     "complexity.csv": "5246df8ba7a8be71ccff52a8a61c15560ceed88c98bca889e8f66f9d98a87723",
-    "manifest.json": "d2465819b3ec3d51c2566cae9be1434b9d639d599785ada18112af3c06d6f1d3",
+    "manifest.json": "978aa2b5844071fac3d760a843b975aa9f5b1355ca3e1e9528b594fd4b67d32b",
 }
 
 # Recorded from the tree-building corpus loader, before rows kept only
 # canonical text and labels; spis.json recorded again with the nesting subsets,
-# and sim.json with the positional predictions.
+# and sim.json with the positional predictions, and again with results that
+# hold only what the runner measured and manifests that carry test_digest.
 NESTED_GOLDEN = {
     "spis.json": "f71e956f3e4eaa7065497329d3dc141bf1f63e6e04dfd6c68dab987bf1abdc96",
-    "sim.json": "edf32e1a704698ad7449d3fecb2b88dadd9c37cb0736cf64e38df5677fd16e35",
+    "sim.json": "f0e10d082b63c5cdcad92a967135c9778c89ffec64258e8b3cca1b08fded60af",
     "complexity.csv": "9214dc19a0fa044d9bcf9f6666670da44e06998dc73a19a94b44f942d748a197",
 }
 

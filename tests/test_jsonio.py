@@ -58,9 +58,8 @@ def test_dumps_field_order_and_none_defaults(weather_table):
     assert len(failed) == 2 and all(e["error"].startswith("RuntimeError") for e in failed)
     ok = next(e for e in entries if e["result"] is not None)
     assert list(ok) == ["manifest", "result", "error"] and ok["error"] is None
-    assert list(ok["result"]) == ["run_id", "exact_match", "seed", "wall_time", "predictions"]
-    bare = RunResult(run_id="r", exact_match=50.0, seed=0)
-    assert dumps(bare) == '{"run_id": "r", "exact_match": 50.0, "seed": 0, "wall_time": 0.0}'
+    assert list(ok["result"]) == ["exact_match", "wall_time", "predictions"]
+    assert dumps(RunResult(exact_match=50.0)) == '{"exact_match": 50.0, "wall_time": 0.0}'
     assert list(json.loads(dumps(make_schedule(3)))) == ["n", "raw", "sizes"]
 
 
@@ -96,10 +95,9 @@ def test_errors_name_source_and_key_path(weather_table):
     # The ledger's own checks name the entry, or both entries of a duplicate.
     payload = json.loads(dumps(_ledger(weather_table)))
     run_ids = [e["manifest"]["run_id"] for e in payload["entries"]]
-    payload["entries"][4]["result"]["run_id"] = run_ids[5]
+    payload["entries"][4]["error"] = "RuntimeError: gpu fell over"
     assert _decode_error(Ledger, payload, "ledger.json") == (
-        f"ledger.json: entries[4]: result for {run_ids[5]!r} does not match manifest "
-        f"{run_ids[4]!r}")
+        "ledger.json: entries[4]: an entry has a result or an error, not both")
     payload = json.loads(dumps(_ledger(weather_table)))
     n_test = payload["entries"][5]["manifest"]["n_test"]
     payload["entries"][5]["result"]["predictions"].pop()
@@ -135,7 +133,7 @@ def test_constructor_checks_report_their_location(weather_table):
 
 def test_unknown_keys_are_ignored():
     obj = {"run_id": "r", "exact_match": 1, "seed": 0, "gpu": "a100", "notes": [1, 2]}
-    assert from_dict(RunResult, obj, "out") == RunResult("r", 1.0, 0)
+    assert from_dict(RunResult, obj, "out") == RunResult(1.0)
 
 
 def test_invalid_json_names_source():
@@ -162,7 +160,7 @@ def test_non_json_numbers_are_rejected(constant):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_dumps_writes_no_non_json_number(value):
     with pytest.raises(ValueError):
-        dumps(RunResult("r", 50.0, 0, wall_time=value))
+        dumps({"wall_time": value})
 
 
 def test_text_table_aligns_columns_and_strips_each_line():

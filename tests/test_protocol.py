@@ -201,8 +201,7 @@ def test_ledger_round_trip_bytes(weather_table, manifests):
 
 
 def _ok(manifest):
-    result = RunResult(run_id=manifest.run_id, exact_match=50.0, seed=0)
-    return LedgerEntry(manifest.summary(), result, None)
+    return LedgerEntry(manifest.summary(), RunResult(exact_match=50.0), None)
 
 
 def test_ledger_rejects_duplicates_and_mismatches(manifests):
@@ -210,8 +209,8 @@ def test_ledger_rejects_duplicates_and_mismatches(manifests):
     assert Ledger((first, second)).entries == (first, second)
     with pytest.raises(ProtocolError, match=r"in entries\[0\] and entries\[2\]"):
         Ledger((first, second, first))
-    with pytest.raises(ProtocolError, match="does not match manifest"):
-        LedgerEntry(manifests[1].summary(), first.result, None)  # result names another manifest
+    with pytest.raises(ProtocolError, match="^an entry has a result or an error, not both$"):
+        LedgerEntry(manifests[1].summary(), first.result, "RuntimeError: boom")
     with pytest.raises(ProtocolError, match="needs an error message"):
         LedgerEntry(manifests[2].summary(), None, None)
     assert not LedgerEntry(manifests[2].summary(), None, "boom").ok
@@ -222,8 +221,7 @@ def test_ledger_entry_requires_one_prediction_per_test_row(weather_table, manife
     result = runner(manifests[4])
     n_test = manifests[4].summary().n_test
     assert len(result.predictions) == n_test > 0
-    short = RunResult(result.run_id, result.exact_match, result.seed,
-                      predictions=result.predictions[:-1])
+    short = RunResult(result.exact_match, predictions=result.predictions[:-1])
     with pytest.raises(ProtocolError, match=f"^{n_test - 1} predictions for {n_test} test rows$"):
         LedgerEntry(manifests[4].summary(), short, None)
 
@@ -262,19 +260,13 @@ def test_run_protocol_bad_return_fails_only_its_run(manifests, jobs):
     def misbehaving(manifest):
         if manifest.subset_percent == 4:
             return None
-        if manifest.subset_percent == 21:
-            return inner(manifests[1])  # a result for another manifest
         return inner(manifest)
 
     ledger = run_protocol(manifests, misbehaving, jobs=jobs)
     assert [e.manifest.run_id for e in ledger.entries] == [m.run_id for m in manifests]
     failed = {e.manifest.subset_percent: e.error for e in ledger.failed_entries}
-    assert failed == {
-        4: "ProtocolError: runner returned NoneType, not RunResult",
-        21: f"ProtocolError: result for {manifests[1].run_id!r} does not match manifest "
-            f"{manifests[6].run_id!r}",
-    }
-    assert len(ledger.ok_entries) == 8
+    assert failed == {4: "ProtocolError: runner returned NoneType, not RunResult"}
+    assert len(ledger.ok_entries) == 9
     assert dumps(ledger) == dumps(run_protocol(manifests, misbehaving, jobs=3 - jobs))
 
 
@@ -368,9 +360,9 @@ print(json.dumps({{
 
 def test_command_runner_round_trip(tmp_path, weather_table, manifests):
     runner = _write_runner(tmp_path)
-    result = runner(manifests[1])
-    assert result.run_id == manifests[1].run_id
+    result = runner(manifests[1])  # it echoes the manifest's run_id and seed
     assert result.exact_match == pytest.approx(70.53, abs=1e-9)
+    assert (result.wall_time, result.predictions) == (0.0, None)
 
 
 def test_command_runner_failure_recorded(tmp_path, weather_table, manifests):
@@ -410,8 +402,6 @@ def _printing_runner(tmp_path, body):
 
 def test_command_runner_defaults_from_manifest(tmp_path, manifests):
     result = _printing_runner(tmp_path, '{"exact_match": 50, "extra": "ignored"}')(manifests[3])
-    assert result.run_id == manifests[3].run_id
-    assert result.seed == manifests[3].subset.seed
     assert result.exact_match == 50.0 and type(result.exact_match) is float
     assert result.wall_time > 0.0
 
@@ -435,9 +425,65 @@ def test_command_runner_execute_failure_fails_only_its_run(tmp_path, manifests, 
 
 
 def test_command_runner_bad_output_names_run_and_key(tmp_path, manifests):
-    runner = _printing_runner(tmp_path, '{"exact_match": 50, "seed": "0"}')
+    runner = _printing_runner(tmp_path, '{"exact_match": "50"}')
     ledger = run_protocol(manifests[:2], runner)
     assert len(ledger.failed_entries) == 2
     error = ledger.failed_entries[1].error
     assert error.startswith("InputError: ")
-    assert f"{manifests[1].run_id} runner output: seed: expected int, got str" in error
+    assert f"{manifests[1].run_id} runner output: exact_match: expected float, got str" in error
+
+
+@pytest.mark.parametrize("echo, detail", [
+    ('"seed": 9', "seed 9 is not the manifest's 0"),
+    ('"seed": true', "seed True is not the manifest's 0"),
+    ('"seed": "0"', "seed '0' is not the manifest's 0"),
+    ('"run_id": "parser.weather.uniform1.s0"',
+     "run_id 'parser.weather.uniform1.s0' is not the manifest's 'parser.weather.uniform4.s0'"),
+])
+def test_command_runner_echo_of_another_run_fails_only_its_run(tmp_path, manifests, echo, detail):
+    # The run with 4% of the data echoes what is not its manifest's; the others echo nothing.
+    path = tmp_path / "echo.py"
+    path.write_text(
+        "import json, sys\n"
+        "manifest = json.load(open(sys.argv[1]))\n"
+        f"echo = '{{{echo}, ' if manifest['subset_percent'] == 4 else '{{'\n"
+        "print(echo + '\"exact_match\": 50}')\n",
+        encoding="utf-8",
+    )
+    ledger = run_protocol(manifests, CommandRunner([sys.executable, str(path)]))
+    assert [e.error for e in ledger.failed_entries] == [
+        f"RunnerError: parser.weather.uniform4.s0 runner output: {detail}"]
+    assert [p.seed for p in ledger_to_curve(ledger)] == [0] * 9
+
+
+def test_command_runner_bad_wall_time_fails_only_its_run(tmp_path, manifests):
+    path = tmp_path / "slow.py"
+    path.write_text(
+        "import json, sys\n"
+        "manifest = json.load(open(sys.argv[1]))\n"
+        "wall_time = '1e400' if manifest['subset_percent'] == 4 else '0.5'\n"
+        "print('{\"exact_match\": 50, \"wall_time\": ' + wall_time + '}')\n",
+        encoding="utf-8",
+    )
+    ledger = run_protocol(manifests, CommandRunner([sys.executable, str(path)]))
+    assert [e.error for e in ledger.failed_entries] == [
+        "InputError: parser.weather.uniform4.s0 runner output: "
+        "wall_time must be finite and >= 0, got inf"]
+    assert Ledger.from_json(dumps(ledger), "ledger.json") == ledger  # it can be saved
+    with pytest.raises(ProtocolError, match="^wall_time must be finite and >= 0, got -1$"):
+        RunResult(50.0, wall_time=-1)
+
+
+def test_a_ledger_whose_results_echo_their_identity_takes_the_manifests_seed(weather_table):
+    # Results used to repeat their manifest's run_id and seed; a ledger written then,
+    # with a seed that disagrees, still loads and fits, and its points take the
+    # manifest's seed.
+    manifests = build_manifests(weather_table, "weather", make_schedule(10), seeds=(0,))
+    payload = json.loads(dumps(run_protocol(manifests, SimulatedRunner(truth=TRUTH))))
+    for entry in payload["entries"]:
+        entry["manifest"].pop("test_digest", None)
+        entry["result"] |= {"run_id": entry["manifest"]["run_id"], "seed": 42}
+    points = ledger_to_curve(Ledger.from_json(json.dumps(payload), "old.json"))
+    assert len(points) == 10 and {p.seed for p in points} == {0}
+    model = fit_curve(points)
+    assert (model.a, model.b, model.c) == pytest.approx(TRUTH, rel=1e-6)
