@@ -17,14 +17,13 @@ import csv
 import io
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .curve import EfficiencyPoint, Inversion, average_points, invert
-from .errors import AnalysisError, AnnotationError, FrameParseError
+from .errors import AnalysisError, AnnotationError
 from .jsonio import csv_text, read_text, text_table
 
 if TYPE_CHECKING:
@@ -83,23 +82,26 @@ def per_intent_points(
     The ledger is scoped by ledger_to_curve, whose points are rescored per
     intent. Every successful run must carry predictions, item i for row i of
     the target domain's test split, and the test_digest of that split in this
-    corpus (corpus.split_digest), so a run is never scored on another split. A
-    prediction that does not parse is a miss. Intents with fewer than
-    min_test_occurrences rows in that split are excluded. Returns
-    {intent label: [EfficiencyPoint, ...]}.
+    corpus (corpus.split_digest), so a run is never scored on another split.
+    Each intent's rows are scored by frames.exact_match, so a prediction that
+    does not parse is a miss. Intents with fewer than min_test_occurrences
+    rows in that split are excluded. Returns {intent label: [EfficiencyPoint, ...]}.
     """
     from .corpus import split_digest
-    from .frames import canonical_frame
+    from .frames import exact_match
     from .protocol import ledger_to_curve
 
     points = ledger_to_curve(ledger)
     domain = ledger.ok_entries[0].manifest.target_domain
     test_split = table.row_ids(domain, "test")
     digest = split_digest(table, domain, "test")
-    test_counts = Counter(table.labels[pos][0] for pos in test_split)
-    kept = {label for label, n in test_counts.items() if n >= min_test_occurrences}
+    positions: dict[str, list[int]] = {}  # root intent -> its indexes into test_split
+    for i, row_id in enumerate(test_split):
+        positions.setdefault(table.labels[row_id][0], []).append(i)
+    intents = {label: (idx, [table.parse[test_split[i]] for i in idx])
+               for label, idx in sorted(positions.items()) if len(idx) >= min_test_occurrences}
 
-    out: dict[str, list[EfficiencyPoint]] = {label: [] for label in sorted(kept)}
+    out: dict[str, list[EfficiencyPoint]] = {label: [] for label in intents}
     for entry, point in zip(ledger.ok_entries, points):
         run_id = entry.manifest.run_id
         if entry.result.predictions is None:
@@ -113,20 +115,9 @@ def per_intent_points(
         if entry.manifest.test_digest != digest:
             raise AnalysisError(f"run {run_id!r} was scored on another {domain} test split "
                                 "than this corpus's")
-        per_intent: dict[str, list[bool]] = {}
-        for row_id, predicted in zip(test_split, entry.result.predictions):
-            label = table.labels[row_id][0]
-            if label not in kept:
-                continue
-            # reference is canonical, so a byte-equal prediction needs no parse.
-            reference = table.parse[row_id]
-            try:
-                hit = predicted == reference or canonical_frame(predicted)[0] == reference
-            except FrameParseError:
-                hit = False  # unparseable prediction is simply a miss
-            per_intent.setdefault(label, []).append(hit)
-        for label, hits in per_intent.items():
-            out[label].append(replace(point, exact_match=100.0 * sum(hits) / len(hits)))
+        for label, (idx, references) in intents.items():
+            em = exact_match([entry.result.predictions[i] for i in idx], references)
+            out[label].append(replace(point, exact_match=em))
     return out
 
 

@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .curve import MIN_FIT_PERCENTS, EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
+from .curve import EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
 from .errors import (AnalysisError, DataEffError, FrameParseError, InputError, ProtocolError,
                      UnknownDomainError)
 from .jsonio import csv_text, dumps, from_dict, loads, read_lines, read_text, text_table
@@ -132,6 +132,11 @@ def _make_runner(args, table):
 def cmd_run(args) -> int:
     from . import corpus, protocol, sampling
 
+    try:  # save_ledger writes OUT.tmp and renames it: fail now if it cannot, not after the runs
+        Path(f"{args.out}.tmp").touch()
+        Path(f"{args.out}.tmp").unlink()
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     table = corpus.load_corpus(args.corpus)
     schedule = sampling.make_schedule(args.n)
     manifests = protocol.build_manifests(
@@ -149,13 +154,10 @@ def cmd_run(args) -> int:
     )
     for entry in failed:
         print(f"  failed {entry.manifest.run_id}: {entry.error}", file=sys.stderr)
-    percents = {e.manifest.subset_percent for e in ledger.ok_entries} - {0.0}
-    if len(percents) < MIN_FIT_PERCENTS:
-        print(
-            f"warning: fit needs at least {MIN_FIT_PERCENTS} distinct subset percents > 0 "
-            f"among the ok runs; this ledger has {len(percents)}",
-            file=sys.stderr,
-        )
+    try:
+        fit_curve(protocol.ledger_to_curve(ledger))
+    except DataEffError as exc:
+        print(f"warning: fit cannot fit this ledger: {exc}", file=sys.stderr)
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -222,6 +224,8 @@ def _read_frames(path: str) -> list[str]:
             frames.append(canonical_frame(line)[0])
         except FrameParseError as exc:
             raise InputError(str(exc), path, lineno) from exc
+    if not frames:
+        raise InputError(f"{path}: no frames")
     return frames
 
 
@@ -230,6 +234,8 @@ def cmd_em(args) -> int:
 
     system = _read_frames(args.system)
     reference = _read_frames(args.reference)
+    if len(system) != len(reference):
+        raise InputError(f"{args.system}: {len(system)} frames, {args.reference}: {len(reference)}")
     value = exact_match(system, reference)
     print(f"{value:.4f}")
     return EXIT_OK

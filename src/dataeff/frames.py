@@ -7,8 +7,8 @@ contain tokens and slots; slots may contain tokens and nested intents.
 
 A checked frame is a pair, its canonical text and its labels in pre-order, and
 no tree is built. The canonical text is the frame's tokens joined by single
-spaces, so exact match is plain string equality of canonical texts; the first
-label is the root intent.
+spaces; the first label is the root intent. exact_match is the one hit rule: a
+prediction matches when its tokens, so joined, are the canonical reference.
 
 A token is "[" with its label glued to it, "]", or a word: a maximal run of
 characters that are neither whitespace nor brackets. One stack check over the
@@ -154,9 +154,12 @@ def canonical_frame(text: str) -> tuple[str, tuple[str, ...]]:
 
 
 def exact_match(system: list[str], reference: list[str]) -> float:
-    """Percent of positions where the canonical frame texts are identical.
+    """Percent of positions where the system frame is its canonical reference.
 
-    Both lists must be non-empty and the same length.
+    A system frame matches when it, or its tokens joined by single spaces, is its
+    reference: as a frame's validity depends only on its tokens, that decides
+    canonical_frame(s)[0] == r without a parse, and a frame that does not parse
+    never matches. Both lists must be non-empty and the same length.
     """
     if not system or not reference:
         raise InputError("exact_match requires non-empty frame lists")
@@ -164,7 +167,7 @@ def exact_match(system: list[str], reference: list[str]) -> float:
         raise InputError(
             f"length mismatch: {len(system)} system vs {len(reference)} reference frames"
         )
-    hits = sum(s == r for s, r in zip(system, reference))
+    hits = sum(s == r or " ".join(_tokens(s)) == r for s, r in zip(system, reference))
     return 100.0 * hits / len(system)
 
 

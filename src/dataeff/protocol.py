@@ -23,6 +23,7 @@ simulated protocol and the commands that only read a ledger do not load them.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -158,7 +159,9 @@ class Ledger:
 
 
 def save_ledger(ledger: Ledger, path: str | Path) -> None:
-    Path(path).write_text(dumps(ledger) + "\n", encoding="utf-8")
+    """Write PATH.tmp and rename it to path: a ledger already at path stays whole until then."""
+    Path(f"{path}.tmp").write_text(dumps(ledger) + "\n", encoding="utf-8")
+    os.replace(f"{path}.tmp", path)
 
 
 def load_ledger(path: str | Path) -> Ledger:

@@ -48,10 +48,7 @@ def make_schedule(n: int = 10) -> Schedule:
     if n < 2:
         raise SamplingError(f"schedule needs at least 2 points, got {n}")
     base = 101.0 ** (1.0 / (n - 1))
-    raw = [base ** x - 1.0 for x in range(n)]
-    if abs(raw[0]) > 1e-9 or abs(raw[-1] - 100.0) > 1e-9:
-        raise SamplingError("schedule endpoints drifted from 0 and 100")
-    raw[0], raw[-1] = 0.0, 100.0  # snap float residue at the exact endpoints
+    raw = [0.0] + [base ** x - 1.0 for x in range(1, n - 1)] + [100.0]  # exact endpoints
     sizes = [math.ceil(v - 1e-9) for v in raw]
     return Schedule(n, tuple(raw), tuple(sizes))
 

@@ -262,18 +262,57 @@ def test_run_on_a_missing_corpus_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read corpus {missing}: ")
 
 
+def _logging_runner(tmp_path, watched):
+    """An exec: runner that logs, at each call, the text of watched ('-' if absent)."""
+    runner = tmp_path / "runner.py"
+    runner.write_text(
+        "import os\n"
+        f"watched, log = {str(watched)!r}, {str(tmp_path / 'calls.log')!r}\n"
+        "text = open(watched).read() if os.path.exists(watched) else '-'\n"
+        "open(log, 'a').write(text + '\\n')\n"
+        "print('{\"exact_match\": 50}')\n",
+        encoding="utf-8",
+    )
+    return f"exec:{sys.executable} {runner}"
+
+
+def test_run_fails_before_any_run_when_out_cannot_be_written(corpus, tmp_path, capsys):
+    out = tmp_path / "missing" / "ledger.json"
+    argv = ["run", "--corpus", str(corpus), "--target", "weather", "--n", "3",
+            "--runner", _logging_runner(tmp_path, out), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert not (tmp_path / "calls.log").exists()
+
+
+def test_run_keeps_an_old_ledger_whole_until_the_new_one_is_written(corpus, tmp_path):
+    out = tmp_path / "ledger.json"
+    out.write_text("old ledger", encoding="utf-8")
+    argv = ["run", "--corpus", str(corpus), "--target", "weather", "--n", "4",
+            "--runner", _logging_runner(tmp_path, out), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "calls.log").read_text(encoding="utf-8") == "old ledger\n" * 4
+    assert len(load_ledger(out).ok_entries) == 4
+    assert not out.with_name("ledger.json.tmp").exists()
+
+
 def test_run_warns_when_its_ledger_cannot_be_fitted(corpus, tmp_path):
     ledger = tmp_path / "ledger.json"
     args = ("run", "--corpus", corpus, "--target", "weather", "--out", ledger)
     proc = run_cli(*args, "--n", 3)  # sizes 0, 10, 100: two of them positive
     assert proc.returncode == 0, proc.stderr
-    assert ("warning: fit needs at least 3 distinct subset percents > 0 among the ok runs; "
-            "this ledger has 2") in proc.stderr
-    assert run_cli("fit", "--points", ledger).returncode == 1
+    reason = "need at least 3 distinct subset percents > 0 to fit, got 2"
+    assert f"warning: fit cannot fit this ledger: {reason}" in proc.stderr
+    fit = run_cli("fit", "--points", ledger)
+    assert fit.returncode == 1
+    assert reason in fit.stderr
     proc = run_cli(*args, "--n", 4)  # sizes 0, 4, 21, 100
     assert proc.returncode == 0, proc.stderr
     assert "warning" not in proc.stderr
     assert run_cli("fit", "--points", ledger).returncode == 0
+    proc = run_cli(*args, "--n", 4, "--runner", "exec:false")
+    assert proc.returncode == 3, proc.stderr
+    assert "warning: fit cannot fit this ledger: all runs failed; nothing to plot" in proc.stderr
 
 
 def test_run_pipeline_fit_query(corpus, tmp_path):
@@ -766,6 +805,26 @@ def test_em_command(tmp_path):
     proc = run_cli("em", "--system", system, "--reference", reference)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "50.0000"
+
+
+@pytest.mark.parametrize("empty", ["system", "reference"])
+@pytest.mark.parametrize("text", ["", "\n \t\n"], ids=["empty", "blank"])
+def test_em_names_a_file_with_no_frames(tmp_path, capsys, empty, text):
+    paths = {name: tmp_path / f"{name}.txt" for name in ("system", "reference")}
+    for name, path in paths.items():
+        path.write_text(text if name == empty else "[IN:GET_WEATHER x ]\n", encoding="utf-8")
+    assert cli.main(["em", "--system", str(paths["system"]),
+                     "--reference", str(paths["reference"])]) == 1
+    assert capsys.readouterr().err == f"error: {paths[empty]}: no frames\n"
+
+
+def test_em_names_both_files_when_their_lengths_differ(tmp_path, capsys):
+    system = tmp_path / "system.txt"
+    reference = tmp_path / "reference.txt"
+    system.write_text("[IN:A x ]\n[IN:A y ]\n[IN:A z ]\n", encoding="utf-8")
+    reference.write_text("[IN:A x ]\n\n[IN:A y ]\n", encoding="utf-8")
+    assert cli.main(["em", "--system", str(system), "--reference", str(reference)]) == 1
+    assert capsys.readouterr().err == f"error: {system}: 3 frames, {reference}: 2\n"
 
 
 def test_em_files_split_rows_at_newlines_only(tmp_path, capsys):

@@ -31,21 +31,21 @@ def test_parse_root_slot_rejected():
     assert "not an intent" in str(exc.value)
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("", "empty input"),
-        ("hello", "must start with"),
-        ("[IN:GET_WEATHER", "unbalanced"),
-        ("[IN: ]", "malformed label"),
-        ("[IN:GET_WEATHER ] trailing", "trailing garbage"),
-        ("[IN:GET_WEATHER ] ]", "trailing garbage"),
-        ("[FOO bar ]", "not an intent"),
-        ("[IN:GET_WEATHER [IN:GET_SUNSET ] ]", "intent nodes may only nest slots"),
-        ("[IN:GET_WEATHER [SL:A [SL:B x ] ] ]", "slot nodes may only nest intents"),
-        ("[IN:bad_case ]", "malformed label"),
-    ],
-)
+PARSE_ERRORS = [
+    ("", "empty input"),
+    ("hello", "must start with"),
+    ("[IN:GET_WEATHER", "unbalanced"),
+    ("[IN: ]", "malformed label"),
+    ("[IN:GET_WEATHER ] trailing", "trailing garbage"),
+    ("[IN:GET_WEATHER ] ]", "trailing garbage"),
+    ("[FOO bar ]", "not an intent"),
+    ("[IN:GET_WEATHER [IN:GET_SUNSET ] ]", "intent nodes may only nest slots"),
+    ("[IN:GET_WEATHER [SL:A [SL:B x ] ] ]", "slot nodes may only nest intents"),
+    ("[IN:bad_case ]", "malformed label"),
+]
+
+
+@pytest.mark.parametrize("text,fragment", PARSE_ERRORS)
 def test_parse_errors_report_offsets(text, fragment):
     with pytest.raises(FrameParseError) as exc:
         canonical_frame(text)
@@ -67,9 +67,11 @@ def test_weather_tree_round_trip_is_canonical():
     assert canonical_frame(WEATHER_TEXT)[0] == WEATHER_TEXT
 
 
+MESSY_WEATHER = "  [IN:GET_WEATHER   what  s the\t[SL:LOCATION  boston ]   forecast ]  "
+
+
 def test_whitespace_normalizes_to_canonical():
-    messy = "  [IN:GET_WEATHER   what  s the\t[SL:LOCATION  boston ]   forecast ]  "
-    assert canonical_frame(messy)[0] == WEATHER_TEXT
+    assert canonical_frame(MESSY_WEATHER)[0] == WEATHER_TEXT
 
 
 def test_round_trip_property():
@@ -128,9 +130,11 @@ def test_label_total_matches_bracket_count():
         assert len(labels) == canonical.count("[")
 
 
+UNICODE_TEXT = "[IN:GET_WEATHER prévisions [SL:LOCATION zürich_東京 ] ]"
+
+
 def test_unicode_tokens_round_trip():
-    text = "[IN:GET_WEATHER prévisions [SL:LOCATION zürich_東京 ] ]"
-    assert canonical_frame(text)[0] == text
+    assert canonical_frame(UNICODE_TEXT)[0] == UNICODE_TEXT
 
 
 _SPACES = (" ", "\t", "\n", "\u00a0", "\u2028")
@@ -246,3 +250,41 @@ def test_skeleton_memo_is_emptied_when_full(monkeypatch):
             text = f"[IN:{name} w [SL:{name} x ] ]"
             assert canonical_frame(text) == (text, (f"IN:{name}", f"SL:{name}"))
             assert len(_skeletons) <= 2
+
+
+def _hit_rule_cases():
+    """(system, reference) pairs over this file's frames, each reference canonical.
+
+    The hand-written frames meet each reference; the frames of the reference-parser
+    tests, drawn as they draw them, meet the frame they were drawn from, and a
+    mutated frame that parses also meets its own canonical text.
+    """
+    texts = [WEATHER_TEXT, MESSY_WEATHER, UNICODE_TEXT, "[IN:GET_SUNRISE]",
+             "[IN:GET_WEATHER ]", "[IN:GET_WEATHER ] x", "x [IN:A y ]", "[IN:A y ] z",
+             "[IN:A  y]", "[IN:GET_WEATHER  [SL:LOCATION\tparis france ] today ]",
+             *(text for text, _ in PARSE_ERRORS)]
+    references = [WEATHER_TEXT, UNICODE_TEXT, "[IN:GET_SUNRISE ]", "[IN:GET_WEATHER ]",
+                  "[IN:A y ]", "[IN:GET_WEATHER [SL:LOCATION paris france ] today ]"]
+    yield from ((text, reference) for text in texts for reference in references)
+    rng = random.Random(20261018)  # as in test_canonical_frame_agrees_with_reference_parser
+    for _ in range(1000):
+        canonical = serialize_tree(random_frame(rng))
+        yield _respace(rng, canonical), canonical
+    rng = random.Random(1018)  # as in test_mutated_frames_fail_as_in_reference_parser
+    for _ in range(1500):
+        canonical = serialize_tree(random_frame(rng))
+        text = _respace(rng, _mutate(rng, canonical))
+        yield text, canonical
+        tree = _outcome(reference_parse, text)
+        if not isinstance(tree, str):
+            yield text, serialize_tree(tree)
+
+
+def test_exact_match_is_the_parse_rule():
+    hits = 0
+    for system, reference in _hit_rule_cases():
+        parsed = _outcome(canonical_frame, system)  # a FrameParseError text is no frame
+        same = not isinstance(parsed, str) and parsed[0] == reference
+        assert exact_match([system], [reference]) == (100.0 if same else 0.0), (system, reference)
+        hits += same and system != reference
+    assert hits >= 1000  # non-canonical frames that match

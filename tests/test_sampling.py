@@ -47,6 +47,11 @@ def test_schedule_n2_endpoints():
     assert make_schedule(2).sizes == (0, 100)
 
 
+def test_schedule_endpoints_are_exact_for_large_n():
+    schedule = make_schedule(262144)  # base ** (n - 1) misses 101 by about 1e-9 here
+    assert (schedule.raw[0], schedule.raw[-1], schedule.sizes[-1]) == (0.0, 100.0, 100)
+
+
 def test_schedule_rejects_small_n():
     with pytest.raises(SamplingError):
         make_schedule(1)
