@@ -130,11 +130,14 @@ def _make_runner(args, table):
 
 
 def cmd_run(args) -> int:
+    import tempfile
+
     from . import corpus, protocol, sampling
 
-    try:  # save_ledger writes OUT.tmp and renames it: fail now if it cannot, not after the runs
-        Path(f"{args.out}.tmp").touch()
-        Path(f"{args.out}.tmp").unlink()
+    try:  # save_ledger writes a file beside OUT and renames it: fail now if it cannot
+        if Path(args.out).is_dir():
+            raise IsADirectoryError("Is a directory")
+        tempfile.TemporaryFile(dir=Path(args.out).parent).close()  # unnamed, gone when closed
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     table = corpus.load_corpus(args.corpus)

@@ -36,6 +36,7 @@ from _blake2 import blake2b
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import frames, jsonio
@@ -245,10 +246,9 @@ def _records(handle, size: int) -> Iterator:
         yield marshal.loads(data)
 
 
-def _write_record(handle, value) -> None:
+def _record(value) -> bytes:
     data = marshal.dumps(value)
-    handle.write(len(data).to_bytes(4, "little") + zlib.crc32(data).to_bytes(4, "little"))
-    handle.write(data)
+    return len(data).to_bytes(4, "little") + zlib.crc32(data).to_bytes(4, "little") + data
 
 
 def _read_table(records: Iterator) -> CorpusTable:
@@ -266,25 +266,14 @@ def _read_table(records: Iterator) -> CorpusTable:
 
 
 def _save_cached(table: CorpusTable, cache: Path, key: bytes) -> None:
-    """Write the table to cache under key: a temp file, then a rename, so no reader sees half.
+    """Write the table to cache under key by jsonio.replace_file, so no reader sees half.
 
-    The file is the key, then one record of the labels column and the index,
-    then one record of frames per _CACHE_ROWS rows, so neither a write nor a
-    read holds the whole frame column's marshal bytes.
-    """
-    temp = cache.with_name(f"{cache.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(temp, "xb", opener=lambda name, flags: os.open(name, flags, 0o600)) as handle:
-            handle.write(key)
-            # marshal stores an object that rows share once and refers back to it,
-            # so shared labels come back shared.
-            _write_record(handle, (table.labels, table._index))
-            for start in range(0, len(table), _CACHE_ROWS):
-                _write_record(handle, table.parse[start:start + _CACHE_ROWS])
-        os.replace(temp, cache)
-    except OSError:
-        pass  # an unwritable cache costs only the next load its check
-    finally:
-        with suppress(OSError):
-            os.unlink(temp)
-
+    The file is the key, then one record of the labels column and the index, then one
+    record of frames per _CACHE_ROWS rows, each made as it is written, so neither a
+    write nor a read holds the whole frame column's marshal bytes."""
+    # marshal stores an object that rows share once and refers back to it,
+    # so shared labels come back shared.
+    records = chain([(table.labels, table._index)],
+                    (table.parse[i:i + _CACHE_ROWS] for i in range(0, len(table), _CACHE_ROWS)))
+    with suppress(OSError):  # an unwritable cache costs only the next load its check
+        jsonio.replace_file(cache, chain([key], map(_record, records)), 0o600)

@@ -11,6 +11,8 @@ float fields accept integers, and a bool is never a number.
 Every input file is read under one rule, by read_lines one line at a time or
 by read_text whole: UTF-8, a leading byte-order mark skipped, and a byte that
 is not UTF-8 raises ``PATH:LINE: not UTF-8: ...``.
+
+replace_file writes the ledger and the corpus cache, which no reader may see half written.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import functools
 import io
 import itertools
 import json
+import os
 import types
 import typing
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from contextlib import suppress
 
 from .errors import DataEffError, InputError
 
@@ -108,6 +112,20 @@ def read_text(path) -> str:
             pass
         raise
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def replace_file(path, chunks: Iterable[bytes], mode: int = 0o666) -> None:
+    """Write the byte chunks to path whole or not at all: into a new file PATH.RANDOM.tmp,
+    made with mode less the umask, then renamed onto path, or removed if anything fails."""
+    temp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    handle = open(temp, "xb", opener=lambda name, flags: os.open(name, flags, mode))
+    try:  # "x" made temp, so it is this call's own to remove
+        with handle:
+            handle.writelines(chunks)
+        os.replace(temp, path)
+    finally:
+        with suppress(OSError):
+            os.unlink(temp)
 
 
 def _not_json(name: str):

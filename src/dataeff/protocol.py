@@ -23,7 +23,6 @@ simulated protocol and the commands that only read a ledger do not load them.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,9 +32,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
-from .jsonio import dumps, from_dict, loads, read_text
+from .jsonio import dumps, from_dict, loads, read_text, replace_file
 from .rng import SplitMix64, combine, float_key
-from .sampling import Schedule, Subset, SubsetSpec, sample_nested
+from .sampling import Schedule, SubsetSpec, sample_nested
 
 if TYPE_CHECKING:
     from .corpus import CorpusTable
@@ -159,9 +158,8 @@ class Ledger:
 
 
 def save_ledger(ledger: Ledger, path: str | Path) -> None:
-    """Write PATH.tmp and rename it to path: a ledger already at path stays whole until then."""
-    Path(f"{path}.tmp").write_text(dumps(ledger) + "\n", encoding="utf-8")
-    os.replace(f"{path}.tmp", path)
+    """Write the ledger's JSON by replace_file: an old ledger at path stays whole until then."""
+    replace_file(path, (dumps(ledger).encode("utf-8"), b"\n"))
 
 
 def load_ledger(path: str | Path) -> Ledger:
@@ -192,7 +190,7 @@ def build_manifests(
 
     if len(set(seeds)) != len(tuple(seeds)):
         raise ProtocolError(f"seeds must be unique, got {tuple(seeds)}")
-    target_train = set(table.row_ids(target_domain, "train"))
+    target_train = len(table.row_ids(target_domain, "train")) or 1  # 0 rows draw only empty subsets
     sources = [domain for domain in table.domains() if domain != target_domain]
 
     def source_rows(split: str) -> tuple[int, ...]:
@@ -210,14 +208,6 @@ def build_manifests(
         sizes = [k for k in sizes if k >= 1]
 
     by_seed = [sample_nested(table, target_domain, algorithm, seed, sizes) for seed in seeds]
-    for subsets in by_seed:  # a seed's subsets nest, so its largest holds all of them
-        if not target_train.issuperset(max((s.row_ids for s in subsets), key=len, default=())):
-            raise ProtocolError("sampler returned rows outside the target train split")
-
-    def percent(subset: Subset) -> float:
-        if algorithm == "uniform":
-            return subset.spec.size_param
-        return 100.0 * len(subset.row_ids) / len(target_train) if target_train else 0.0
 
     return (
         Manifest(
@@ -227,7 +217,8 @@ def build_manifests(
             target_domain=target_domain,
             subset=subset.spec,
             subset_rows=subset.row_ids,
-            subset_percent=percent(subset),
+            subset_percent=(subset.spec.size_param if algorithm == "uniform"
+                            else 100.0 * len(subset.row_ids) / target_train),
             train_rows=source_train + subset.row_ids,
             eval_rows=eval_rows,
             test_rows=test_rows,

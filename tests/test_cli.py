@@ -293,7 +293,30 @@ def test_run_keeps_an_old_ledger_whole_until_the_new_one_is_written(corpus, tmp_
     assert cli.main(argv) == 0
     assert (tmp_path / "calls.log").read_text(encoding="utf-8") == "old ledger\n" * 4
     assert len(load_ledger(out).ok_entries) == 4
-    assert not out.with_name("ledger.json.tmp").exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_run_leaves_a_file_named_like_a_temp_file_alone(corpus, tmp_path):
+    out = tmp_path / "ledger.json"
+    sibling = tmp_path / "ledger.json.tmp"
+    sibling.write_bytes(b"not ours")
+    argv = ["run", "--corpus", str(corpus), "--target", "weather", "--n", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert sibling.read_bytes() == b"not ours"
+    argv[2] = str(tmp_path / "missing.tsv")
+    assert cli.main(argv) == 1
+    assert sibling.read_bytes() == b"not ours"
+
+
+def test_run_refuses_a_directory_out_before_any_run(corpus, tmp_path, capsys):
+    out = tmp_path / "ledgers"
+    out.mkdir()
+    argv = ["run", "--corpus", str(corpus), "--target", "weather", "--n", "3",
+            "--runner", _logging_runner(tmp_path, out), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+    assert not (tmp_path / "calls.log").exists()
+    assert list(out.iterdir()) == []
 
 
 def test_run_warns_when_its_ledger_cannot_be_fitted(corpus, tmp_path):

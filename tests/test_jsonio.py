@@ -2,13 +2,15 @@ import ast
 import csv
 import io
 import json
+import os
 import pathlib
+import stat
 
 import pytest
 
 from dataeff.curve import CurveModel, EfficiencyPoint
 from dataeff.errors import DataEffError, InputError
-from dataeff.jsonio import csv_text, dumps, from_dict, loads, text_table
+from dataeff.jsonio import csv_text, dumps, from_dict, loads, replace_file, text_table
 from dataeff.protocol import (
     Ledger,
     RunResult,
@@ -198,3 +200,34 @@ def test_only_jsonio_lays_out_a_table():
                 comma_join = (node.attr == "join" and isinstance(value, ast.Constant)
                               and value.value == ",")
                 assert not comma_join, (path.name, node.lineno)
+
+
+def test_only_jsonio_replaces_a_file():
+    # replace_file is the one temp-and-rename: a file written any other way could be
+    # seen half written, or leave a temp file of its own behind.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "dataeff"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "jsonio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                renames = node.value.id == "os" and node.attr in ("replace", "rename")
+                assert not renames, (path.name, node.lineno)
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not {"replace", "rename"} & {a.name for a in node.names}, path.name
+
+
+def test_replace_file_writes_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "out.bin"
+    replace_file(path, iter([b"first ", b"bytes"]), 0o600)
+    assert path.read_bytes() == b"first bytes"
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+    def chunks():
+        yield b"half"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        replace_file(path, chunks())
+    assert path.read_bytes() == b"first bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import sys
 import threading
@@ -21,6 +22,7 @@ from dataeff.protocol import (
     build_manifests,
     ledger_to_curve,
     run_protocol,
+    save_ledger,
 )
 from dataeff.sampling import make_schedule, sample
 
@@ -198,6 +200,20 @@ def test_ledger_round_trip_bytes(weather_table, manifests):
     ledger = run_protocol(manifests, runner)
     text = dumps(ledger)
     assert dumps(Ledger.from_json(text, "ledger.json")) == text
+
+
+def test_a_save_ledger_whose_rename_fails_keeps_the_old_ledger(manifests, tmp_path, monkeypatch):
+    path = tmp_path / "ledger.json"
+    path.write_bytes(b"old ledger")
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="No space left"):
+        save_ledger(run_protocol(manifests, SimulatedRunner(truth=TRUTH)), path)
+    assert path.read_bytes() == b"old ledger"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json"]
 
 
 def _ok(manifest):
