@@ -15,6 +15,8 @@ depends on it.
 
 A checked table is kept beside its corpus in ``.NAME.dataeff-cache`` (NAME is
 the corpus file's name), so a later load of the same bytes skips the check.
+A cache hit decodes the index and each split's digest at once; the frame and
+label columns stay CRC-checked marshal bytes until a command first reads them.
 Its key is a blake2b digest of the bytes the check read, the reading rule (TSV
 or JSONL, and the filename's fallback split) and the source of the modules
 that check (``corpus``, ``frames``, ``jsonio``) under this Python. The cache
@@ -38,6 +40,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from threading import Lock
 
 from . import frames, jsonio
 from .errors import CorpusError, FrameParseError, InputError, UnknownDomainError
@@ -56,7 +59,8 @@ class CorpusTable:
     and ``labels[i]`` (the frame's interned intent and slot labels in
     pre-order, root intent first), and ``row_ids(domain, split)`` lists the rows
     of each domain and split. Rows with the same bracket structure share one
-    ``labels`` tuple.
+    ``labels`` tuple. A table read from a cache decodes each column when it is
+    first read.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
@@ -90,9 +94,26 @@ class CorpusTable:
             name: {s: tuple(ids) for s, ids in per_split.items()}
             for name, per_split in index.items()
         }
+        self._digests = {
+            name: {s: blake2b("\n".join(parse[row] for row in ids).encode("utf-8"),
+                              digest_size=16).hexdigest() for s, ids in per_split.items()}
+            for name, per_split in self._index.items()
+        }
+
+    def __getattr__(self, name: str):
+        # Only a cached table lacks a column: _pending maps the column's name to its
+        # CRC-checked marshal records. The lock makes runner threads that read a
+        # column together decode it once.
+        if name not in ("parse", "labels") or "_pending" not in self.__dict__:
+            raise AttributeError(name)
+        with self._decoding:
+            if name not in self.__dict__:
+                chunks = [marshal.loads(record) for record in self._pending.pop(name)]
+                setattr(self, name, chunks[0] if len(chunks) == 1 else tuple(chain(*chunks)))
+        return self.__dict__[name]
 
     def __len__(self) -> int:
-        return len(self.parse)
+        return sum(len(ids) for per_split in self._index.values() for ids in per_split.values())
 
     def domains(self) -> tuple[str, ...]:
         return tuple(self._index)
@@ -110,8 +131,8 @@ class CorpusTable:
 
 def split_digest(table: CorpusTable, domain: str, split: str) -> str:
     """Hex blake2b (16 bytes) of a split's canonical frames joined by ``\n``, in row order."""
-    text = "\n".join(table.parse[row] for row in table.row_ids(domain, split))
-    return blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+    table.row_ids(domain, split)  # the unknown-domain and unknown-split errors
+    return table._digests[domain][split]
 
 
 def _default_split(path: Path) -> str:
@@ -232,8 +253,8 @@ def _load_cached(path: Path, cache: Path, digest) -> CorpusTable | None:
         return None
 
 
-def _records(handle, size: int) -> Iterator:
-    """The values in size bytes of records: each a 4-byte length, a CRC-32 and that much marshal."""
+def _records(handle, size: int) -> Iterator[bytes]:
+    """The marshal bytes in size bytes of records: each a 4-byte length, a CRC-32 and that much."""
     while size > 0:
         head = handle.read(8)
         length = int.from_bytes(head[:4], "little")
@@ -243,7 +264,7 @@ def _records(handle, size: int) -> Iterator:
         data = handle.read(length)
         if zlib.crc32(data) != int.from_bytes(head[4:], "little"):
             raise ValueError("corrupt cache record")
-        yield marshal.loads(data)
+        yield data
 
 
 def _record(value) -> bytes:
@@ -251,29 +272,29 @@ def _record(value) -> bytes:
     return len(data).to_bytes(4, "little") + zlib.crc32(data).to_bytes(4, "little") + data
 
 
-def _read_table(records: Iterator) -> CorpusTable:
-    table = CorpusTable()
+def _read_table(records: Iterator[bytes]) -> CorpusTable:
+    table = CorpusTable.__new__(CorpusTable)
+    table._index, table._digests = marshal.loads(next(records))
+    labels, *frames = records
+    if len(frames) != -(-len(table) // _CACHE_ROWS):
+        raise EOFError("cache ends before its last row")
     # marshal interns a string that was interned when written, so labels come
     # back as the same objects that sys.intern holds.
-    table.labels, table._index = next(records)
-    parse = []
-    for frame_texts in records:
-        parse += frame_texts
-    if len(parse) != len(table.labels):
-        raise EOFError("cache ends before its last row")
-    table.parse = tuple(parse)
+    table._pending = {"labels": [labels], "parse": frames}
+    table._decoding = Lock()
     return table
 
 
 def _save_cached(table: CorpusTable, cache: Path, key: bytes) -> None:
     """Write the table to cache under key by jsonio.replace_file, so no reader sees half.
 
-    The file is the key, then one record of the labels column and the index, then one
-    record of frames per _CACHE_ROWS rows, each made as it is written, so neither a
-    write nor a read holds the whole frame column's marshal bytes."""
+    The file is the key, then one record of the index and the split digests, one of
+    the labels column, then one of frames per _CACHE_ROWS rows, each made as it is
+    written, so a write never holds the whole frame column's marshal bytes. A read
+    holds them, CRC-checked, until the column is first read."""
     # marshal stores an object that rows share once and refers back to it,
     # so shared labels come back shared.
-    records = chain([(table.labels, table._index)],
+    records = chain([(table._index, table._digests), table.labels],
                     (table.parse[i:i + _CACHE_ROWS] for i in range(0, len(table), _CACHE_ROWS)))
     with suppress(OSError):  # an unwritable cache costs only the next load its check
         jsonio.replace_file(cache, chain([key], map(_record, records)), 0o600)

@@ -9,8 +9,9 @@ The generator is SplitMix64: state advances by the golden-ratio constant
 
 with all arithmetic mod 2**64. It is pure integer math, so identical seeds
 produce identical draws on every platform and Python version, which is what
-makes subsets and ledgers byte-reproducible. Bounded integers use modulo
-rejection (no bias); shuffles are front-to-back Fisher-Yates.
+makes subsets and ledgers byte-reproducible. Shuffles are front-to-back
+Fisher-Yates, each position's draw an unbiased integer by modulo rejection;
+the shuffle runs the generator inline, so each draw costs one ``%``.
 """
 
 from __future__ import annotations
@@ -64,16 +65,6 @@ class SplitMix64:
         self.state = (self.state + _GOLDEN) & _MASK
         return _finalize(self.state)
 
-    def below(self, n: int) -> int:
-        """Unbiased integer in [0, n) via modulo rejection."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        threshold = ((1 << 64) // n) * n
-        while True:
-            u = self.next_u64()
-            if u < threshold:
-                return u % n
-
     def unit(self) -> float:
         """Float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
@@ -87,15 +78,27 @@ class SplitMix64:
     def shuffle_prefix(self, items: list, m: int) -> list:
         """First m entries of a Fisher-Yates shuffle of items (in-place, returned).
 
-        Positions are filled front to back: position i swaps with
-        i + below(len - i). m == len(items) is a full shuffle.
+        Positions are filled front to back: position i swaps with i + z % b, where
+        b = len - i and z is the first output below (2**64 // b) * b (modulo
+        rejection, so no bias). m == len(items) is a full shuffle.
         """
         n = len(items)
         if not 0 <= m <= n:
             raise ValueError(f"prefix length {m} out of range for {n} items")
+        state = self.state
         for i in range(m):
-            j = i + self.below(n - i)
+            bound = n - i
+            while True:  # next_u64, inlined
+                state = (state + _GOLDEN) & _MASK
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+                r = z % bound
+                if z - r <= _MASK + 1 - bound:  # z below the largest multiple of bound
+                    break
+            j = i + r
             items[i], items[j] = items[j], items[i]
+        self.state = state
         return items[:m]
 
     def shuffle(self, items: list) -> list:

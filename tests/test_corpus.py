@@ -1,14 +1,20 @@
 import json
+import marshal
 import os
 import sys
 import threading
+import time
 import tracemalloc
+from _blake2 import blake2b
+from types import SimpleNamespace
 
 import pytest
 
-from dataeff import corpus
-from dataeff.corpus import SPLITS, CorpusTable, load_corpus
-from dataeff.errors import CorpusError, DataEffError
+from dataeff import cli, corpus
+from dataeff.corpus import SPLITS, CorpusTable, load_corpus, split_digest
+from dataeff.errors import CorpusError, DataEffError, UnknownDomainError
+from dataeff.protocol import SimulatedRunner, build_manifests
+from dataeff.sampling import make_schedule
 
 from conftest import columns, row_keys, write_tsv
 
@@ -472,13 +478,22 @@ def _another_code_key(path, tmp_path, monkeypatch):
         _load_counting_checks(path, monkeypatch)
 
 
+def _record_ends(data):
+    """Where each record ends: the 64-byte key, then an 8-byte head and its length of bytes."""
+    ends = [64]
+    while ends[-1] < len(data):
+        ends.append(ends[-1] + 8 + int.from_bytes(data[ends[-1]:ends[-1] + 4], "little"))
+    return ends[1:]
+
+
 def _cut_after_first_record(data):
-    """The key and the first record (an 8-byte head, then its length of bytes) only."""
+    """The key and the first record (the index and the split digests) only."""
     return data[:64 + 8 + int.from_bytes(data[64:68], "little")]
 
 
-def _flip_a_byte(data):
-    return data[:len(data) // 2] + bytes([data[len(data) // 2] ^ 1]) + data[len(data) // 2 + 1:]
+def _flip_a_byte(data, at=None):
+    at = len(data) // 2 if at is None else at
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
 
 
 @pytest.mark.parametrize("break_cache", [
@@ -491,7 +506,12 @@ def _flip_a_byte(data):
     lambda cache, tmp_path, monkeypatch: cache.write_bytes(_flip_a_byte(cache.read_bytes())),
     lambda cache, tmp_path, monkeypatch: _another_code_key(
         cache.with_name("corpus.tsv"), tmp_path, monkeypatch),
-], ids=["truncated", "key only", "one record", "garbage", "empty", "flipped byte", "another code key"])
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(
+        cache.read_bytes()[:_record_ends(cache.read_bytes())[1]]),
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(
+        _flip_a_byte(cache.read_bytes(), _record_ends(cache.read_bytes())[2] - 1)),
+], ids=["truncated", "key only", "one record", "garbage", "empty", "flipped byte",
+        "another code key", "cut after the labels", "flipped frame byte"])
 def test_a_broken_cache_is_ignored_and_rewritten(tmp_path, monkeypatch, break_cache):
     path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
     checked = load_corpus(path)
@@ -553,3 +573,116 @@ def test_a_pipe_is_read_once_and_never_cached(tmp_path):
     assert not writer.is_alive()
     assert len(table) == len(CACHED_ROWS)
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.tsv"]
+
+
+def _counting_loads(monkeypatch):
+    """Patch the cache's marshal so each decoded record is appended to the returned list."""
+    decoded = []
+
+    def loads(data):
+        decoded.append(data)
+        return marshal.loads(data)
+
+    monkeypatch.setattr(corpus, "marshal", SimpleNamespace(loads=loads, dumps=marshal.dumps))
+    return decoded
+
+
+def _cached(path):
+    """A cache hit on path, whose cache the first load writes."""
+    load_corpus(path)
+    return load_corpus(path)
+
+
+def test_a_uniform_run_on_a_cache_hit_decodes_neither_column(tmp_path, monkeypatch):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    load_corpus(path)  # writes the cache
+    decoded = _counting_loads(monkeypatch)
+    table = load_corpus(path)
+    manifests = build_manifests(table, "weather", make_schedule(10), seeds=(0, 1))
+    assert len([SimulatedRunner(noise_sigma=0.5)(manifest) for manifest in manifests]) == 20
+    assert len(table) == len(CACHED_ROWS)
+    assert "parse" not in vars(table) and "labels" not in vars(table)
+    assert len(decoded) == 1  # the index and the split digests
+
+
+def test_spis_sampling_and_complexity_decode_each_column_once(tmp_path, monkeypatch):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    ledger = tmp_path / "ledger.json"
+    assert cli.main(["run", "--corpus", str(path), "--target", "weather", "--n", "4",
+                     "--emit-predictions", "--out", str(ledger)]) == 0
+    frame_records = -(-len(CACHED_ROWS) // corpus._CACHE_ROWS)
+    decoded = _counting_loads(monkeypatch)
+    table = load_corpus(path)
+    assert len(list(build_manifests(table, "weather", make_schedule(4), "spis", (0, 1)))) == 6
+    assert len(decoded) == 2 and "parse" not in vars(table)
+    decoded.clear()
+    out = tmp_path / "classes.csv"
+    assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(path),
+                     "--domain", "weather", "--out", str(out)]) == 0
+    assert len(decoded) == 2 + frame_records
+
+
+def test_runner_threads_decode_the_frames_of_a_cache_hit_safely(tmp_path, monkeypatch, capsys):
+    # Each decoded record sleeps, so both runner threads read table.parse before the
+    # first of them has decoded it.
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+
+    def run(jobs, out):
+        argv = ["run", "--corpus", str(path), "--target", "weather", "--algorithm", "uniform",
+                "--emit-predictions", "--seeds", "0", "1", "--jobs", jobs, "--out", str(out)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert capsys.readouterr().err.endswith("20 runs: 20 ok, 0 failed -> " + str(out) + "\n")
+        return out.read_bytes()
+
+    cold = run("1", tmp_path / "cold.json")
+
+    def slow_loads(data):
+        time.sleep(0.005)
+        return marshal.loads(data)
+
+    monkeypatch.setattr(corpus, "marshal", SimpleNamespace(loads=slow_loads, dumps=marshal.dumps))
+    assert run("2", tmp_path / "two.json") == cold
+    assert run("1", tmp_path / "one.json") == cold
+
+
+@pytest.mark.parametrize("load", ["checked", "cached"])
+def test_split_digest_is_the_digest_of_the_split_frames(tmp_path, load):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    table = load_corpus(path) if load == "checked" else _cached(path)
+    for domain in table.domains():
+        for split in SPLITS:
+            text = "\n".join(table.parse[row] for row in table.row_ids(domain, split))
+            digest = blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+            assert split_digest(table, domain, split) == digest
+    with pytest.raises(UnknownDomainError, match="domain 'mail' not in corpus"):
+        split_digest(table, "mail", "test")
+    with pytest.raises(ValueError, match="split must be one of"):
+        split_digest(table, "weather", "dev")
+
+
+def test_threads_racing_to_read_the_columns_of_a_cache_hit_all_see_them(tmp_path):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    checked = load_corpus(path)  # writes the cache
+    expected = {"parse": checked.parse, "labels": checked.labels}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table = load_corpus(path)
+            seen, start = [], threading.Barrier(8)
+
+            def read(name):
+                start.wait(timeout=10)
+                seen.append((name, getattr(table, name)))
+
+            threads = [threading.Thread(target=read, args=(name,))
+                       for name in ("parse", "labels") * 4]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 8
+            assert all(column == expected[name] for name, column in seen)
+    finally:
+        sys.setswitchinterval(interval)
