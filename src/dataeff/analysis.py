@@ -8,7 +8,8 @@ does a reference model-comparison table whose numbers come from full-scale fine-
 and are not recomputable here.
 
 The complexity study reuses the curve path: per-intent points come from
-ledger_to_curve, and a class curve is average_points of average_points.
+ledger_to_curve, scored against the test split that the ledger's protocol
+names, and a class curve is average_points of average_points.
 """
 
 from __future__ import annotations
@@ -79,12 +80,11 @@ def per_intent_points(
 ) -> dict:
     """Break each run's exact match down by the reference frame's root intent.
 
-    The ledger is scoped by ledger_to_curve, whose points are rescored per
-    intent. Every successful run must carry predictions, item i for row i of
-    the target domain's test split, and the test_digest of that split in this
-    corpus (corpus.split_digest), so a run is never scored on another split.
-    Each intent's rows are scored by frames.exact_match, so a prediction that
-    does not parse is a miss. Intents with fewer than min_test_occurrences
+    The points of ledger_to_curve are rescored per intent. The ledger's protocol
+    names the target domain and its test split's test_digest, which must be this
+    corpus's (corpus.split_digest). Every successful run must carry predictions,
+    item i for row i of that split, each scored by frames.exact_match, so one
+    that does not parse is a miss. Intents with fewer than min_test_occurrences
     rows in that split are excluded. Returns {intent label: [EfficiencyPoint, ...]}.
     """
     from .corpus import split_digest
@@ -92,9 +92,11 @@ def per_intent_points(
     from .protocol import ledger_to_curve
 
     points = ledger_to_curve(ledger)
-    domain = ledger.ok_entries[0].manifest.target_domain
+    domain = ledger.protocol.target_domain
+    if split_digest(table, domain, "test") != ledger.protocol.test_digest:
+        raise AnalysisError(f"the ledger's runs were scored on another {domain} test split "
+                            "than this corpus's")
     test_split = table.row_ids(domain, "test")
-    digest = split_digest(table, domain, "test")
     positions: dict[str, list[int]] = {}  # root intent -> its indexes into test_split
     for i, row_id in enumerate(test_split):
         positions.setdefault(table.labels[row_id][0], []).append(i)
@@ -103,18 +105,11 @@ def per_intent_points(
 
     out: dict[str, list[EfficiencyPoint]] = {label: [] for label in intents}
     for entry, point in zip(ledger.ok_entries, points):
-        run_id = entry.manifest.run_id
         if entry.result.predictions is None:
             raise AnalysisError(
-                f"run {run_id!r} has no per-example predictions; "
+                f"run {entry.run_id!r} has no per-example predictions; "
                 "re-run with a prediction-emitting runner"
             )
-        if entry.manifest.test_digest is None:
-            raise AnalysisError(f"run {run_id!r} has no test_digest: the ledger predates the "
-                                "test-split check; run it again")
-        if entry.manifest.test_digest != digest:
-            raise AnalysisError(f"run {run_id!r} was scored on another {domain} test split "
-                                "than this corpus's")
         for label, (idx, references) in intents.items():
             em = exact_match([entry.result.predictions[i] for i in idx], references)
             out[label].append(replace(point, exact_match=em))

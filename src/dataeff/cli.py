@@ -46,9 +46,8 @@ def _load_points_file(path: str):
     if stripped.startswith("{"):
         from .protocol import Ledger, ledger_to_curve
 
-        ledger = Ledger.from_json(text, path)
-        try:
-            return ledger_to_curve(ledger)
+        try:  # the decoder's own errors name the file already
+            return ledger_to_curve(Ledger.from_json(text, path))
         except ProtocolError as exc:
             raise ProtocolError(f"{path}: {exc}") from None
     if stripped.startswith("["):
@@ -156,7 +155,7 @@ def cmd_run(args) -> int:
         file=sys.stderr,
     )
     for entry in failed:
-        print(f"  failed {entry.manifest.run_id}: {entry.error}", file=sys.stderr)
+        print(f"  failed {entry.run_id}: {entry.error}", file=sys.stderr)
     try:
         fit_curve(protocol.ledger_to_curve(ledger))
     except DataEffError as exc:
@@ -182,8 +181,7 @@ def cmd_complexity(args) -> int:
 
     ledger = protocol.load_ledger(args.ledger)
     try:
-        protocol.ledger_to_curve(ledger)  # one (model, domain) with an ok run, checked first
-        domain = ledger.ok_entries[0].manifest.target_domain
+        domain = ledger.protocol.target_domain
         if args.domain not in (None, domain):
             raise AnalysisError(f"the ledger's runs are on domain {domain!r}, "
                                 f"not on --domain {args.domain!r}")

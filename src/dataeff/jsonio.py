@@ -5,7 +5,7 @@ dumps() writes dataclasses as objects of their fields in declaration order,
 leaving out a field whose value and default are both None. from_dict() checks
 decoded JSON against the type hints: a missing or ill-typed key raises
 InputError naming the source and key path, e.g. ``ledger.json:
-entries[3].manifest.seed: expected int, got str``. Unknown keys are ignored,
+entries[3].seed: expected int, got str``. Unknown keys are ignored,
 float fields accept integers, and a bool is never a number.
 
 Every input file is read under one rule, by read_lines one line at a time or

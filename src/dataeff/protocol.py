@@ -11,10 +11,10 @@ build_manifests draws every subset before it returns but builds each Manifest
 only when it is taken, and run_protocol takes manifests as runs start, so a
 protocol holds the train rows of the runs in flight, not of every run.
 
-A ledger is an immutable record of self-checked entries, one per run_id; a
-run's id and seed come from its manifest, and decode errors name the entry, as
-in ``entries[4]``. A runner that raises, or returns no RunResult, or a
-prediction list of another length than its test rows, fails only that run.
+A ledger (format 2) names once, in its header, the Protocol that all its runs
+share, and holds one self-checked entry per run_id; decode errors name the
+entry, as in ``entries[4]``. A runner that raises, or returns no RunResult, or
+a prediction list of another length than its test rows, fails only that run.
 The modules only CommandRunner and a multi-job protocol need (subprocess,
 shlex, tempfile, concurrent.futures) are imported where those run, so a
 simulated protocol and the commands that only read a ledger do not load them.
@@ -59,39 +59,24 @@ class Manifest:
     test_rows: tuple[int, ...]
     test_digest: str  # corpus.split_digest of the target domain's test split
 
-    def summary(self) -> "ManifestSummary":
-        return ManifestSummary(
-            run_id=self.run_id,
-            model_id=self.model_id,
-            target_domain=self.target_domain,
-            algorithm=self.subset.algorithm,
-            size_param=self.subset.size_param,
-            seed=self.subset.seed,
-            subset_percent=self.subset_percent,
-            subset_size=len(self.subset_rows),
-            n_train=len(self.train_rows),
-            n_eval=len(self.eval_rows),
-            n_test=len(self.test_rows),
-            test_digest=self.test_digest,
-        )
-
 
 @dataclass(frozen=True)
-class ManifestSummary:
-    """The ledger's compact record of a manifest (row lists dropped)."""
+class Protocol:
+    """What every run of one ledger shares, written once as the ledger's header."""
 
-    run_id: str
     model_id: str
     target_domain: str
     algorithm: str
-    size_param: float
-    seed: int
-    subset_percent: float
-    subset_size: int
-    n_train: int
+    n_source_train: int
     n_eval: int
     n_test: int
-    test_digest: str | None = None  # None in a ledger written before it was recorded
+    test_digest: str  # corpus.split_digest of the target domain's test split
+
+    @staticmethod
+    def of(manifest: Manifest) -> "Protocol":
+        return Protocol(manifest.model_id, manifest.target_domain, manifest.subset.algorithm,
+                        len(manifest.train_rows) - len(manifest.subset_rows),
+                        len(manifest.eval_rows), len(manifest.test_rows), manifest.test_digest)
 
 
 @dataclass(frozen=True)
@@ -110,9 +95,20 @@ class RunResult:
             raise ProtocolError(f"wall_time must be finite and >= 0, got {self.wall_time}")
 
 
+def _check_predictions(result: RunResult | None, n_test: int, where: str = "") -> None:
+    if result and result.predictions is not None and len(result.predictions) != n_test:
+        raise ProtocolError(f"{where}{len(result.predictions)} predictions for {n_test} test rows")
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
-    manifest: ManifestSummary
+    """One run and its outcome; it trains on protocol.n_source_train + subset_size rows."""
+
+    run_id: str
+    size_param: float
+    seed: int
+    subset_percent: float
+    subset_size: int
     result: RunResult | None
     error: str | None
 
@@ -121,9 +117,6 @@ class LedgerEntry:
             raise ProtocolError("a failed entry needs an error message")
         if self.result is not None and self.error is not None:
             raise ProtocolError("an entry has a result or an error, not both")
-        predictions = self.result and self.result.predictions
-        if predictions is not None and len(predictions) != self.manifest.n_test:
-            raise ProtocolError(f"{len(predictions)} predictions for {self.manifest.n_test} test rows")
 
     @property
     def ok(self) -> bool:
@@ -132,16 +125,21 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class Ledger:
-    """Immutable run record: self-checked entries, no run_id twice."""
+    """Immutable record of one protocol's runs: self-checked entries, no run_id twice."""
 
+    format: int
+    protocol: Protocol
     entries: tuple[LedgerEntry, ...]
 
     def __post_init__(self):
+        if self.format != 2:
+            raise ProtocolError(f"format {self.format}: only format 2 is read")
         first: dict[str, int] = {}
         for i, entry in enumerate(self.entries):
-            if (j := first.setdefault(entry.manifest.run_id, i)) != i:
-                raise ProtocolError(f"duplicate run_id {entry.manifest.run_id!r} "
+            if (j := first.setdefault(entry.run_id, i)) != i:
+                raise ProtocolError(f"duplicate run_id {entry.run_id!r} "
                                     f"in entries[{j}] and entries[{i}]")
+            _check_predictions(entry.result, self.protocol.n_test, f"entries[{i}]: ")
 
     @property
     def ok_entries(self) -> list[LedgerEntry]:
@@ -355,51 +353,60 @@ def run_protocol(manifests: Iterable[Manifest], runner: Runner, jobs: int = 1) -
     Manifests are taken from the iterable as runs start: jobs == 1 runs each
     as it is taken, and jobs > 1 runs them in a thread pool with at most
     2 * jobs of them in flight. A runner that raises or returns no valid
-    RunResult fails only that run. Ledger order always follows manifest order,
-    regardless of completion order.
+    RunResult, or predictions for another number of test rows, fails only that
+    run. Ledger order always follows manifest order, regardless of completion
+    order. The first manifest names the ledger's protocol; a later one of
+    another protocol raises ProtocolError before its runner is called.
     """
     if jobs < 1:
         raise ProtocolError(f"jobs must be >= 1, got {jobs}")
+    header = None
+
+    def taken() -> Iterator[Manifest]:
+        nonlocal header
+        for manifest in manifests:
+            protocol = Protocol.of(manifest)
+            header = header or protocol
+            if protocol != header:
+                differ = ", ".join(k for k, v in vars(protocol).items() if vars(header)[k] != v)
+                raise ProtocolError(f"manifest {manifest.run_id!r} differs from the first in {differ}")
+            yield manifest
 
     def attempt(manifest: Manifest) -> LedgerEntry:
-        summary = manifest.summary()
         try:
             result = runner(manifest)
             if not isinstance(result, RunResult):
                 raise ProtocolError(f"runner returned {type(result).__name__}, not RunResult")
-            return LedgerEntry(summary, result, None)
+            _check_predictions(result, len(manifest.test_rows))
+            outcome = result, None
         except Exception as exc:  # fault isolation: one bad run must not abort the rest
-            return LedgerEntry(summary, None, f"{type(exc).__name__}: {exc}")
+            outcome = None, f"{type(exc).__name__}: {exc}"
+        return LedgerEntry(manifest.run_id, manifest.subset.size_param, manifest.subset.seed,
+                           manifest.subset_percent, len(manifest.subset_rows), *outcome)
 
     if jobs == 1:
-        return Ledger(tuple(map(attempt, manifests)))
-    from concurrent.futures import ThreadPoolExecutor
+        entries = list(map(attempt, taken()))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    entries = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        in_flight = deque()
-        for manifest in manifests:
-            in_flight.append(pool.submit(attempt, manifest))
-            if len(in_flight) == 2 * jobs:  # wait before taking the next manifest
-                entries.append(in_flight.popleft().result())
-        entries.extend(future.result() for future in in_flight)
-    return Ledger(tuple(entries))
+        entries = []
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            in_flight = deque()
+            for manifest in taken():
+                in_flight.append(pool.submit(attempt, manifest))
+                if len(in_flight) == 2 * jobs:  # wait before taking the next manifest
+                    entries.append(in_flight.popleft().result())
+            entries.extend(future.result() for future in in_flight)
+    if header is None:
+        raise ProtocolError("no manifests to run")
+    return Ledger(2, header, tuple(entries))
 
 
 def ledger_to_curve(ledger: Ledger) -> list[EfficiencyPoint]:
-    """One EfficiencyPoint per ok run, from its manifest's percent and seed; one (model, domain)."""
+    """One EfficiencyPoint per ok run, at its subset percent and seed."""
     entries = ledger.ok_entries
     if not ledger.entries:
         raise ProtocolError("empty ledger")
     if not entries:
         raise ProtocolError("all runs failed; nothing to plot")
-    pairs = {(e.manifest.model_id, e.manifest.target_domain) for e in entries}
-    if len(pairs) != 1:
-        raise ProtocolError(
-            f"ledger mixes several (model, domain) pairs: {sorted(pairs)}; "
-            "split it before building a curve"
-        )
-    return [
-        EfficiencyPoint(e.manifest.subset_percent, e.result.exact_match, e.manifest.seed)
-        for e in entries
-    ]
+    return [EfficiencyPoint(e.subset_percent, e.result.exact_match, e.seed) for e in entries]

@@ -14,7 +14,7 @@ from dataeff.analysis import (
 from dataeff.corpus import CorpusTable, split_digest
 from dataeff.curve import CurveModel, EfficiencyPoint
 from dataeff.errors import AnalysisError, AnnotationError
-from dataeff.protocol import Ledger, LedgerEntry, ManifestSummary, RunResult
+from dataeff.protocol import Ledger, LedgerEntry, Protocol, RunResult
 
 NONE, CLOSED, SEMI, OPEN = "none", "closed", "semi", "open"
 
@@ -119,13 +119,17 @@ def _music_test_table(play=12):
     return CorpusTable(rows)
 
 
-def _summary(run_id, percent, table, seed=0):
-    return ManifestSummary(
-        run_id=run_id, model_id="parser", target_domain="music", algorithm="uniform",
-        size_param=float(percent), seed=seed, subset_percent=float(percent),
-        subset_size=0, n_train=1, n_eval=0, n_test=31,
-        test_digest=split_digest(table, "music", "test"),
-    )
+def _ledger(table, *entries):
+    """A ledger of entries on music, the table's only domain."""
+    protocol = Protocol(model_id="parser", target_domain="music", algorithm="uniform",
+                        n_source_train=0, n_eval=0, n_test=31,
+                        test_digest=split_digest(table, "music", "test"))
+    return Ledger(2, protocol, entries)
+
+
+def _entry(run_id, percent, result):
+    return LedgerEntry(run_id=run_id, size_param=float(percent), seed=0,
+                       subset_percent=float(percent), subset_size=0, result=result, error=None)
 
 
 def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally wrong ]",
@@ -140,7 +144,7 @@ def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally w
             text = edits.pop(0)(text)
         predictions.append(text)
     result = RunResult(exact_match=0.0, predictions=tuple(predictions))
-    return Ledger((LedgerEntry(_summary("run-k4", 4, table), result, None),))
+    return _ledger(table, _entry("run-k4", 4, result))
 
 
 def test_per_intent_all_correct():
@@ -183,7 +187,7 @@ def test_per_intent_compares_canonical_forms():
 def test_per_intent_requires_predictions():
     table = _music_test_table()
     result = RunResult(exact_match=90.0)
-    ledger = Ledger((LedgerEntry(_summary("bare", 4, table), result, None),))
+    ledger = _ledger(table, _entry("bare", 4, result))
     with pytest.raises(AnalysisError):
         per_intent_points(ledger, table)
 
@@ -197,7 +201,7 @@ def test_per_intent_threshold_is_configurable():
 def test_per_intent_rejects_a_ledger_of_another_test_split():
     # A positional list read against another split would score the wrong rows.
     ledger = _prediction_ledger(_music_test_table())
-    message = "^run 'run-k4' was scored on another music test split than this corpus's$"
+    message = "^the ledger's runs were scored on another music test split than this corpus's$"
     with pytest.raises(AnalysisError, match=message):
         per_intent_points(ledger, _music_test_table(play=13))
 
@@ -207,17 +211,8 @@ def test_per_intent_rejects_a_split_of_the_same_size_in_another_order():
     rows = [("music", "", frame, "test") for frame in reversed(
         [table.parse[pos] for pos in table.row_ids("music", "test")])]
     swapped = CorpusTable(rows + [("music", "train row", "[IN:PLAY_MUSIC x ]", "train")])
-    with pytest.raises(AnalysisError, match="was scored on another music test split"):
+    with pytest.raises(AnalysisError, match="were scored on another music test split"):
         per_intent_points(_prediction_ledger(table), swapped)
-
-
-def test_per_intent_refuses_a_ledger_written_before_the_digest():
-    table = _music_test_table()
-    (entry,) = _prediction_ledger(table).entries
-    old = Ledger((replace(entry, manifest=replace(entry.manifest, test_digest=None)),))
-    message = "^run 'run-k4' has no test_digest: the ledger predates the test-split check; run it again$"
-    with pytest.raises(AnalysisError, match=message):
-        per_intent_points(old, table)
 
 
 def _toy_annotations():
@@ -262,9 +257,9 @@ def test_per_class_means_stay_within_member_range():
 def test_per_class_points_pool_the_seeds_of_one_ledger():
     table = _music_test_table()
     ledgers = [_prediction_ledger(table, wrong_play=n) for n in (0, 6)]
-    entries = [replace(e, manifest=replace(e.manifest, run_id=f"s{i}", seed=i))
+    entries = [replace(e, run_id=f"s{i}", seed=i)
                for i, ledger in enumerate(ledgers) for e in ledger.entries]
-    per_intent = per_intent_points(Ledger(tuple(entries)), table)
+    per_intent = per_intent_points(_ledger(table, *entries), table)
     curves = per_class_curves(per_intent, packaged_annotations("music"))
     assert _series(curves[SEMI]) == [(4.0, 75.0)]  # PLAY: seeds at 100 and 50
     assert _series(curves[CLOSED]) == [(4.0, 100.0)]  # STOP

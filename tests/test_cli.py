@@ -7,17 +7,20 @@ from collections import Counter
 
 import pytest
 
-from dataeff import cli
+from dataeff import cli, protocol
 from dataeff.analysis import compare_models, load_annotations
-from dataeff.corpus import load_corpus
+from dataeff.corpus import load_corpus, split_digest
 from dataeff.curve import CurveModel, load_model, points_from_csv
 from dataeff.errors import AnnotationError, InputError
 from dataeff.jsonio import dumps
-from dataeff.protocol import ledger_to_curve, load_ledger
+from dataeff.protocol import SimulatedRunner, build_manifests, ledger_to_curve, load_ledger
+from dataeff.sampling import make_schedule
 
 from conftest import columns, simple_corpus_rows, write_tsv
 
 CANONICAL = (-27.26, 0.35, 97.79)
+PROTOCOL = ('"protocol": {"model_id": "p", "target_domain": "w", "algorithm": "uniform", '
+            '"n_source_train": 4, "n_eval": 2, "n_test": 2, "test_digest": "00"}')
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -172,7 +175,7 @@ def test_fit_warns_on_a_curve_that_is_not_saturating(tmp_path, capsys):
 
 def test_fit_rejects_a_ledger_whose_entries_are_not_an_array(tmp_path, capsys):
     ledger = tmp_path / "ledger.json"
-    ledger.write_text('{"entries": {}}\n', encoding="utf-8")
+    ledger.write_text(f'{{"format": 2, {PROTOCOL}, "entries": {{}}}}\n', encoding="utf-8")
     assert cli.main(["fit", "--points", str(ledger)]) == 1
     assert capsys.readouterr().err == f"error: {ledger}: entries: expected array, got object\n"
 
@@ -398,9 +401,9 @@ def test_exec_runner_takes_any_model_id(corpus, tmp_path, jobs, model_id):
         capture_output=True, text=True, env={**os.environ, "TMPDIR": str(temp)},
     )
     assert proc.returncode == 0, proc.stderr
-    entries = load_ledger(ledger).entries
-    assert len(entries) == 4
-    assert all(e.error is None and e.manifest.model_id == model_id for e in entries)
+    loaded = load_ledger(ledger)
+    assert loaded.protocol.model_id == model_id and len(loaded.entries) == 4
+    assert all(e.error is None for e in loaded.entries)
     assert list(temp.iterdir()) == []  # each run's directory is gone, and nothing beside it
 
 
@@ -531,21 +534,33 @@ def test_complexity_command(tmp_path):
     assert any(line.startswith("closed,") for line in lines)  # IN:STOP_MUSIC
 
 
-def test_complexity_rejects_a_ledger_of_several_models(corpus, tmp_path, capsys):
-    entries = []
-    for model_id in ("a", "b"):
-        ledger = tmp_path / f"{model_id}.json"
-        assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
-                         "--emit-predictions", "--model-id", model_id, "--out", str(ledger)]) == 0
-        entries += json.loads(ledger.read_text(encoding="utf-8"))["entries"]
-    mixed = tmp_path / "mixed.json"
-    mixed.write_text(json.dumps({"entries": entries}), encoding="utf-8")
-    capsys.readouterr()
-    assert cli.main(["complexity", "--ledger", str(mixed), "--corpus", str(corpus),
-                     "--domain", "weather"]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {mixed}: ledger mixes several (model, domain) pairs: "
-        "[('a', 'weather'), ('b', 'weather')]")
+def test_complexity_rejects_a_ledger_of_several_models(corpus, tmp_path, monkeypatch, capsys):
+    # A ledger names one protocol, so complexity can never read the runs of two
+    # models as one: run refuses a second model's manifest before running it.
+    build = protocol.build_manifests
+
+    def two_models(table, target, schedule, **kwargs):
+        yield from build(table, target, schedule, **kwargs)
+        yield from build(table, target, schedule, **kwargs | {"model_id": "b"})
+
+    calls = []
+    monkeypatch.setattr(protocol, "build_manifests", two_models)
+    simulate = SimulatedRunner.__call__
+
+    def counted(runner, manifest):
+        calls.append(manifest.run_id)
+        return simulate(runner, manifest)
+
+    monkeypatch.setattr(SimulatedRunner, "__call__", counted)
+    for jobs in ("1", "2"):
+        ledger = tmp_path / f"jobs{jobs}.json"
+        calls.clear()
+        assert cli.main(["run", "--corpus", str(corpus), "--target", "weather", "--n", "4",
+                         "--emit-predictions", "--jobs", jobs, "--out", str(ledger)]) == 1
+        assert capsys.readouterr().err == ("error: manifest 'b.weather.uniform0.s0' differs "
+                                           "from the first in model_id\n")
+        assert sorted(calls) == sorted(f"parser.weather.uniform{k}.s0" for k in (0, 4, 21, 100))
+        assert not ledger.exists()
 
 
 @pytest.mark.parametrize("source, message", [
@@ -590,7 +605,7 @@ def test_complexity_names_a_corpus_whose_test_split_has_another_size(corpus, tmp
     assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(other),
                      "--domain", "weather"]) == 1
     assert capsys.readouterr().err == (
-        f"error: {ledger}: run 'parser.weather.uniform0.s0' was scored on another weather "
+        f"error: {ledger}: the ledger's runs were scored on another weather "
         "test split than this corpus's\n")
 
 
@@ -616,27 +631,50 @@ def test_complexity_refuses_a_corpus_whose_test_split_is_in_another_order(tmp_pa
     capsys.readouterr()
     assert cli.main(argv + ["--corpus", str(swapped)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {ledger}: run 'parser.music.uniform0.s0' was scored on another music "
+        f"error: {ledger}: the ledger's runs were scored on another music "
         "test split than this corpus's\n")
     assert not out.exists()
 
 
-def test_complexity_refuses_a_ledger_that_predates_the_test_split_check(corpus, tmp_path, capsys):
+FORMAT_1_LEDGER = (  # each entry repeated its manifest's summary; there was no header
+    '{"entries": [{"manifest": {"run_id": "p.w.uniform1.s0", "model_id": "p", '
+    '"target_domain": "w", "algorithm": "uniform", "size_param": 1.0, "seed": 0, '
+    '"subset_percent": 1.0, "subset_size": 1, "n_train": 5, "n_eval": 2, "n_test": 2}, '
+    '"result": {"exact_match": 70.0}, "error": null}]}\n')
+
+
+@pytest.mark.parametrize("command", ["fit", "report", "complexity"])
+def test_every_ledger_reader_refuses_format_1(corpus, tmp_path, command):
+    old = tmp_path / "old.json"
+    old.write_text(FORMAT_1_LEDGER, encoding="utf-8")
+    argv = {
+        "fit": ["fit", "--points", old],
+        "report": ["report", "--points", old, "--out", tmp_path / "plot"],
+        "complexity": ["complexity", "--ledger", old, "--corpus", corpus, "--domain", "weather"],
+    }[command]
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {old}: format: missing\n")
+    assert not list(tmp_path.glob("plot*"))
+
+
+def test_run_writes_the_protocol_once_and_each_run_lean(corpus, tmp_path):
     ledger = tmp_path / "ledger.json"
-    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather", "--seeds", "0", "1",
                      "--emit-predictions", "--out", str(ledger)]) == 0
     payload = json.loads(ledger.read_text(encoding="utf-8"))
-    for entry in payload["entries"]:
-        del entry["manifest"]["test_digest"]
-    ledger.write_text(json.dumps(payload), encoding="utf-8")
-    capsys.readouterr()
-    assert cli.main(["complexity", "--ledger", str(ledger), "--corpus", str(corpus),
-                     "--domain", "weather"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {ledger}: run 'parser.weather.uniform0.s0' has no test_digest: the ledger "
-        "predates the test-split check; run it again\n")
-    assert cli.main(["fit", "--points", str(ledger), "--out", str(tmp_path / "model.json")]) == 0
-    assert cli.main(["report", "--points", str(ledger), "--out", str(tmp_path / "plot")]) == 0
+    assert list(payload) == ["format", "protocol", "entries"] and payload["format"] == 2
+    header = payload["protocol"]
+    assert list(header) == ["model_id", "target_domain", "algorithm", "n_source_train",
+                            "n_eval", "n_test", "test_digest"]
+    table = load_corpus(corpus)
+    assert header["n_test"] == len(table.row_ids("weather", "test"))
+    assert header["test_digest"] == split_digest(table, "weather", "test")
+    manifests = list(build_manifests(table, "weather", make_schedule(10), seeds=(0, 1)))
+    assert [e["run_id"] for e in payload["entries"]] == [m.run_id for m in manifests]
+    for entry, manifest in zip(payload["entries"], manifests):
+        assert list(entry) == ["run_id", "size_param", "seed", "subset_percent", "subset_size",
+                               "result", "error"]
+        assert header["n_source_train"] + entry["subset_size"] == len(manifest.train_rows)
 
 
 @pytest.mark.parametrize("domain, message", [
@@ -712,11 +750,11 @@ def test_complexity_command_with_annotation_file(tmp_path):
 
 def test_fit_rejects_corrupt_ledger(tmp_path):
     bad = tmp_path / "ledger.json"
-    bad.write_text('{"entries": [{"manifest": {"nonsense": 1}, "result": null, "error": "x"}]}',
-                   encoding="utf-8")
+    bad.write_text(f'{{"format": 2, {PROTOCOL}, "entries": [{{"nonsense": 1, "result": null, '
+                   '"error": "x"}]}', encoding="utf-8")
     proc = run_cli("fit", "--points", bad)
     assert proc.returncode == 1
-    assert "error:" in proc.stderr
+    assert proc.stderr == f"error: {bad}: entries[0].run_id: missing\n"
 
 
 def test_compare_command_curves(tmp_path):
@@ -920,7 +958,7 @@ def test_run_exec_runner_wrong_run_id_fails_one_run(corpus, tmp_path):
     entries = json.loads(ledger_path.read_text())["entries"]
     failed = [e for e in entries if e["result"] is None]
     assert len(entries) == 10 and len(failed) == 1
-    assert failed[0]["manifest"]["subset_percent"] == 12
+    assert failed[0]["subset_percent"] == 12
     assert "'other'" in failed[0]["error"]
 
 
@@ -964,11 +1002,11 @@ def test_ledger_ill_typed_seed_names_file_and_key(corpus, tmp_path):
     ledger = tmp_path / "ledger.json"
     assert run_cli("run", "--corpus", corpus, "--target", "weather", "--out", ledger).returncode == 0
     payload = json.loads(ledger.read_text())
-    payload["entries"][2]["manifest"]["seed"] = "0"
+    payload["entries"][2]["seed"] = "0"
     ledger.write_text(json.dumps(payload), encoding="utf-8")
     proc = run_cli("fit", "--points", ledger)
     assert proc.returncode == 1
-    assert f"{ledger}: entries[2].manifest.seed: expected int, got str" in proc.stderr
+    assert f"{ledger}: entries[2].seed: expected int, got str" in proc.stderr
 
 
 def test_points_json_array_errors_name_file_and_key(tmp_path):
@@ -1115,11 +1153,9 @@ BOM_CASES = {  # file name: (text, reader)
     "frames.txt": ("[IN:GET_WEATHER hi ]\n[IN:STOP_MUSIC ]\n", cli._read_frames),
     "model.json": ('{"a": -27.26, "b": 0.35, "c": 97.79, "sse": 0.0, "iterations": 0, '
                    '"converged": true, "fit_domain": [1.0, 100.0]}\n', load_model),
-    "ledger.json": ('{"entries": [{"manifest": {"run_id": "p.w.uniform1.s0", "model_id": "p", '
-                    '"target_domain": "w", "algorithm": "uniform", "size_param": 1.0, '
-                    '"seed": 0, "subset_percent": 1.0, "subset_size": 1, "n_train": 5, '
-                    '"n_eval": 2, "n_test": 2}, "result": {"run_id": "p.w.uniform1.s0", '
-                    '"exact_match": 70.0, "seed": 0}, "error": null}]}\n', load_ledger),
+    "ledger.json": (f'{{"format": 2, {PROTOCOL}, "entries": [{{"run_id": "p.w.uniform1.s0", '
+                    '"size_param": 1.0, "seed": 0, "subset_percent": 1.0, "subset_size": 1, '
+                    '"result": {"exact_match": 70.0}, "error": null}]}\n', load_ledger),
 }
 
 
@@ -1176,7 +1212,7 @@ def test_exec_runner_bytes_fail_only_their_own_run(corpus, tmp_path, jobs):
                    "--runner", f"exec:{sys.executable} {runner}", "--out", ledger)
     assert proc.returncode == 3, proc.stderr
     entries = json.loads(ledger.read_text(encoding="utf-8"))["entries"]
-    errors = {e["manifest"]["subset_percent"]: e["error"] for e in entries if e["error"]}
+    errors = {e["subset_percent"]: e["error"] for e in entries if e["error"]}
     assert len(entries) == 10
     assert errors == {
         7.0: "RunnerError: runner exited 1: log \ufffd",

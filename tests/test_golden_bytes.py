@@ -37,13 +37,15 @@ print(json.dumps({"run_id": manifest["run_id"], "exact_match": em,
 # prediction became a frame text alone, in the manifest's test-row order.
 # sim.json, exec.json and manifest.json were recorded again when a result
 # stopped repeating its manifest's run_id and seed, and a manifest began to
-# carry the digest of its test split.
+# carry the digest of its test split. sim.json and exec.json were recorded
+# again for ledger format 2, which names the protocol once in a header; the
+# outputs read from them (model, plot, complexity) kept their bytes.
 GOLDEN = {
     "schedule": "e69c567d7a39bc4853bc3f38a76c929fa9470117e8edb4786fc39c81eb602f7d",
     "uniform.json": "a2c5be18237dbf06a7945306983cafe9db0489e46a598b617ef9f64cebd4c657",
     "spis.json": "dc51784c8301463ccad1a9359e415cc8eaf7e37773d91e24da8a86a3a34cd611",
-    "sim.json": "52433c330f84c21be97a2fb7663ec3bddea8211194c2bc4cb8b8a9985fdf9a4f",
-    "exec.json": "e48b3934303799c10050731af24df1511cb2745261c93ea2ff45319edf8a0caf",
+    "sim.json": "b43966ab1f024b5ef8a0d261173ad283cc01e58a19d3c975f9c142722fb7baac",
+    "exec.json": "2ca351e5d1ca2b739c5f65cd61e91417c4cc671bb2a787e9274e1de50f5476a9",
     "model.json": "1939cd9ae9db890342448db61cebea587a5d6c23f3fb51295797b7f55e5a495e",
     "plot.svg": "83c402213d168ba5ff1532737de21a97e72664786e66f81c32cdce2b6057aa45",
     "plot.csv": "21b2513a4d39c8c2d2cac06682c7c08b62e52f3e935f03463a2fb3d43e6812c2",
@@ -54,10 +56,11 @@ GOLDEN = {
 # Recorded from the tree-building corpus loader, before rows kept only
 # canonical text and labels; spis.json recorded again with the nesting subsets,
 # and sim.json with the positional predictions, and again with results that
-# hold only what the runner measured and manifests that carry test_digest.
+# hold only what the runner measured and manifests that carry test_digest,
+# and again for ledger format 2.
 NESTED_GOLDEN = {
     "spis.json": "f71e956f3e4eaa7065497329d3dc141bf1f63e6e04dfd6c68dab987bf1abdc96",
-    "sim.json": "f0e10d082b63c5cdcad92a967135c9778c89ffec64258e8b3cca1b08fded60af",
+    "sim.json": "71815c69c7ab7ea79b43800dc677f1c3a15eb2c0a7ef48bf092b8d631062a6c7",
     "complexity.csv": "9214dc19a0fa044d9bcf9f6666670da44e06998dc73a19a94b44f942d748a197",
 }
 

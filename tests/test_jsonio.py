@@ -54,12 +54,14 @@ def test_round_trip(weather_table):
 
 
 def test_dumps_field_order_and_none_defaults(weather_table):
-    ledger = _ledger(weather_table)
-    entries = json.loads(dumps(ledger))["entries"]
+    payload = json.loads(dumps(_ledger(weather_table)))
+    assert list(payload) == ["format", "protocol", "entries"] and payload["format"] == 2
+    entries = payload["entries"]
     failed = [e for e in entries if e["result"] is None]
     assert len(failed) == 2 and all(e["error"].startswith("RuntimeError") for e in failed)
     ok = next(e for e in entries if e["result"] is not None)
-    assert list(ok) == ["manifest", "result", "error"] and ok["error"] is None
+    assert list(ok) == ["run_id", "size_param", "seed", "subset_percent", "subset_size",
+                        "result", "error"] and ok["error"] is None
     assert list(ok["result"]) == ["exact_match", "wall_time", "predictions"]
     assert dumps(RunResult(exact_match=50.0)) == '{"exact_match": 50.0, "wall_time": 0.0}'
     assert list(json.loads(dumps(make_schedule(3)))) == ["n", "raw", "sizes"]
@@ -81,27 +83,26 @@ def test_numbers_are_checked():
 
 def test_errors_name_source_and_key_path(weather_table):
     payload = json.loads(dumps(_ledger(weather_table)))
-    payload["entries"][3]["manifest"]["seed"] = "1"
+    payload["entries"][3]["seed"] = "1"
     message = _decode_error(Ledger, payload, "ledger.json")
-    assert message == "ledger.json: entries[3].manifest.seed: expected int, got str"
+    assert message == "ledger.json: entries[3].seed: expected int, got str"
 
     payload = json.loads(dumps(_ledger(weather_table)))
     payload["entries"][1]["result"]["predictions"][0] = 7
     assert "entries[1].result.predictions[0]: expected str, got int" in _decode_error(
         Ledger, payload)
-    # A ledger written when a prediction was a [row id, frame text] pair.
     payload["entries"][1]["result"]["predictions"][0] = [1, "a"]
     assert "entries[1].result.predictions[0]: expected str, got array" in _decode_error(
         Ledger, payload)
 
     # The ledger's own checks name the entry, or both entries of a duplicate.
     payload = json.loads(dumps(_ledger(weather_table)))
-    run_ids = [e["manifest"]["run_id"] for e in payload["entries"]]
+    run_ids = [e["run_id"] for e in payload["entries"]]
     payload["entries"][4]["error"] = "RuntimeError: gpu fell over"
     assert _decode_error(Ledger, payload, "ledger.json") == (
         "ledger.json: entries[4]: an entry has a result or an error, not both")
     payload = json.loads(dumps(_ledger(weather_table)))
-    n_test = payload["entries"][5]["manifest"]["n_test"]
+    n_test = payload["protocol"]["n_test"]
     payload["entries"][5]["result"]["predictions"].pop()
     assert _decode_error(Ledger, payload, "ledger.json") == (
         f"ledger.json: entries[5]: {n_test - 1} predictions for {n_test} test rows")
@@ -118,7 +119,11 @@ def test_errors_name_source_and_key_path(weather_table):
              "fit_domain": [1, 100]}
     assert _decode_error(CurveModel, model, "model.json") == "model.json: b: missing"
     assert _decode_error(Ledger, [], "x") == "x: expected object, got array"
-    assert _decode_error(Ledger, {"entrys": []}, "x") == "x: entries: missing"
+    assert _decode_error(Ledger, {"entries": []}, "x") == "x: format: missing"
+    header = {"format": 2, "protocol": payload["protocol"]}
+    assert _decode_error(Ledger, header | {"entrys": []}, "x") == "x: entries: missing"
+    assert _decode_error(Ledger, header | {"format": 1, "entries": []}, "x") == (
+        "x: format 1: only format 2 is read")
     assert "[1].exact_match: missing" in _decode_error(
         list[EfficiencyPoint], [{"subset_percent": 1, "exact_match": 2}, {"subset_percent": 3}])
 
@@ -130,7 +135,8 @@ def test_constructor_checks_report_their_location(weather_table):
     assert message.startswith("ledger.json: entries[1].result: exact_match out of [0, 100]")
     payload["entries"][2] = payload["entries"][1] = payload["entries"][0]
     assert "duplicate run_id" in _decode_error(Ledger, payload, "ledger.json")
-    assert type(from_dict(Ledger, {"entries": []}, "x").entries) is tuple
+    empty = {"format": 2, "protocol": payload["protocol"], "entries": []}
+    assert type(from_dict(Ledger, empty, "x").entries) is tuple
 
 
 def test_unknown_keys_are_ignored():

@@ -17,6 +17,7 @@ from dataeff.protocol import (
     Ledger,
     LedgerEntry,
     Manifest,
+    Protocol,
     RunResult,
     SimulatedRunner,
     build_manifests,
@@ -216,30 +217,36 @@ def test_a_save_ledger_whose_rename_fails_keeps_the_old_ledger(manifests, tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json"]
 
 
-def _ok(manifest):
-    return LedgerEntry(manifest.summary(), RunResult(exact_match=50.0), None)
+def _entry(manifest, result=None, error=None):
+    return LedgerEntry(manifest.run_id, manifest.subset.size_param, manifest.subset.seed,
+                       manifest.subset_percent, len(manifest.subset_rows), result, error)
 
 
 def test_ledger_rejects_duplicates_and_mismatches(manifests):
-    first, second = _ok(manifests[0]), _ok(manifests[1])
-    assert Ledger((first, second)).entries == (first, second)
+    protocol = Protocol.of(manifests[0])
+    first, second = (_entry(m, RunResult(exact_match=50.0)) for m in manifests[:2])
+    assert Ledger(2, protocol, (first, second)).entries == (first, second)
     with pytest.raises(ProtocolError, match=r"in entries\[0\] and entries\[2\]"):
-        Ledger((first, second, first))
+        Ledger(2, protocol, (first, second, first))
+    with pytest.raises(ProtocolError, match="^format 1: only format 2 is read$"):
+        Ledger(1, protocol, (first, second))
     with pytest.raises(ProtocolError, match="^an entry has a result or an error, not both$"):
-        LedgerEntry(manifests[1].summary(), first.result, "RuntimeError: boom")
+        _entry(manifests[1], first.result, "RuntimeError: boom")
     with pytest.raises(ProtocolError, match="needs an error message"):
-        LedgerEntry(manifests[2].summary(), None, None)
-    assert not LedgerEntry(manifests[2].summary(), None, "boom").ok
+        _entry(manifests[2])
+    assert not _entry(manifests[2], error="boom").ok
 
 
 def test_ledger_entry_requires_one_prediction_per_test_row(weather_table, manifests):
     runner = SimulatedRunner(truth=TRUTH, table=weather_table)
     result = runner(manifests[4])
-    n_test = manifests[4].summary().n_test
+    protocol = Protocol.of(manifests[4])
+    n_test = protocol.n_test
     assert len(result.predictions) == n_test > 0
     short = RunResult(result.exact_match, predictions=result.predictions[:-1])
-    with pytest.raises(ProtocolError, match=f"^{n_test - 1} predictions for {n_test} test rows$"):
-        LedgerEntry(manifests[4].summary(), short, None)
+    message = rf"^entries\[1\]: {n_test - 1} predictions for {n_test} test rows$"
+    with pytest.raises(ProtocolError, match=message):
+        Ledger(2, protocol, (_entry(manifests[3], result), _entry(manifests[4], short)))
 
     def one_short(manifest):
         return short if manifest is manifests[4] else runner(manifest)
@@ -251,22 +258,35 @@ def test_ledger_entry_requires_one_prediction_per_test_row(weather_table, manife
 
 
 def test_ledger_to_curve_requires_single_group(weather_table):
+    # A ledger holds the runs of one protocol, so no curve mixes two: run_protocol
+    # refuses a manifest of another protocol before its runner is called.
     schedule = make_schedule(4)
-    ledger = Ledger(tuple(
-        _ok(m)
-        for domain, model_id in (("weather", "m1"), ("alarm", "m2"))
-        for m in build_manifests(weather_table, domain, schedule, model_id=model_id)
-    ))
-    with pytest.raises(ProtocolError, match="mixes several"):
-        ledger_to_curve(ledger)
+    for jobs, other in ((1, "weather"), (2, "weather"), (1, "alarm"), (2, "alarm")):
+        calls = []
+
+        def runner(manifest):
+            calls.append(manifest.run_id)
+            return SimulatedRunner(truth=TRUTH)(manifest)
+
+        first = list(build_manifests(weather_table, "weather", schedule, model_id="m1"))
+        mixed = first + list(build_manifests(weather_table, other, schedule, model_id="m2"))
+        differ = "model_id" if other == "weather" else (
+            "model_id, target_domain, n_source_train, n_test, test_digest")
+        with pytest.raises(ProtocolError, match=rf"^manifest 'm2\.{other}\.uniform0\.s0' "
+                                                rf"differs from the first in {differ}$"):
+            run_protocol(mixed, runner, jobs=jobs)
+        assert sorted(calls) == sorted(m.run_id for m in first)
 
 
 def test_ledger_to_curve_rejects_empty_and_all_failed(manifests):
+    protocol = Protocol.of(manifests[0])
     with pytest.raises(ProtocolError, match="empty ledger"):
-        ledger_to_curve(Ledger(()))
-    ledger = Ledger(tuple(LedgerEntry(m.summary(), None, "boom") for m in manifests))
+        ledger_to_curve(Ledger(2, protocol, ()))
+    ledger = Ledger(2, protocol, tuple(_entry(m, error="boom") for m in manifests))
     with pytest.raises(ProtocolError, match="all runs failed"):
         ledger_to_curve(ledger)
+    with pytest.raises(ProtocolError, match="^no manifests to run$"):
+        run_protocol([], SimulatedRunner(truth=TRUTH))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -279,8 +299,8 @@ def test_run_protocol_bad_return_fails_only_its_run(manifests, jobs):
         return inner(manifest)
 
     ledger = run_protocol(manifests, misbehaving, jobs=jobs)
-    assert [e.manifest.run_id for e in ledger.entries] == [m.run_id for m in manifests]
-    failed = {e.manifest.subset_percent: e.error for e in ledger.failed_entries}
+    assert [e.run_id for e in ledger.entries] == [m.run_id for m in manifests]
+    failed = {e.subset_percent: e.error for e in ledger.failed_entries}
     assert failed == {4: "ProtocolError: runner returned NoneType, not RunResult"}
     assert len(ledger.ok_entries) == 9
     assert dumps(ledger) == dumps(run_protocol(manifests, misbehaving, jobs=3 - jobs))
@@ -349,7 +369,7 @@ def test_predictions_mode_needs_table(weather_table, manifests):
     bare = run_protocol(manifests, SimulatedRunner(truth=TRUTH))
     assert all(entry.result.predictions is None for entry in bare.entries)
     ledger = run_protocol(manifests, SimulatedRunner(truth=TRUTH, table=weather_table))
-    assert all(len(entry.result.predictions) == entry.manifest.n_test > 0
+    assert all(len(entry.result.predictions) == ledger.protocol.n_test > 0
                for entry in ledger.entries)
 
 
@@ -488,18 +508,3 @@ def test_command_runner_bad_wall_time_fails_only_its_run(tmp_path, manifests):
     assert Ledger.from_json(dumps(ledger), "ledger.json") == ledger  # it can be saved
     with pytest.raises(ProtocolError, match="^wall_time must be finite and >= 0, got -1$"):
         RunResult(50.0, wall_time=-1)
-
-
-def test_a_ledger_whose_results_echo_their_identity_takes_the_manifests_seed(weather_table):
-    # Results used to repeat their manifest's run_id and seed; a ledger written then,
-    # with a seed that disagrees, still loads and fits, and its points take the
-    # manifest's seed.
-    manifests = build_manifests(weather_table, "weather", make_schedule(10), seeds=(0,))
-    payload = json.loads(dumps(run_protocol(manifests, SimulatedRunner(truth=TRUTH))))
-    for entry in payload["entries"]:
-        entry["manifest"].pop("test_digest", None)
-        entry["result"] |= {"run_id": entry["manifest"]["run_id"], "seed": 42}
-    points = ledger_to_curve(Ledger.from_json(json.dumps(payload), "old.json"))
-    assert len(points) == 10 and {p.seed for p in points} == {0}
-    model = fit_curve(points)
-    assert (model.a, model.b, model.c) == pytest.approx(TRUTH, rel=1e-6)
