@@ -1,4 +1,4 @@
-"""Subset-size schedules and the two target-domain samplers.
+"""Subset-size schedules and the two target-domain sampling algorithms.
 
 Walks through the first stage of the workflow: pick subset sizes on the
 logarithmic schedule, then draw uniform and SPIS subsets from a toy weather
@@ -7,7 +7,7 @@ domain and inspect their realized sizes and label coverage.
 
 from collections import Counter
 
-from dataeff import CorpusTable, SubsetSpec, make_schedule, spis_sample, uniform_sample
+from dataeff import CorpusTable, SubsetSpec, make_schedule, sample, sample_nested
 
 # The default 10-point schedule: 0% and 100% anchor the endpoints and the
 # interior sizes are spaced along a logarithmic curve, matching how exact
@@ -33,7 +33,7 @@ train = table.row_ids("weather", "train")
 
 # Uniform sampling: size is a fixed percent of the domain, known in advance.
 for k in (1, 12, 60):
-    subset = uniform_sample(table, SubsetSpec("weather", "uniform", k, seed=7))
+    subset = sample(table, SubsetSpec("weather", "uniform", k, seed=7))
     count = len(subset.row_ids)
     print(f"uniform {k:>3}% -> {count:>3} rows ({100 * count / len(train):.1f}%)")
 print()
@@ -41,7 +41,7 @@ print()
 # SPIS sampling: size is data-dependent; the guarantee is per-label coverage,
 # counted here from each kept row's labels.
 for k in (1, 5, 25):
-    subset = spis_sample(table, SubsetSpec("weather", "spis", k, seed=7))
+    subset = sample(table, SubsetSpec("weather", "spis", k, seed=7))
     count = len(subset.row_ids)
     coverage = dict(sorted(Counter(
         label for pos in subset.row_ids for label in table.labels[pos]).items()))
@@ -50,12 +50,12 @@ for k in (1, 5, 25):
 
 print()
 print("Same spec, same corpus, same subset every time:")
-a = uniform_sample(table, SubsetSpec("weather", "uniform", 12, seed=7))
-b = uniform_sample(table, SubsetSpec("weather", "uniform", 12, seed=7))
+a = sample(table, SubsetSpec("weather", "uniform", 12, seed=7))
+b = sample(table, SubsetSpec("weather", "uniform", 12, seed=7))
 print("  identical row ids:", a.row_ids == b.row_ids)
 
-# One seed draws one order of the domain's rows, and every size is cut from
-# it, so a seed's subsets nest: adding data only ever adds rows.
-small = uniform_sample(table, SubsetSpec("weather", "uniform", 7, seed=7))
+# One seed draws one order of the domain's rows, and sample_nested cuts every
+# size from it, so a seed's subsets nest: adding data only ever adds rows.
+small, large = sample_nested(table, "weather", "uniform", 7, [7, 12])
 print("  7% uniform subset is a prefix of the 12% one:",
-      a.row_ids[:len(small.row_ids)] == small.row_ids)
+      large.row_ids[:len(small.row_ids)] == small.row_ids)

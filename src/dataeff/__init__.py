@@ -37,7 +37,7 @@ _SOURCE = {
     ), "protocol"),
     **dict.fromkeys(("ReportSpec", "render_csv", "render_svg", "write_report"), "report"),
     **dict.fromkeys((
-        "Schedule", "Subset", "SubsetSpec", "make_schedule", "spis_sample", "uniform_sample",
+        "Schedule", "Subset", "SubsetSpec", "make_schedule", "sample", "sample_nested",
     ), "sampling"),
 }
 

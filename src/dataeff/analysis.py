@@ -80,20 +80,20 @@ def per_intent_points(
 ) -> dict:
     """Break each run's exact match down by the reference frame's root intent.
 
-    The points of ledger_to_curve are rescored per intent. The ledger's protocol
-    names the target domain and its test split's test_digest, which must be this
-    corpus's (corpus.split_digest). Every successful run must carry predictions,
-    item i for row i of that split, each scored by frames.exact_match, so one
-    that does not parse is a miss. Intents with fewer than min_test_occurrences
-    rows in that split are excluded. Returns {intent label: [EfficiencyPoint, ...]}.
+    The points of ledger_to_curve are rescored per intent. The ledger's header
+    names the target domain and its test_digest, which must be this corpus's
+    table.test_digest(domain). Every successful run must carry predictions,
+    item i for row i of that test split, each scored by frames.exact_match, so
+    one that does not parse is a miss. Intents with fewer than
+    min_test_occurrences rows in that split are excluded. Returns
+    {intent label: [EfficiencyPoint, ...]}.
     """
-    from .corpus import split_digest
     from .frames import exact_match
     from .protocol import ledger_to_curve
 
     points = ledger_to_curve(ledger)
     domain = ledger.protocol.target_domain
-    if split_digest(table, domain, "test") != ledger.protocol.test_digest:
+    if table.test_digest(domain) != ledger.protocol.test_digest:
         raise AnalysisError(f"the ledger's runs were scored on another {domain} test split "
                             "than this corpus's")
     test_split = table.row_ids(domain, "test")

@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .curve import EfficiencyPoint, fit_curve, invert, load_model, points_from_csv
+from .curve import EfficiencyPoint, average_points, fit_curve, invert, load_model, points_from_csv
 from .errors import (AnalysisError, DataEffError, FrameParseError, InputError, ProtocolError,
                      UnknownDomainError)
 from .jsonio import csv_text, dumps, from_dict, loads, read_lines, read_text, text_table
@@ -96,7 +96,8 @@ def cmd_fit(args) -> int:
             print(f"warning: --average-seeds pools {min(counts)} to {max(counts)} points per "
                   "subset percent; percents that differ by seed, as SPIS percents do, are not "
                   "averaged together", file=sys.stderr)
-    model = fit_curve(points, average_first=args.average_seeds)
+        points = average_points(points)
+    model = fit_curve(points)
     if not model.well_formed:
         print(
             f"warning: fit is not a well-formed saturating curve "

@@ -15,7 +15,7 @@ depends on it.
 
 A checked table is kept beside its corpus in ``.NAME.dataeff-cache`` (NAME is
 the corpus file's name), so a later load of the same bytes skips the check.
-A cache hit decodes the index and each split's digest at once; the frame and
+A cache hit decodes the index and each test digest at once; the frame and
 label columns stay CRC-checked marshal bytes until a command first reads them.
 Its key is a blake2b digest of the bytes the check read, the reading rule (TSV
 or JSONL, and the filename's fallback split) and the source of the modules
@@ -57,10 +57,10 @@ class CorpusTable:
     ``load_corpus`` checks a file's rows; the utterance is not kept. Row ``i``
     is ``parse[i]`` (canonical frame text, so exact match is string equality)
     and ``labels[i]`` (the frame's interned intent and slot labels in
-    pre-order, root intent first), and ``row_ids(domain, split)`` lists the rows
-    of each domain and split. Rows with the same bracket structure share one
-    ``labels`` tuple. A table read from a cache decodes each column when it is
-    first read.
+    pre-order, root intent first). ``row_ids(domain, split)`` lists the rows of
+    a domain's split, and ``test_digest(domain)`` fingerprints its test split.
+    Rows with the same bracket structure share one ``labels`` tuple. A table
+    read from a cache decodes each column when it is first read.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
@@ -94,9 +94,9 @@ class CorpusTable:
             name: {s: tuple(ids) for s, ids in per_split.items()}
             for name, per_split in index.items()
         }
-        self._digests = {
-            name: {s: blake2b("\n".join(parse[row] for row in ids).encode("utf-8"),
-                              digest_size=16).hexdigest() for s, ids in per_split.items()}
+        self._test_digests = {
+            name: blake2b("\n".join(parse[row] for row in per_split["test"]).encode("utf-8"),
+                          digest_size=16).hexdigest()
             for name, per_split in self._index.items()
         }
 
@@ -128,11 +128,10 @@ class CorpusTable:
             raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
         return self._index[domain][split]
 
-
-def split_digest(table: CorpusTable, domain: str, split: str) -> str:
-    """Hex blake2b (16 bytes) of a split's canonical frames joined by ``\n``, in row order."""
-    table.row_ids(domain, split)  # the unknown-domain and unknown-split errors
-    return table._digests[domain][split]
+    def test_digest(self, domain: str) -> str:
+        """Hex blake2b (16 bytes) of the domain's test frames joined by ``\n``, in row order."""
+        self.row_ids(domain, "test")  # the unknown-domain error
+        return self._test_digests[domain]
 
 
 def _default_split(path: Path) -> str:
@@ -274,7 +273,7 @@ def _record(value) -> bytes:
 
 def _read_table(records: Iterator[bytes]) -> CorpusTable:
     table = CorpusTable.__new__(CorpusTable)
-    table._index, table._digests = marshal.loads(next(records))
+    table._index, table._test_digests = marshal.loads(next(records))
     labels, *frames = records
     if len(frames) != -(-len(table) // _CACHE_ROWS):
         raise EOFError("cache ends before its last row")
@@ -288,13 +287,13 @@ def _read_table(records: Iterator[bytes]) -> CorpusTable:
 def _save_cached(table: CorpusTable, cache: Path, key: bytes) -> None:
     """Write the table to cache under key by jsonio.replace_file, so no reader sees half.
 
-    The file is the key, then one record of the index and the split digests, one of
+    The file is the key, then one record of the index and the test digests, one of
     the labels column, then one of frames per _CACHE_ROWS rows, each made as it is
     written, so a write never holds the whole frame column's marshal bytes. A read
     holds them, CRC-checked, until the column is first read."""
     # marshal stores an object that rows share once and refers back to it,
     # so shared labels come back shared.
-    records = chain([(table._index, table._digests), table.labels],
+    records = chain([(table._index, table._test_digests), table.labels],
                     (table.parse[i:i + _CACHE_ROWS] for i in range(0, len(table), _CACHE_ROWS)))
     with suppress(OSError):  # an unwritable cache costs only the next load its check
         jsonio.replace_file(cache, chain([key], map(_record, records)), 0o600)

@@ -179,19 +179,17 @@ def average_points(points: list[EfficiencyPoint]) -> list[EfficiencyPoint]:
     return out
 
 
-def fit_curve(points: list[EfficiencyPoint], average_first: bool = False) -> CurveModel:
+def fit_curve(points: list[EfficiencyPoint]) -> CurveModel:
     """Least-squares fit of h to the points by a 1-D search of the profile SSE(b).
 
     Needs at least 3 distinct subset percents strictly above zero; x = 0
-    points are silently excluded from the residual. All seeds contribute
-    residuals jointly unless average_first collapses them to per-x means.
+    points are silently excluded from the residual. Each point is one residual,
+    so seeds count jointly; fit average_points(points) to fit per-x means.
     Every sum is exactly rounded, so the fit depends on the set of points,
     not on their order. iterations counts profile evaluations; converged means
     the bisection bracket closed, or b sits at a bound where the slope of the
     profile points outward.
     """
-    if average_first:
-        points = average_points(points)
     positive = [p for p in points if p.subset_percent > 0.0]
     xs = [float(p.subset_percent) for p in positive]
     ys = [float(p.exact_match) for p in positive]

@@ -57,7 +57,7 @@ class Manifest:
     train_rows: tuple[int, ...]
     eval_rows: tuple[int, ...]
     test_rows: tuple[int, ...]
-    test_digest: str  # corpus.split_digest of the target domain's test split
+    test_digest: str  # CorpusTable.test_digest of the target domain
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,17 @@ class Protocol:
     n_source_train: int
     n_eval: int
     n_test: int
-    test_digest: str  # corpus.split_digest of the target domain's test split
+    test_digest: str  # CorpusTable.test_digest of the target domain
 
     @staticmethod
     def of(manifest: Manifest) -> "Protocol":
         return Protocol(manifest.model_id, manifest.target_domain, manifest.subset.algorithm,
                         len(manifest.train_rows) - len(manifest.subset_rows),
                         len(manifest.eval_rows), len(manifest.test_rows), manifest.test_digest)
+
+    def run_id(self, size_param: float, seed: int) -> str:
+        """The name of this protocol's run at one size parameter and seed."""
+        return f"{self.model_id}.{self.target_domain}.{self.algorithm}{size_param:g}.s{seed}"
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class Ledger:
-    """Immutable record of one protocol's runs: self-checked entries, no run_id twice."""
+    """Immutable record of one protocol's runs: self-checked entries the header names."""
 
     format: int
     protocol: Protocol
@@ -139,6 +143,9 @@ class Ledger:
             if (j := first.setdefault(entry.run_id, i)) != i:
                 raise ProtocolError(f"duplicate run_id {entry.run_id!r} "
                                     f"in entries[{j}] and entries[{i}]")
+            if entry.run_id != (want := self.protocol.run_id(entry.size_param, entry.seed)):
+                raise ProtocolError(f"entries[{i}]: run_id {entry.run_id!r} is not the "
+                                    f"header's {want!r}")
             _check_predictions(entry.result, self.protocol.n_test, f"entries[{i}]: ")
 
     @property
@@ -184,8 +191,6 @@ def build_manifests(
     schedule order, then seed order. For spis the sizes double as the
     per-label minimums, skipping entries below 1.
     """
-    from .corpus import split_digest
-
     if len(set(seeds)) != len(tuple(seeds)):
         raise ProtocolError(f"seeds must be unique, got {tuple(seeds)}")
     target_train = len(table.row_ids(target_domain, "train")) or 1  # 0 rows draw only empty subsets
@@ -199,7 +204,8 @@ def build_manifests(
     source_eval = source_rows("eval")
     eval_rows = source_eval + table.row_ids(target_domain, "eval")
     test_rows = table.row_ids(target_domain, "test")
-    test_digest = split_digest(table, target_domain, "test")
+    header = Protocol(model_id, target_domain, algorithm, len(source_train), len(eval_rows),
+                      len(test_rows), table.test_digest(target_domain))
 
     sizes = list(dict.fromkeys(schedule.sizes))  # a dense schedule repeats ceiled sizes
     if algorithm == "spis":
@@ -209,8 +215,7 @@ def build_manifests(
 
     return (
         Manifest(
-            run_id=f"{model_id}.{target_domain}.{algorithm}{subset.spec.size_param:g}"
-                   f".s{subset.spec.seed}",
+            run_id=header.run_id(subset.spec.size_param, subset.spec.seed),
             model_id=model_id,
             target_domain=target_domain,
             subset=subset.spec,
@@ -220,7 +225,7 @@ def build_manifests(
             train_rows=source_train + subset.row_ids,
             eval_rows=eval_rows,
             test_rows=test_rows,
-            test_digest=test_digest,
+            test_digest=header.test_digest,
         )
         for subset in chain.from_iterable(zip(*by_seed))  # by size, then by seed
     )
@@ -356,7 +361,8 @@ def run_protocol(manifests: Iterable[Manifest], runner: Runner, jobs: int = 1) -
     RunResult, or predictions for another number of test rows, fails only that
     run. Ledger order always follows manifest order, regardless of completion
     order. The first manifest names the ledger's protocol; a later one of
-    another protocol raises ProtocolError before its runner is called.
+    another protocol, or one whose run_id is not Protocol.run_id of its size
+    and seed, raises ProtocolError before its runner is called.
     """
     if jobs < 1:
         raise ProtocolError(f"jobs must be >= 1, got {jobs}")
@@ -370,6 +376,9 @@ def run_protocol(manifests: Iterable[Manifest], runner: Runner, jobs: int = 1) -
             if protocol != header:
                 differ = ", ".join(k for k, v in vars(protocol).items() if vars(header)[k] != v)
                 raise ProtocolError(f"manifest {manifest.run_id!r} differs from the first in {differ}")
+            spec = manifest.subset
+            if manifest.run_id != (want := header.run_id(spec.size_param, spec.seed)):
+                raise ProtocolError(f"manifest {manifest.run_id!r} is not the protocol's {want!r}")
             yield manifest
 
     def attempt(manifest: Manifest) -> LedgerEntry:

@@ -9,9 +9,9 @@ The generator is SplitMix64: state advances by the golden-ratio constant
 
 with all arithmetic mod 2**64. It is pure integer math, so identical seeds
 produce identical draws on every platform and Python version, which is what
-makes subsets and ledgers byte-reproducible. Shuffles are front-to-back
-Fisher-Yates, each position's draw an unbiased integer by modulo rejection;
-the shuffle runs the generator inline, so each draw costs one ``%``.
+makes subsets and ledgers byte-reproducible. The one shuffle, shuffle_prefix,
+is front-to-back Fisher-Yates, each position's draw an unbiased integer by
+modulo rejection; it runs the generator inline, so each draw costs one ``%``.
 """
 
 from __future__ import annotations
@@ -100,8 +100,3 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
         self.state = state
         return items[:m]
-
-    def shuffle(self, items: list) -> list:
-        """Full Fisher-Yates shuffle (in-place, returned)."""
-        self.shuffle_prefix(items, len(items))
-        return items

@@ -2,8 +2,9 @@
 
 The schedule spaces n subset sizes logarithmically between 0% and 100%:
 raw(x) = (101 ** (1/(n-1))) ** (x-1) - 1 for x = 1..n, discretized with the
-ceiling function. Two samplers draw from a target domain's train split, in a
-seeded order: a front-to-back Fisher-Yates shuffle of the rows in file order.
+ceiling function. sample_nested cuts one subset per size parameter k from a
+seeded order of a target domain's train split (a Fisher-Yates shuffle of its
+rows in file order), and sample the one a SubsetSpec names. By algorithm:
 
 * uniform -- takes the first ceil(k% of the rows) of the order;
 * spis -- "samples per intent slot": a greedy pass over the order that keeps a
@@ -99,7 +100,7 @@ def uniform_size(percent: float, population: int) -> int:
 def sample_nested(
     table: CorpusTable, target_domain: str, algorithm: str, seed: int, size_params: Sequence[float]
 ) -> list[Subset]:
-    """sample() at each size parameter, all cut from one order of the domain's train rows."""
+    """One subset per size parameter, all cut from one order of the domain's train rows."""
     specs = [SubsetSpec(target_domain, algorithm, k, seed) for k in size_params]
     ids = list(table.row_ids(target_domain, "train"))
     stream = SplitMix64(combine(seed, string_key(target_domain), ALGORITHMS.index(algorithm)))
@@ -109,7 +110,7 @@ def sample_nested(
         sizes = [uniform_size(spec.size_param, len(ids)) for spec in specs]
         order = stream.shuffle_prefix(ids, max(sizes, default=0))
         return [Subset(spec, tuple(order[:size])) for spec, size in zip(specs, sizes)]
-    order = stream.shuffle(ids)
+    order = stream.shuffle_prefix(ids, len(ids))
     seen: dict[str, int] = {}
     thresholds = []
     for pos in order:
@@ -121,22 +122,16 @@ def sample_nested(
             for spec in specs]
 
 
+def sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
+    """The one subset spec names: sample_nested at its single size parameter."""
+    return sample_nested(table, spec.target_domain, spec.algorithm, spec.seed, [spec.size_param])[0]
+
+
+# Benchmark seam: bench/tracer.py looks these two names up here, and bench/run.py
+# reports their spans. Delete them once the package records its own spans.
 def uniform_sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
-    """Draw ceil(k% * |train rows|) rows without replacement from the target domain."""
-    if spec.algorithm != "uniform":
-        raise SamplingError(f"uniform_sample got algorithm {spec.algorithm!r}")
-    return sample_nested(table, spec.target_domain, "uniform", spec.seed, [spec.size_param])[0]
+    return sample(table, spec)
 
 
 def spis_sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
-    """Greedy cover: keep a row while any of its labels is still below k occurrences."""
-    if spec.algorithm != "spis":
-        raise SamplingError(f"spis_sample got algorithm {spec.algorithm!r}")
-    return sample_nested(table, spec.target_domain, "spis", spec.seed, [spec.size_param])[0]
-
-
-def sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
-    """Dispatch on spec.algorithm."""
-    if spec.algorithm == "uniform":
-        return uniform_sample(table, spec)
-    return spis_sample(table, spec)
+    return sample(table, spec)

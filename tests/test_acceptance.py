@@ -18,12 +18,7 @@ from dataeff.curve import CurveModel, EfficiencyPoint, evaluate, fit_curve, inve
 from dataeff.frames import canonical_frame, exact_match
 from dataeff.jsonio import dumps
 from dataeff.rng import SplitMix64
-from dataeff.sampling import (
-    SubsetSpec,
-    make_schedule,
-    spis_sample,
-    uniform_sample,
-)
+from dataeff.sampling import SubsetSpec, make_schedule, sample
 
 from conftest import random_frame, simple_corpus_rows, write_tsv
 from reference_frames import serialize_tree, tree_labels
@@ -126,7 +121,7 @@ def test_criterion_05_spis_coverage():
         for frame in frames:
             totals.update(tree_labels(frame))
         for k in (1, 2, 5):
-            subset = spis_sample(table, SubsetSpec("synth", "spis", k, corpus_id))
+            subset = sample(table, SubsetSpec("synth", "spis", k, corpus_id))
             achieved = Counter(label for pos in subset.row_ids for label in table.labels[pos])
             for label, total in totals.items():
                 assert achieved[label] >= min(k, total), (corpus_id, k, label)
@@ -142,10 +137,10 @@ def test_criterion_06_uniform_sampler_contract(tmp_path):
 
     table = load_corpus(table_path)
     spec = SubsetSpec("weather", "uniform", 12, 99)
-    subset = uniform_sample(table, spec)
+    subset = sample(table, spec)
     assert len(subset.row_ids) == math.ceil(0.12 * 997)
     assert len(set(subset.row_ids)) == len(subset.row_ids)
-    assert dumps(uniform_sample(table, spec)) == dumps(subset)
+    assert dumps(sample(table, spec)) == dumps(subset)
 
     # Process-restart determinism: two fresh CLI invocations, identical bytes.
     args = [sys.executable, "-m", "dataeff", "sample", "--corpus", str(table_path),

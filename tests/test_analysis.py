@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -11,7 +10,7 @@ from dataeff.analysis import (
     per_intent_points,
     reference_comparison,
 )
-from dataeff.corpus import CorpusTable, split_digest
+from dataeff.corpus import CorpusTable
 from dataeff.curve import CurveModel, EfficiencyPoint
 from dataeff.errors import AnalysisError, AnnotationError
 from dataeff.protocol import Ledger, LedgerEntry, Protocol, RunResult
@@ -123,12 +122,14 @@ def _ledger(table, *entries):
     """A ledger of entries on music, the table's only domain."""
     protocol = Protocol(model_id="parser", target_domain="music", algorithm="uniform",
                         n_source_train=0, n_eval=0, n_test=31,
-                        test_digest=split_digest(table, "music", "test"))
+                        test_digest=table.test_digest("music"))
     return Ledger(2, protocol, entries)
 
 
-def _entry(run_id, percent, result):
-    return LedgerEntry(run_id=run_id, size_param=float(percent), seed=0,
+def _entry(percent, result, seed=0):
+    """A run at percent and seed, named as _ledger's header names it."""
+    return LedgerEntry(run_id=f"parser.music.uniform{percent:g}.s{seed}",
+                       size_param=float(percent), seed=seed,
                        subset_percent=float(percent), subset_size=0, result=result, error=None)
 
 
@@ -144,7 +145,7 @@ def _prediction_ledger(table, wrong_play=0, wrong_text="[IN:PLAY_MUSIC totally w
             text = edits.pop(0)(text)
         predictions.append(text)
     result = RunResult(exact_match=0.0, predictions=tuple(predictions))
-    return _ledger(table, _entry("run-k4", 4, result))
+    return _ledger(table, _entry(4, result))
 
 
 def test_per_intent_all_correct():
@@ -187,7 +188,7 @@ def test_per_intent_compares_canonical_forms():
 def test_per_intent_requires_predictions():
     table = _music_test_table()
     result = RunResult(exact_match=90.0)
-    ledger = _ledger(table, _entry("bare", 4, result))
+    ledger = _ledger(table, _entry(4, result))
     with pytest.raises(AnalysisError):
         per_intent_points(ledger, table)
 
@@ -257,7 +258,7 @@ def test_per_class_means_stay_within_member_range():
 def test_per_class_points_pool_the_seeds_of_one_ledger():
     table = _music_test_table()
     ledgers = [_prediction_ledger(table, wrong_play=n) for n in (0, 6)]
-    entries = [replace(e, run_id=f"s{i}", seed=i)
+    entries = [_entry(e.size_param, e.result, seed=i)
                for i, ledger in enumerate(ledgers) for e in ledger.entries]
     per_intent = per_intent_points(_ledger(table, *entries), table)
     curves = per_class_curves(per_intent, packaged_annotations("music"))

@@ -9,7 +9,7 @@ import pytest
 
 from dataeff import cli, protocol
 from dataeff.analysis import compare_models, load_annotations
-from dataeff.corpus import load_corpus, split_digest
+from dataeff.corpus import load_corpus
 from dataeff.curve import CurveModel, load_model, points_from_csv
 from dataeff.errors import AnnotationError, InputError
 from dataeff.jsonio import dumps
@@ -668,7 +668,7 @@ def test_run_writes_the_protocol_once_and_each_run_lean(corpus, tmp_path):
                             "n_eval", "n_test", "test_digest"]
     table = load_corpus(corpus)
     assert header["n_test"] == len(table.row_ids("weather", "test"))
-    assert header["test_digest"] == split_digest(table, "weather", "test")
+    assert header["test_digest"] == table.test_digest("weather")
     manifests = list(build_manifests(table, "weather", make_schedule(10), seeds=(0, 1)))
     assert [e["run_id"] for e in payload["entries"]] == [m.run_id for m in manifests]
     for entry, manifest in zip(payload["entries"], manifests):
@@ -755,6 +755,26 @@ def test_fit_rejects_corrupt_ledger(tmp_path):
     proc = run_cli("fit", "--points", bad)
     assert proc.returncode == 1
     assert proc.stderr == f"error: {bad}: entries[0].run_id: missing\n"
+
+
+def test_fit_refuses_entries_appended_from_another_protocols_ledger(tmp_path, capsys):
+    # Entries copied from a ledger of another model, domain and algorithm do not load
+    # under this ledger's header: each entry's run_id must be the header's name for it.
+    rows = (simple_corpus_rows("weather", 200, 10, 20)
+            + simple_corpus_rows("music", 200, 10, 20, intent="IN:PLAY_MUSIC"))
+    path = write_tsv(tmp_path / "corpus.tsv", rows)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out, options in ((a, ["--model-id", "a", "--target", "music"]),
+                         (b, ["--model-id", "b", "--target", "weather", "--algorithm", "spis"])):
+        assert cli.main(["run", "--corpus", str(path), *options, "--out", str(out)]) == 0
+    merged, appended = json.loads(a.read_text()), json.loads(b.read_text())["entries"]
+    assert (len(merged["entries"]), len(appended)) == (10, 9)
+    merged["entries"] += appended
+    a.write_text(json.dumps(merged), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["fit", "--points", str(a)]) == 1
+    assert capsys.readouterr() == ("", f"error: {a}: entries[10]: run_id 'b.weather.spis1.s0' "
+                                       "is not the header's 'a.music.uniform1.s0'\n")
 
 
 def test_compare_command_curves(tmp_path):
@@ -980,6 +1000,7 @@ def test_model_missing_key_names_file_and_key(tmp_path):
     ("fit_domain", "[50, 10]", "fit_domain must be 0 < low <= high <= 100, got (50.0, 10.0)"),
     ("sse", "-1", "sse must be >= 0, got -1.0"),
     ("iterations", "-3", "iterations must be >= 0, got -3"),
+    ("fit_domain", "[1, 50, 100]", "fit_domain: expected 2 items, got 3"),
 ])
 def test_model_with_a_bad_field_names_file_and_field(tmp_path, capsys, key, value, message):
     payload = {"a": -27.26, "b": 0.35, "c": 97.79, "sse": 0.0, "iterations": 0,
@@ -1090,6 +1111,7 @@ def test_malformed_jsonl_rows_are_data_errors(tmp_path):
     ("run", "--corpus", "c.tsv", "--target", "w", "--out", "l.json",
      "--truth", "-27", "infinity", "97"),
     ("run", "--corpus", "c.tsv", "--target", "w", "--out", "l.json", "--em-at-zero", "NaN"),
+    ("run", "--corpus", "c.tsv", "--target", "w", "--out", "l.json", "--noise", "abc"),
 ])
 def test_float_options_reject_non_finite_values(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from dataeff import cli, corpus
-from dataeff.corpus import SPLITS, CorpusTable, load_corpus, split_digest
+from dataeff.corpus import SPLITS, CorpusTable, load_corpus
 from dataeff.errors import CorpusError, DataEffError, UnknownDomainError
 from dataeff.protocol import SimulatedRunner, build_manifests
 from dataeff.sampling import make_schedule
@@ -647,17 +647,15 @@ def test_runner_threads_decode_the_frames_of_a_cache_hit_safely(tmp_path, monkey
 
 @pytest.mark.parametrize("load", ["checked", "cached"])
 def test_split_digest_is_the_digest_of_the_split_frames(tmp_path, load):
+    # Only the test split is digested: a ledger is scored on it and on no other split.
     path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
     table = load_corpus(path) if load == "checked" else _cached(path)
     for domain in table.domains():
-        for split in SPLITS:
-            text = "\n".join(table.parse[row] for row in table.row_ids(domain, split))
-            digest = blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
-            assert split_digest(table, domain, split) == digest
+        text = "\n".join(table.parse[row] for row in table.row_ids(domain, "test"))
+        assert table.test_digest(domain) == blake2b(text.encode("utf-8"),
+                                                    digest_size=16).hexdigest()
     with pytest.raises(UnknownDomainError, match="domain 'mail' not in corpus"):
-        split_digest(table, "mail", "test")
-    with pytest.raises(ValueError, match="split must be one of"):
-        split_digest(table, "weather", "dev")
+        table.test_digest("mail")
 
 
 def test_threads_racing_to_read_the_columns_of_a_cache_hit_all_see_them(tmp_path):

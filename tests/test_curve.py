@@ -96,10 +96,8 @@ def test_fit_order_invariant():
               for seed in range(3) for p in noiseless_points()]
     shuffled = points[:]
     rng.shuffle(shuffled)
-    for average_first in (False, True):
-        m1 = fit_curve(points, average_first=average_first)
-        m2 = fit_curve(shuffled, average_first=average_first)
-        assert m1 == m2, average_first
+    for prepare in (list, average_points):
+        assert fit_curve(prepare(points)) == fit_curve(prepare(shuffled)), prepare
 
 
 def test_fit_duplication_invariant():
@@ -256,8 +254,7 @@ def test_average_points_pools_seeds():
     ]
     averaged = average_points(points)
     assert [(p.subset_percent, p.exact_match) for p in averaged] == [(1, 71.0), (2, 81.0)]
-    model_avg = fit_curve(points + [EfficiencyPoint(4, 85), EfficiencyPoint(7, 88)],
-                          average_first=True)
+    model_avg = fit_curve(average_points(points + [EfficiencyPoint(4, 85), EfficiencyPoint(7, 88)]))
     assert model_avg.iterations >= 0  # averaging path fits without error
 
 
@@ -394,7 +391,8 @@ def test_fit_matches_the_numpy_reference_solver():
     # iterations and converged are not compared: the two solvers count different steps.
     fits = fallbacks = 0
     for where, points, average_first in _fixtures():
-        got = fit_curve(points, average_first=average_first)
+        used = average_points(points) if average_first else points
+        got = fit_curve(used)
         want = numpy_reference_fit.fit_curve(points, average_first=average_first)
         fits += 1
         assert got.sse <= want.sse * (1 + 1e-9) + 1e-12, where
@@ -407,7 +405,6 @@ def test_fit_matches_the_numpy_reference_solver():
         # The reference ran out of steps crawling along the b -> 0 valley (6 fits), short
         # of the minimum. The exact minimum nearest its b decides, 10000 times more tightly.
         fallbacks += 1
-        used = average_points(points) if average_first else points
         assert _same_fit(got, _exact_fit(used, want.b), rel=1e-9), where
     assert (fits, fallbacks) == (400, 6)
 
@@ -417,10 +414,10 @@ def test_every_fit_is_a_profile_minimum_within_150_evaluations():
     # the profile or sits at a bound where the profile's slope points outward. Each gradient
     # component is scaled by its Jacobian column and the data, so rounding reads about 1e-15.
     for where, points, average_first in _fixtures():
-        model = fit_curve(points, average_first=average_first)
+        used = average_points(points) if average_first else points
+        model = fit_curve(used)
         assert model.converged, where
         assert model.iterations <= 150, where
-        used = average_points(points) if average_first else points
         jac, r = _jacobian_residual(model, used)
         y = np.array([p.exact_match for p in used], dtype=float)
         ga, gb, gc = jac.T @ r / (np.linalg.norm(jac, axis=0) * np.linalg.norm(y))
@@ -468,9 +465,9 @@ def test_fit_at_the_rounding_floor_reports_converged():
 def test_fit_edge_cases_return_a_model_or_fit_error(points):
     # Python's ** raises OverflowError where numpy returned inf; the fit must score such a
     # b as infinite SSE instead of letting the exception out.
-    for average_first in (False, True):
+    for prepare in (list, average_points):
         try:
-            model = fit_curve(points, average_first=average_first)
+            model = fit_curve(prepare(points))
         except FitError:
             continue
         assert isinstance(model, CurveModel)

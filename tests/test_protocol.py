@@ -4,12 +4,13 @@ import random
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from dataeff.corpus import CorpusTable
 from dataeff.curve import fit_curve
-from dataeff.errors import ProtocolError, SamplingError
+from dataeff.errors import ProtocolError, RunnerError, SamplingError
 from dataeff.frames import canonical_frame
 from dataeff.jsonio import dumps, from_dict
 from dataeff.protocol import (
@@ -65,6 +66,17 @@ def test_build_manifests_draws_each_distinct_size_once(weather_table, algorithm)
         (k, seed) for k in sizes for seed in (0, 1)
     ]
     assert len({m.run_id for m in manifests}) == len(manifests)
+
+
+@pytest.mark.parametrize("algorithm", ["uniform", "spis"])
+def test_build_manifests_names_each_run_as_its_protocol_does(weather_table, algorithm):
+    manifests = list(build_manifests(weather_table, "weather", make_schedule(4), algorithm,
+                                     seeds=(0, 7), model_id="m"))
+    for m in manifests:
+        assert m.run_id == Protocol.of(m).run_id(m.subset.size_param, m.subset.seed)
+    first = 0 if algorithm == "uniform" else 4  # make_schedule(4).sizes is (0, 4, 21, 100)
+    assert [m.run_id for m in manifests[:2]] == [f"m.weather.{algorithm}{first}.s0",
+                                                 f"m.weather.{algorithm}{first}.s7"]
 
 
 @pytest.mark.parametrize("algorithm", ["uniform", "spis"])
@@ -235,6 +247,40 @@ def test_ledger_rejects_duplicates_and_mismatches(manifests):
     with pytest.raises(ProtocolError, match="needs an error message"):
         _entry(manifests[2])
     assert not _entry(manifests[2], error="boom").ok
+
+
+def test_ledger_refuses_an_entry_its_header_does_not_name(manifests):
+    protocol = Protocol.of(manifests[0])
+    first, second = (_entry(m, RunResult(exact_match=50.0)) for m in manifests[:2])
+    for stranger, want in (
+            (replace(second, run_id="b.alarm.spis1.s0"), "parser.weather.uniform1.s0"),
+            (replace(second, seed=5), "parser.weather.uniform1.s5"),
+            (replace(second, size_param=2.0), "parser.weather.uniform2.s0")):
+        assert protocol.run_id(stranger.size_param, stranger.seed) == want
+        with pytest.raises(ProtocolError) as exc:
+            Ledger(2, protocol, (first, stranger))
+        assert str(exc.value) == (f"entries[1]: run_id {stranger.run_id!r} "
+                                  f"is not the header's {want!r}")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_protocol_refuses_a_manifest_its_protocol_does_not_name(manifests, jobs):
+    calls = []
+
+    def runner(manifest):
+        calls.append(manifest.run_id)
+        return SimulatedRunner(truth=TRUTH)(manifest)
+
+    renamed = replace(manifests[3], run_id="parser.weather.uniform4.s9")
+    with pytest.raises(ProtocolError, match=r"^manifest 'parser\.weather\.uniform4\.s9' is not "
+                                            r"the protocol's 'parser\.weather\.uniform4\.s0'$"):
+        run_protocol(manifests[:3] + [renamed] + manifests[4:], runner, jobs=jobs)
+    assert sorted(calls) == sorted(m.run_id for m in manifests[:3])
+
+
+def test_run_protocol_refuses_fewer_than_one_job(manifests):
+    with pytest.raises(ProtocolError, match="^jobs must be >= 1, got 0$"):
+        run_protocol(manifests, SimulatedRunner(truth=TRUTH), jobs=0)
 
 
 def test_ledger_entry_requires_one_prediction_per_test_row(weather_table, manifests):
@@ -490,6 +536,12 @@ def test_command_runner_echo_of_another_run_fails_only_its_run(tmp_path, manifes
     assert [e.error for e in ledger.failed_entries] == [
         f"RunnerError: parser.weather.uniform4.s0 runner output: {detail}"]
     assert [p.seed for p in ledger_to_curve(ledger)] == [0] * 9
+
+
+@pytest.mark.parametrize("command", ["", []])
+def test_command_runner_refuses_an_empty_command(command):
+    with pytest.raises(RunnerError, match="^empty runner command$"):
+        CommandRunner(command)
 
 
 def test_command_runner_bad_wall_time_fails_only_its_run(tmp_path, manifests):

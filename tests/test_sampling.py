@@ -17,8 +17,6 @@ from dataeff.sampling import (
     make_schedule,
     sample,
     sample_nested,
-    spis_sample,
-    uniform_sample,
     uniform_size,
 )
 
@@ -96,7 +94,7 @@ def test_uniform_size_arithmetic():
 
 
 def test_uniform_sample_size_and_uniqueness(weather_table):
-    subset = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 12, 1))
+    subset = sample(weather_table, SubsetSpec("weather", "uniform", 12, 1))
     assert len(subset.row_ids) == 120
     assert len(set(subset.row_ids)) == 120
     train = set(weather_table.row_ids("weather", "train"))
@@ -104,12 +102,12 @@ def test_uniform_sample_size_and_uniqueness(weather_table):
 
 
 def test_uniform_zero_percent(weather_table):
-    subset = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 0, 1))
+    subset = sample(weather_table, SubsetSpec("weather", "uniform", 0, 1))
     assert subset.row_ids == ()
 
 
 def test_uniform_full_domain_shuffled(weather_table):
-    subset = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 100, 1))
+    subset = sample(weather_table, SubsetSpec("weather", "uniform", 100, 1))
     train = weather_table.row_ids("weather", "train")
     assert sorted(subset.row_ids) == sorted(train)
     assert subset.row_ids != train  # order is shuffled, not file order
@@ -117,31 +115,31 @@ def test_uniform_full_domain_shuffled(weather_table):
 
 def test_uniform_deterministic(weather_table):
     spec = SubsetSpec("weather", "uniform", 12, 42)
-    a = uniform_sample(weather_table, spec)
-    b = uniform_sample(weather_table, spec)
+    a = sample(weather_table, spec)
+    b = sample(weather_table, spec)
     assert a.row_ids == b.row_ids
     assert dumps(a) == dumps(b)
 
 
 def test_uniform_seeds_differ(weather_table):
-    a = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 12, 1))
-    b = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 12, 2))
+    a = sample(weather_table, SubsetSpec("weather", "uniform", 12, 1))
+    b = sample(weather_table, SubsetSpec("weather", "uniform", 12, 2))
     assert a.row_ids != b.row_ids
 
 
 def test_uniform_unknown_domain(weather_table):
     with pytest.raises(UnknownDomainError):
-        uniform_sample(weather_table, SubsetSpec("desert", "uniform", 12, 1))
+        sample(weather_table, SubsetSpec("desert", "uniform", 12, 1))
 
 
 def test_uniform_empty_train_split():
     table = CorpusTable([("weather", "hi", "[IN:GET_WEATHER hi ]", "test")])
     with pytest.raises(SamplingError):
-        uniform_sample(table, SubsetSpec("weather", "uniform", 10, 1))
+        sample(table, SubsetSpec("weather", "uniform", 10, 1))
 
 
 def test_subset_json_round_trip(weather_table):
-    subset = uniform_sample(weather_table, SubsetSpec("weather", "uniform", 7, 9))
+    subset = sample(weather_table, SubsetSpec("weather", "uniform", 7, 9))
     again = from_dict(Subset, json.loads(dumps(subset)), "subset.json")
     assert again == subset
 
@@ -156,13 +154,13 @@ def _single_intent_table(labels):
 
 def test_spis_distinct_intents_k1():
     table = _single_intent_table(["AAA", "BBB", "CCC", "DDD"])
-    subset = spis_sample(table, SubsetSpec("toy", "spis", 1, 0))
+    subset = sample(table, SubsetSpec("toy", "spis", 1, 0))
     assert sorted(subset.row_ids) == [0, 1, 2, 3]
 
 
 def test_spis_k_above_all_counts_selects_everything():
     table = _single_intent_table(["AAA", "AAA", "BBB"])
-    subset = spis_sample(table, SubsetSpec("toy", "spis", 50, 0))
+    subset = sample(table, SubsetSpec("toy", "spis", 50, 0))
     assert sorted(subset.row_ids) == [0, 1, 2]
 
 
@@ -196,7 +194,7 @@ def test_spis_six_row_fixture_against_all_orderings():
         for label, total in totals.items():
             assert seen[label] >= min(k, total)
 
-    subset = spis_sample(table, SubsetSpec("toy", "spis", k, 3))
+    subset = sample(table, SubsetSpec("toy", "spis", k, 3))
     assert len(subset.row_ids) < len(table)  # stopped early
     assert len(subset.row_ids) in sizes
     achieved = _label_counts(subset, table)
@@ -218,7 +216,7 @@ def test_spis_coverage_property(k):
         totals = Counter()
         for frame in frames:
             totals.update(tree_labels(frame))
-        subset = spis_sample(table, SubsetSpec("rand", "spis", k, trial))
+        subset = sample(table, SubsetSpec("rand", "spis", k, trial))
         achieved = _label_counts(subset, table)
         for label, total in totals.items():
             assert achieved[label] >= min(k, total), (label, k, trial)
@@ -227,7 +225,7 @@ def test_spis_coverage_property(k):
 def test_spis_deterministic():
     table = _single_intent_table(["AAA", "AAA", "BBB", "CCC", "CCC", "DDD"])
     spec = SubsetSpec("toy", "spis", 1, 77)
-    assert spis_sample(table, spec).row_ids == spis_sample(table, spec).row_ids
+    assert sample(table, spec).row_ids == sample(table, spec).row_ids
 
 
 def _permuted_tables(frames):
@@ -247,12 +245,12 @@ def _random_frames_table(rng, n):
 
 def _check_spis_against_the_greedy_pass(table, domain, seed, ks):
     # At k = the row count every threshold qualifies, so that subset is the whole order.
-    order = spis_sample(table, SubsetSpec(domain, "spis", len(table), seed)).row_ids
+    order = sample(table, SubsetSpec(domain, "spis", len(table), seed)).row_ids
     assert sorted(order) == sorted(table.row_ids(domain, "train"))
     frames = {pos: table.labels[pos] for pos in order}
     for k in ks:
         picked, _ = _greedy_reference(frames, order, k)
-        assert spis_sample(table, SubsetSpec(domain, "spis", k, seed)).row_ids == tuple(picked)
+        assert sample(table, SubsetSpec(domain, "spis", k, seed)).row_ids == tuple(picked)
 
 
 def test_spis_threshold_rule_is_the_greedy_pass_on_every_ordering():
@@ -270,14 +268,14 @@ def test_spis_threshold_rule_is_the_greedy_pass_with_repeated_labels():
 
 def test_subsets_of_one_seed_nest(weather_table):
     for seed in (0, 1, 2):
-        uniform = [uniform_sample(weather_table, SubsetSpec("weather", "uniform", k, seed)).row_ids
+        uniform = [sample(weather_table, SubsetSpec("weather", "uniform", k, seed)).row_ids
                    for k in make_schedule(10).sizes]
         for smaller, larger in zip(uniform, uniform[1:]):
             assert larger[:len(smaller)] == smaller
     rng = random.Random(7)
     for seed in (0, 1, 2):
         table = _random_frames_table(rng, 60)
-        spis = [set(spis_sample(table, SubsetSpec("rand", "spis", k, seed)).row_ids)
+        spis = [set(sample(table, SubsetSpec("rand", "spis", k, seed)).row_ids)
                 for k in range(1, 8)]
         for smaller, larger in zip(spis, spis[1:]):
             assert smaller <= larger

@@ -158,7 +158,7 @@ def test_every_public_name_is_read_inside_the_package():
     assert sorted(set(dataeff.__all__) - read) == []
 
 
-def test_cli_still_exposes_the_functions_the_benchmark_tracer_wraps():
+def test_cli_still_exposes_the_functions_the_benchmark_tracer_wraps(weather_table):
     for name in ("load_corpus", "build_manifests", "run_protocol", "save_ledger",
                  "fit_curve", "invert"):
         assert getattr(cli, name) is getattr(dataeff, name), name
@@ -186,3 +186,10 @@ def test_cli_still_exposes_the_functions_the_benchmark_tracer_wraps():
         assert frames.serialize_frame(frames.parse_frame(text)) == canonical
         assert frames.ontology_labels(frames.parse_frame(text)) == Counter(labels)
     assert not {"parse_frame", "serialize_frame", "ontology_labels"} & set(dataeff.__all__)
+    # Likewise the two sampler names: each draws the very subset sample draws.
+    for spec in (sampling.SubsetSpec("weather", "uniform", 12, 3),
+                 sampling.SubsetSpec("weather", "spis", 3, 3)):
+        subset = sampling.sample(weather_table, spec)
+        assert sampling.uniform_sample(weather_table, spec) == subset
+        assert sampling.spis_sample(weather_table, spec) == subset
+    assert not {"uniform_sample", "spis_sample"} & set(dataeff.__all__)
