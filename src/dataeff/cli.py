@@ -130,14 +130,16 @@ def _make_runner(args, table):
 
 
 def cmd_run(args) -> int:
+    import os
     import tempfile
 
     from . import corpus, protocol, sampling
 
+    out = Path(os.path.realpath(args.out))  # save_ledger replaces a symlink's target
     try:  # save_ledger writes a file beside OUT and renames it: fail now if it cannot
-        if Path(args.out).is_dir():
-            raise IsADirectoryError("Is a directory")
-        tempfile.TemporaryFile(dir=Path(args.out).parent).close()  # unnamed, gone when closed
+        if os.path.lexists(out) and not out.is_file():  # a directory, FIFO, device or loop
+            raise OSError("Is a directory" if out.is_dir() else "not a regular file")
+        tempfile.TemporaryFile(dir=out.parent).close()  # unnamed, gone when closed
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     table = corpus.load_corpus(args.corpus)

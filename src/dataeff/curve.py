@@ -89,7 +89,7 @@ def points_from_csv(text: str, source: str) -> list["EfficiencyPoint"]:
     import csv
     import io
 
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     required = {"subset_percent", "exact_match"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise FitError(

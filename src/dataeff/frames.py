@@ -173,8 +173,7 @@ def exact_match(system: list[str], reference: list[str]) -> float:
 
 # Benchmark seam: bench/tracer.py and bench/test_bench.py look these three names up
 # here. Delete them once the package records its own spans.
-def parse_frame(text: str) -> tuple[str, tuple[str, ...]]:
-    return canonical_frame(text)
+parse_frame = canonical_frame
 
 
 def serialize_frame(frame: tuple[str, tuple[str, ...]]) -> str:

@@ -101,8 +101,8 @@ def read_lines(path, error: type[InputError] = InputError,
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file, checked as read_lines checks it, in one read;
-    ``\r\n`` and a lone ``\r`` become ``\n``, as a text-mode open() reads them."""
+    """The text of a UTF-8 file, checked as read_lines checks it, in one read. Line ends
+    stay as they are: JSON reads ``\r`` as space, and csv, given newline="", ends a row at any."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -111,12 +111,15 @@ def read_text(path) -> str:
         for _ in read_lines(path):  # raises naming the line that holds the bad byte
             pass
         raise
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    return text
 
 
 def replace_file(path, chunks: Iterable[bytes], mode: int = 0o666) -> None:
     """Write the byte chunks to path whole or not at all: into a new file PATH.RANDOM.tmp,
-    made with mode less the umask, then renamed onto path, or removed if anything fails."""
+    made with mode less the umask, then renamed onto path, or removed if anything fails.
+    A path that exists and is not a regular file, a symlink too, raises OSError naming it."""
+    if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+        raise OSError(f"{os.fspath(path)}: not a regular file; the rename would replace it")
     temp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     handle = open(temp, "xb", opener=lambda name, flags: os.open(name, flags, mode))
     try:  # "x" made temp, so it is this call's own to remove

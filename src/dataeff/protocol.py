@@ -23,6 +23,7 @@ simulated protocol and the commands that only read a ledger do not load them.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,8 +80,9 @@ class Protocol:
                         len(manifest.eval_rows), len(manifest.test_rows), manifest.test_digest)
 
     def run_id(self, size_param: float, seed: int) -> str:
-        """The name of this protocol's run at one size parameter and seed."""
-        return f"{self.model_id}.{self.target_domain}.{self.algorithm}{size_param:g}.s{seed}"
+        """The run name at one size and seed: the size by :g, or by repr if :g would lose it."""
+        size = f"{size_param:g}" if float(f"{size_param:g}") == size_param else repr(size_param)
+        return f"{self.model_id}.{self.target_domain}.{self.algorithm}{size}.s{seed}"
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,9 @@ class Ledger:
 
 
 def save_ledger(ledger: Ledger, path: str | Path) -> None:
-    """Write the ledger's JSON by replace_file: an old ledger at path stays whole until then."""
-    replace_file(path, (dumps(ledger).encode("utf-8"), b"\n"))
+    """Write the ledger's JSON by replace_file: an old ledger at path stays whole until then.
+    A symlink at path is resolved and its target replaced, so the link stays a link."""
+    replace_file(os.path.realpath(path), (dumps(ledger).encode("utf-8"), b"\n"))
 
 
 def load_ledger(path: str | Path) -> Ledger:

@@ -89,11 +89,7 @@ class Subset:
 
 
 def uniform_size(percent: float, population: int) -> int:
-    """ceil(percent% of population); exact integer arithmetic for whole percents."""
-    if percent == 0:
-        return 0
-    if float(percent).is_integer():
-        return -(-int(percent) * population // 100)
+    """ceil(percent% of population), 1e-9 low; exact for a whole percent of < 1e13 rows."""
     return math.ceil(percent * population / 100.0 - 1e-9)
 
 
@@ -129,9 +125,4 @@ def sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
 
 # Benchmark seam: bench/tracer.py looks these two names up here, and bench/run.py
 # reports their spans. Delete them once the package records its own spans.
-def uniform_sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
-    return sample(table, spec)
-
-
-def spis_sample(table: CorpusTable, spec: SubsetSpec) -> Subset:
-    return sample(table, spec)
+uniform_sample = spis_sample = sample

@@ -101,6 +101,8 @@ def test_load_annotations_skips_blank_rows_and_counts_columns(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("intent,class\nIN:A,open\n\nIN:B,closed\n", encoding="utf-8")
     assert load_annotations(path) == {"IN:A": OPEN, "IN:B": CLOSED}
+    path.write_bytes(b"intent,class\rIN:A,open\r\rIN:B,closed\r")  # rows ending in a lone \r
+    assert load_annotations(path) == {"IN:A": OPEN, "IN:B": CLOSED}
     path.write_text("intent,class\nIN:A,open\nIN:B,closed,extra\n", encoding="utf-8")
     with pytest.raises(AnnotationError) as exc:
         load_annotations(path)

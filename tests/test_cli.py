@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -320,6 +321,29 @@ def test_run_refuses_a_directory_out_before_any_run(corpus, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
     assert not (tmp_path / "calls.log").exists()
     assert list(out.iterdir()) == []
+
+
+def test_run_refuses_an_out_that_is_not_a_regular_file_before_any_run(corpus, tmp_path, capsys):
+    out = tmp_path / "out.fifo"
+    os.mkfifo(out)
+    runner = _logging_runner(tmp_path, tmp_path / "unwatched")  # opening the FIFO would block
+    argv = ["run", "--corpus", str(corpus), "--target", "weather", "--n", "3",
+            "--runner", runner, "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: not a regular file\n"
+    assert not (tmp_path / "calls.log").exists()
+    assert stat.S_ISFIFO(os.lstat(out).st_mode)
+
+
+def test_run_writes_through_a_symlinked_out(corpus, tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old ledger", encoding="utf-8")
+    link.symlink_to(real)
+    argv = ["run", "--corpus", str(corpus), "--target", "weather", "--n", "3", "--out", str(link)]
+    assert cli.main(argv) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert len(load_ledger(real).entries) == 3
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_run_warns_when_its_ledger_cannot_be_fitted(corpus, tmp_path):

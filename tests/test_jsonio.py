@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import stat
 
 import pytest
@@ -237,3 +238,14 @@ def test_replace_file_writes_whole_or_not_at_all(tmp_path):
         replace_file(path, chunks())
     assert path.read_bytes() == b"first bytes"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_replace_file_refuses_what_is_not_a_regular_file(tmp_path):
+    fifo, link = tmp_path / "fifo", tmp_path / "link"
+    os.mkfifo(fifo)
+    link.symlink_to(tmp_path / "real")
+    for path in (fifo, link, tmp_path):
+        with pytest.raises(OSError, match=re.escape(f"{path}: not a regular file")):
+            replace_file(path, [b"x"])
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and link.is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link"]

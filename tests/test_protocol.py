@@ -23,10 +23,11 @@ from dataeff.protocol import (
     SimulatedRunner,
     build_manifests,
     ledger_to_curve,
+    load_ledger,
     run_protocol,
     save_ledger,
 )
-from dataeff.sampling import make_schedule, sample
+from dataeff.sampling import Schedule, make_schedule, sample
 
 from conftest import make_rows, random_frame, row_keys
 from reference_frames import serialize_tree
@@ -227,6 +228,18 @@ def test_a_save_ledger_whose_rename_fails_keeps_the_old_ledger(manifests, tmp_pa
         save_ledger(run_protocol(manifests, SimulatedRunner(truth=TRUTH)), path)
     assert path.read_bytes() == b"old ledger"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sizes_that_agree_to_six_digits_get_distinct_run_ids(weather_table, tmp_path, jobs):
+    schedule = Schedule(3, (0, 0, 0), (12.3456781, 12.3456789, 50))
+    ledger = run_protocol(build_manifests(weather_table, "weather", schedule),
+                          SimulatedRunner(truth=TRUTH), jobs=jobs)
+    assert [e.run_id for e in ledger.entries] == [
+        "parser.weather.uniform12.3456781.s0", "parser.weather.uniform12.3456789.s0",
+        "parser.weather.uniform50.s0"]
+    save_ledger(ledger, tmp_path / "ledger.json")
+    assert load_ledger(tmp_path / "ledger.json") == ledger
 
 
 def _entry(manifest, result=None, error=None):

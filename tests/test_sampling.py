@@ -91,6 +91,10 @@ def test_uniform_size_arithmetic():
     assert uniform_size(0, 1000) == 0
     assert uniform_size(100, 37) == 37
     assert uniform_size(0.5, 10) == 1  # ceil(0.05)
+    # For a whole percent the float formula must equal the exact integer ceiling.
+    for percent in range(101):
+        for population in range(3001):
+            assert uniform_size(percent, population) == -(-percent * population // 100)
 
 
 def test_uniform_sample_size_and_uniqueness(weather_table):
