@@ -121,12 +121,12 @@ def cmd_query(args) -> int:
 def _make_runner(args, table):
     from .protocol import CommandRunner, SimulatedRunner
 
-    if args.runner == "simulate":
-        return SimulatedRunner(
-            truth=tuple(args.truth), noise_sigma=args.noise, em_at_zero=args.em_at_zero,
-            seed=args.sim_seed, table=table if args.emit_predictions else None,
-        )
-    return CommandRunner(args.runner[len("exec:"):])
+    if args.runner != "simulate":
+        return CommandRunner(args.runner[len("exec:"):])
+    given = {"truth": args.truth and tuple(args.truth), "noise_sigma": args.noise,
+             "em_at_zero": args.em_at_zero, "seed": args.sim_seed}
+    return SimulatedRunner(**{k: v for k, v in given.items() if v is not None},  # else its default
+                           table=table if args.emit_predictions else None)
 
 
 def cmd_run(args) -> int:
@@ -342,15 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(2), default=10, help="schedule points (>= 2)")
     p.add_argument("--algorithm", choices=["uniform", "spis"], default="uniform")
     p.add_argument("--model-id", default="parser")
-    p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel runs (>= 1)")
-    p.add_argument("--truth", type=_finite(), nargs=3, default=[-27.26, 0.35, 97.79],
-                   metavar=("A", "B", "C"), help="simulator truth curve")
-    p.add_argument("--noise", type=_finite(0), default=0.0, help="simulator EM noise sigma")
-    p.add_argument("--em-at-zero", type=_finite(0, 100), default=0.0,
-                   help="simulator EM for the 0%% subset")
-    p.add_argument("--sim-seed", type=_seed, default=0)
-    p.add_argument("--emit-predictions", action="store_true",
-                   help="simulator also emits per-test-row predictions")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel runs (>= 1); only "
+                   "exec: runs overlap, as the pure-Python simulator holds the interpreter lock")
+    p.add_argument("--truth", type=_finite(), nargs=3, metavar=("A", "B", "C"),
+                   help="simulator only: truth curve (default -27.26 0.35 97.79)")
+    p.add_argument("--noise", type=_finite(0), help="simulator only: EM noise sigma (default 0)")
+    p.add_argument("--em-at-zero", type=_finite(0, 100),
+                   help="simulator only: EM for the 0%% subset (default 0)")
+    p.add_argument("--sim-seed", type=_seed, help="simulator only: its seed (default 0)")
+    p.add_argument("--emit-predictions", action="store_true", default=None,
+                   help="simulator only: also emit per-test-row predictions")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="emit SVG and CSV plots of points + curve")
@@ -416,6 +417,10 @@ def main(argv=None) -> int:
             parser.error(f"argument --size: {exc}")
     if args.command == "run" and len(set(args.seeds)) != len(args.seeds):
         parser.error(f"argument --seeds: seeds must be unique, got {args.seeds}")
+    if args.command == "run" and args.runner != "simulate":
+        for option in ("truth", "noise", "em_at_zero", "sim_seed", "emit_predictions"):
+            if getattr(args, option) is not None:
+                parser.error(f"argument --{option.replace('_', '-')}: simulator only, not exec:")
     try:
         return args.func(args)
     except (DataEffError, OSError) as exc:

@@ -17,10 +17,11 @@ A checked table is kept beside its corpus in ``.NAME.dataeff-cache`` (NAME is
 the corpus file's name), so a later load of the same bytes skips the check.
 A cache hit decodes the index and each test digest at once; the frame and
 label columns stay CRC-checked marshal bytes until a command first reads them.
-Its key is a blake2b digest of the bytes the check read, the reading rule (TSV
+Its key is a SHA-256 digest of the bytes the check read, the reading rule (TSV
 or JSONL, and the filename's fallback split) and the source of the modules
-that check (``corpus``, ``frames``, ``jsonio``) under this Python. The cache
-takes about as much disk as the corpus, and deleting it is always safe. Only a
+that check (``corpus``, ``frames``, ``jsonio``) under this Python; a cache
+keyed otherwise, as by the 64-byte blake2b of earlier versions, misses once.
+The cache takes about as much disk as the corpus, and deleting it is safe. Only a
 regular file owned by the current user is read as a cache. Any other cache
 file, and one that is stale, truncated or corrupt, counts as a miss; one that
 cannot be written is skipped. A corpus that is not a regular file, such as a
@@ -218,19 +219,21 @@ _CACHE_ROWS = 1024  # frames per cache record
 
 
 def _cache_for(path: Path, rule: str):
-    """(cache path, blake2b of the checking code and rule) for a regular file, else (None, None).
+    """(cache path, SHA-256 of the checking code and rule) for a regular file, else (None, None).
 
     The digest is to be fed the corpus bytes; the cache file starts with its value.
     """
+    from hashlib import sha256  # here, so only a command that loads a corpus loads OpenSSL
+
     try:
         if not hasattr(os, "geteuid") or not stat.S_ISREG(os.stat(path).st_mode):
             return None, None
-        code = b"".join(blake2b(Path(source).read_bytes()).digest()
+        code = b"".join(sha256(Path(source).read_bytes()).digest()
                         for source in (__file__, frames.__file__, jsonio.__file__))
     except OSError:
         return None, None
     return (path.with_name(f".{path.name}.dataeff-cache"),
-            blake2b(code + repr((sys.version, rule)).encode()))
+            sha256(code + repr((sys.version, rule)).encode()))
 
 
 def _load_cached(path: Path, cache: Path, digest) -> CorpusTable | None:

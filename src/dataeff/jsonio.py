@@ -2,7 +2,8 @@
 
 Every table goes out through csv_text as CSV or through text_table as aligned columns.
 dumps() writes dataclasses as objects of their fields in declaration order,
-leaving out a field whose value and default are both None. from_dict() checks
+leaving out a field whose value and default are both None, and any other
+sequence, such as a Manifest's lazy rows, as an array. from_dict() checks
 decoded JSON against the type hints: a missing or ill-typed key raises
 InputError naming the source and key path, e.g. ``ledger.json:
 entries[3].seed: expected int, got str``. Unknown keys are ignored,
@@ -25,7 +26,7 @@ import json
 import os
 import types
 import typing
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
 
 from .errors import DataEffError, InputError
@@ -45,7 +46,9 @@ def _expected(what: str, value) -> _Mismatch:
     return _Mismatch(f"expected {what}, got {_JSON_NAMES.get(type(value), type(value).__name__)}")
 
 
-def _fields(obj) -> dict:
+def _fields(obj) -> dict | list:
+    if isinstance(obj, Sequence):  # not a list, tuple or str: a Manifest's lazy rows
+        return list(obj)
     if not dataclasses.is_dataclass(obj):
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
     pairs = ((f, getattr(obj, f.name)) for f in dataclasses.fields(obj))
@@ -53,7 +56,7 @@ def _fields(obj) -> dict:
 
 
 def dumps(obj) -> str:
-    """JSON text of obj, with every dataclass written as an object of its fields.
+    """JSON text of obj: each dataclass an object of its fields, any sequence an array.
 
     A NaN or infinite float raises ValueError: JSON has no such numbers.
     """

@@ -7,8 +7,9 @@ scores h(k) + noise against a truth curve, rejecting bad settings when built,
 so the whole pipeline is testable without GPUs; CommandRunner shells out to a
 user command for real fine-tuning (the command gets the manifest JSON path as
 its single argument and must print RunResult JSON on stdout, exiting 0).
-build_manifests draws every subset before it returns but builds each Manifest
-only when it is taken, and run_protocol takes manifests as runs start, so a
+build_manifests sizes every subset before it returns, and run_protocol takes
+manifests as runs start. A Manifest's rows are made on first read, a seed's
+order drawn once, so the simulator, which reads none, draws none, and a
 protocol holds the train rows of the runs in flight, not of every run.
 
 A ledger (format 2) names once, in its header, the Protocol that all its runs
@@ -26,10 +27,12 @@ import math
 import os
 import time
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from threading import Lock
+from typing import TYPE_CHECKING
 
 from .curve import EfficiencyPoint
 from .errors import ProtocolError, RunnerError
@@ -45,9 +48,35 @@ _PREDICTION_STREAM = 0x50
 _STDERR_LINES = 10  # of a failed runner's stderr, kept in its error
 
 
+class _Rows(Sequence):
+    """Rows of known len() that make() makes once, under a lock, when any is first read."""
+
+    def __init__(self, length: int, make: Callable[[], tuple[int, ...]]):
+        self._length, self._make, self._lock = length, make, Lock()
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        with self._lock:
+            if self._make:
+                self._made, self._make = self._make(), None
+        return self._made[index]  # self[:] is the made tuple itself
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        return self[:] == other  # tuple == _Rows asks _Rows.__eq__ in turn
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+
 @dataclass(frozen=True)
 class Manifest:
-    """One fine-tuning job: mixed train rows, eval rows, and target test rows."""
+    """One fine-tuning job: mixed train rows, eval rows, and target test rows. From
+    build_manifests, train_rows and a uniform subset_rows are made on first read."""
 
     run_id: str
     model_id: str
@@ -184,9 +213,10 @@ def build_manifests(
 ) -> Iterator[Manifest]:
     """One manifest per (schedule size, seed), built as it is taken from the iterator.
 
-    Every subset is drawn and checked before this returns, so a bad draw raises
-    here, before any run starts; each Manifest, with its train rows, is built only
-    when taken. Train rows are every non-target train row plus the drawn subset;
+    Every subset is sized and checked before this returns, so a bad spec raises
+    here, before any run starts (a spis subset is drawn here, as its size comes from
+    the draw); each Manifest is built when taken, and its rows when first read.
+    Train rows are every non-target train row plus the subset;
     eval rows are all non-target eval rows plus the target domain's eval rows;
     test rows are the target domain's test split. Each seed draws one order of
     the target train rows, and each distinct schedule size is cut from it
@@ -214,7 +244,7 @@ def build_manifests(
     if algorithm == "spis":
         sizes = [k for k in sizes if k >= 1]
 
-    by_seed = [sample_nested(table, target_domain, algorithm, seed, sizes) for seed in seeds]
+    by_seed = [sample_nested(table, target_domain, algorithm, seed, sizes, _Rows) for seed in seeds]
 
     return (
         Manifest(
@@ -225,7 +255,8 @@ def build_manifests(
             subset_rows=subset.row_ids,
             subset_percent=(subset.spec.size_param if algorithm == "uniform"
                             else 100.0 * len(subset.row_ids) / target_train),
-            train_rows=source_train + subset.row_ids,
+            train_rows=_Rows(len(source_train) + len(subset.row_ids),
+                             lambda rows=subset.row_ids: source_train + rows[:]),
             eval_rows=eval_rows,
             test_rows=test_rows,
             test_digest=header.test_digest,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import SamplingError
 from .rng import SplitMix64, combine, string_key
@@ -94,19 +94,23 @@ def uniform_size(percent: float, population: int) -> int:
 
 
 def sample_nested(
-    table: CorpusTable, target_domain: str, algorithm: str, seed: int, size_params: Sequence[float]
+    table: CorpusTable, target_domain: str, algorithm: str, seed: int, size_params: Sequence[float],
+    rows: Callable[[int, Callable], Sequence[int]] = lambda length, draw: draw(),
 ) -> list[Subset]:
-    """One subset per size parameter, all cut from one order of the domain's train rows."""
+    """One subset per size parameter, all cut from one order of the domain's train rows.
+    Uniform rows are rows(length, draw): draw() here, or, from build_manifests, on first read."""
     specs = [SubsetSpec(target_domain, algorithm, k, seed) for k in size_params]
-    ids = list(table.row_ids(target_domain, "train"))
+    ids = table.row_ids(target_domain, "train")
     stream = SplitMix64(combine(seed, string_key(target_domain), ALGORITHMS.index(algorithm)))
     if algorithm == "uniform":
         if not ids and any(spec.size_param > 0 for spec in specs):
             raise SamplingError(f"domain {target_domain!r} has no train rows to sample from")
         sizes = [uniform_size(spec.size_param, len(ids)) for spec in specs]
-        order = stream.shuffle_prefix(ids, max(sizes, default=0))
-        return [Subset(spec, tuple(order[:size])) for spec, size in zip(specs, sizes)]
-    order = stream.shuffle_prefix(ids, len(ids))
+        most = max(sizes, default=0)
+        order = rows(most, lambda: tuple(stream.shuffle_prefix(list(ids), most)))
+        return [Subset(spec, rows(size, lambda size=size: order[:size]))
+                for spec, size in zip(specs, sizes)]
+    order = stream.shuffle_prefix(list(ids), len(ids))
     seen: dict[str, int] = {}
     thresholds = []
     for pos in order:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dataeff.corpus import SPLITS, CorpusTable
+from dataeff.rng import SplitMix64
 from reference_frames import FrameNode
 
 _INTENTS = ("IN:GET_WEATHER", "IN:GET_SUNRISE", "IN:GET_SUNSET", "IN:CREATE_ALARM",
@@ -40,6 +41,16 @@ def make_rows(domain, n, split="train", intent="IN:GET_WEATHER", token="forecast
     """n simple one-slot (domain, utterance, parse, split) rows for one domain/split."""
     return [(domain, f"{token} {i}", f"[{intent} {token} [SL:LOCATION spot ] ]", split)
             for i in range(n)]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The prefix length of each SplitMix64.shuffle_prefix call, that is of each subset draw."""
+    made = []
+    shuffle_prefix = SplitMix64.shuffle_prefix
+    monkeypatch.setattr(SplitMix64, "shuffle_prefix",
+                        lambda self, items, m: made.append(m) or shuffle_prefix(self, items, m))
+    return made
 
 
 @pytest.fixture

@@ -249,6 +249,39 @@ def test_run_simulate_deterministic(corpus, tmp_path):
     assert len(payload["entries"]) == 10
 
 
+def test_run_fills_each_simulator_option_left_out_with_the_simulator_default(corpus, tmp_path):
+    args = ["run", "--corpus", str(corpus), "--target", "weather", "--seeds", "0", "1"]
+    plain, explicit = tmp_path / "plain.json", tmp_path / "explicit.json"
+    assert cli.main(args + ["--out", str(plain)]) == 0
+    defaults = SimulatedRunner()
+    assert cli.main(args + ["--truth", *map(str, defaults.truth), "--noise", "0",
+                            "--em-at-zero", "0", "--sim-seed", "0", "--out", str(explicit)]) == 0
+    assert defaults.truth == CANONICAL
+    assert plain.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("option", [["--emit-predictions"], ["--noise", "5"],
+                                    ["--truth", "1", "2", "3"], ["--em-at-zero", "1"],
+                                    ["--sim-seed", "1"]])
+def test_run_refuses_a_simulator_option_with_an_exec_runner(corpus, tmp_path, capsys, option):
+    ledger = tmp_path / "ledger.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--corpus", str(corpus), "--target", "weather", "--runner",
+                  f"exec:{sys.executable} -c pass", *option, "--out", str(ledger)])
+    assert exc.value.code == 2
+    assert f"argument {option[0]}: simulator only, not exec:" in capsys.readouterr().err
+    assert not ledger.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--emit-predictions"]])
+def test_a_uniform_simulated_run_draws_no_subset(corpus, tmp_path, draws, extra):
+    ledger = tmp_path / "ledger.json"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather", "--seeds", "0", "1",
+                     "--jobs", "2", *extra, "--out", str(ledger)]) == 0
+    assert draws == []
+    assert len(load_ledger(ledger).ok_entries) == 20
+
+
 def test_run_on_a_dense_schedule_runs_each_size_once(corpus, tmp_path):
     ledger = tmp_path / "ledger.json"
     args = ("run", "--corpus", corpus, "--target", "weather", "--n", 20, "--out", ledger)

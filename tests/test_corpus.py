@@ -1,3 +1,4 @@
+import hashlib
 import json
 import marshal
 import os
@@ -478,9 +479,12 @@ def _another_code_key(path, tmp_path, monkeypatch):
         _load_counting_checks(path, monkeypatch)
 
 
+KEY = hashlib.sha256().digest_size  # the cache file's leading key, in bytes
+
+
 def _record_ends(data):
-    """Where each record ends: the 64-byte key, then an 8-byte head and its length of bytes."""
-    ends = [64]
+    """Where each record ends: the key, then an 8-byte head and its length of bytes."""
+    ends = [KEY]
     while ends[-1] < len(data):
         ends.append(ends[-1] + 8 + int.from_bytes(data[ends[-1]:ends[-1] + 4], "little"))
     return ends[1:]
@@ -488,7 +492,7 @@ def _record_ends(data):
 
 def _cut_after_first_record(data):
     """The key and the first record (the index and the split digests) only."""
-    return data[:64 + 8 + int.from_bytes(data[64:68], "little")]
+    return data[:KEY + 8 + int.from_bytes(data[KEY:KEY + 4], "little")]
 
 
 def _flip_a_byte(data, at=None):
@@ -498,7 +502,7 @@ def _flip_a_byte(data, at=None):
 
 @pytest.mark.parametrize("break_cache", [
     lambda cache, tmp_path, monkeypatch: cache.write_bytes(cache.read_bytes()[:-100]),
-    lambda cache, tmp_path, monkeypatch: cache.write_bytes(cache.read_bytes()[:64]),
+    lambda cache, tmp_path, monkeypatch: cache.write_bytes(cache.read_bytes()[:KEY]),
     lambda cache, tmp_path, monkeypatch: cache.write_bytes(
         _cut_after_first_record(cache.read_bytes())),
     lambda cache, tmp_path, monkeypatch: cache.write_bytes(b"garbage" * 1000),
@@ -524,6 +528,24 @@ def test_a_broken_cache_is_ignored_and_rewritten(tmp_path, monkeypatch, break_ca
     assert count == len(CACHED_ROWS)
     assert columns(table) == columns(checked)
     assert cache.read_bytes() != broken
+    assert _load_counting_checks(path, monkeypatch)[1] == 0
+
+
+def test_a_cache_keyed_by_blake2b_misses_once_and_is_rewritten(tmp_path, monkeypatch):
+    # Earlier versions keyed the cache with a 64-byte blake2b of the same inputs.
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    checked = load_corpus(path)
+    cache = _cache(path)
+    good = cache.read_bytes()
+    code = b"".join(blake2b(open(source, "rb").read()).digest()
+                    for source in (corpus.__file__, corpus.frames.__file__, corpus.jsonio.__file__))
+    old_key = blake2b(code + repr((sys.version, "_tsv_fields train")).encode())
+    old_key.update(path.read_bytes())
+    cache.write_bytes(old_key.digest() + good[KEY:])
+    table, count = _load_counting_checks(path, monkeypatch)
+    assert count == len(CACHED_ROWS)
+    assert columns(table) == columns(checked)
+    assert cache.read_bytes() == good
     assert _load_counting_checks(path, monkeypatch)[1] == 0
 
 

@@ -66,6 +66,7 @@ def test_dumps_field_order_and_none_defaults(weather_table):
     assert list(ok["result"]) == ["exact_match", "wall_time", "predictions"]
     assert dumps(RunResult(exact_match=50.0)) == '{"exact_match": 50.0, "wall_time": 0.0}'
     assert list(json.loads(dumps(make_schedule(3)))) == ["n", "raw", "sizes"]
+    assert dumps({"rows": range(3)}) == dumps({"rows": (0, 1, 2)}) == '{"rows": [0, 1, 2]}'
 
 
 def test_numbers_are_checked():

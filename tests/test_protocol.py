@@ -10,7 +10,7 @@ import pytest
 
 from dataeff.corpus import CorpusTable
 from dataeff.curve import fit_curve
-from dataeff.errors import ProtocolError, RunnerError, SamplingError
+from dataeff.errors import ProtocolError, RunnerError, SamplingError, UnknownDomainError
 from dataeff.frames import canonical_frame
 from dataeff.jsonio import dumps, from_dict
 from dataeff.protocol import (
@@ -142,6 +142,81 @@ def test_manifest_json_round_trip(manifests):
     m = manifests[5]
     again = from_dict(Manifest, json.loads(dumps(m)), "manifest.json")
     assert again == m
+    assert type(again.subset_rows) is tuple and type(m.subset_rows) is not tuple
+    assert hash(again) == hash(m) and again.train_rows == m.train_rows
+    assert replace(m, model_id="other").subset_rows == again.subset_rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_uniform_seed_is_drawn_once_when_a_runner_first_reads_it(weather_table, draws, jobs):
+    manifests = list(build_manifests(weather_table, "weather", make_schedule(10),
+                                     seeds=(0, 1, 2)))
+    source_train = weather_table.row_ids("alarm", "train")
+    sizes = [0, 10, 20, 40, 70, 120, 210, 360, 600, 1000]
+    assert [len(m.subset_rows) for m in manifests] == [k for k in sizes for _ in range(3)]
+    assert [len(m.train_rows) - len(source_train) for m in manifests[::3]] == sizes
+    assert len({Protocol.of(m) for m in manifests}) == 1
+    assert draws == []
+    seen = {}
+
+    def runner(manifest):
+        seen[manifest.run_id] = tuple(manifest.subset_rows), tuple(manifest.train_rows)
+        return SimulatedRunner(truth=TRUTH)(manifest)
+
+    assert len(run_protocol(manifests, runner, jobs=jobs).ok_entries) == 30
+    assert draws == [1000] * 3  # one order per seed, cut at the largest size
+    for m in manifests:
+        assert seen[m.run_id] == (sample(weather_table, m.subset).row_ids,
+                                  source_train + sample(weather_table, m.subset).row_ids)
+
+
+def test_threads_that_first_read_one_seed_together_draw_it_once(weather_table, draws):
+    manifests = list(build_manifests(weather_table, "weather", make_schedule(10), seeds=(0,)))
+    readers = manifests[1:9]  # 8 threads, more than cores, each reading another size first
+    together = threading.Barrier(len(readers))
+    read = {}
+
+    def first_read(manifest):
+        together.wait(timeout=10)
+        read[manifest.run_id] = manifest.train_rows[:]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_read, args=(m,)) for m in readers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert draws == [1000]
+    source_train = weather_table.row_ids("alarm", "train")
+    for m in readers:
+        assert read[m.run_id] == source_train + sample(weather_table, m.subset).row_ids
+
+
+def test_a_simulated_uniform_protocol_draws_nothing(weather_table, draws):
+    for table in (None, weather_table):  # with and without predictions
+        manifests = build_manifests(weather_table, "weather", make_schedule(10), seeds=(0, 1))
+        run_protocol(manifests, SimulatedRunner(truth=TRUTH, table=table), jobs=2)
+    assert draws == []
+    list(build_manifests(weather_table, "weather", make_schedule(10), "spis", seeds=(0, 1)))
+    assert draws == [1000, 1000]  # spis sizes come from the draw, so it is made up front
+
+
+@pytest.mark.parametrize("target, schedule, error, match", [
+    ("nope", make_schedule(10), UnknownDomainError, "domain 'nope' not in corpus"),
+    ("weather", Schedule(3, (0.0, 50.0, 150.0), (0, 50, 150)), SamplingError,
+     "uniform percent must be in"),
+])
+def test_a_bad_protocol_raises_before_any_draw_or_run(weather_table, draws, target, schedule,
+                                                      error, match):
+    calls = []
+    with pytest.raises(error, match=match):
+        run_protocol(build_manifests(weather_table, target, schedule), calls.append)
+    assert (draws, calls) == ([], [])
 
 
 def test_simulated_run_canonical_point(manifests):
