@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -25,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from .curve import EfficiencyPoint, Inversion, average_points, invert
 from .errors import AnalysisError, AnnotationError
-from .jsonio import csv_text, read_text, text_table
+from .jsonio import csv_text, loads, read_text, text_table
 
 if TYPE_CHECKING:
     from .corpus import CorpusTable
@@ -199,7 +198,7 @@ def reference_comparison(domain: str) -> ComparisonTable:
     be recomputed by the simulator; they ship as reference data only.
     """
     ref = resources.files("dataeff").joinpath("data/reference/model_generalizability.json")
-    payload = json.loads(ref.read_text(encoding="utf-8"))
+    payload = loads(ref.read_text(encoding="utf-8"), str(ref))
     domains = payload["domains"]
     if domain not in domains:
         raise AnalysisError(

@@ -13,10 +13,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .curve import EfficiencyPoint, average_points, fit_curve, invert, load_model, points_from_csv
+from .curve import average_points, fit_curve, invert, load_model, points_from_csv
 from .errors import (AnalysisError, DataEffError, FrameParseError, InputError, ProtocolError,
                      UnknownDomainError)
-from .jsonio import csv_text, dumps, from_dict, loads, read_lines, read_text, text_table
+from .jsonio import csv_text, dumps, read_lines, read_text, text_table
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -40,20 +40,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_points_file(path: str):
-    """Points from a CSV, a JSON array of point objects, or a ledger JSON; at least one."""
+    """Points from a ledger JSON or a points CSV; at least one."""
     text = read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         from .protocol import Ledger, ledger_to_curve
 
         try:  # the decoder's own errors name the file already
             return ledger_to_curve(Ledger.from_json(text, path))
         except ProtocolError as exc:
             raise ProtocolError(f"{path}: {exc}") from None
-    if stripped.startswith("["):
-        points = from_dict(list[EfficiencyPoint], loads(text, path), path)
-    else:
-        points = points_from_csv(text, path)
+    points = points_from_csv(text, path)
     if not points:
         raise InputError(f"{path}: no points")
     return points
@@ -75,7 +71,7 @@ def cmd_sample(args) -> int:
     subset = sampling.sample(table, spec)
     _emit(dumps(subset) + "\n", args.out)
     count, total = len(subset.row_ids), len(table.row_ids(args.domain, "train"))
-    percent = 100.0 * count / total if total else 0.0
+    percent = 100.0 * count / total  # total > 0: sample refuses a domain without train rows
     print(f"{spec.algorithm} subset: {count} rows ({percent:.2f}% of {args.domain} train)",
           file=sys.stderr)
     return EXIT_OK
@@ -171,9 +167,7 @@ def cmd_report(args) -> int:
 
     points = _load_points_file(args.points)
     model = load_model(args.model) if args.model else None
-    spec = report.ReportSpec(
-        points=tuple(points), model=model, queries=tuple(args.queries), fmt=args.fmt
-    )
+    spec = report.ReportSpec(points=tuple(points), model=model, queries=tuple(args.queries))
     for path in report.write_report(spec, args.out):
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
@@ -321,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the efficiency curve to discrete points")
     p.add_argument("--points", required=True,
-                   help="points CSV, points JSON array, or ledger JSON")
+                   help="ledger JSON, or points CSV with columns subset_percent,exact_match")
     p.add_argument("--out", default=None, help="curve model JSON path (default: stdout)")
     p.add_argument("--average-seeds", action="store_true",
                    help="average seeds per subset percent before fitting")
@@ -355,12 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="emit SVG and CSV plots of points + curve")
-    p.add_argument("--points", required=True)
+    p.add_argument("--points", required=True, help="ledger JSON or points CSV")
     p.add_argument("--model", default=None, help="curve model JSON path")
     p.add_argument("--queries", type=_finite(0, 100), nargs="*", default=[],
                    help="EM targets to draw guide lines for")
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--fmt", choices=["svg", "csv", "both"], default="both")
+    p.add_argument("--out", required=True, help="output path prefix; writes OUT.svg and OUT.csv")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("complexity", help="per-complexity-class discrete curves")

@@ -19,8 +19,7 @@ A cache hit decodes the index and each test digest at once; the frame and
 label columns stay CRC-checked marshal bytes until a command first reads them.
 Its key is a SHA-256 digest of the bytes the check read, the reading rule (TSV
 or JSONL, and the filename's fallback split) and the source of the modules
-that check (``corpus``, ``frames``, ``jsonio``) under this Python; a cache
-keyed otherwise, as by the 64-byte blake2b of earlier versions, misses once.
+that check (``corpus``, ``frames``, ``jsonio``) under this Python.
 The cache takes about as much disk as the corpus, and deleting it is safe. Only a
 regular file owned by the current user is read as a cache. Any other cache
 file, and one that is stale, truncated or corrupt, counts as a miss; one that

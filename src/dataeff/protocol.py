@@ -208,7 +208,7 @@ def build_manifests(
     target_domain: str,
     schedule: Schedule,
     algorithm: str = "uniform",
-    seeds: Sequence[int] = (0,),
+    seeds: Iterable[int] = (0,),
     model_id: str = "parser",
 ) -> Iterator[Manifest]:
     """One manifest per (schedule size, seed), built as it is taken from the iterator.
@@ -224,9 +224,10 @@ def build_manifests(
     schedule order, then seed order. For spis the sizes double as the
     per-label minimums, skipping entries below 1.
     """
-    if len(set(seeds)) != len(tuple(seeds)):
-        raise ProtocolError(f"seeds must be unique, got {tuple(seeds)}")
-    target_train = len(table.row_ids(target_domain, "train")) or 1  # 0 rows draw only empty subsets
+    seeds = tuple(seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ProtocolError(f"seeds must be unique, got {seeds}")
+    target_train = len(table.row_ids(target_domain, "train"))
     sources = [domain for domain in table.domains() if domain != target_domain]
 
     def source_rows(split: str) -> tuple[int, ...]:

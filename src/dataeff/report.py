@@ -25,18 +25,15 @@ CURVE_SAMPLES = 200
 
 @dataclass(frozen=True)
 class ReportSpec:
-    """What to draw: points, optional fitted curve, inverse queries, format."""
+    """What to draw: points, optional fitted curve, inverse queries."""
 
     points: tuple
     model: CurveModel | None = None
     queries: tuple = ()
-    fmt: str = "both"  # "svg" | "csv" | "both"
 
     def __post_init__(self):
         if not self.points:
             raise DataEffError("report needs at least one point")
-        if self.fmt not in ("svg", "csv", "both"):
-            raise DataEffError(f"format must be svg, csv, or both, got {self.fmt!r}")
         for y in self.queries:
             if not 0.0 <= y <= 100.0:
                 raise DataEffError(f"query targets must be in [0, 100], got {y:g}")
@@ -140,15 +137,14 @@ def render_csv(spec: ReportSpec) -> str:
 
 
 def write_report(spec: ReportSpec, out_prefix: str | Path) -> list[Path]:
-    """Write <prefix>.svg and/or <prefix>.csv; returns the paths written.
+    """Write <prefix>.svg and <prefix>.csv; returns the paths written.
 
     The extension is appended to the prefix as given, so a prefix with a dot
     in its last part (``curve_v1.5``) keeps it.
     """
     written = []
     for fmt, render in (("svg", render_svg), ("csv", render_csv)):
-        if spec.fmt in (fmt, "both"):
-            path = Path(f"{out_prefix}.{fmt}")
-            path.write_text(render(spec), encoding="utf-8")
-            written.append(path)
+        path = Path(f"{out_prefix}.{fmt}")
+        path.write_text(render(spec), encoding="utf-8")
+        written.append(path)
     return written

@@ -101,10 +101,10 @@ def sample_nested(
     Uniform rows are rows(length, draw): draw() here, or, from build_manifests, on first read."""
     specs = [SubsetSpec(target_domain, algorithm, k, seed) for k in size_params]
     ids = table.row_ids(target_domain, "train")
+    if not ids:
+        raise SamplingError(f"domain {target_domain!r} has no train rows to sample from")
     stream = SplitMix64(combine(seed, string_key(target_domain), ALGORITHMS.index(algorithm)))
     if algorithm == "uniform":
-        if not ids and any(spec.size_param > 0 for spec in specs):
-            raise SamplingError(f"domain {target_domain!r} has no train rows to sample from")
         sizes = [uniform_size(spec.size_param, len(ids)) for spec in specs]
         most = max(sizes, default=0)
         order = rows(most, lambda: tuple(stream.shuffle_prefix(list(ids), most)))

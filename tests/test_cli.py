@@ -322,6 +322,19 @@ def test_run_fails_before_any_run_when_out_cannot_be_written(corpus, tmp_path, c
     assert not (tmp_path / "calls.log").exists()
 
 
+@pytest.mark.parametrize("algorithm", ["uniform", "spis"])
+def test_run_refuses_a_target_without_train_rows_before_any_run(tmp_path, capsys, algorithm):
+    rows = simple_corpus_rows("weather", 0, 5, 5)
+    rows += simple_corpus_rows("alarm", 20, 5, 5, intent="IN:CREATE_ALARM")
+    corpus, out = write_tsv(tmp_path / "corpus.tsv", rows), tmp_path / "ledger.json"
+    argv = ["run", "--corpus", str(corpus), "--target", "weather", "--algorithm", algorithm,
+            "--runner", _logging_runner(tmp_path, out), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: domain 'weather' has no train rows to sample from\n"
+    assert not (tmp_path / "calls.log").exists()
+    assert not out.exists()
+
+
 def test_run_keeps_an_old_ledger_whole_until_the_new_one_is_written(corpus, tmp_path):
     out = tmp_path / "ledger.json"
     out.write_text("old ledger", encoding="utf-8")
@@ -523,7 +536,6 @@ def _all_failed_ledger(corpus, tmp_path):
 @pytest.mark.parametrize("command, source, message", [
     ("fit", "header.csv", "no points"),
     ("report", "header.csv", "no points"),
-    ("fit", "array.json", "no points"),
     ("fit", "ledger", "all runs failed; nothing to plot"),
 ])
 def test_points_file_without_a_point_names_the_file(corpus, tmp_path, capsys, command, source,
@@ -532,26 +544,24 @@ def test_points_file_without_a_point_names_the_file(corpus, tmp_path, capsys, co
         path = _all_failed_ledger(corpus, tmp_path)
     else:
         path = tmp_path / source
-        path.write_text("subset_percent,exact_match\n" if source.endswith(".csv") else "[]",
-                        encoding="utf-8")
+        path.write_text("subset_percent,exact_match\n", encoding="utf-8")
     capsys.readouterr()
     assert cli.main([command, "--points", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not list(tmp_path.glob("out*"))
 
 
-def test_points_json_keys_besides_a_point_are_ignored(tmp_path):
-    a, b, c = CANONICAL
-    points = [{"subset_percent": x, "exact_match": a / x ** b + c, "seed": 1}
-              for x in (1, 2, 4, 7, 12)]
-    tagged = [{**p, "model_id": "parser", "domain": "weather"} for p in points]
-    models = []
-    for name, payload in (("plain", points), ("tagged", tagged)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert cli.main(["fit", "--points", str(path), "--out", str(tmp_path / f"{name}.m")]) == 0
-        models.append((tmp_path / f"{name}.m").read_bytes())
-    assert models[0] == models[1]
+def test_points_come_from_a_ledger_or_a_csv_only(tmp_path):
+    # A JSON array of points is neither: it is read as a CSV without the point columns.
+    path = tmp_path / "points.json"
+    path.write_text('[{"subset_percent": 1, "exact_match": 70}]', encoding="utf-8")
+    proc = run_cli("fit", "--points", path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: points CSV needs at least the columns ")
+    # report always writes both PREFIX.svg and PREFIX.csv; it has no --fmt switch.
+    proc = run_cli("report", "--points", path, "--out", tmp_path / "plot", "--fmt", "svg")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --fmt svg" in proc.stderr
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1085,19 +1095,6 @@ def test_ledger_ill_typed_seed_names_file_and_key(corpus, tmp_path):
     proc = run_cli("fit", "--points", ledger)
     assert proc.returncode == 1
     assert f"{ledger}: entries[2].seed: expected int, got str" in proc.stderr
-
-
-def test_points_json_array_errors_name_file_and_key(tmp_path):
-    path = tmp_path / "points.json"
-    path.write_text('[{"subset_percent": 1, "exact_match": 70}, {"subset_percent": 2}]',
-                    encoding="utf-8")
-    proc = run_cli("fit", "--points", path)
-    assert proc.returncode == 1
-    assert f"{path}: [1].exact_match: missing" in proc.stderr
-    path.write_text('[{"subset_percent": 1, "exact_match": 70', encoding="utf-8")
-    proc = run_cli("fit", "--points", path)
-    assert proc.returncode == 1
-    assert f"{path}: invalid JSON" in proc.stderr
 
 
 @pytest.mark.parametrize("text, message", [

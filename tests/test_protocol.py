@@ -55,6 +55,9 @@ def test_build_manifests_seed_product(weather_table):
     manifests = list(build_manifests(weather_table, "weather", make_schedule(10), seeds=(0, 1, 2)))
     assert len(manifests) == 30
     assert len({m.run_id for m in manifests}) == 30
+    # seeds is read once, so an iterator of unique seeds gives the same manifests
+    once = build_manifests(weather_table, "weather", make_schedule(10), seeds=iter((0, 1, 2)))
+    assert [m.run_id for m in once] == [m.run_id for m in manifests]
 
 
 @pytest.mark.parametrize("algorithm", ["uniform", "spis"])
@@ -466,8 +469,9 @@ def test_build_manifests_draws_every_subset_before_any_run():
         calls.append(manifest.run_id)
         return SimulatedRunner(truth=TRUTH)(manifest)
 
-    with pytest.raises(SamplingError, match="no train rows"):
-        run_protocol(build_manifests(table, "weather", make_schedule(10)), runner)
+    for algorithm in ("uniform", "spis"):
+        with pytest.raises(SamplingError, match="domain 'weather' has no train rows to sample"):
+            run_protocol(build_manifests(table, "weather", make_schedule(10), algorithm), runner)
     assert calls == []
 
 

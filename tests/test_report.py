@@ -70,17 +70,10 @@ def test_report_spec_validation():
             ReportSpec(points=POINTS, model=CANONICAL, queries=(y,))
     with pytest.raises(DataEffError):
         ReportSpec(points=POINTS, queries=(80.0,))  # queries need a model
-    with pytest.raises(DataEffError):
-        ReportSpec(points=POINTS, fmt="png")
 
 
 def test_write_report_files(tmp_path):
-    spec = ReportSpec(points=POINTS, model=CANONICAL, queries=(80.0,), fmt="both")
+    spec = ReportSpec(points=POINTS, model=CANONICAL, queries=(80.0,))
     written = write_report(spec, tmp_path / "plot")
     assert [p.name for p in written] == ["plot.svg", "plot.csv"]
     assert (tmp_path / "plot.svg").read_text(encoding="utf-8").startswith("<?xml")
-
-    only_csv = write_report(
-        ReportSpec(points=POINTS, fmt="csv"), tmp_path / "bare"
-    )
-    assert [p.name for p in only_csv] == ["bare.csv"]

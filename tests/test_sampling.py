@@ -301,13 +301,13 @@ def _label_counts(subset, table):
     return Counter(label for pos in subset.row_ids for label in table.labels[pos])
 
 
-def _sample_report(tmp_path, capsys, *args):
+def _sample_report(tmp_path, capsys, *args, code=0):
     """What `dataeff sample` reports on stderr; alarm has test rows but no train rows."""
     rows = make_rows("weather", 1000) + make_rows("weather", 60, split="test")
     rows += make_rows("alarm", 20, split="test", intent="IN:CREATE_ALARM", token="alarm")
     corpus = write_tsv(tmp_path / "corpus.tsv", rows)
     argv = ["sample", "--corpus", corpus, *args, "--out", tmp_path / "subset.json"]
-    assert cli.main([str(arg) for arg in argv]) == 0
+    assert cli.main([str(arg) for arg in argv]) == code
     return capsys.readouterr().err
 
 
@@ -319,7 +319,10 @@ def test_size_report_uniform(tmp_path, capsys):
 def test_size_report_empty(tmp_path, capsys):
     report = _sample_report(tmp_path, capsys, "--domain", "weather", "--size", 0)
     assert report == "uniform subset: 0 rows (0.00% of weather train)\n"
-    # A domain without train rows reports 0% rather than dividing by zero.
-    report = _sample_report(tmp_path, capsys, "--domain", "alarm", "--algorithm", "spis",
-                            "--size", 1)
-    assert report == "spis subset: 0 rows (0.00% of alarm train)\n"
+    # Either sampler refuses a domain without train rows, and writes no subset.
+    (tmp_path / "subset.json").unlink()
+    for algorithm, size in (("uniform", 0), ("spis", 1)):
+        report = _sample_report(tmp_path, capsys, "--domain", "alarm", "--algorithm", algorithm,
+                                "--size", size, code=1)
+        assert report == "error: domain 'alarm' has no train rows to sample from\n"
+        assert not (tmp_path / "subset.json").exists()

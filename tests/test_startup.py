@@ -15,6 +15,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -125,6 +126,8 @@ def test_package_has_no_runtime_dependency():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "dataeff", (path.name, name)
+                # one JSON decoder: every module reads and writes JSON through jsonio
+                assert top != "json" or path.name == "jsonio.py", (path.name, name)
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
     assert project["project"]["dependencies"] == []
 
@@ -141,6 +144,30 @@ def test_each_command_loads_only_its_own_modules(child):
     assert csv_so_far["report"] is True
     assert not {"corpus", "frames", "protocol"} & set(so_far["compare"])
     assert not {"corpus", "frames"} & set(so_far["report"])
+
+
+def _help(capsys, command):
+    """What `dataeff COMMAND --help` prints, with each run of whitespace one space."""
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_copies_of_sampler_and_simulator_rules_match_their_sources(capsys):
+    # cli may not import sampling or protocol at start-up, so it spells these out itself.
+    from dataeff.protocol import SimulatedRunner
+    from dataeff.sampling import ALGORITHMS
+
+    for command in ("sample", "run"):
+        choices = re.search(r" --algorithm \{([^}]*)\}", _help(capsys, command)).group(1)
+        assert tuple(choices.split(",")) == ALGORITHMS, command
+    text = _help(capsys, "run")
+    runner = SimulatedRunner()
+    for option, value in (("--truth", " ".join(f"{v:g}" for v in runner.truth)),
+                          ("--noise", f"{runner.noise_sigma:g}"),
+                          ("--em-at-zero", f"{runner.em_at_zero:g}"),
+                          ("--sim-seed", f"{runner.seed}")):
+        assert re.search(rf" {option} [^()]*\(default ([^)]*)\)", text).group(1) == value, option
 
 
 def test_every_public_name_resolves_and_is_listed():
