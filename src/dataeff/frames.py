@@ -49,15 +49,11 @@ def _offset(text: str, index: int) -> int:
 
 def _label_error(text: str, index: int, label: str, root: bool) -> FrameParseError:
     at = _offset(text, index) + 1
-    if not label.startswith((INTENT_PREFIX, SLOT_PREFIX)):
-        if root and label:
-            return FrameParseError(f"root label {label!r} is not an intent", at)
-        return FrameParseError(
-            f"label must start with {INTENT_PREFIX!r} or {SLOT_PREFIX!r}", at
-        )
-    if not _LABEL.fullmatch(label):
+    if label.startswith((INTENT_PREFIX, SLOT_PREFIX)) and not _LABEL.fullmatch(label):
         return FrameParseError(f"empty or malformed label {label!r}", at)
-    return FrameParseError(f"root label {label!r} is not an intent", at)
+    if root and label:
+        return FrameParseError(f"root label {label!r} is not an intent", at)
+    return FrameParseError(f"label must start with {INTENT_PREFIX!r} or {SLOT_PREFIX!r}", at)
 
 
 def _checked_labels(text: str, tokens: Sequence[str]) -> list[str]:

@@ -72,6 +72,9 @@ class _Rows(Sequence):
     def __hash__(self) -> int:
         return hash(self[:])
 
+    def __reduce__(self):  # pickle, copy and deepcopy make the rows and carry the tuple
+        return tuple, (self[:],)
+
 
 @dataclass(frozen=True)
 class Manifest:

@@ -11,7 +11,7 @@ with all arithmetic mod 2**64. It is pure integer math, so identical seeds
 produce identical draws on every platform and Python version, which is what
 makes subsets and ledgers byte-reproducible. The one shuffle, shuffle_prefix,
 is front-to-back Fisher-Yates, each position's draw an unbiased integer by
-modulo rejection; it runs the generator inline, so each draw costs one ``%``.
+modulo rejection.
 """
 
 from __future__ import annotations
@@ -85,18 +85,13 @@ class SplitMix64:
         n = len(items)
         if not 0 <= m <= n:
             raise ValueError(f"prefix length {m} out of range for {n} items")
-        state = self.state
         for i in range(m):
             bound = n - i
-            while True:  # next_u64, inlined
-                state = (state + _GOLDEN) & _MASK
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                z ^= z >> 31
+            while True:
+                z = self.next_u64()
                 r = z % bound
                 if z - r <= _MASK + 1 - bound:  # z below the largest multiple of bound
                     break
             j = i + r
             items[i], items[j] = items[j], items[i]
-        self.state = state
         return items[:m]

@@ -1017,14 +1017,6 @@ def test_path_line_errors_carry_their_line(tmp_path):
     assert str(exc.value) == f"{frames}:3: unbalanced brackets: missing ']' (offset 0)"
 
 
-def test_em_length_mismatch(tmp_path):
-    system = tmp_path / "system.txt"
-    reference = tmp_path / "reference.txt"
-    system.write_text("[IN:GET_WEATHER x ]\n", encoding="utf-8")
-    reference.write_text("[IN:GET_WEATHER x ]\n[IN:GET_SUNRISE y ]\n", encoding="utf-8")
-    assert run_cli("em", "--system", system, "--reference", reference).returncode == 1
-
-
 def test_run_exec_runner_wrong_run_id_fails_one_run(corpus, tmp_path):
     runner = tmp_path / "runner.py"
     runner.write_text(

@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from _blake2 import blake2b
+from hashlib import blake2b
 from types import SimpleNamespace
 
 import pytest

@@ -1,10 +1,12 @@
+import copy
 import json
 import os
+import pickle
 import random
 import sys
 import threading
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -148,6 +150,19 @@ def test_manifest_json_round_trip(manifests):
     assert type(again.subset_rows) is tuple and type(m.subset_rows) is not tuple
     assert hash(again) == hash(m) and again.train_rows == m.train_rows
     assert replace(m, model_id="other").subset_rows == again.subset_rows
+
+
+def test_a_lazy_manifest_pickles_and_copies_as_plain_tuples(weather_table):
+    # A runner that hands manifests to a process pool pickles them.
+    m = list(build_manifests(weather_table, "weather", make_schedule(10), seeds=(0,)))[5]
+    rows = sample(weather_table, m.subset).row_ids
+    eager = (rows, weather_table.row_ids("alarm", "train") + rows)
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert type(copied.subset_rows) is tuple and type(copied.train_rows) is tuple
+        assert (copied.subset_rows, copied.train_rows) == eager and copied == m
+    fields = asdict(m)
+    assert (fields["subset_rows"], fields["train_rows"]) == eager
+    assert type(fields["subset_rows"]) is tuple and type(fields["train_rows"]) is tuple
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

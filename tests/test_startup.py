@@ -7,8 +7,8 @@ corpus (`sample`, `run`, `complexity`) import hashlib, which loads OpenSSL for
 the corpus cache's SHA-256 key, `query` does not load `csv`, and only runners
 start processes. Each command runs in turn in one fresh interpreter, the
 corpus readers last; after each, the child records which heavy modules and
-which `dataeff` modules it has loaded so far. The package also declares and imports nothing outside the standard
-library.
+which `dataeff` modules it has loaded so far. The package also declares and
+imports nothing outside the public standard library.
 """
 
 import ast
@@ -126,6 +126,8 @@ def test_package_has_no_runtime_dependency():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "dataeff", (path.name, name)
+                # public standard-library modules only: no name with a leading underscore
+                assert not top.startswith("_") or top == "__future__", (path.name, name)
                 # one JSON decoder: every module reads and writes JSON through jsonio
                 assert top != "json" or path.name == "jsonio.py", (path.name, name)
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
