@@ -59,8 +59,9 @@ class CorpusTable:
     and ``labels[i]`` (the frame's interned intent and slot labels in
     pre-order, root intent first). ``row_ids(domain, split)`` lists the rows of
     a domain's split, and ``test_digest(domain)`` fingerprints its test split.
-    Rows with the same bracket structure share one ``labels`` tuple. A table
-    read from a cache decodes each column when it is first read.
+    Rows with the same bracket structure share one ``labels`` tuple while it is
+    among the 16,384 most recently checked structures. A table read from a
+    cache decodes each column when it is first read.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):

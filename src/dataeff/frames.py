@@ -11,40 +11,41 @@ spaces; the first label is the root intent. exact_match is the one hit rule: a
 prediction matches when its tokens, so joined, are the canonical reference.
 
 A token is "[" with its label glued to it, "]", or a word: a maximal run of
-characters that are neither whitespace nor brackets. One stack check over the
-tokens defines the grammar; it runs once per distinct skeleton (a frame's
-bracket tokens), and frames with the same skeleton share one tuple of interned
-labels.
+characters that are neither whitespace nor brackets. The grammar is this token
+rule, as _tokens implements it, and one stack check over the tokens. The check
+runs once per distinct skeleton (a frame's bracket tokens), and a skeleton's
+interned labels are memoized among the 16,384 most recently checked skeletons.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from collections import Counter
-from collections.abc import Sequence
-from itertools import islice
 
 from .errors import FrameParseError, InputError
 
 INTENT_PREFIX = "IN:"
 SLOT_PREFIX = "SL:"
 
-
-# The tokens as a regex, kept to find an error's offset. ``\s`` matches exactly
-# the characters for which str.isspace() is true, where str.split() splits.
-_TOKEN = re.compile(r"\[[^\s\[\]]*|\]|[^\s\[\]]+")
 _LABEL = re.compile(r"(?:IN|SL):[A-Z_:]+")
 
 
 def _tokens(text: str) -> list[str]:
-    """_TOKEN.findall(text), faster: "[" and "]" end a word, as whitespace does."""
+    """The frame's tokens: "[" and "]" end a word, as whitespace does."""
     return text.replace("[", " [").replace("]", " ] ").split()
 
 
 def _offset(text: str, index: int) -> int:
-    """Position in text of token number index."""
-    return next(islice(_TOKEN.finditer(text), index, None)).start()
+    """Position in text of token number index: tokens lie in text in order,
+    each after the whitespace that follows the one before it."""
+    at = 0
+    for token in _tokens(text)[:index + 1]:
+        while text[at].isspace():
+            at += 1
+        start, at = at, at + len(token)
+    return start
 
 
 def _label_error(text: str, index: int, label: str, root: bool) -> FrameParseError:
@@ -56,15 +57,14 @@ def _label_error(text: str, index: int, label: str, root: bool) -> FrameParseErr
     return FrameParseError(f"label must start with {INTENT_PREFIX!r} or {SLOT_PREFIX!r}", at)
 
 
-def _checked_labels(text: str, tokens: Sequence[str]) -> list[str]:
-    """The pre-order labels of the frame whose tokens are tokens.
+def _checked_labels(text: str) -> list[str]:
+    """The pre-order labels of the frame text.
 
     One pass over the tokens with a stack of the open nodes. Raises
     FrameParseError on the first fault met reading left to right: a nesting
     fault is reported when the inner node closes, at the outer node's '['.
-    An error's offset finds the faulting token by its index among text's
-    tokens, so it is exact only when tokens is the whole of _tokens(text).
     """
+    tokens = _tokens(text)
     if not tokens:
         raise FrameParseError("empty input", len(text))
     if tokens[0][0] != "[":
@@ -93,7 +93,7 @@ def _checked_labels(text: str, tokens: Sequence[str]) -> list[str]:
             elif index < last:
                 at = _offset(text, index + 1)
                 raise FrameParseError(
-                    f"trailing garbage after frame: {text[at:][:20]!r}", at
+                    f"trailing garbage after frame: {text[at:at + 20]!r}", at
                 )
     if open_nodes:
         raise FrameParseError("unbalanced brackets: missing ']'",
@@ -101,38 +101,10 @@ def _checked_labels(text: str, tokens: Sequence[str]) -> list[str]:
     return labels
 
 
-# Interned labels of each checked skeleton: the tuple of a frame's "[LABEL"
-# and "]" tokens. Emptied when full, so it stays near this size; threads that
-# race on it can at worst check a skeleton again.
-_SKELETON_MEMO_SIZE = 1 << 14
-_skeletons: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-
-def _checked(text: str) -> tuple[list[str], tuple[str, ...]]:
-    """The tokens and the interned pre-order labels of a well-formed frame.
-
-    Once the first token is '[' and the last is ']', the words in between
-    cannot make a frame invalid, so a frame is well formed exactly when its
-    skeleton is, and each distinct skeleton is checked only once. Any other
-    text, and a frame whose skeleton fails, is checked whole, which raises
-    FrameParseError with the fault's offset in text.
-    """
-    tokens = _tokens(text)
-    if tokens and tokens[0][0] == "[" and tokens[-1] == "]":
-        skeleton = tuple([token for token in tokens if token[0] in "[]"])
-        labels = _skeletons.get(skeleton)
-        if labels is not None:
-            return tokens, labels
-        try:
-            labels = tuple(map(sys.intern, _checked_labels(text, skeleton)))
-        except FrameParseError:
-            pass
-        else:
-            if len(_skeletons) >= _SKELETON_MEMO_SIZE:
-                _skeletons.clear()
-            _skeletons[skeleton] = labels
-            return tokens, labels
-    return tokens, tuple(map(sys.intern, _checked_labels(text, tokens)))
+@functools.lru_cache(maxsize=1 << 14)
+def _skeleton_labels(skeleton: tuple[str, ...]) -> tuple[str, ...]:
+    """The interned pre-order labels of a skeleton, a frame's "[LABEL" and "]" tokens."""
+    return tuple(map(sys.intern, _checked_labels(" ".join(skeleton))))
 
 
 def canonical_frame(text: str) -> tuple[str, tuple[str, ...]]:
@@ -140,13 +112,25 @@ def canonical_frame(text: str) -> tuple[str, tuple[str, ...]]:
 
     The canonical text is the frame's tokens joined by single spaces, and the
     first label is the root intent. The labels are interned, and frames with
-    the same skeleton share one labels tuple. Raises FrameParseError (with
-    character offset) on unbalanced brackets, a non-intent root, empty or
+    the same memoized skeleton share one labels tuple. Raises FrameParseError
+    (with character offset) on unbalanced brackets, a non-intent root, empty or
     malformed labels, an intent nested directly in an intent or a slot in a
     slot, or trailing garbage.
+
+    Once the first token is '[' and the last is ']', the words in between
+    cannot make a frame invalid, so a frame is well formed exactly when its
+    skeleton is. Any other text, and a frame whose skeleton fails, is checked
+    whole, which raises FrameParseError with the fault's offset in text.
     """
-    tokens, labels = _checked(text)
-    return " ".join(tokens), labels
+    tokens = _tokens(text)
+    if tokens and tokens[0][0] == "[" and tokens[-1] == "]":
+        try:
+            labels = _skeleton_labels(tuple([token for token in tokens if token[0] in "[]"]))
+        except FrameParseError:
+            pass
+        else:
+            return " ".join(tokens), labels
+    return " ".join(tokens), tuple(map(sys.intern, _checked_labels(text)))
 
 
 def exact_match(system: list[str], reference: list[str]) -> float:

@@ -169,8 +169,8 @@ def _scalar(tp):
     return convert
 
 
-def _array(container, items, length=None):
-    """Array converter: items is one converter per position, or repeat() of one."""
+def _array(items, length=None):
+    """Array-to-tuple converter: items is one converter per position, or repeat() of one."""
 
     def convert(value):
         if type(value) is not list:
@@ -184,7 +184,7 @@ def _array(container, items, length=None):
         except _Mismatch as exc:
             exc.path.append(f"[{len(out)}]")
             raise
-        return out if container is list else tuple(out)
+        return tuple(out)
 
     return convert
 
@@ -226,8 +226,8 @@ def _converter(tp):
     if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
         inner = _converter(next(a for a in args if a is not type(None)))
         return lambda value: None if value is None else inner(value)
-    if origin is list or (origin is tuple and args[-1] is Ellipsis):
-        return _array(origin, itertools.repeat(_converter(args[0])))
     if origin is not tuple:
         raise TypeError(f"no JSON converter for {tp!r}")
-    return _array(tuple, [_converter(a) for a in args], len(args))
+    if args[-1] is Ellipsis:
+        return _array(itertools.repeat(_converter(args[0])))
+    return _array([_converter(a) for a in args], len(args))

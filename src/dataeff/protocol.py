@@ -151,6 +151,10 @@ class LedgerEntry:
     error: str | None
 
     def __post_init__(self):
+        if not 0.0 <= self.subset_percent <= 100.0:
+            raise ProtocolError(f"subset_percent out of [0, 100]: {self.subset_percent}")
+        if self.subset_size < 0:
+            raise ProtocolError(f"subset_size must be >= 0, got {self.subset_size}")
         if self.result is None and self.error is None:
             raise ProtocolError("a failed entry needs an error message")
         if self.result is not None and self.error is not None:

@@ -815,6 +815,19 @@ def test_complexity_command_with_annotation_file(tmp_path):
     assert any(line.startswith("open,") for line in proc.stdout.splitlines())
 
 
+def test_fit_names_the_file_and_entry_of_a_subset_percent_out_of_range(corpus, tmp_path, capsys):
+    ledger = tmp_path / "ledger.json"
+    assert cli.main(["run", "--corpus", str(corpus), "--target", "weather",
+                     "--out", str(ledger)]) == 0
+    payload = json.loads(ledger.read_text())
+    payload["entries"][3]["subset_percent"] = 150
+    ledger.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["fit", "--points", str(ledger)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ledger}: entries[3]: subset_percent out of [0, 100]: 150.0\n")
+
+
 def test_fit_rejects_corrupt_ledger(tmp_path):
     bad = tmp_path / "ledger.json"
     bad.write_text(f'{{"format": 2, {PROTOCOL}, "entries": [{{"nonsense": 1, "result": null, '

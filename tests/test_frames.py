@@ -1,16 +1,20 @@
 import random
+import re
 import sys
 from collections import Counter
 
 import pytest
 
 from dataeff.errors import FrameParseError
-from dataeff import frames
-from dataeff.frames import _TOKEN, canonical_frame, exact_match, _skeletons, _tokens
+from dataeff.frames import _skeleton_labels, _tokens, canonical_frame, exact_match
 from conftest import random_frame
 from reference_frames import reference_parse, serialize_tree, tree_labels
 
 WEATHER_TEXT = "[IN:GET_WEATHER what s the [SL:LOCATION boston ] forecast ]"
+
+# The token rule as a regex, for the code-point sweep. ``\s`` matches exactly the
+# characters for which str.isspace() is true, where str.split() splits.
+TOKEN = re.compile(r"\[[^\s\[\]]*|\]|[^\s\[\]]+")
 
 
 def labels_of(text):
@@ -222,14 +226,17 @@ def test_tokens_equal_the_token_regex_on_every_code_point():
     for start in range(0, sys.maxunicode + 1, step):
         chars = map(chr, range(start, min(start + step, sys.maxunicode + 1)))
         text = "".join(f"[x{ch}y]{ch}w{ch}[{ch}" for ch in chars)
-        assert _tokens(text) == _TOKEN.findall(text), hex(start)
+        assert _tokens(text) == TOKEN.findall(text), hex(start)
 
 
 @pytest.mark.parametrize("text", ["x [IN:A y ]", "[IN:A y ] z", "x [IN:A [SL:B y ] ]"])
 def test_memoized_skeleton_with_stray_word_fails_as_reference(text):
     canonical_frame("[IN:A w ]")
     canonical_frame("[IN:A [SL:B w ] ]")
-    assert {("[IN:A", "]"), ("[IN:A", "[SL:B", "]", "]")} <= _skeletons.keys()
+    hits = _skeleton_labels.cache_info().hits
+    _skeleton_labels(("[IN:A", "]"))
+    _skeleton_labels(("[IN:A", "[SL:B", "]", "]"))
+    assert _skeleton_labels.cache_info().hits == hits + 2  # both skeletons are memoized
     expected = _outcome(reference_parse, text)
     assert expected.startswith("error: ")
     assert _outcome(canonical_frame, text) == expected
@@ -243,13 +250,22 @@ def test_frames_with_one_skeleton_share_labels():
     assert canonical_frame("[IN:GET_WEATHER [SL:DATE_TIME x ] ]")[1] is not first[1]
 
 
-def test_skeleton_memo_is_emptied_when_full(monkeypatch):
-    monkeypatch.setattr(frames, "_SKELETON_MEMO_SIZE", 2)
-    for _ in range(2):
-        for name in "ABCDE":  # five skeletons
-            text = f"[IN:{name} w [SL:{name} x ] ]"
-            assert canonical_frame(text) == (text, (f"IN:{name}", f"SL:{name}"))
-            assert len(_skeletons) <= 2
+def test_skeleton_memo_is_bounded():
+    maxsize = _skeleton_labels.cache_info().maxsize
+    assert maxsize == 1 << 14
+    _skeleton_labels.cache_clear()
+    for i in range(maxsize + 1):
+        name = "".join("AB"[int(bit)] for bit in f"{i:015b}")  # distinct skeletons
+        text = f"[IN:{name} w [SL:{name} x ] ]"
+        assert canonical_frame(text) == (text, (f"IN:{name}", f"SL:{name}"))
+    assert _skeleton_labels.cache_info().currsize == maxsize
+
+
+def test_trailing_garbage_offset_on_a_long_frame():
+    text = "[IN:GET_WEATHER " + "[SL:LOCATION boston ] " * 50_000 + "] x"
+    assert len(text) > 1_000_000
+    expected = f"error: trailing garbage after frame: 'x' (offset {len(text) - 1})"
+    assert _outcome(reference_parse, text) == _outcome(canonical_frame, text) == expected
 
 
 def _hit_rule_cases():

@@ -45,7 +45,7 @@ def test_round_trip(weather_table):
     values = [
         (Schedule, make_schedule(10)),
         (Ledger, _ledger(weather_table)),
-        (list[EfficiencyPoint], [EfficiencyPoint(1.0, 70.5, 2)]),
+        (tuple[EfficiencyPoint, ...], (EfficiencyPoint(1.0, 70.5, 2),)),
     ]
     for tp, value in values:
         text = dumps(value)
@@ -126,8 +126,8 @@ def test_errors_name_source_and_key_path(weather_table):
     assert _decode_error(Ledger, header | {"entrys": []}, "x") == "x: entries: missing"
     assert _decode_error(Ledger, header | {"format": 1, "entries": []}, "x") == (
         "x: format 1: only format 2 is read")
-    assert "[1].exact_match: missing" in _decode_error(
-        list[EfficiencyPoint], [{"subset_percent": 1, "exact_match": 2}, {"subset_percent": 3}])
+    assert "[1].exact_match: missing" in _decode_error(tuple[EfficiencyPoint, ...], [
+        {"subset_percent": 1, "exact_match": 2}, {"subset_percent": 3}])
 
 
 def test_constructor_checks_report_their_location(weather_table):
@@ -137,6 +137,14 @@ def test_constructor_checks_report_their_location(weather_table):
     assert message.startswith("ledger.json: entries[1].result: exact_match out of [0, 100]")
     payload["entries"][2] = payload["entries"][1] = payload["entries"][0]
     assert "duplicate run_id" in _decode_error(Ledger, payload, "ledger.json")
+    payload = json.loads(dumps(_ledger(weather_table)))
+    payload["entries"][3]["subset_percent"] = 150
+    assert _decode_error(Ledger, payload, "ledger.json") == (
+        "ledger.json: entries[3]: subset_percent out of [0, 100]: 150.0")
+    payload = json.loads(dumps(_ledger(weather_table)))
+    payload["entries"][2]["subset_size"] = -5
+    assert _decode_error(Ledger, payload, "ledger.json") == (
+        "ledger.json: entries[2]: subset_size must be >= 0, got -5")
     empty = {"format": 2, "protocol": payload["protocol"], "entries": []}
     assert type(from_dict(Ledger, empty, "x").entries) is tuple
 
@@ -158,6 +166,8 @@ def test_unsupported_values_are_program_errors():
         dumps(object())
     with pytest.raises(TypeError):
         from_dict(dict, {}, "x")
+    with pytest.raises(TypeError):
+        from_dict(list[int], [], "x")
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
