@@ -210,16 +210,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _read_frames(path: str) -> list[str]:
-    """The canonical text of each non-blank line's frame."""
+def _read_frames(path: str) -> dict[int, str]:
+    """The canonical text of each non-blank line's frame, by line number."""
     from .frames import canonical_frame
 
-    frames = []
+    frames = {}
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
-            frames.append(canonical_frame(line)[0])
+            frames[lineno] = canonical_frame(line)[0]
         except FrameParseError as exc:
             raise InputError(str(exc), path, lineno) from exc
     if not frames:
@@ -234,7 +234,13 @@ def cmd_em(args) -> int:
     reference = _read_frames(args.reference)
     if len(system) != len(reference):
         raise InputError(f"{args.system}: {len(system)} frames, {args.reference}: {len(reference)}")
-    value = exact_match(system, reference)
+    for at_system, at_reference in zip(system, reference):
+        if at_system != at_reference:  # the earlier line is blank in the other file
+            line = min(at_system, at_reference)
+            framed, blank = ((args.system, args.reference) if line == at_system
+                             else (args.reference, args.system))
+            raise InputError(f"{framed}:{line} holds a frame and {blank}:{line} is blank")
+    value = exact_match(list(system.values()), list(reference.values()))
     print(f"{value:.4f}")
     return EXIT_OK
 

@@ -57,7 +57,7 @@ class EfficiencyPoint:
 @dataclass(frozen=True)
 class CurveModel:
     """Fitted parameters of h(x) = a / x**b + c plus fit diagnostics; InputError names
-    a field that is not finite, a negative sse or iterations, or a bad fit_domain."""
+    a field that is not finite, b <= 0, a negative sse or iterations, or a bad fit_domain."""
 
     a: float
     b: float
@@ -71,6 +71,8 @@ class CurveModel:
         for name in ("a", "b", "c", "sse"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.b <= 0.0:
+            raise InputError(f"b must be > 0, got {self.b}")
         if self.sse < 0.0:
             raise InputError(f"sse must be >= 0, got {self.sse}")
         if self.iterations < 0:
@@ -263,10 +265,8 @@ def invert(model: CurveModel, y: float) -> Inversion:
     For a < 0 a target at or above the asymptote c is never reached: the answer
     is Inversion(None). Answers above 100% of the data are flagged exceeds_full_data;
     one past the float range is math.inf.
-    Raises CurveDomainError for b <= 0, a = 0, or a target out of range when a > 0.
+    Raises CurveDomainError for a = 0, or a target out of range when a > 0.
     """
-    if model.b <= 0.0:
-        raise CurveDomainError(f"cannot invert a curve with b = {model.b:g} <= 0")
     if model.a == 0.0:
         raise CurveDomainError("cannot invert a flat curve (a = 0)")
     ratio = (y - model.c) / model.a

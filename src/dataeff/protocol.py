@@ -311,22 +311,14 @@ class SimulatedRunner:
         em = min(max((self.em_at_zero if k == 0 else a / k ** b + c) + eps, 0.0), 100.0)
 
         predictions = None
-        table = self.table
-        if table is not None:
+        if self.table is not None:
             stream = SplitMix64(combine(self.seed, run_seed, float_key(k), _PREDICTION_STREAM))
-            frames = []
-            hits = 0
-            for row_id in manifest.test_rows:
-                parse = table.parse[row_id]
-                if stream.unit() < em / 100.0:
-                    hits += 1
-                    frames.append(parse)
-                else:  # a rewritten root intent label guarantees a miss
-                    root = table.labels[row_id][0]
-                    frames.append(f"[{root}_WRONG{parse[len(root) + 1:]}")
-            predictions = tuple(frames)
-            if frames:
-                em = 100.0 * hits / len(frames)
+            parses = [self.table.parse[row_id] for row_id in manifest.test_rows]
+            # Canonical text opens "[ROOT ", so renaming the root guarantees a miss.
+            predictions = tuple(parse if stream.unit() < em / 100.0
+                                else parse.replace(" ", "_WRONG ", 1) for parse in parses)
+            if parses:
+                em = 100.0 * sum(map(str.__eq__, predictions, parses)) / len(parses)
         return RunResult(exact_match=em, predictions=predictions)
 
 

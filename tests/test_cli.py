@@ -988,6 +988,18 @@ def test_em_names_both_files_when_their_lengths_differ(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {system}: 3 frames, {reference}: 2\n"
 
 
+def test_em_refuses_blank_lines_at_different_line_numbers(tmp_path, capsys):
+    system = tmp_path / "sys.txt"
+    reference = tmp_path / "ref.txt"
+    system.write_text("[IN:A x ]\n\n[IN:C z ]\n", encoding="utf-8")
+    reference.write_text("[IN:A x ]\n[IN:B y ]\n\n", encoding="utf-8")
+    assert cli.main(["em", "--system", str(system), "--reference", str(reference)]) == 1
+    assert capsys.readouterr().err == f"error: {reference}:2 holds a frame and {system}:2 is blank\n"
+    reference.write_text("[IN:A x ]\n\n[IN:B y ]\n", encoding="utf-8")
+    assert cli.main(["em", "--system", str(system), "--reference", str(reference)]) == 0
+    assert capsys.readouterr().out == "50.0000\n"
+
+
 def test_em_files_split_rows_at_newlines_only(tmp_path, capsys):
     system = tmp_path / "system.txt"
     reference = tmp_path / "reference.txt"
@@ -1066,6 +1078,7 @@ def test_model_missing_key_names_file_and_key(tmp_path):
 @pytest.mark.parametrize("key, value, message", [
     ("c", "1e400", "c must be finite, got inf"),
     ("a", "-1e400", "a must be finite, got -inf"),
+    ("b", "0.0", "b must be > 0, got 0.0"),
     ("fit_domain", "[0, 100]", "fit_domain must be 0 < low <= high <= 100, got (0.0, 100.0)"),
     ("fit_domain", "[150, 200]",
      "fit_domain must be 0 < low <= high <= 100, got (150.0, 200.0)"),

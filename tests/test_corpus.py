@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from hashlib import blake2b
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -473,7 +474,7 @@ def test_a_changed_byte_is_checked_again(tmp_path, monkeypatch):
 
 def _another_code_key(path, tmp_path, monkeypatch):
     edited = tmp_path / "edited_corpus.py"
-    edited.write_bytes(open(corpus.__file__, "rb").read() + b"# edited\n")
+    edited.write_bytes(Path(corpus.__file__).read_bytes() + b"# edited\n")
     with monkeypatch.context() as patch:
         patch.setattr(corpus, "__file__", str(edited))
         _load_counting_checks(path, monkeypatch)
@@ -537,7 +538,7 @@ def test_a_cache_keyed_by_blake2b_misses_once_and_is_rewritten(tmp_path, monkeyp
     checked = load_corpus(path)
     cache = _cache(path)
     good = cache.read_bytes()
-    code = b"".join(blake2b(open(source, "rb").read()).digest()
+    code = b"".join(blake2b(Path(source).read_bytes()).digest()
                     for source in (corpus.__file__, corpus.frames.__file__, corpus.jsonio.__file__))
     old_key = blake2b(code + repr((sys.version, "_tsv_fields train")).encode())
     old_key.update(path.read_bytes())
@@ -625,6 +626,20 @@ def test_a_uniform_run_on_a_cache_hit_decodes_neither_column(tmp_path, monkeypat
     assert len(table) == len(CACHED_ROWS)
     assert "parse" not in vars(table) and "labels" not in vars(table)
     assert len(decoded) == 1  # the index and the split digests
+
+
+def test_a_uniform_run_with_predictions_on_a_cache_hit_decodes_only_the_frames(
+        tmp_path, monkeypatch):
+    path = write_tsv(tmp_path / "corpus.tsv", CACHED_ROWS)
+    load_corpus(path)  # writes the cache
+    frame_records = -(-len(CACHED_ROWS) // corpus._CACHE_ROWS)
+    decoded = _counting_loads(monkeypatch)
+    table = load_corpus(path)
+    manifests = build_manifests(table, "weather", make_schedule(10), seeds=(0, 1))
+    results = [SimulatedRunner(noise_sigma=0.5, table=table)(manifest) for manifest in manifests]
+    assert len(results) == 20 and all(result.predictions for result in results)
+    assert "labels" not in vars(table)
+    assert len(decoded) == 1 + frame_records  # the index and digests, then the frames
 
 
 def test_spis_sampling_and_complexity_decode_each_column_once(tmp_path, monkeypatch):

@@ -203,8 +203,8 @@ def test_invert_past_the_float_range_is_infinite():
 
 
 def test_invert_rejects_degenerate_models():
-    with pytest.raises(CurveDomainError):
-        invert(CurveModel(-10.0, 0.0, 90.0, 0.0, 0, True, (1.0, 100.0)), 80.0)
+    with pytest.raises(InputError, match=r"^b must be > 0, got 0\.0$"):  # no such model is built
+        CurveModel(-10.0, 0.0, 90.0, 0.0, 0, True, (1.0, 100.0))
     with pytest.raises(CurveDomainError):
         invert(CurveModel(0.0, 1.0, 90.0, 0.0, 0, True, (1.0, 100.0)), 80.0)
     with pytest.raises(CurveDomainError):  # a > 0: a falling curve never drops to 85

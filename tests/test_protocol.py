@@ -6,14 +6,15 @@ import random
 import sys
 import threading
 import weakref
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import pytest
 
 from dataeff.corpus import CorpusTable
 from dataeff.curve import fit_curve
 from dataeff.errors import ProtocolError, RunnerError, SamplingError, UnknownDomainError
-from dataeff.frames import canonical_frame
+from dataeff.frames import canonical_frame, exact_match
 from dataeff.jsonio import dumps, from_dict
 from dataeff.protocol import (
     CommandRunner,
@@ -150,6 +151,12 @@ def test_manifest_json_round_trip(manifests):
     assert type(again.subset_rows) is tuple and type(m.subset_rows) is not tuple
     assert hash(again) == hash(m) and again.train_rows == m.train_rows
     assert replace(m, model_id="other").subset_rows == again.subset_rows
+
+
+def test_the_readme_names_every_manifest_key_an_external_runner_reads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## External runner contract\n", 1)[1].split("\n## ", 1)[0]
+    assert [f.name for f in fields(Manifest) if f"`{f.name}`" not in section] == []
 
 
 def test_a_lazy_manifest_pickles_and_copies_as_plain_tuples(weather_table):
@@ -515,6 +522,22 @@ def test_predictions_mode_reports_realized_em():
                for predicted, reference in zip(result.predictions, references))
     assert 0 < hits < len(references)
     assert result.exact_match == pytest.approx(100.0 * hits / len(result.predictions))
+
+
+def test_a_miss_renames_the_root_label_of_every_generated_frame():
+    # The 0% subset scores em_at_zero = 0, so every prediction is a miss.
+    rng = random.Random(40)
+    rows = make_rows("weather", 100) + make_rows("alarm", 20, intent="IN:CREATE_ALARM")
+    rows += [("weather", f"t {i}", serialize_tree(random_frame(rng)), "test") for i in range(300)]
+    table = CorpusTable(rows)
+    manifest = next(iter(build_manifests(table, "weather", make_schedule(10))))
+    assert manifest.subset_percent == 0
+    result = SimulatedRunner(truth=TRUTH, table=table)(manifest)
+    assert result.exact_match == 0.0 and len(result.predictions) == 300
+    for row_id, miss in zip(manifest.test_rows, result.predictions):
+        parse, root = table.parse[row_id], table.labels[row_id][0]
+        assert miss == f"[{root}_WRONG{parse[len(root) + 1:]}"
+        assert exact_match([miss], [parse]) == 0.0
 
 
 def test_predictions_mode_needs_table(weather_table, manifests):
